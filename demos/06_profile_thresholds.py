@@ -1,10 +1,11 @@
 """How much a demand can charge for flexibility before it prices itself out.
 
 Each alternative consumption profile carries a payment the plant owes
-the demand for deviating from its default. This demo bisects that
-payment for one demand/profile pair on the clear day: below the
-threshold the optimizer books the alternative profile, above it the
-default wins. Sweep all pairs with --all (slower; about two minutes).
+the demand for deviating from its default. This demo finds that
+payment for one demand/profile pair on the clear day from two day-ahead
+solves, one with each profile held: below the threshold the optimizer
+books the alternative profile, above it the default wins. Sweep all
+pairs with --all (about fifteen seconds).
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ def main() -> None:
     parser.add_argument("--demand", default="industrial")
     parser.add_argument("--profile", default="night_shift")
     parser.add_argument("--max", type=float, default=1200.0,
-                        help="largest payment probed")
+                        help="largest payment reported as a threshold")
     parser.add_argument("--step", type=float, default=2.0,
-                        help="bisection resolution in EUR")
+                        help="margin in EUR: thresholds sit half a step "
+                             "below the break-even payment")
     parser.add_argument("--all", action="store_true",
                         help="sweep every non-default profile")
     args = parser.parse_args()
@@ -39,7 +41,7 @@ def main() -> None:
                                       profile_id=args.profile,
                                       max_cost=args.max, resolution=args.step)
 
-    print(f"{s.name} day, payments bisected to {args.step:g} EUR:")
+    print(f"{s.name} day, thresholds {args.step / 2:g} EUR below break-even:")
     for e in entries:
         if e.status == "threshold":
             print(f"  {e.demand_id}/{e.profile_id}: worth up to "

@@ -1,12 +1,13 @@
 """Command-line entry points.
 
 Three subcommands: ``run`` executes a scenario in VPP or no-coordination
-mode and writes the report file set; ``sweep`` searches the largest
+mode and writes the report file set; ``sweep`` finds the largest
 payment at which a demand profile is still selected; ``validate`` checks
 a scenario file and prints its diagnostics.
 
 Exit codes: 0 success, 2 usage or input errors, 3 an infeasible session,
-4 a solver failure.
+4 a solver failure, a verification violation, or recomputed profits that
+drift from the solver's by more than ``MAX_PROFIT_DRIFT``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
+
+MAX_PROFIT_DRIFT = 1e-6  # EUR, solver profits against their recomputation
 
 
 def parse_sessions(text: str) -> tuple[str, ...]:
@@ -65,8 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--demand", required=True, help="demand asset id")
     p_sweep.add_argument("--profile", required=True, help="non-default profile id")
-    p_sweep.add_argument("--max", type=float, required=True, help="largest cost probed")
-    p_sweep.add_argument("--step", type=float, default=1.0, help="bisection resolution")
+    p_sweep.add_argument("--max", type=float, required=True, help="largest payment considered")
+    p_sweep.add_argument("--step", type=float, default=1.0,
+                         help="resolution: the threshold is reported half a step "
+                              "below the break-even payment")
     p_sweep.add_argument("--out", default=None, help="directory for thresholds.csv")
 
     p_val = sub.add_parser("validate", help="check a scenario file")
@@ -123,6 +128,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE if failed.status == "infeasible" else EXIT_SOLVER
     if any(r.violations for r in result.sessions) or report.verifier_summary():
         print("verification found violations; see verify.json", file=sys.stderr)
+        return EXIT_SOLVER
+    drift = result.profits.max_recompute_drift()
+    if drift > MAX_PROFIT_DRIFT:
+        print(f"recomputed profits drift {drift:.3e} EUR from the solver's "
+              f"(limit {MAX_PROFIT_DRIFT:g})", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

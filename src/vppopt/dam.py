@@ -7,20 +7,22 @@ relaxation bounds; unit commitment for dispatchable renewables;
 availability bounds for non-dispatchable ones; profile selection for
 demands; and the solar-thermal-unit block.
 
-The balance, flow and trade builders take an explicit period window so
-the intraday formulation can re-impose them on a receding horizon.
+The variable block and the balance, flow, non-dispatchable and
+solar-thermal builders take an explicit period window: the day-ahead
+stage is the window that starts at period 1, and the intraday formulation
+re-imposes the same builders on its receding horizon.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from vppopt import stu as stu_mod
 from vppopt.milp import MilpModel
 from vppopt.registry import VariableRegistry
-from vppopt.scenario import Scenario
+from vppopt.scenario import ForecastSet, Scenario
 
 # registry roles
 TRADE_BUS = "trade"      # per main-grid bus net export [MW]
@@ -45,11 +47,17 @@ def reference_bus(s: Scenario) -> str:
     return min(s.network.main_grid_buses)
 
 
-def register_dam_variables(model: MilpModel, reg: VariableRegistry, s: Scenario) -> None:
-    periods = range(1, s.n_periods + 1)
+def register_window_variables(model: MilpModel, reg: VariableRegistry, s: Scenario,
+                              periods: Sequence[int], trade_role: str,
+                              dres_free: Sequence[str] = ()) -> None:
+    """Declare the physical variable block of a stage over a period window.
+
+    ``trade_role`` names the stage's traded power; each role in
+    ``dres_free`` adds one free variable per dispatchable plant and period.
+    """
     net = s.network
     for t in periods:
-        reg.new(model, TRADE_DAM, "vpp", t, lb=-np.inf, ub=np.inf)
+        reg.new(model, trade_role, "vpp", t, lb=-np.inf, ub=np.inf)
         for b in net.main_grid_buses:
             cap = net.trade_cap[b]
             reg.new(model, TRADE_BUS, b, t, lb=-cap, ub=cap)
@@ -67,15 +75,14 @@ def register_dam_variables(model: MilpModel, reg: VariableRegistry, s: Scenario)
             reg.new(model, DRES_W, a.id, t, lb=0.0, ub=1.0)
             reg.new(model, DRES_C1, a.id, t, lb=0.0, ub=np.inf)
             reg.new(model, DRES_C0, a.id, t, lb=0.0, ub=np.inf)
+            for role in dres_free:
+                reg.new(model, role, a.id, t, lb=-np.inf, ub=np.inf)
         for a in s.ndres:
             reg.new(model, NDRES_P, a.id, t, lb=0.0, ub=np.inf)
         for d in s.demands:
             reg.new(model, DEM_P, d.id, t, lb=0.0, ub=np.inf)
     for a in s.stu:
-        stu_mod.register_stu_variables(model, reg, a, list(periods))
-    for d in s.demands:
-        for p in d.profiles:
-            reg.new(model, DEM_U, f"{d.id}/{p.id}", None, kind="binary")
+        stu_mod.register_stu_variables(model, reg, a, periods)
 
 
 def build_dam_objective(s: Scenario, reg: VariableRegistry) -> dict[int, float]:
@@ -211,13 +218,16 @@ def build_dres_constraints(model: MilpModel, reg: VariableRegistry, s: Scenario)
                                  "==", 0.0, f"dres_c0.{a.id}.t{t}")
 
 
-def build_ndres_constraints(model: MilpModel, reg: VariableRegistry, s: Scenario) -> None:
-    """Output window per period: technical minimum up to forecast availability."""
-    fc = s.dam_forecast
+def build_ndres_constraints(model: MilpModel, reg: VariableRegistry, s: Scenario,
+                            periods: Sequence[int], forecast: ForecastSet) -> None:
+    """Output window per period: technical minimum up to forecast availability.
+
+    Forecast series start at the window's first period."""
+    tau = periods[0]
     for a in s.ndres:
-        series = fc.ndres_avail[a.id]
-        for t in range(1, s.n_periods + 1):
-            model.set_bounds(reg.id(NDRES_P, a.id, t), lb=a.p_min[t - 1], ub=series[t - 1])
+        series = forecast.ndres_avail[a.id]
+        for t in periods:
+            model.set_bounds(reg.id(NDRES_P, a.id, t), lb=a.p_min[t - 1], ub=series[t - tau])
 
 
 def build_demand_profile_constraints(model: MilpModel, reg: VariableRegistry,
@@ -232,13 +242,17 @@ def build_demand_profile_constraints(model: MilpModel, reg: VariableRegistry,
             model.add_constraint(coeffs, "==", 0.0, f"dem_sel.{d.id}.t{t}")
 
 
-def build_stu_blocks(model: MilpModel, reg: VariableRegistry, s: Scenario) -> None:
-    periods = list(range(1, s.n_periods + 1))
+def build_stu_blocks(model: MilpModel, reg: VariableRegistry, s: Scenario,
+                     periods: Sequence[int], forecast: ForecastSet,
+                     state: Mapping[str, tuple[float, bool]]) -> None:
+    """Solar-thermal units over a window. ``state`` maps each unit to its
+    storage energy and power-block status one period before the window."""
+    tau = periods[0]
     for a in s.stu:
-        series = s.dam_forecast.stu_avail[a.id]
-        avail = {t: series[t - 1] for t in periods}
-        stu_mod.build_stu_constraints(model, reg, a, periods, avail, s.dt,
-                                      a.initial_energy, a.initial_pb_on)
+        series = forecast.stu_avail[a.id]
+        avail = {t: series[t - tau] for t in periods}
+        energy, pb_on = state[a.id]
+        stu_mod.build_stu_constraints(model, reg, a, periods, avail, s.dt, energy, pb_on)
         stu_mod.build_pb_conversion(model, reg, a, periods)
 
 
@@ -247,14 +261,18 @@ def assemble_dam(s: Scenario) -> tuple[MilpModel, VariableRegistry]:
     model = MilpModel(f"dam[{s.name}]" if s.name else "dam")
     reg = VariableRegistry()
     periods = list(range(1, s.n_periods + 1))
-    register_dam_variables(model, reg, s)
+    register_window_variables(model, reg, s, periods, TRADE_DAM)
+    for d in s.demands:
+        for p in d.profiles:
+            reg.new(model, DEM_U, f"{d.id}/{p.id}", None, kind="binary")
     build_balance_constraints(model, reg, s, periods)
     build_dc_flow_constraints(model, reg, s, periods)
     build_trade_definition(model, reg, s, periods)
     build_dres_constraints(model, reg, s)
-    build_ndres_constraints(model, reg, s)
+    build_ndres_constraints(model, reg, s, periods, s.dam_forecast)
     build_demand_profile_constraints(model, reg, s)
-    build_stu_blocks(model, reg, s)
+    build_stu_blocks(model, reg, s, periods, s.dam_forecast,
+                     {a.id: (a.initial_energy, a.initial_pb_on) for a in s.stu})
     model.set_objective(build_dam_objective(s, reg))
     model.validate()
     return model, reg

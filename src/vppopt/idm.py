@@ -14,13 +14,9 @@ read from the ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
-
-import numpy as np
 
 from vppopt import stu as stu_mod
 from vppopt.dam import (
-    ANGLE,
     DEM_P,
     DEM_U,
     DRES_C0,
@@ -29,12 +25,14 @@ from vppopt.dam import (
     DRES_U,
     DRES_V,
     DRES_W,
-    FLOW,
     NDRES_P,
     TRADE_BUS,
     TRADE_DAM,
     build_balance_constraints,
     build_dc_flow_constraints,
+    build_ndres_constraints,
+    build_stu_blocks,
+    register_window_variables,
     trade_upper_bound,
 )
 from vppopt.milp import MilpModel, Solution
@@ -155,35 +153,6 @@ def apply_idm(ledger: LedgerState, s: Scenario, k: int, reg: VariableRegistry,
 # Session model
 # ---------------------------------------------------------------------------
 
-def register_idm_variables(model: MilpModel, reg: VariableRegistry, s: Scenario,
-                           periods: list[int]) -> None:
-    net = s.network
-    for t in periods:
-        reg.new(model, IDM_TRADE, "vpp", t, lb=-np.inf, ub=np.inf)
-        for b in net.main_grid_buses:
-            cap = net.trade_cap[b]
-            reg.new(model, TRADE_BUS, b, t, lb=-cap, ub=cap)
-        for b in net.buses:
-            reg.new(model, ANGLE, b, t, lb=-np.inf, ub=np.inf)
-        for line in net.lines:
-            reg.new(model, FLOW, line.id, t, lb=-line.flow_limit, ub=line.flow_limit)
-        for a in s.dres:
-            reg.new(model, DRES_P, a.id, t, lb=0.0, ub=a.p_max)
-            reg.new(model, DRES_U, a.id, t, kind="binary")
-            # pinned by the recommitment equality, as in the day-ahead model
-            reg.new(model, DRES_V, a.id, t, lb=0.0, ub=1.0)
-            reg.new(model, DRES_W, a.id, t, lb=0.0, ub=1.0)
-            reg.new(model, DRES_C1, a.id, t, lb=0.0, ub=np.inf)
-            reg.new(model, DRES_C0, a.id, t, lb=0.0, ub=np.inf)
-            reg.new(model, DRES_DP, a.id, t, lb=-np.inf, ub=np.inf)
-        for a in s.ndres:
-            reg.new(model, NDRES_P, a.id, t, lb=0.0, ub=np.inf)
-        for d in s.demands:
-            reg.new(model, DEM_P, d.id, t, lb=0.0, ub=np.inf)
-    for a in s.stu:
-        stu_mod.register_stu_variables(model, reg, a, periods)
-
-
 def build_idm_objective(s: Scenario, ledger: LedgerState, k: int,
                         reg: VariableRegistry) -> dict[int, float]:
     """Session profit: adjustment revenue at session prices minus dispatch
@@ -286,32 +255,6 @@ def build_idm_demand_constraints(model: MilpModel, reg: VariableRegistry, s: Sce
                              f"dem_minenergy.{d.id}")
 
 
-def build_idm_ndres_constraints(model: MilpModel, reg: VariableRegistry, s: Scenario,
-                                k: int, forecast: ForecastSet) -> None:
-    tau = s.calendar.session(k).first_period
-    for a in s.ndres:
-        series = forecast.ndres_avail[a.id]
-        for t in range(tau, s.n_periods + 1):
-            model.set_bounds(reg.id(NDRES_P, a.id, t),
-                             lb=a.p_min[t - 1], ub=series[t - tau])
-
-
-def build_idm_stu_blocks(model: MilpModel, reg: VariableRegistry, s: Scenario,
-                         ledger: LedgerState, k: int, forecast: ForecastSet) -> None:
-    tau = s.calendar.session(k).first_period
-    periods = list(range(tau, s.n_periods + 1))
-    for a in s.stu:
-        series = forecast.stu_avail[a.id]
-        avail = {t: series[t - tau] for t in periods}
-        if tau == 1:
-            e0, on0 = a.initial_energy, a.initial_pb_on
-        else:
-            e0 = ledger.stu_series[a.id][stu_mod.ENERGY][tau - 2]
-            on0 = bool(ledger.stu_series[a.id][stu_mod.PB_ON][tau - 2])
-        stu_mod.build_stu_constraints(model, reg, a, periods, avail, s.dt, e0, on0)
-        stu_mod.build_pb_conversion(model, reg, a, periods)
-
-
 def assemble_idm(s: Scenario, ledger: LedgerState, k: int,
                  forecast: ForecastSet | None = None) -> tuple[MilpModel, VariableRegistry]:
     """Complete model for intraday session k given the ledger so far."""
@@ -321,14 +264,20 @@ def assemble_idm(s: Scenario, ledger: LedgerState, k: int,
     model = MilpModel(f"idm{k}[{s.name}]" if s.name else f"idm{k}")
     reg = VariableRegistry()
     periods = list(range(tau, s.n_periods + 1))
-    register_idm_variables(model, reg, s, periods)
+    register_window_variables(model, reg, s, periods, IDM_TRADE, (DRES_DP,))
     build_balance_constraints(model, reg, s, periods)
     build_dc_flow_constraints(model, reg, s, periods)
     build_idm_trade_constraints(model, reg, s, ledger, k, forecast)
     build_idm_dres_constraints(model, reg, s, ledger, k)
-    build_idm_ndres_constraints(model, reg, s, k, forecast)
+    build_ndres_constraints(model, reg, s, periods, forecast)
     build_idm_demand_constraints(model, reg, s, ledger, k)
-    build_idm_stu_blocks(model, reg, s, ledger, k, forecast)
+    if tau == 1:
+        state = {a.id: (a.initial_energy, a.initial_pb_on) for a in s.stu}
+    else:
+        state = {a.id: (ledger.stu_series[a.id][stu_mod.ENERGY][tau - 2],
+                        bool(ledger.stu_series[a.id][stu_mod.PB_ON][tau - 2]))
+                 for a in s.stu}
+    build_stu_blocks(model, reg, s, periods, forecast, state)
     model.set_objective(build_idm_objective(s, ledger, k, reg))
     model.validate()
     return model, reg

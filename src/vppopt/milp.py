@@ -17,7 +17,7 @@ import math
 import re
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -204,13 +204,10 @@ class SolverAdapter(Protocol):
     """Contract a backend must satisfy.
 
     ``supports_sos2`` False routes the model through the binary
-    reformulation before the adapter ever sees it. Non-reentrant backends
-    set ``reentrant`` False and are serialized by callers running
-    concurrent solves.
+    reformulation before the adapter ever sees it.
     """
 
     supports_sos2: bool
-    reentrant: bool
 
     def solve(self, model: MilpModel, options: SolveOptions) -> Solution: ...
 
@@ -235,7 +232,6 @@ class ScipyMilpAdapter:
     """
 
     supports_sos2 = False
-    reentrant = True
 
     def solve(self, model: MilpModel, options: SolveOptions) -> Solution:
         if model.sos2_sets:
@@ -352,7 +348,6 @@ class Sos2EnumerationAdapter:
     """
 
     supports_sos2 = True
-    reentrant = True
 
     def __init__(self, base: SolverAdapter | None = None, combo_limit: int = 10000):
         self.base = base if base is not None else ScipyMilpAdapter()

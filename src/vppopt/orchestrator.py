@@ -6,20 +6,17 @@ calendar's intraday sessions in order, each with its own forecast set.
 Every solved session is independently re-verified. The no-coordination
 baseline gives each asset its own isolated market run (demands stay
 passive on their default profile), so the two modes are comparable
-profit-for-profit. The sweep searches, per demand profile, the largest
-payment at which the optimizer still picks it over the default.
+profit-for-profit. The sweep finds, per demand profile, the largest
+payment at which the optimizer still picks it over the default, in
+closed form from two day-ahead solves with the choice held either way.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from vppopt import dam as dam_mod
-from vppopt import idm as idm_mod
 from vppopt import stu as stu_mod
 from vppopt.idm import LedgerState, apply_idm, assemble_idm, ledger_from_dam
 from vppopt.milp import (
@@ -31,14 +28,7 @@ from vppopt.milp import (
     solve,
     verify,
 )
-from vppopt.registry import VariableRegistry
-from vppopt.scenario import (
-    DemandAsset,
-    DemandProfile,
-    ForecastSet,
-    Network,
-    Scenario,
-)
+from vppopt.scenario import DemandAsset, ForecastSet, Network, Scenario
 
 
 @dataclass(frozen=True)
@@ -368,32 +358,17 @@ class ThresholdEntry:
     resolution: float
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    costs: dict[tuple[str, str], float]
-    chosen: dict[str, str]
-    objective: float
-
-
-def _with_profile_costs(s: Scenario, costs: Mapping[tuple[str, str], float]) -> Scenario:
-    demands = []
-    for d in s.demands:
-        profiles = tuple(
-            replace(p, cost=costs.get((d.id, p.id), p.cost)) for p in d.profiles)
-        demands.append(replace(d, profiles=profiles))
-    return replace(s, demands=tuple(demands))
-
-
-def _restrict_to_pair(s: Scenario, demand_id: str, profile_id: str) -> Scenario:
-    """Keep only the default profile and one challenger for a demand, so
-    the sweep measures the challenger's value against the default."""
+def _pair_contest(s: Scenario, demand_id: str, profile_id: str) -> Scenario:
+    """Keep only the default profile and one challenger, at zero payment,
+    for a demand, so the sweep measures the challenger's value against the
+    default."""
     demands = []
     for d in s.demands:
         if d.id == demand_id:
-            keep = tuple(p for p in d.profiles if p.default or p.id == profile_id)
-            demands.append(replace(d, profiles=keep))
-        else:
-            demands.append(d)
+            keep = tuple(replace(p, cost=0.0) if p.id == profile_id else p
+                         for p in d.profiles if p.default or p.id == profile_id)
+            d = replace(d, profiles=keep)
+        demands.append(d)
     return replace(s, demands=tuple(demands))
 
 
@@ -412,15 +387,16 @@ def chosen_profiles(s: Scenario, options: SolveOptions | None = None,
     return out, float(sol.objective)
 
 
-def evaluate_cost_grid(s: Scenario, grid: Sequence[Mapping[tuple[str, str], float]],
-                       options: SolveOptions | None = None,
-                       adapter: SolverAdapter | None = None) -> list[GridPoint]:
-    """Record the day-ahead profile choice at each cost assignment."""
-    out = []
-    for costs in grid:
-        chosen, objective = chosen_profiles(_with_profile_costs(s, costs), options, adapter)
-        out.append(GridPoint(costs=dict(costs), chosen=chosen, objective=objective))
-    return out
+def _held_objective(s: Scenario, demand_id: str, profile_id: str,
+                    options: SolveOptions | None,
+                    adapter: SolverAdapter | None) -> float:
+    """Day-ahead optimum with one demand held to one of its profiles."""
+    model, reg = dam_mod.assemble_dam(s)
+    model.set_bounds(reg.id(dam_mod.DEM_U, f"{demand_id}/{profile_id}"), lb=1.0)
+    sol = solve(model, options, adapter)
+    if sol.values is None:
+        raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
+    return float(sol.objective)
 
 
 def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
@@ -430,48 +406,41 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
                         adapter: SolverAdapter | None = None) -> list[ThresholdEntry]:
     """Largest payment at which a non-default profile is still selected.
 
-    Each (demand, profile) pair is swept in a head-to-head contest against
-    that demand's default profile, bisecting the cost to the requested
-    resolution. Selection is downward closed in the cost, which is what
-    makes the bisection sound.
+    Each (demand, profile) pair is contested head to head against that
+    demand's default profile. The payment ``c`` enters the objective only
+    through the challenger's selector, so the contest's optimum is
+    ``max(V_def, V_ch - c)``, with ``V_ch`` (challenger at zero payment)
+    and ``V_def`` the optima with either profile held. Two solves give the
+    break-even payment ``V_ch - V_def`` exactly; the reported threshold
+    keeps ``resolution / 2`` below it, so the challenger is still picked
+    at the threshold and dropped one resolution above it.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    pairs: list[tuple[str, str]] = []
+    pairs: list[tuple[str, str, str]] = []
     for d in s.demands:
         if demand_id is not None and d.id != demand_id:
             continue
         for p in d.profiles:
             if p.default or (profile_id is not None and p.id != profile_id):
                 continue
-            pairs.append((d.id, p.id))
+            pairs.append((d.id, p.id, d.default_profile().id))
     if (demand_id is not None or profile_id is not None) and not pairs:
         raise KeyError(f"no non-default profile matches demand={demand_id} "
                        f"profile={profile_id}")
 
     out = []
-    for did, pid in pairs:
-        contest = _restrict_to_pair(s, did, pid)
-
-        def picked(cost: float) -> bool:
-            probe = _with_profile_costs(contest, {(did, pid): cost})
-            chosen, _ = chosen_profiles(probe, options, adapter)
-            return chosen[did] == pid
-
-        if not picked(0.0):
+    for did, pid, default in pairs:
+        contest = _pair_contest(s, did, pid)
+        gain = (_held_objective(contest, did, pid, options, adapter)
+                - _held_objective(contest, did, default, options, adapter))
+        if gain <= 0:
             out.append(ThresholdEntry(did, pid, "never", None, resolution))
-            continue
-        if picked(max_cost):
+        elif gain >= max_cost:
             out.append(ThresholdEntry(did, pid, "above_max", None, resolution))
-            continue
-        lo, hi = 0.0, max_cost  # picked at lo, not at hi
-        while hi - lo > resolution:
-            mid = (lo + hi) / 2.0
-            if picked(mid):
-                lo = mid
-            else:
-                hi = mid
-        out.append(ThresholdEntry(did, pid, "threshold", lo, resolution))
+        else:
+            out.append(ThresholdEntry(did, pid, "threshold",
+                                      max(gain - resolution / 2.0, 0.0), resolution))
     return out
 
 

@@ -52,19 +52,7 @@ class VariableRegistry:
     def has(self, role: str, entity: str, t: int | None = None) -> bool:
         return (role, entity, t) in self._by_key
 
-    def key(self, var_id: int) -> Key:
-        return self._by_id[var_id]
-
-    def series(self, role: str, entity: str, periods: Iterable[int]) -> list[int]:
-        return [self._by_key[(role, entity, t)] for t in periods]
-
     def values(self, x: np.ndarray, role: str, entity: str,
                periods: Iterable[int]) -> np.ndarray:
         """Read a per-period series out of a solution assignment."""
         return np.array([x[self._by_key[(role, entity, t)]] for t in periods], dtype=float)
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def keys(self) -> list[Key]:
-        return list(self._by_key)

@@ -15,6 +15,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from vppopt import stu as stu_mod
 from vppopt.orchestrator import (
@@ -78,6 +79,18 @@ def _session_dicts(result: RunResult) -> list[dict]:
     ]
 
 
+def _running_totals(dam_trade: Sequence[float], idm_trades: Mapping[int, Sequence[float]]
+                    ) -> dict[int, tuple[float, ...]]:
+    """Committed position after each session: the day-ahead trade plus
+    every session's adjustment up to and including it."""
+    out: dict[int, tuple[float, ...]] = {}
+    running = list(dam_trade)
+    for k in sorted(idm_trades):
+        running = [c + v for c, v in zip(running, idm_trades[k])]
+        out[k] = tuple(running)
+    return out
+
+
 def build_report(s: Scenario, result: RunResult) -> Report:
     if result.mode == "nocoord":
         return _build_nocoord_report(s, result)
@@ -89,12 +102,6 @@ def build_report(s: Scenario, result: RunResult) -> Report:
             demand={}, profits={}, recomputed_profits={}, chosen_profiles={},
             profile_costs={}, sessions=_session_dicts(result), checks={},
             failure=result.failure)
-
-    idm_cumulative: dict[int, tuple[float, ...]] = {}
-    running = list(ledger.dam_trade)
-    for k in sorted(ledger.idm_trades):
-        running = [c + v for c, v in zip(running, ledger.idm_trades[k])]
-        idm_cumulative[k] = tuple(running)
 
     dispatch: dict[str, tuple[float, ...]] = {}
     for a in s.dres:
@@ -115,7 +122,7 @@ def build_report(s: Scenario, result: RunResult) -> Report:
         n_periods=s.n_periods,
         dam_trade=ledger.dam_trade,
         idm_trade=dict(ledger.idm_trades),
-        idm_cumulative=idm_cumulative,
+        idm_cumulative=_running_totals(ledger.dam_trade, ledger.idm_trades),
         dispatch=dispatch,
         storage={a.id: ledger.stu_series[a.id][stu_mod.ENERGY] for a in s.stu},
         demand=dict(ledger.demand_p),
@@ -162,19 +169,13 @@ def _build_nocoord_report(s: Scenario, result: RunResult) -> Report:
         for t in range(T):
             dam_trade[t] -= profile.power[t]
 
-    idm_cumulative: dict[int, tuple[float, ...]] = {}
-    running = list(dam_trade)
-    for k in sorted(idm_trade):
-        running = [c + v for c, v in zip(running, idm_trade[k])]
-        idm_cumulative[k] = tuple(running)
-
     return Report(
         scenario_name=s.name,
         mode="nocoord",
         n_periods=T,
         dam_trade=tuple(dam_trade),
         idm_trade={k: tuple(v) for k, v in idm_trade.items()},
-        idm_cumulative=idm_cumulative,
+        idm_cumulative=_running_totals(dam_trade, idm_trade),
         dispatch=dispatch,
         storage=storage,
         demand=demand,

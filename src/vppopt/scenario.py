@@ -21,9 +21,10 @@ Conventions
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 
 class ScenarioError(ValueError):
@@ -225,18 +226,6 @@ class Scenario:
         out = [a.id for a in self.dres + self.ndres + self.stu + self.demands]
         return out
 
-    def dres_by_id(self, asset_id: str) -> DresAsset:
-        return _by_id(self.dres, asset_id)
-
-    def ndres_by_id(self, asset_id: str) -> NdresAsset:
-        return _by_id(self.ndres, asset_id)
-
-    def stu_by_id(self, asset_id: str) -> StuAsset:
-        return _by_id(self.stu, asset_id)
-
-    def demand_by_id(self, asset_id: str) -> DemandAsset:
-        return _by_id(self.demands, asset_id)
-
     def forecast(self, session: int | None) -> ForecastSet:
         """Forecast set for a session; ``None`` means the day-ahead stage."""
         if session is None:
@@ -245,13 +234,6 @@ class Scenario:
             return self.idm_forecasts[session]
         except KeyError:
             raise KeyError(f"no forecast set for intraday session {session}") from None
-
-
-def _by_id(items, asset_id):
-    for a in items:
-        if a.id == asset_id:
-            return a
-    raise KeyError(f"unknown asset id {asset_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +525,10 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     s = scenario
     T = s.calendar.n_periods
 
+    # --- numbers ---
+    for where, value in _non_finite(scenario_to_dict(s)):
+        bad(Diagnostic(where, "finite", f"{value} is not a finite number"))
+
     # --- calendar ---
     if T < 1:
         bad(Diagnostic("calendar", "period_count", f"T must be >= 1, got {T}"))
@@ -698,6 +684,9 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
             bad(Diagnostic(f"idm{sess.k}", "forecast_missing", "no forecast set for this session"))
             continue
         sessions[sess.k] = (fcset, sess.first_period)
+    for k in sorted(set(s.idm_forecasts) - {sess.k for sess in s.calendar.sessions}):
+        bad(Diagnostic(f"idm{k}", "forecast_unknown_session",
+                       "forecast set given for a session the calendar does not have"))
     ndres_ids = {a.id for a in s.ndres}
     stu_ids = {a.id for a in s.stu}
     for key, (fcset, tau) in sessions.items():
@@ -733,6 +722,20 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
                     break
 
     return out
+
+
+def _non_finite(doc: Any, where: str = "") -> Iterator[tuple[str, float]]:
+    """Path and value of every NaN or infinity in a serialized scenario.
+    List items with an id are named by it."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _non_finite(value, f"{where}.{key}" if where else str(key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            label = value["id"] if isinstance(value, dict) and "id" in value else i
+            yield from _non_finite(value, f"{where}[{label}]")
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        yield where, doc
 
 
 def _connected(net: Network) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,9 @@ def toy_file(tmp_path):
     path = tmp_path / "toy.json"
     path.write_text(json.dumps(toy_doc()))
     return path
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _write(tmp_path, doc, name="case.json"):
@@ -60,6 +64,24 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "invalid scenario" in captured.err
         assert "tolerance_range" in captured.err
+
+    @pytest.mark.parametrize("mutate, rule", [
+        (lambda doc: doc["calendar"]["damPrices"].__setitem__(3, float("nan")), "finite"),
+        (lambda doc: doc["forecasts"]["dam"]["ndresAvail"]["wind"].__setitem__(
+            5, float("inf")), "finite"),
+        (lambda doc: doc["forecasts"]["idm"].__setitem__(
+            "9", doc["forecasts"]["dam"]), "forecast_unknown_session"),
+    ], ids=["nan-price", "inf-wind", "unknown-session"])
+    def test_rejected_before_any_solve(self, tmp_path, capsys, mutate, rule):
+        doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
+        mutate(doc)
+        path = _write(tmp_path, doc)
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "r")]):
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--scenario", str(path)])
+            assert err.value.code == EXIT_USAGE
+            assert rule in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -160,6 +182,21 @@ class TestRun:
         code = main(["run", "--scenario", str(toy_file), "--out", str(tmp_path / "r")])
         assert code == EXIT_SOLVER
         assert "run stopped at dam: error" in capsys.readouterr().err
+
+    def test_profit_drift_exits_4(self, toy_file, tmp_path, capsys, monkeypatch):
+        from vppopt import orchestrator
+
+        recompute = orchestrator.recompute_profits
+
+        def shifted(s, history):
+            out = recompute(s, history)
+            out["idm1"] += 1.0
+            return out
+
+        monkeypatch.setattr(orchestrator, "recompute_profits", shifted)
+        code = main(["run", "--scenario", str(toy_file), "--out", str(tmp_path / "r")])
+        assert code == EXIT_SOLVER
+        assert "recomputed profits drift 1.000e+00 EUR" in capsys.readouterr().err
 
     def test_unknown_mode_is_a_usage_error(self, toy_file, capsys):
         with pytest.raises(SystemExit) as err:

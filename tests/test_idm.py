@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from vppopt.idm import (
     assemble_idm,
     ledger_from_dam,
 )
-from vppopt.milp import Solution, solve, verify
+from vppopt.milp import BINARY, Solution, dump_lp, solve, verify
+from vppopt.scenario import load_scenario
 
 T3 = (1, 2, 3)
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _dam_ledger(s):
@@ -212,3 +216,53 @@ class TestLedger:
         broken = dataclasses.replace(sol, values=x)
         with pytest.raises(ValueError, match="selected 0 profiles"):
             ledger_from_dam(toy, reg, broken)
+
+
+class TestFormulationPin:
+    """The assembled models of the shipped days, pinned.
+
+    A refactor of the stage builders must leave every model unchanged:
+    the day-ahead LP text byte for byte, and each clear-day session's
+    size. Session sizes do not depend on solver values, so the ledger
+    here is the day-ahead model's zero assignment with every demand on
+    its default profile.
+    """
+
+    DAM_LP_SHA256 = {
+        "clear": "c9300e6a0ab5d81670833331afa6a94776577e727f2c613474a1729439996d98",
+        "cloudy": "5a176c496a65c375c4dcf453d3d3f5f04a7b9840b45e9793d16b0c5c50ec857c",
+    }
+    # (n_vars, n_constraints, binaries) per clear-day session
+    CLEAR_SESSION_SIZES = {
+        1: (1488, 1535, 96),
+        2: (1488, 1535, 96),
+        3: (1240, 1285, 80),
+        4: (1054, 1093, 68),
+        5: (806, 837, 52),
+        6: (558, 581, 36),
+        7: (248, 261, 16),
+    }
+
+    @staticmethod
+    def _shipped(name):
+        return load_scenario(SCENARIO_DIR / f"{name}.json")
+
+    @pytest.mark.parametrize("name", ["clear", "cloudy"])
+    def test_day_ahead_lp_text(self, name):
+        model, _ = assemble_dam(self._shipped(name))
+        digest = hashlib.sha256(dump_lp(model).encode()).hexdigest()
+        assert digest == self.DAM_LP_SHA256[name]
+
+    def test_clear_session_sizes(self):
+        s = self._shipped("clear")
+        model, reg = assemble_dam(s)
+        x = np.zeros(model.n_vars)
+        for d in s.demands:
+            x[reg.id(DEM_U, f"{d.id}/{d.default_profile().id}")] = 1.0
+        ledger = ledger_from_dam(s, reg, Solution("feasible", 0.0, x))
+        sizes = {}
+        for sess in s.calendar.sessions:
+            model, _ = assemble_idm(s, ledger, sess.k)
+            binaries = sum(model.kind(i) == BINARY for i in range(model.n_vars))
+            sizes[sess.k] = (model.n_vars, model.n_constraints, binaries)
+        assert sizes == self.CLEAR_SESSION_SIZES

@@ -14,7 +14,6 @@ from vppopt.orchestrator import (
     check_demand_contracts,
     check_storage_conservation,
     chosen_profiles,
-    evaluate_cost_grid,
     passive_demand_profit,
     recompute_profits,
     run,
@@ -274,13 +273,14 @@ class TestSweep:
             sweep_profile_costs(toy, resolution=0.0)
 
     def test_cost_grid_records_choices_and_objectives(self):
-        s = make_scenario(_priced_doc())
-        free, taxed = evaluate_cost_grid(
-            s, [{}, {("load", "shift"): 50.0}])
-        assert free.chosen == {"load": "shift"}
-        assert taxed.chosen == {"load": "flat"}
-        assert abs(free.objective - 853.0) <= 1e-6
-        assert abs(taxed.objective - 843.0) <= 1e-6
+        free_chosen, free_objective = chosen_profiles(make_scenario(_priced_doc()))
+        doc = _priced_doc()
+        doc["demands"][0]["profiles"][1]["cost"] = 50.0
+        taxed_chosen, taxed_objective = chosen_profiles(make_scenario(doc))
+        assert free_chosen == {"load": "shift"}
+        assert taxed_chosen == {"load": "flat"}
+        assert abs(free_objective - 853.0) <= 1e-6
+        assert abs(taxed_objective - 843.0) <= 1e-6
 
     def test_failed_probe_is_surfaced(self):
         doc = toy_doc()

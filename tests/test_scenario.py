@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +20,15 @@ from vppopt.scenario import (
 )
 
 
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
 def rules(scenario: Scenario) -> set[str]:
     return {d.rule for d in validate_scenario(scenario)}
+
+
+def clear_doc() -> dict:
+    return json.loads((SCENARIO_DIR / "clear.json").read_text())
 
 
 class TestLoading:
@@ -284,6 +292,37 @@ class TestForecastRules:
         doc["ndres"][0]["pMin"] = [0.0, 2.0, 0.0]
         doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [4.0, 1.0, 5.0]
         assert "availability_below_min" in rules(make_scenario(doc))
+
+
+class TestNumberAndSessionRules:
+    """Inputs that used to validate clean and then fail the run."""
+
+    def test_nan_day_ahead_price(self):
+        doc = clear_doc()
+        doc["calendar"]["damPrices"][3] = float("nan")
+        diags = validate_scenario(scenario_from_dict(doc))
+        assert [(d.entity, d.rule) for d in diags] == [("calendar.damPrices[3]", "finite")]
+
+    def test_infinite_wind_availability(self):
+        doc = clear_doc()
+        doc["forecasts"]["dam"]["ndresAvail"]["wind"][5] = float("inf")
+        diags = validate_scenario(scenario_from_dict(doc))
+        assert [(d.entity, d.rule) for d in diags] == \
+            [("forecasts.dam.ndresAvail.wind[5]", "finite")]
+
+    def test_forecast_for_an_unknown_session(self):
+        doc = clear_doc()
+        doc["forecasts"]["idm"]["9"] = doc["forecasts"]["dam"]
+        diags = validate_scenario(scenario_from_dict(doc))
+        assert [(d.entity, d.rule) for d in diags] == [("idm9", "forecast_unknown_session")]
+
+    def test_non_finite_parameters_are_named_by_asset(self):
+        doc = toy_doc()
+        doc["dres"][0]["pMax"] = float("inf")
+        doc["demands"][0]["profiles"][1]["cost"] = float("nan")
+        entities = {d.entity for d in validate_scenario(make_scenario(doc))
+                    if d.rule == "finite"}
+        assert entities == {"dres[gen].pMax", "demands[load].profiles[shift].cost"}
 
 
 def _stu_doc(**overrides) -> dict:
