@@ -5,7 +5,8 @@ mode and writes the report file set; ``sweep`` finds the largest
 payment at which a demand profile is still selected; ``validate`` checks
 a scenario file and prints its diagnostics.
 
-Exit codes: 0 success, 2 usage or input errors, 3 an infeasible session,
+Exit codes: 0 success, 2 usage or input errors (a bad scenario file or a
+bad flag value such as ``--step 0``), 3 an infeasible session,
 4 a solver failure, a verification violation, or recomputed profits that
 drift from the solver's by more than ``MAX_PROFIT_DRIFT``.
 """
@@ -13,6 +14,7 @@ drift from the solver's by more than ``MAX_PROFIT_DRIFT``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +48,25 @@ def parse_sessions(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _checked_number(text: str, allow_zero: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    return _checked_number(text, allow_zero=False)
+
+
+def _non_negative(text: str) -> float:
+    return _checked_number(text, allow_zero=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vppopt",
@@ -59,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sessions", default=None,
                        help="prefix of the session order, e.g. dam,idm1..idm3")
     p_run.add_argument("--out", default=None, help="report directory")
-    p_run.add_argument("--gap", type=float, default=1e-6, help="relative MIP gap")
-    p_run.add_argument("--time-limit", type=float, default=60.0, help="seconds per solve")
+    p_run.add_argument("--gap", type=_non_negative, default=1e-6, help="relative MIP gap")
+    p_run.add_argument("--time-limit", type=_positive, default=60.0, help="seconds per solve")
     p_run.add_argument("--dump-model", default=None,
                        help="write the day-ahead model in LP format to this path")
 
@@ -68,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--demand", required=True, help="demand asset id")
     p_sweep.add_argument("--profile", required=True, help="non-default profile id")
-    p_sweep.add_argument("--max", type=float, required=True, help="largest payment considered")
-    p_sweep.add_argument("--step", type=float, default=1.0,
+    p_sweep.add_argument("--max", type=_positive, required=True,
+                         help="largest payment considered")
+    p_sweep.add_argument("--step", type=_positive, default=1.0,
                          help="resolution: the threshold is reported half a step "
                               "below the break-even payment")
     p_sweep.add_argument("--out", default=None, help="directory for thresholds.csv")

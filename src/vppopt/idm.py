@@ -71,12 +71,6 @@ class LedgerState:
         recorded sessions."""
         return self.dam_trade[t - 1] + sum(series[t - 1] for series in self.idm_trades.values())
 
-    def cumulative_trade_series(self) -> tuple[float, ...]:
-        return tuple(self.cumulative_trade(t) for t in range(1, self.n_periods + 1))
-
-    def total_objective(self) -> float:
-        return sum(self.objectives.values())
-
 
 def _binary(x: float) -> int:
     return 1 if x > 0.5 else 0

@@ -1,10 +1,10 @@
-"""Solver-agnostic MILP container, backend adapters, and a verifier.
+"""MILP container, the HiGHS backend, and a verifier.
 
 A :class:`MilpModel` holds variables, linear constraints, SOS-2 sets and a
-maximization objective. Solving goes through an adapter; the default wraps
-``scipy.optimize.milp`` (HiGHS). Adapters that lack native SOS-2 support
-declare it, and :func:`solve` falls back to the standard segment-binary
-reformulation, projecting the solution back onto the original variables.
+maximization objective. :func:`solve` hands every model to HiGHS through
+``scipy.optimize.milp``. HiGHS takes no SOS-2 sets, so :func:`solve`
+replaces them by the standard segment-binary reformulation and projects
+the solution back onto the original variables.
 
 :func:`verify` re-checks any assignment against the model independently of
 the backend, so every run can self-certify feasibility.
@@ -12,14 +12,13 @@ the backend, so every run can self-certify feasibility.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import time
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.optimize
@@ -35,8 +34,6 @@ _SENSES = ("<=", ">=", "==")
 class SolveOptions:
     gap_tol: float = 1e-6
     time_limit: float = 60.0
-    feas_tol: float = 1e-6
-    verbose: bool = False
 
 
 @dataclass(frozen=True)
@@ -197,24 +194,12 @@ class MilpModel:
 
 
 # ---------------------------------------------------------------------------
-# Adapters
+# Backend
 # ---------------------------------------------------------------------------
 
-class SolverAdapter(Protocol):
-    """Contract a backend must satisfy.
-
-    ``supports_sos2`` False routes the model through the binary
-    reformulation before the adapter ever sees it.
-    """
-
-    supports_sos2: bool
-
-    def solve(self, model: MilpModel, options: SolveOptions) -> Solution: ...
-
-
 class ScipyMilpAdapter:
-    """HiGHS backend via scipy.optimize.milp. No native SOS-2 support, so
-    models with SOS-2 sets take the reformulation path.
+    """HiGHS backend via scipy.optimize.milp. It takes no SOS-2 sets;
+    :func:`solve` reformulates them first.
 
     Integer variables come back from the backend only to within its
     integrality tolerance; downstream identities (piecewise conversion,
@@ -230,8 +215,6 @@ class ScipyMilpAdapter:
     that is filtered around the backend call only. The warning scipy
     raises when HiGHS does not know a name still surfaces.
     """
-
-    supports_sos2 = False
 
     def solve(self, model: MilpModel, options: SolveOptions) -> Solution:
         if model.sos2_sets:
@@ -280,7 +263,7 @@ class ScipyMilpAdapter:
                     integrality=integ,
                     bounds=scipy.optimize.Bounds(lo, hi),
                     options={
-                        "disp": options.verbose,
+                        "disp": False,
                         "presolve": True,
                         "time_limit": options.time_limit,
                         "mip_rel_gap": options.gap_tol,
@@ -336,84 +319,18 @@ class ScipyMilpAdapter:
         return x
 
 
-class Sos2EnumerationAdapter:
-    """Exact SOS-2 handling by enumerating active segments.
-
-    Each SOS-2 set allows exactly one adjacent pair of nonzero members;
-    this adapter tries every combination of active pairs, zeroes out the
-    remaining members through their upper bounds, delegates the residual
-    MILP to a base backend, and keeps the best outcome. Exponential in the
-    number of sets, so it suits small models and serves as an independent
-    reference for the reformulation path.
-    """
-
-    supports_sos2 = True
-
-    def __init__(self, base: SolverAdapter | None = None, combo_limit: int = 10000):
-        self.base = base if base is not None else ScipyMilpAdapter()
-        self.combo_limit = combo_limit
-
-    def solve(self, model: MilpModel, options: SolveOptions) -> Solution:
-        if not model.sos2_sets:
-            return self.base.solve(model, options)
-        for members, name in model.sos2_sets:
-            for m in members:
-                if model.bounds(m)[0] > 0:
-                    raise ValueError(
-                        f"SOS-2 set {name!r} member {m} has a positive lower bound; "
-                        "members must admit zero")
-
-        n_combos = math.prod(len(members) - 1 for members, _ in model.sos2_sets)
-        if n_combos > self.combo_limit:
-            raise ValueError(f"{n_combos} segment combinations exceed the enumeration limit")
-
-        t0 = time.perf_counter()
-        best: Solution | None = None
-        any_limit = False
-        any_error = False
-        segment_choices = [range(len(members) - 1) for members, _ in model.sos2_sets]
-        for combo in itertools.product(*segment_choices):
-            sub = model.copy(drop_sos2=True)
-            for (members, _), seg in zip(model.sos2_sets, combo):
-                active = {members[seg], members[seg + 1]}
-                for m in members:
-                    if m not in active:
-                        sub.set_bounds(m, ub=0.0)
-            res = self.base.solve(sub, options)
-            if res.status in ("optimal", "feasible"):
-                if res.status == "feasible":
-                    any_limit = True
-                if best is None or res.objective > best.objective:
-                    best = res
-            elif res.status in ("unbounded", "error"):
-                any_error = any_error or res.status == "error"
-                if res.status == "unbounded":
-                    return replace(res, runtime_s=time.perf_counter() - t0)
-        runtime = time.perf_counter() - t0
-        if best is None:
-            if any_error:
-                return Solution(status="error", runtime_s=runtime,
-                                message="all segment subproblems failed")
-            return Solution(status="infeasible", runtime_s=runtime,
-                            message="every segment combination is infeasible")
-        status = "feasible" if any_limit else "optimal"
-        return replace(best, status=status, runtime_s=runtime)
-
-
 # ---------------------------------------------------------------------------
 # Solving, reformulation, verification
 # ---------------------------------------------------------------------------
 
-def solve(model: MilpModel, options: SolveOptions | None = None,
-          adapter: SolverAdapter | None = None) -> Solution:
-    """Solve a model through an adapter (default: scipy/HiGHS).
+def solve(model: MilpModel, options: SolveOptions | None = None) -> Solution:
+    """Solve a model with HiGHS.
 
-    When the model has SOS-2 sets and the adapter lacks native support,
-    the segment-binary reformulation is solved instead and the assignment
-    is projected back onto the original variables.
+    When the model has SOS-2 sets, the segment-binary reformulation is
+    solved instead and the assignment is projected back onto the original
+    variables.
     """
     options = options or SolveOptions()
-    adapter = adapter if adapter is not None else ScipyMilpAdapter()
     model.validate()
 
     if model.n_vars == 0:
@@ -427,13 +344,13 @@ def solve(model: MilpModel, options: SolveOptions | None = None,
         return Solution(status="optimal", objective=model.obj_constant,
                         values=np.zeros(0))
 
-    if model.sos2_sets and not adapter.supports_sos2:
+    if model.sos2_sets:
         reformulated = reformulate_sos2_as_binary(model)
-        sol = adapter.solve(reformulated, options)
+        sol = ScipyMilpAdapter().solve(reformulated, options)
         if sol.values is not None:
             sol = replace(sol, values=sol.values[:model.n_vars])
         return sol
-    return adapter.solve(model, options)
+    return ScipyMilpAdapter().solve(model, options)
 
 
 def reformulate_sos2_as_binary(model: MilpModel) -> MilpModel:
@@ -517,13 +434,6 @@ def verify(model: MilpModel, solution: Solution, feas_tol: float = 1e-6) -> list
             if abs(i - j) != 1:
                 out.append(Violation("sos2", label, float(min(abs(x[m]) for m in nz))))
     return out
-
-
-def recompute_objective(model: MilpModel, values: np.ndarray) -> float:
-    """Objective value implied by an assignment, independent of the solver."""
-    x = np.asarray(values, dtype=float)
-    return float(sum(coef * x[v] for v, coef in model.objective_coeffs.items())
-                 + model.obj_constant)
 
 
 # ---------------------------------------------------------------------------

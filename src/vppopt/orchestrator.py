@@ -19,15 +19,7 @@ from typing import Sequence
 from vppopt import dam as dam_mod
 from vppopt import stu as stu_mod
 from vppopt.idm import LedgerState, apply_idm, assemble_idm, ledger_from_dam
-from vppopt.milp import (
-    MilpModel,
-    Solution,
-    SolveOptions,
-    SolverAdapter,
-    Violation,
-    solve,
-    verify,
-)
+from vppopt.milp import MilpModel, Solution, SolveOptions, Violation, solve, verify
 from vppopt.scenario import DemandAsset, ForecastSet, Network, Scenario
 
 
@@ -36,7 +28,6 @@ class RunConfig:
     mode: str = "vpp"  # vpp | nocoord
     sessions: tuple[str, ...] | None = None  # prefix of ("dam", "idm1", ...); None = all
     options: SolveOptions = field(default_factory=SolveOptions)
-    out_dir: str | None = None
 
 
 @dataclass(frozen=True)
@@ -177,19 +168,18 @@ def recompute_profits(s: Scenario, history: Sequence[LedgerState]) -> dict[str, 
 # ---------------------------------------------------------------------------
 
 def _solve_session(model: MilpModel, options: SolveOptions,
-                   adapter: SolverAdapter | None, key: str) -> tuple[Solution, SessionResult]:
-    sol = solve(model, options, adapter)
+                   key: str) -> tuple[Solution, SessionResult]:
+    sol = solve(model, options)
     violations: tuple[Violation, ...] = ()
     if sol.values is not None:
-        violations = tuple(verify(model, sol, options.feas_tol))
+        violations = tuple(verify(model, sol))
     result = SessionResult(key=key, status=sol.status, objective=sol.objective,
                            violations=violations, runtime_s=sol.runtime_s,
                            n_vars=model.n_vars, n_constraints=model.n_constraints)
     return sol, result
 
 
-def run_vpp(s: Scenario, cfg: RunConfig | None = None,
-            adapter: SolverAdapter | None = None) -> RunResult:
+def run_vpp(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     """Day-ahead solve plus the configured intraday sessions in order.
 
     Stops at the first session that fails to produce an assignment and
@@ -201,7 +191,7 @@ def run_vpp(s: Scenario, cfg: RunConfig | None = None,
     history: list[LedgerState] = []
 
     model, reg = dam_mod.assemble_dam(s)
-    sol, res = _solve_session(model, cfg.options, adapter, "dam")
+    sol, res = _solve_session(model, cfg.options, "dam")
     results.append(res)
     if sol.values is None:
         return RunResult(mode="vpp", scenario_name=s.name, sessions=tuple(results),
@@ -214,7 +204,7 @@ def run_vpp(s: Scenario, cfg: RunConfig | None = None,
     for key in keys[1:]:
         k = int(key[3:])
         model, reg = assemble_idm(s, ledger, k)
-        sol, res = _solve_session(model, cfg.options, adapter, key)
+        sol, res = _solve_session(model, cfg.options, key)
         results.append(res)
         if sol.values is None:
             failure = key
@@ -275,8 +265,7 @@ def passive_demand_profit(s: Scenario, d: DemandAsset) -> float:
                 in zip(s.calendar.dam_prices, profile.power)) * s.dt
 
 
-def run_no_coordination(s: Scenario, cfg: RunConfig | None = None,
-                        adapter: SolverAdapter | None = None) -> RunResult:
+def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     """Every asset bids alone; demands stay passive on the default profile.
 
     Each generation asset gets an isolated single-bus run over the same
@@ -291,7 +280,7 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None,
     failure = None
     for a in s.dres + s.ndres + s.stu:
         sub = single_asset_scenario(s, a.id)
-        run = run_vpp(sub, sub_cfg, adapter)
+        run = run_vpp(sub, sub_cfg)
         asset_runs.append((a.id, run))
         if not run.ok and failure is None:
             failure = run.failure
@@ -335,13 +324,12 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None,
                      passive_demand_profit=demand_profit)
 
 
-def run(s: Scenario, cfg: RunConfig | None = None,
-        adapter: SolverAdapter | None = None) -> RunResult:
+def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     cfg = cfg or RunConfig()
     if cfg.mode == "vpp":
-        return run_vpp(s, cfg, adapter)
+        return run_vpp(s, cfg)
     if cfg.mode == "nocoord":
-        return run_no_coordination(s, cfg, adapter)
+        return run_no_coordination(s, cfg)
     raise ValueError(f"unknown mode {cfg.mode!r}")
 
 
@@ -372,11 +360,11 @@ def _pair_contest(s: Scenario, demand_id: str, profile_id: str) -> Scenario:
     return replace(s, demands=tuple(demands))
 
 
-def chosen_profiles(s: Scenario, options: SolveOptions | None = None,
-                    adapter: SolverAdapter | None = None) -> tuple[dict[str, str], float]:
+def chosen_profiles(s: Scenario,
+                    options: SolveOptions | None = None) -> tuple[dict[str, str], float]:
     """Solve the day-ahead stage and read the selected profile per demand."""
     model, reg = dam_mod.assemble_dam(s)
-    sol = solve(model, options, adapter)
+    sol = solve(model, options)
     if sol.values is None:
         raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
     out = {}
@@ -388,12 +376,11 @@ def chosen_profiles(s: Scenario, options: SolveOptions | None = None,
 
 
 def _held_objective(s: Scenario, demand_id: str, profile_id: str,
-                    options: SolveOptions | None,
-                    adapter: SolverAdapter | None) -> float:
+                    options: SolveOptions | None) -> float:
     """Day-ahead optimum with one demand held to one of its profiles."""
     model, reg = dam_mod.assemble_dam(s)
     model.set_bounds(reg.id(dam_mod.DEM_U, f"{demand_id}/{profile_id}"), lb=1.0)
-    sol = solve(model, options, adapter)
+    sol = solve(model, options)
     if sol.values is None:
         raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
     return float(sol.objective)
@@ -402,8 +389,7 @@ def _held_objective(s: Scenario, demand_id: str, profile_id: str,
 def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
                         profile_id: str | None = None, max_cost: float = 1000.0,
                         resolution: float = 1.0,
-                        options: SolveOptions | None = None,
-                        adapter: SolverAdapter | None = None) -> list[ThresholdEntry]:
+                        options: SolveOptions | None = None) -> list[ThresholdEntry]:
     """Largest payment at which a non-default profile is still selected.
 
     Each (demand, profile) pair is contested head to head against that
@@ -432,8 +418,8 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
     out = []
     for did, pid, default in pairs:
         contest = _pair_contest(s, did, pid)
-        gain = (_held_objective(contest, did, pid, options, adapter)
-                - _held_objective(contest, did, default, options, adapter))
+        gain = (_held_objective(contest, did, pid, options)
+                - _held_objective(contest, did, default, options))
         if gain <= 0:
             out.append(ThresholdEntry(did, pid, "never", None, resolution))
         elif gain >= max_cost:

@@ -49,9 +49,6 @@ class VariableRegistry:
     def id(self, role: str, entity: str, t: int | None = None) -> int:
         return self._by_key[(role, entity, t)]
 
-    def has(self, role: str, entity: str, t: int | None = None) -> bool:
-        return (role, entity, t) in self._by_key
-
     def values(self, x: np.ndarray, role: str, entity: str,
                periods: Iterable[int]) -> np.ndarray:
         """Read a per-period series out of a solution assignment."""

@@ -5,8 +5,6 @@ per-period traded power for the day-ahead stage and each intraday session,
 final dispatch and consumption series, storage trajectories, the profit
 decomposition and the verifier summary. CSV files carry 6 decimals for
 humans and plotting; JSON carries full double precision for machines.
-Loaders read every emitted file back, so round-trip tests can hold the
-formats to their schemas.
 """
 
 from __future__ import annotations
@@ -289,53 +287,3 @@ def emit_thresholds(entries: list[ThresholdEntry], out_dir: str | Path) -> Path:
         writer.writerow(["demandId", "profileId", "status", "thresholdEUR", "resolutionEUR"])
         writer.writerows(rows)
     return path
-
-
-# ---------------------------------------------------------------------------
-# Loaders
-# ---------------------------------------------------------------------------
-
-def load_trade_csv(path: str | Path) -> dict[str, list[float]]:
-    """Read dam.csv / idm_<k>.csv into column lists keyed by header."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols: dict[str, list[float]] = {name: [] for name in reader.fieldnames or []}
-        for row in reader:
-            for name, value in row.items():
-                cols[name].append(float(value))
-    return cols
-
-
-def load_long_csv(path: str | Path) -> dict[str, list[float]]:
-    """Read a (period, id, value) file into per-id series."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        series: dict[str, list[tuple[int, float]]] = {}
-        for period, ident, value in reader:
-            series.setdefault(ident, []).append((int(float(period)), float(value)))
-    return {ident: [v for _, v in sorted(points)] for ident, points in series.items()}
-
-
-def load_profit_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-def load_profiles_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-def load_verify_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-def load_thresholds_csv(path: str | Path) -> list[ThresholdEntry]:
-    out = []
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(ThresholdEntry(
-                demand_id=row["demandId"], profile_id=row["profileId"],
-                status=row["status"],
-                threshold=float(row["thresholdEUR"]) if row["thresholdEUR"] else None,
-                resolution=float(row["resolutionEUR"])))
-    return out

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 
 class ScenarioError(ValueError):
@@ -226,10 +227,8 @@ class Scenario:
         out = [a.id for a in self.dres + self.ndres + self.stu + self.demands]
         return out
 
-    def forecast(self, session: int | None) -> ForecastSet:
-        """Forecast set for a session; ``None`` means the day-ahead stage."""
-        if session is None:
-            return self.dam_forecast
+    def forecast(self, session: int) -> ForecastSet:
+        """Forecast set for an intraday session."""
         try:
             return self.idm_forecasts[session]
         except KeyError:
@@ -245,14 +244,17 @@ def load_scenario(path: str | Path) -> Scenario:
 
     Raises :class:`ScenarioError` if the file does not parse against the
     schema and :class:`ScenarioValidationError` (carrying the full
-    diagnostic list) if any invariant is violated.
+    diagnostic list) if any invariant is violated. A document without a
+    name is named after the file.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
-    scenario = scenario_from_dict(doc, name=doc.get("name", path.stem))
+    scenario = scenario_from_dict(doc)
+    if not scenario.name:
+        scenario = replace(scenario, name=path.stem)
     diagnostics = validate_scenario(scenario)
     if diagnostics:
         raise ScenarioValidationError(diagnostics)
@@ -263,154 +265,222 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
-def _req(doc: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in doc:
-        raise ScenarioError(f"{where}: missing required key {key!r}")
-    return doc[key]
+_REQUIRED = object()
 
 
-def _series(value: Any, length: int, where: str) -> tuple[float, ...]:
-    """Coerce a scalar (constant series) or a dense list to a tuple."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),) * length
-    if isinstance(value, (list, tuple)):
-        if len(value) != length:
-            raise ScenarioError(f"{where}: series has length {len(value)}, expected {length}")
-        return tuple(float(v) for v in value)
-    raise ScenarioError(f"{where}: expected a number or a list of numbers")
+def _req(doc: Any, key: str, where: str, conv: Callable[[Any], Any],
+         default: Any = _REQUIRED) -> Any:
+    """``conv(doc[key])``, or ``conv(default)`` when the key is absent.
+
+    Every read of the document goes through here, so a missing key, a
+    container of the wrong kind or a value ``conv`` rejects raises
+    :class:`ScenarioError` naming its path, never a bare ``TypeError``.
+    """
+    _convert(doc, where or "scenario", _object)
+    if key not in doc and default is _REQUIRED:
+        raise ScenarioError(f"{where or 'scenario'}: missing required key {key!r}")
+    return _convert(doc.get(key, default), f"{where}.{key}" if where else key, conv)
 
 
-def _on_off(value: Any, where: str) -> bool:
+def _convert(value: Any, path: str, conv: Callable[[Any], Any]) -> Any:
+    try:
+        return conv(value)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
+def _json_type(value: Any) -> str:
+    for kind, label in ((bool, "a boolean"), (str, "a string"), (numbers.Real, "a number"),
+                        (Mapping, "an object"), ((list, tuple), "an array")):
+        if isinstance(value, kind):
+            return label
+    return "null" if value is None else type(value).__name__
+
+
+def _number(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {_json_type(value)}")
+    return float(value)
+
+
+def _integer(value: Any) -> int:
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
+def _typed(kind: type | tuple[type, ...], label: str) -> Callable[[Any], Any]:
+    """Converter that passes values of ``kind`` through unchanged."""
+    def convert(value: Any) -> Any:
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {label}, got {_json_type(value)}")
+        return value
+    return convert
+
+
+_text = _typed(str, "a string")
+_flag = _typed(bool, "a boolean")
+_array = _typed((list, tuple), "an array")
+_object = _typed(Mapping, "an object")
+
+
+def _texts(value: Any) -> tuple[str, ...]:
+    return tuple(_text(v) for v in _array(value))
+
+
+def _series(length: int) -> Callable[[Any], tuple[float, ...]]:
+    """Converter for a scalar (constant series) or a dense list of numbers."""
+    def convert(value: Any) -> tuple[float, ...]:
+        if isinstance(value, (list, tuple)):
+            if len(value) != length:
+                raise ValueError(f"series has length {len(value)}, expected {length}")
+            return tuple(_number(v) for v in value)
+        return (_number(value),) * length
+    return convert
+
+
+def _on_off(value: Any) -> bool:
     if isinstance(value, bool):
         return value
     if value in ("on", "ON"):
         return True
     if value in ("off", "OFF"):
         return False
-    raise ScenarioError(f"{where}: expected 'on', 'off' or a boolean, got {value!r}")
+    raise ValueError(f"expected 'on', 'off' or a boolean, got {value!r}")
+
+
+def _entries(doc: Any, key: str, where: str = "") -> Iterator[tuple[str, Any]]:
+    """The objects in the optional list ``doc[key]``, each with its path;
+    an entry with a string id is named by it."""
+    path = f"{where}.{key}" if where else key
+    for i, entry in enumerate(_req(doc, key, where, _array, default=())):
+        ident = entry.get("id") if isinstance(entry, Mapping) else None
+        yield f"{path}[{ident if isinstance(ident, str) else i}]", entry
 
 
 def scenario_from_dict(doc: Mapping[str, Any], name: str = "") -> Scenario:
     """Build a :class:`Scenario` from a parsed JSON document (no validation)."""
-    net_doc = _req(doc, "network", "scenario")
-    cal_doc = _req(doc, "calendar", "scenario")
+    net_doc = _req(doc, "network", "", _object)
+    cal_doc = _req(doc, "calendar", "", _object)
 
-    n_periods = int(_req(cal_doc, "T", "calendar"))
-    dt_hours = float(_req(cal_doc, "dtHours", "calendar"))
-    dam_prices = _series(_req(cal_doc, "damPrices", "calendar"), n_periods, "calendar.damPrices")
+    n_periods = _req(cal_doc, "T", "calendar", _integer)
+    dt_hours = _req(cal_doc, "dtHours", "calendar", _number)
+    dam_prices = _req(cal_doc, "damPrices", "calendar", _series(n_periods))
     sessions = []
-    for s_doc in cal_doc.get("sessions", []):
-        k = int(_req(s_doc, "k", "calendar.sessions"))
-        tau = int(_req(s_doc, "tau", f"session {k}"))
-        window = n_periods - tau + 1
-        prices = _series(_req(s_doc, "prices", f"session {k}"), window, f"session {k}.prices")
+    for where, s_doc in _entries(cal_doc, "sessions", "calendar"):
+        k = _req(s_doc, "k", where, _integer)
+        tau = _req(s_doc, "tau", where, _integer)
+        prices = _req(s_doc, "prices", where, _series(n_periods - tau + 1))
         sessions.append(IdmSession(k=k, first_period=tau, prices=prices))
 
     lines = tuple(
         Line(
-            id=str(_req(l, "id", "line")),
-            from_bus=str(_req(l, "from", f"line {l.get('id')}")),
-            to_bus=str(_req(l, "to", f"line {l.get('id')}")),
-            susceptance=float(_req(l, "susceptance", f"line {l.get('id')}")),
-            flow_limit=float(_req(l, "flowLimit", f"line {l.get('id')}")),
+            id=_req(l, "id", where, _text),
+            from_bus=_req(l, "from", where, _text),
+            to_bus=_req(l, "to", where, _text),
+            susceptance=_req(l, "susceptance", where, _number),
+            flow_limit=_req(l, "flowLimit", where, _number),
         )
-        for l in net_doc.get("lines", [])
+        for where, l in _entries(net_doc, "lines", "network")
     )
+    caps = _req(net_doc, "tradeCap", "network", _object)
     network = Network(
-        buses=tuple(str(b) for b in _req(net_doc, "buses", "network")),
-        main_grid_buses=tuple(str(b) for b in _req(net_doc, "mainGridBuses", "network")),
+        buses=_req(net_doc, "buses", "network", _texts),
+        main_grid_buses=_req(net_doc, "mainGridBuses", "network", _texts),
         lines=lines,
-        trade_cap={str(b): float(v) for b, v in _req(net_doc, "tradeCap", "network").items()},
+        trade_cap={str(b): _req(caps, b, "network.tradeCap", _number) for b in caps},
     )
 
     dres = tuple(
         DresAsset(
-            id=str(_req(a, "id", "dres")),
-            bus=str(_req(a, "bus", f"dres {a.get('id')}")),
-            p_min=float(_req(a, "pMin", f"dres {a.get('id')}")),
-            p_max=float(_req(a, "pMax", f"dres {a.get('id')}")),
-            variable_cost=float(_req(a, "variableCost", f"dres {a.get('id')}")),
-            startup_cost=float(_req(a, "startupCost", f"dres {a.get('id')}")),
-            shutdown_cost=float(_req(a, "shutdownCost", f"dres {a.get('id')}")),
-            initial_on=_on_off(a.get("initialCommitment", "off"), f"dres {a.get('id')}"),
+            id=_req(a, "id", where, _text),
+            bus=_req(a, "bus", where, _text),
+            p_min=_req(a, "pMin", where, _number),
+            p_max=_req(a, "pMax", where, _number),
+            variable_cost=_req(a, "variableCost", where, _number),
+            startup_cost=_req(a, "startupCost", where, _number),
+            shutdown_cost=_req(a, "shutdownCost", where, _number),
+            initial_on=_req(a, "initialCommitment", where, _on_off, default="off"),
         )
-        for a in doc.get("dres", [])
+        for where, a in _entries(doc, "dres")
     )
 
     ndres = tuple(
         NdresAsset(
-            id=str(_req(a, "id", "ndres")),
-            bus=str(_req(a, "bus", f"ndres {a.get('id')}")),
-            p_min=_series(a.get("pMin", 0.0), n_periods, f"ndres {a.get('id')}.pMin"),
+            id=_req(a, "id", where, _text),
+            bus=_req(a, "bus", where, _text),
+            p_min=_req(a, "pMin", where, _series(n_periods), default=0.0),
         )
-        for a in doc.get("ndres", [])
+        for where, a in _entries(doc, "ndres")
     )
 
     stu = tuple(
         StuAsset(
-            id=str(_req(a, "id", "stu")),
-            bus=str(_req(a, "bus", f"stu {a.get('id')}")),
-            pb_min=float(_req(a, "pbMin_th", f"stu {a.get('id')}")),
-            pb_max=float(_req(a, "pbMax_th", f"stu {a.get('id')}")),
-            pb_break1=float(_req(a, "pbBreak1_th", f"stu {a.get('id')}")),
-            pb_break2=float(_req(a, "pbBreak2_th", f"stu {a.get('id')}")),
-            eta1=float(_req(a, "eta1", f"stu {a.get('id')}")),
-            eta2=float(_req(a, "eta2", f"stu {a.get('id')}")),
-            eta3=float(_req(a, "eta3", f"stu {a.get('id')}")),
-            eta4=float(_req(a, "eta4", f"stu {a.get('id')}")),
-            startup_loss=float(_req(a, "startupLossFactor", f"stu {a.get('id')}")),
-            charge_min=float(_req(a, "chargeMin_th", f"stu {a.get('id')}")),
-            charge_max=float(_req(a, "chargeMax_th", f"stu {a.get('id')}")),
-            discharge_min=float(_req(a, "dischargeMin_th", f"stu {a.get('id')}")),
-            discharge_max=float(_req(a, "dischargeMax_th", f"stu {a.get('id')}")),
-            charge_eff=float(_req(a, "chargeEff", f"stu {a.get('id')}")),
-            discharge_eff=float(_req(a, "dischargeEff", f"stu {a.get('id')}")),
-            storage_cap=_series(_req(a, "storageCap_th", f"stu {a.get('id')}"), n_periods,
-                                f"stu {a.get('id')}.storageCap_th"),
-            storage_floor=_series(a.get("storageFloor_th", 0.0), n_periods,
-                                  f"stu {a.get('id')}.storageFloor_th"),
-            end_alpha_lo=float(_req(a, "endAlphaLo", f"stu {a.get('id')}")),
-            end_alpha_hi=float(_req(a, "endAlphaHi", f"stu {a.get('id')}")),
-            initial_energy=float(_req(a, "initialEnergy_th", f"stu {a.get('id')}")),
-            electrical_min=float(_req(a, "electricalMin", f"stu {a.get('id')}")),
-            electrical_max=float(_req(a, "electricalMax", f"stu {a.get('id')}")),
-            initial_pb_on=_on_off(a.get("initialPbStatus", "off"), f"stu {a.get('id')}"),
+            id=_req(a, "id", where, _text),
+            bus=_req(a, "bus", where, _text),
+            pb_min=_req(a, "pbMin_th", where, _number),
+            pb_max=_req(a, "pbMax_th", where, _number),
+            pb_break1=_req(a, "pbBreak1_th", where, _number),
+            pb_break2=_req(a, "pbBreak2_th", where, _number),
+            eta1=_req(a, "eta1", where, _number),
+            eta2=_req(a, "eta2", where, _number),
+            eta3=_req(a, "eta3", where, _number),
+            eta4=_req(a, "eta4", where, _number),
+            startup_loss=_req(a, "startupLossFactor", where, _number),
+            charge_min=_req(a, "chargeMin_th", where, _number),
+            charge_max=_req(a, "chargeMax_th", where, _number),
+            discharge_min=_req(a, "dischargeMin_th", where, _number),
+            discharge_max=_req(a, "dischargeMax_th", where, _number),
+            charge_eff=_req(a, "chargeEff", where, _number),
+            discharge_eff=_req(a, "dischargeEff", where, _number),
+            storage_cap=_req(a, "storageCap_th", where, _series(n_periods)),
+            storage_floor=_req(a, "storageFloor_th", where, _series(n_periods), default=0.0),
+            end_alpha_lo=_req(a, "endAlphaLo", where, _number),
+            end_alpha_hi=_req(a, "endAlphaHi", where, _number),
+            initial_energy=_req(a, "initialEnergy_th", where, _number),
+            electrical_min=_req(a, "electricalMin", where, _number),
+            electrical_max=_req(a, "electricalMax", where, _number),
+            initial_pb_on=_req(a, "initialPbStatus", where, _on_off, default="off"),
         )
-        for a in doc.get("stu", [])
+        for where, a in _entries(doc, "stu")
     )
 
     demands = []
-    for a in doc.get("demands", []):
-        did = str(_req(a, "id", "demand"))
+    for where, a in _entries(doc, "demands"):
         profiles = tuple(
             DemandProfile(
-                id=str(_req(p, "id", f"demand {did} profile")),
-                power=_series(_req(p, "power", f"demand {did} profile {p.get('id')}"),
-                              n_periods, f"demand {did} profile {p.get('id')}.power"),
-                cost=float(p.get("cost", 0.0)),
-                default=bool(p.get("default", False)),
+                id=_req(p, "id", p_where, _text),
+                power=_req(p, "power", p_where, _series(n_periods)),
+                cost=_req(p, "cost", p_where, _number, default=0.0),
+                default=_req(p, "default", p_where, _flag, default=False),
             )
-            for p in _req(a, "profiles", f"demand {did}")
+            for p_where, p in _entries(a, "profiles", where)
         )
         demands.append(DemandAsset(
-            id=did,
-            bus=str(_req(a, "bus", f"demand {did}")),
+            id=_req(a, "id", where, _text),
+            bus=_req(a, "bus", where, _text),
             profiles=profiles,
-            min_energy=float(_req(a, "minEnergy", f"demand {did}")),
-            tol_lo=_series(a.get("tolLo", 0.0), n_periods, f"demand {did}.tolLo"),
-            tol_hi=_series(a.get("tolHi", 0.0), n_periods, f"demand {did}.tolHi"),
-            ramp_down=float(_req(a, "rampDown", f"demand {did}")),
-            ramp_up=float(_req(a, "rampUp", f"demand {did}")),
+            min_energy=_req(a, "minEnergy", where, _number),
+            tol_lo=_req(a, "tolLo", where, _series(n_periods), default=0.0),
+            tol_hi=_req(a, "tolHi", where, _series(n_periods), default=0.0),
+            ramp_down=_req(a, "rampDown", where, _number),
+            ramp_up=_req(a, "rampUp", where, _number),
         ))
 
-    fc_doc = _req(doc, "forecasts", "scenario")
-    dam_forecast = _forecast_from_dict(_req(fc_doc, "dam", "forecasts"), n_periods, "forecasts.dam")
+    fc_doc = _req(doc, "forecasts", "", _object)
+    dam_forecast = _forecast_from_dict(_req(fc_doc, "dam", "forecasts", _object), n_periods,
+                                       "forecasts.dam")
+    idm_doc = _req(fc_doc, "idm", "forecasts", _object, default={})
     idm_forecasts = {}
-    for key, sub in fc_doc.get("idm", {}).items():
-        k = int(key)
+    for key, sub in idm_doc.items():
+        where = f"forecasts.idm.{key}"
+        k = _convert(key, where, int)
         session = next((s for s in sessions if s.k == k), None)
         window = n_periods - session.first_period + 1 if session else n_periods
-        idm_forecasts[k] = _forecast_from_dict(sub, window, f"forecasts.idm.{k}")
+        idm_forecasts[k] = _forecast_from_dict(sub, window, where)
 
     return Scenario(
         network=network,
@@ -422,17 +492,18 @@ def scenario_from_dict(doc: Mapping[str, Any], name: str = "") -> Scenario:
                                 dam_prices=dam_prices, sessions=tuple(sessions)),
         dam_forecast=dam_forecast,
         idm_forecasts=idm_forecasts,
-        name=name or str(doc.get("name", "")),
+        name=name or _req(doc, "name", "", _text, default=""),
     )
 
 
-def _forecast_from_dict(doc: Mapping[str, Any], window: int, where: str) -> ForecastSet:
-    return ForecastSet(
-        ndres_avail={str(i): _series(v, window, f"{where}.ndresAvail.{i}")
-                     for i, v in doc.get("ndresAvail", {}).items()},
-        stu_avail={str(i): _series(v, window, f"{where}.stuAvail_th.{i}")
-                   for i, v in doc.get("stuAvail_th", {}).items()},
-    )
+def _forecast_from_dict(doc: Any, window: int, where: str) -> ForecastSet:
+    def series_by_asset(group: str) -> dict[str, tuple[float, ...]]:
+        group_doc = _req(doc, group, where, _object, default={})
+        return {str(i): _req(group_doc, i, f"{where}.{group}", _series(window))
+                for i in group_doc}
+
+    return ForecastSet(ndres_avail=series_by_asset("ndresAvail"),
+                       stu_avail=series_by_asset("stuAvail_th"))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -610,7 +681,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     for a in s.ndres:
         if len(a.p_min) != T:
             bad(Diagnostic(a.id, "series_length", f"pMin spans {len(a.p_min)} periods, expected {T}"))
-        elif min(a.p_min) < 0:
+        elif any(v < 0 for v in a.p_min):
             bad(Diagnostic(a.id, "min_negative", "pMin must be >= 0 element-wise"))
 
     for a in s.stu:
@@ -659,7 +730,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
                 bad(Diagnostic(a.id, "series_length",
                                f"profile {p.id} spans {len(p.power)} periods, expected {T}"))
                 continue
-            if min(p.power) < 0:
+            if any(v < 0 for v in p.power):
                 bad(Diagnostic(a.id, "profile_power_negative", f"profile {p.id} has negative power"))
             energy = sum(p.power) * s.calendar.dt_hours
             if a.min_energy > energy + 1e-9:
@@ -683,7 +754,8 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
         if fcset is None:
             bad(Diagnostic(f"idm{sess.k}", "forecast_missing", "no forecast set for this session"))
             continue
-        sessions[sess.k] = (fcset, sess.first_period)
+        if 1 <= sess.first_period <= T:  # tau_range reports the others
+            sessions[sess.k] = (fcset, sess.first_period)
     for k in sorted(set(s.idm_forecasts) - {sess.k for sess in s.calendar.sessions}):
         bad(Diagnostic(f"idm{k}", "forecast_unknown_session",
                        "forecast set given for a session the calendar does not have"))
@@ -707,7 +779,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
                                    f"{group} series in session {label} spans {len(series)} periods, "
                                    f"expected {window}"))
                     continue
-                if min(series) < 0:
+                if any(v < 0 for v in series):
                     bad(Diagnostic(aid, "forecast_negative",
                                    f"negative availability in session {label}"))
         for a in s.ndres:

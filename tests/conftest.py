@@ -15,9 +15,15 @@ That puts the day-ahead optimum at 440 + 593 - 180 = 853 EUR.
 from __future__ import annotations
 
 import copy
+import itertools
+import math
+import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from vppopt.milp import MilpModel, Solution, SolveOptions, solve
 from vppopt.scenario import Scenario, scenario_from_dict
 
 TOY_DOC = {
@@ -95,10 +101,7 @@ def enumerate_dam_optimum(s: Scenario) -> float:
     Exponential in dispatchable-unit periods; meant for tiny scenarios
     as an independent reference for the branch-and-bound answer.
     """
-    import itertools
-
     from vppopt.dam import DEM_U, DRES_U, assemble_dam
-    from vppopt.milp import solve
 
     model, reg = assemble_dam(s)
     slots = [(a.id, t) for a in s.dres for t in range(1, s.n_periods + 1)]
@@ -119,3 +122,72 @@ def enumerate_dam_optimum(s: Scenario) -> float:
     if best is None:
         raise AssertionError("every enumerated pattern was infeasible")
     return best
+
+
+class Sos2EnumerationAdapter:
+    """Exact SOS-2 handling by enumerating active segments.
+
+    Each SOS-2 set allows exactly one adjacent pair of nonzero members;
+    this oracle tries every combination of active pairs, zeroes out the
+    remaining members through their upper bounds, solves the residual
+    MILP and keeps the best outcome. Exponential in the number of sets,
+    so it suits small models and serves as an independent reference for
+    the reformulation route of ``vppopt.milp.solve``.
+    """
+
+    def __init__(self, combo_limit: int = 10000):
+        self.combo_limit = combo_limit
+
+    def solve(self, model: MilpModel, options: SolveOptions) -> Solution:
+        model.validate()
+        if not model.sos2_sets:
+            return solve(model, options)
+        for members, name in model.sos2_sets:
+            for m in members:
+                if model.bounds(m)[0] > 0:
+                    raise ValueError(
+                        f"SOS-2 set {name!r} member {m} has a positive lower bound; "
+                        "members must admit zero")
+
+        n_combos = math.prod(len(members) - 1 for members, _ in model.sos2_sets)
+        if n_combos > self.combo_limit:
+            raise ValueError(f"{n_combos} segment combinations exceed the enumeration limit")
+
+        t0 = time.perf_counter()
+        best: Solution | None = None
+        any_limit = False
+        any_error = False
+        segment_choices = [range(len(members) - 1) for members, _ in model.sos2_sets]
+        for combo in itertools.product(*segment_choices):
+            sub = model.copy(drop_sos2=True)
+            for (members, _), seg in zip(model.sos2_sets, combo):
+                active = {members[seg], members[seg + 1]}
+                for m in members:
+                    if m not in active:
+                        sub.set_bounds(m, ub=0.0)
+            res = solve(sub, options)
+            if res.status in ("optimal", "feasible"):
+                if res.status == "feasible":
+                    any_limit = True
+                if best is None or res.objective > best.objective:
+                    best = res
+            elif res.status in ("unbounded", "error"):
+                any_error = any_error or res.status == "error"
+                if res.status == "unbounded":
+                    return replace(res, runtime_s=time.perf_counter() - t0)
+        runtime = time.perf_counter() - t0
+        if best is None:
+            if any_error:
+                return Solution(status="error", runtime_s=runtime,
+                                message="all segment subproblems failed")
+            return Solution(status="infeasible", runtime_s=runtime,
+                            message="every segment combination is infeasible")
+        status = "feasible" if any_limit else "optimal"
+        return replace(best, status=status, runtime_s=runtime)
+
+
+def recompute_objective(model: MilpModel, values: np.ndarray) -> float:
+    """Objective value implied by an assignment, independent of the solver."""
+    x = np.asarray(values, dtype=float)
+    return float(sum(coef * x[v] for v, coef in model.objective_coeffs.items())
+                 + model.obj_constant)

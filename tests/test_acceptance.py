@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import enumerate_dam_optimum, make_scenario
+from conftest import Sos2EnumerationAdapter, enumerate_dam_optimum, make_scenario
 from vppopt.casestudy import equal_information_variant
 from vppopt.dam import assemble_dam
-from vppopt.milp import Sos2EnumerationAdapter, solve
+from vppopt.milp import SolveOptions, solve
 from vppopt.orchestrator import (
     RunConfig,
     check_aggregate_balance,
@@ -88,7 +88,7 @@ def _tiny_doc(prices: tuple[float, ...], initial: str) -> dict:
 def _pair_contest(s, demand_id: str, profile_id: str, cost: float):
     """Restrict one demand to its default-versus-challenger contest with
     the challenger at the given payment; an independent re-check of the
-    sweep's bisection probes."""
+    thresholds the sweep derives from its two held solves."""
     demands = []
     for d in s.demands:
         if d.id != demand_id:
@@ -151,7 +151,7 @@ class TestSolveQuality:
         for _ in range(100):
             m = random_piecewise_model(rng)
             a = solve(m)
-            b = solve(m, adapter=exact)
+            b = exact.solve(m, SolveOptions())
             assert a.status == "optimal" and b.status == "optimal"
             assert abs(a.objective - b.objective) <= 1e-6
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import toy_doc
+from test_scenario import MALFORMED, MALFORMED_IDS, _set_leaf
 from vppopt.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -71,7 +72,9 @@ class TestValidate:
             5, float("inf")), "finite"),
         (lambda doc: doc["forecasts"]["idm"].__setitem__(
             "9", doc["forecasts"]["dam"]), "forecast_unknown_session"),
-    ], ids=["nan-price", "inf-wind", "unknown-session"])
+    ] + [(lambda doc, leaf=leaf, value=value: _set_leaf(doc, leaf, value), message)
+         for leaf, value, message in MALFORMED],
+        ids=["nan-price", "inf-wind", "unknown-session"] + MALFORMED_IDS)
     def test_rejected_before_any_solve(self, tmp_path, capsys, mutate, rule):
         doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
         mutate(doc)
@@ -235,6 +238,29 @@ class TestSweep:
                      "--out", str(tmp_path / "sweep")])
         assert code == EXIT_USAGE
         assert "no non-default profile" in capsys.readouterr().err
+
+
+SWEEP = ["sweep", "--demand", "load", "--profile", "shift"]
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        SWEEP + ["--max", "10", "--step", "0"],
+        SWEEP + ["--max", "10", "--step", "-1"],
+        SWEEP + ["--max", "10", "--step", "nan"],
+        SWEEP + ["--max", "-5"],
+        ["run", "--gap", "-1"],
+        ["run", "--time-limit", "0"],
+    ], ids=["step-zero", "step-negative", "step-nan", "max-negative", "gap-negative",
+            "time-limit-zero"])
+    def test_nonsensical_value_exits_2(self, toy_file, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--scenario", str(toy_file), "--out", str(out)])
+        assert err.value.code == EXIT_USAGE
+        flag = argv[-2]
+        assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConsoleScript:

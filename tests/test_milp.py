@@ -1,4 +1,4 @@
-"""MILP container, scipy/HiGHS adapter, SOS-2 handling and the verifier."""
+"""MILP container, the scipy/HiGHS backend, SOS-2 handling and the verifier."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import Sos2EnumerationAdapter, recompute_objective
 from vppopt.milp import (
     MilpModel,
     ScipyMilpAdapter,
     Solution,
     SolveOptions,
-    Sos2EnumerationAdapter,
     dump_lp,
-    recompute_objective,
     reformulate_sos2_as_binary,
     solve,
     verify,
@@ -104,7 +103,7 @@ class TestSolveBasics:
         assert np.isclose(sol.objective, 28.0, atol=1e-9)
 
     def test_highs_takes_the_heuristic_options_silently(self):
-        # the adapter switches off HiGHS's RINS/RENS sub-MIPs through
+        # the backend switches off HiGHS's RINS/RENS sub-MIPs through
         # options scipy passes on verbatim; a renamed or dropped option
         # surfaces here as a backend error or an escaping warning
         m = MilpModel()
@@ -302,8 +301,8 @@ class TestEnumerationAdapter:
         enum = Sos2EnumerationAdapter()
         for _ in range(20):
             m = random_piecewise_model(rng)
-            a = solve(m)                      # reformulation route
-            b = solve(m, adapter=enum)        # segment enumeration route
+            a = solve(m)                       # reformulation route
+            b = enum.solve(m, SolveOptions())  # segment enumeration route
             assert a.status == b.status == "optimal"
             assert abs(a.objective - b.objective) <= 1e-6
             assert verify(m, a) == []

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -19,13 +21,41 @@ from vppopt.report import (
     build_report,
     emit_report,
     emit_thresholds,
-    load_long_csv,
-    load_profit_json,
-    load_profiles_json,
-    load_thresholds_csv,
-    load_trade_csv,
-    load_verify_json,
 )
+
+
+def load_trade_csv(path: Path) -> dict[str, list[float]]:
+    """Read dam.csv / idm_<k>.csv into column lists keyed by header."""
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        cols: dict[str, list[float]] = {name: [] for name in reader.fieldnames or []}
+        for row in reader:
+            for name, value in row.items():
+                cols[name].append(float(value))
+    return cols
+
+
+def load_long_csv(path: Path) -> dict[str, list[float]]:
+    """Read a (period, id, value) file into per-id series."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        series: dict[str, list[tuple[int, float]]] = {}
+        for period, ident, value in reader:
+            series.setdefault(ident, []).append((int(float(period)), float(value)))
+    return {ident: [v for _, v in sorted(points)] for ident, points in series.items()}
+
+
+def load_thresholds_csv(path: Path) -> list[ThresholdEntry]:
+    out = []
+    with path.open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            out.append(ThresholdEntry(
+                demand_id=row["demandId"], profile_id=row["profileId"],
+                status=row["status"],
+                threshold=float(row["thresholdEUR"]) if row["thresholdEUR"] else None,
+                resolution=float(row["resolutionEUR"])))
+    return out
 
 
 class TestBuildReport:
@@ -106,7 +136,7 @@ class TestEmitAndLoad:
         result = run_vpp(toy)
         report = build_report(toy, result)
         emit_report(report, tmp_path)
-        doc = load_profit_json(tmp_path / "profit.json")
+        doc = json.loads((tmp_path / "profit.json").read_text())
         assert doc["scenario"] == "toy"
         assert doc["mode"] == "vpp"
         assert doc["failure"] is None
@@ -117,9 +147,9 @@ class TestEmitAndLoad:
     def test_profiles_and_verify_json(self, toy, tmp_path):
         report = build_report(toy, run_vpp(toy))
         emit_report(report, tmp_path)
-        profiles = load_profiles_json(tmp_path / "profiles.json")
+        profiles = json.loads((tmp_path / "profiles.json").read_text())
         assert profiles == {"load": {"selected": "flat", "cost": 0.0}}
-        verify_doc = load_verify_json(tmp_path / "verify.json")
+        verify_doc = json.loads((tmp_path / "verify.json").read_text())
         assert [sess["key"] for sess in verify_doc["sessions"]] == ["dam", "idm1"]
         assert all(sess["violations"] == [] for sess in verify_doc["sessions"])
         assert verify_doc["summary"] == []
@@ -154,7 +184,7 @@ class TestNocoordReport:
         assert report.chosen_profiles == {"load": "flat"}
         assert np.allclose(report.demand["load"], [2.0, 2.0, 2.0])
         emit_report(report, tmp_path)
-        doc = load_profit_json(tmp_path / "profit.json")
+        doc = json.loads((tmp_path / "profit.json").read_text())
         assert doc["note"] == NOCOORD_NOTE
         assert doc["passiveDemandProfit"] == {"load": -180.0}
 

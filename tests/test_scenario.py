@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scenario, toy_doc
 from vppopt.scenario import (
@@ -323,6 +326,83 @@ class TestNumberAndSessionRules:
         entities = {d.entity for d in validate_scenario(make_scenario(doc))
                     if d.rule == "finite"}
         assert entities == {"dres[gen].pMax", "demands[load].profiles[shift].cost"}
+
+
+def _set_leaf(doc, path, value) -> None:
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+# Leaf edits that used to escape the parser as TypeError/ValueError/
+# AttributeError; shared with the CLI tests, which expect exit 2.
+MALFORMED = [
+    (("calendar", "T"), None, "calendar.T: expected a number, got null"),
+    (("calendar", "damPrices", 3), "x", "calendar.damPrices: expected a number"),
+    (("dres", 0, "pMax"), [], "dres[hydro].pMax: expected a number, got an array"),
+    (("network", "tradeCap"), [], "network.tradeCap: expected an object, got an array"),
+    (("dres", 0), 7.0, "dres[0]: expected an object, got a number"),
+]
+MALFORMED_IDS = ["null-T", "string-price", "list-pMax", "list-tradeCap", "number-dres"]
+
+
+class TestMalformedDocuments:
+    """Every defect in the document's shape is a ScenarioError naming its
+    path, never a bare TypeError or ValueError."""
+
+    @pytest.mark.parametrize("path, value, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_wrong_type_is_named_by_path(self, path, value, message):
+        doc = clear_doc()
+        _set_leaf(doc, path, value)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(doc)
+
+    def test_boolean_given_as_string_is_rejected(self):
+        doc = toy_doc()
+        doc["demands"][0]["profiles"][1]["default"] = "false"
+        with pytest.raises(ScenarioError, match=r"profiles\[shift\].default"):
+            make_scenario(doc)
+
+    @pytest.mark.parametrize("tau", [-5, 4])
+    def test_session_outside_the_horizon_is_a_diagnostic(self, tau):
+        doc = toy_doc()
+        window = 3 - tau + 1
+        doc["calendar"]["sessions"][0].update(tau=tau, prices=[30.0] * window)
+        doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [4.0] * window
+        assert "tau_range" in rules(make_scenario(doc))
+
+    def test_empty_horizon_is_a_diagnostic(self):
+        doc = toy_doc()
+        doc["calendar"].update(T=0, damPrices=[], sessions=[])
+        doc["forecasts"] = {"dam": {"ndresAvail": {"wind": []}}, "idm": {}}
+        for profile in doc["demands"][0]["profiles"]:
+            profile["power"] = []
+        assert "period_count" in rules(make_scenario(doc))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_leaf_paths(clear_doc()))),
+           value=st.one_of(st.none(), st.booleans(), st.integers(-3, 30), st.floats(),
+                           st.text(max_size=3), st.lists(st.floats(-5, 5), max_size=3),
+                           st.just({}), st.dictionaries(st.text(max_size=2), st.none(),
+                                                        max_size=2)))
+    def test_any_one_leaf_edit_loads_or_raises_scenario_error(self, path, value):
+        doc = clear_doc()
+        _set_leaf(doc, path, value)
+        try:
+            validate_scenario(scenario_from_dict(doc))
+        except ScenarioError:
+            pass
 
 
 def _stu_doc(**overrides) -> dict:
