@@ -48,23 +48,18 @@ def parse_sessions(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _checked_number(text: str, allow_zero: bool) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
 
 
-def _positive(text: str) -> float:
-    return _checked_number(text, allow_zero=False)
-
-
 def _non_negative(text: str) -> float:
-    return _checked_number(text, allow_zero=True)
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

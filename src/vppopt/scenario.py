@@ -352,16 +352,18 @@ def _on_off(value: Any) -> bool:
     raise ValueError(f"expected 'on', 'off' or a boolean, got {value!r}")
 
 
-def _entries(doc: Any, key: str, where: str = "") -> Iterator[tuple[str, Any]]:
-    """The objects in the optional list ``doc[key]``, each with its path;
-    an entry with a string id is named by it."""
+def _entries(doc: Any, key: str, where: str = "",
+             default: Any = ()) -> Iterator[tuple[str, Any]]:
+    """The objects in the list ``doc[key]`` (optional unless ``default`` is
+    ``_REQUIRED``), each with its path; an entry with a string id is named
+    by it."""
     path = f"{where}.{key}" if where else key
-    for i, entry in enumerate(_req(doc, key, where, _array, default=())):
+    for i, entry in enumerate(_req(doc, key, where, _array, default=default)):
         ident = entry.get("id") if isinstance(entry, Mapping) else None
         yield f"{path}[{ident if isinstance(ident, str) else i}]", entry
 
 
-def scenario_from_dict(doc: Mapping[str, Any], name: str = "") -> Scenario:
+def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     """Build a :class:`Scenario` from a parsed JSON document (no validation)."""
     net_doc = _req(doc, "network", "", _object)
     cal_doc = _req(doc, "calendar", "", _object)
@@ -457,7 +459,7 @@ def scenario_from_dict(doc: Mapping[str, Any], name: str = "") -> Scenario:
                 cost=_req(p, "cost", p_where, _number, default=0.0),
                 default=_req(p, "default", p_where, _flag, default=False),
             )
-            for p_where, p in _entries(a, "profiles", where)
+            for p_where, p in _entries(a, "profiles", where, default=_REQUIRED)
         )
         demands.append(DemandAsset(
             id=_req(a, "id", where, _text),
@@ -492,7 +494,7 @@ def scenario_from_dict(doc: Mapping[str, Any], name: str = "") -> Scenario:
                                 dam_prices=dam_prices, sessions=tuple(sessions)),
         dam_forecast=dam_forecast,
         idm_forecasts=idm_forecasts,
-        name=name or _req(doc, "name", "", _text, default=""),
+        name=_req(doc, "name", "", _text, default=""),
     )
 
 

@@ -101,7 +101,7 @@ class TestLoading:
 class TestRoundTrip:
     def test_dict_round_trip_is_exact(self):
         s = make_scenario(toy_doc())
-        again = scenario_from_dict(scenario_to_dict(s), name=s.name)
+        again = scenario_from_dict(scenario_to_dict(s))
         assert scenario_to_dict(again) == scenario_to_dict(s)
         assert again == s
 
@@ -115,7 +115,7 @@ class TestRoundTrip:
         from vppopt.casestudy import clear_scenario, cloudy_scenario
 
         for s in (clear_scenario(), cloudy_scenario()):
-            again = scenario_from_dict(scenario_to_dict(s), name=s.name)
+            again = scenario_from_dict(scenario_to_dict(s))
             assert again == s
             assert validate_scenario(s) == []
 
@@ -366,6 +366,12 @@ class TestMalformedDocuments:
         doc = clear_doc()
         _set_leaf(doc, path, value)
         with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(doc)
+
+    def test_demand_without_profiles_is_rejected(self):
+        doc = toy_doc()
+        del doc["demands"][0]["profiles"]
+        with pytest.raises(ScenarioError, match=r"demands\[load\]: missing required key 'profiles'"):
             scenario_from_dict(doc)
 
     def test_boolean_given_as_string_is_rejected(self):
