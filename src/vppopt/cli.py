@@ -5,8 +5,9 @@ mode and writes the report file set; ``sweep`` finds the largest
 payment at which a demand profile is still selected; ``validate`` checks
 a scenario file and prints its diagnostics.
 
-Exit codes: 0 success, 2 usage or input errors (a bad scenario file or a
-bad flag value such as ``--step 0``), 3 an infeasible session,
+Exit codes: 0 success, 2 usage or input errors (a bad scenario file, a
+bad flag value such as ``--step 0``, or an output path that cannot be
+written, caught before the first solve), 3 an infeasible session,
 4 a solver failure, a verification violation, or recomputed profits that
 drift from the solver's by more than ``MAX_PROFIT_DRIFT``.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from vppopt import dam as dam_mod
@@ -109,6 +111,16 @@ def _load(path: str):
         raise SystemExit(EXIT_USAGE)
 
 
+@contextmanager
+def _writing():
+    """Turn a failed write into one stderr line and exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     try:
@@ -119,18 +131,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"bad --sessions: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    out_dir = args.out or f"{Path(args.scenario).stem}-{args.mode}-report"
+    with _writing():
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     if args.dump_model:
         model, _ = dam_mod.assemble_dam(scenario)
-        dump_lp(model, args.dump_model)
+        with _writing():
+            dump_lp(model, args.dump_model)
         print(f"model written to {args.dump_model}")
 
     cfg = RunConfig(mode=args.mode, sessions=sessions,
                     options=SolveOptions(gap_tol=args.gap, time_limit=args.time_limit))
     result = run(scenario, cfg)
 
-    out_dir = args.out or f"{Path(args.scenario).stem}-{args.mode}-report"
     report = build_report(scenario, result)
-    emit_report(report, out_dir)
+    with _writing():
+        emit_report(report, out_dir)
 
     for sess in result.sessions:
         objective = "-" if sess.objective is None else f"{sess.objective:.2f}"
@@ -156,6 +172,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
+    out_dir = args.out or f"{Path(args.scenario).stem}-sweep"
+    with _writing():
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     try:
         entries = sweep_profile_costs(scenario, demand_id=args.demand,
                                       profile_id=args.profile, max_cost=args.max,
@@ -167,8 +186,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    out_dir = args.out or f"{Path(args.scenario).stem}-sweep"
-    path = emit_thresholds(entries, out_dir)
+    with _writing():
+        path = emit_thresholds(entries, out_dir)
     for e in entries:
         if e.status == "threshold":
             print(f"{e.demand_id}/{e.profile_id}: threshold {e.threshold:.2f} EUR "

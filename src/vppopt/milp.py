@@ -44,7 +44,6 @@ class Solution:
     status: str  # optimal | feasible | infeasible | unbounded | error
     objective: float | None = None
     values: np.ndarray | None = None
-    gap: float | None = None
     runtime_s: float = 0.0
     message: str = ""
 
@@ -278,16 +277,14 @@ class ScipyMilpAdapter:
             return Solution(status="error", message=f"backend failure: {exc}",
                             runtime_s=time.perf_counter() - t0)
 
-        gap = getattr(res, "mip_gap", None)
-        gap = float(gap) if gap is not None else None
         if res.status in (0, 1) and res.x is not None:
             status = "optimal" if res.status == 0 else "feasible"
             values = self._polish(np.asarray(res.x, dtype=float), call_backend,
                                   lb, ub, integrality)
             objective = float(c @ values)
             return Solution(status=status, objective=-objective + model.obj_constant,
-                            values=values, gap=gap,
-                            runtime_s=time.perf_counter() - t0, message=str(res.message))
+                            values=values, runtime_s=time.perf_counter() - t0,
+                            message=str(res.message))
         status = {1: "error", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
         return Solution(status=status, runtime_s=time.perf_counter() - t0,
                         message=str(res.message))

@@ -3,9 +3,12 @@
 The unit couples a solar field (thermal availability series), a thermal
 storage loop with charge/discharge efficiencies, and a power block whose
 thermal-to-electric conversion steepens with load. The conversion is the
-continuous interpolant through five (input, output) breakpoints encoded
-with SOS-2 weights; :func:`eval_pb_oracle` is the reference evaluation of
-that map, used to cross-check solved models.
+continuous interpolant through the curve's four operating breakpoints
+(minimum load, two interior breaks, full load), encoded with SOS-2
+weights that sum to the commitment: a committed block runs inside its
+operating window, and an off block has all-zero weights, so no input and
+no output. :func:`eval_pb_oracle` is the reference evaluation of the
+whole curve from the origin, used to cross-check solved models.
 
 Builders take an explicit period window plus the storage energy and power
 block status just before it, so the same code serves the day-ahead stage
@@ -34,7 +37,7 @@ PPB = "stu_ppb_th"     # power block thermal input [MW_th]
 PB_ON = "stu_u"        # power block committed
 PB_START = "stu_v1"    # power block startup indicator
 POWER = "stu_p"        # electrical output [MW]
-WEIGHT = "stu_w"       # SOS-2 weights, roles stu_w0..stu_w4
+WEIGHT = "stu_w"       # SOS-2 weights, roles stu_w1..stu_w4
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def register_stu_variables(model: MilpModel, reg: VariableRegistry, asset: StuAs
         # whenever the on/off statuses are binary, so it can stay continuous
         reg.new(model, PB_START, asset.id, t, lb=0.0, ub=1.0)
         reg.new(model, POWER, asset.id, t, lb=0.0, ub=np.inf)
-        for i in range(5):
+        for i in range(1, 5):
             reg.new(model, f"{WEIGHT}{i}", asset.id, t, lb=0.0, ub=1.0)
 
 
@@ -134,10 +137,6 @@ def build_stu_constraints(model: MilpModel, reg: VariableRegistry, asset: StuAss
             {ppb: 1.0, psf: -1.0, dis: -1.0, chg: 1.0, v1: a.startup_loss * a.pb_max},
             "==", 0.0, f"stu_pb_input.{a.id}.t{t}")
 
-        # power block operating window when committed
-        model.add_constraint({ppb: 1.0, u: -a.pb_max}, "<=", 0.0, f"stu_pb_hi.{a.id}.t{t}")
-        model.add_constraint({ppb: 1.0, u: -a.pb_min}, ">=", 0.0, f"stu_pb_lo.{a.id}.t{t}")
-
         # storage balance against the previous period (or the initial fill)
         balance = {e: 1.0, chg: -a.charge_eff * dt, dis: dt / a.discharge_eff}
         if idx == 0:
@@ -172,33 +171,29 @@ def build_pb_conversion(model: MilpModel, reg: VariableRegistry, asset: StuAsset
                         periods: Sequence[int]) -> None:
     """Tie thermal input to electrical output through SOS-2 weights.
 
-    Weights sum to the commitment state, so an off block forces both the
-    input and the output to zero.
+    The weights sit on the operating breakpoints ``pbMin .. pbMax`` and
+    sum to the commitment state. A committed block therefore interpolates
+    between two adjacent operating points, which also keeps its input
+    within ``[pbMin, pbMax]``; an off block forces input and output to zero.
     """
     curve = pb_curve(asset)
+    breakpoints, values = curve.breakpoints[1:], curve.values[1:]
     for t in periods:
-        w = [reg.id(f"{WEIGHT}{i}", asset.id, t) for i in range(5)]
+        w = [reg.id(f"{WEIGHT}{i}", asset.id, t) for i in range(1, 5)]
         ppb = reg.id(PPB, asset.id, t)
         p = reg.id(POWER, asset.id, t)
         u = reg.id(PB_ON, asset.id, t)
 
-        coeffs = {wi: b for wi, b in zip(w, curve.breakpoints)}
+        coeffs = {wi: b for wi, b in zip(w, breakpoints)}
         coeffs[ppb] = -1.0
         model.add_constraint(coeffs, "==", 0.0, f"stu_conv_in.{asset.id}.t{t}")
 
-        coeffs = {wi: v for wi, v in zip(w, curve.values)}
+        coeffs = {wi: v for wi, v in zip(w, values)}
         coeffs[p] = -1.0
         model.add_constraint(coeffs, "==", 0.0, f"stu_conv_out.{asset.id}.t{t}")
 
         coeffs = {wi: 1.0 for wi in w}
         coeffs[u] = -1.0
         model.add_constraint(coeffs, "==", 0.0, f"stu_conv_sum.{asset.id}.t{t}")
-
-        # implied by the minimum-load bound plus adjacency (a committed
-        # block cannot mix the origin point into its interpolation), but
-        # stating it keeps the relaxation from pricing partial load at
-        # full-load efficiency
-        model.add_constraint({w[0]: 1.0, u: 1.0}, "<=", 1.0,
-                             f"stu_conv_origin.{asset.id}.t{t}")
 
         model.add_sos2(w, f"stu_sos2.{asset.id}.t{t}")

@@ -263,6 +263,33 @@ class TestFlagValues:
         assert not out.exists()
 
 
+class TestUnwritableOutput:
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        from vppopt import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("solved before checking the output path")
+
+        monkeypatch.setattr(cli, "run", fail)
+        monkeypatch.setattr(cli, "sweep_profile_costs", fail)
+
+    @pytest.mark.parametrize("argv", [
+        lambda occupied, tmp: ["run", "--sessions", "dam", "--out", occupied],
+        lambda occupied, tmp: SWEEP + ["--max", "10", "--out", occupied],
+        lambda occupied, tmp: ["run", "--out", str(tmp / "r"),
+                               "--dump-model", str(tmp / "missing" / "m.lp")],
+    ], ids=["run-out-is-a-file", "sweep-out-is-a-file", "dump-model-dir-missing"])
+    def test_exits_2_before_any_solve(self, toy_file, tmp_path, capsys, no_solve, argv):
+        occupied = tmp_path / "occupied"
+        occupied.write_text("")
+        with pytest.raises(SystemExit) as err:
+            main(argv(str(occupied), tmp_path) + ["--scenario", str(toy_file)])
+        assert err.value.code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cannot write output: ")
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, toy_file):
         proc = subprocess.run([sys.executable, "-m", "vppopt.cli", "validate",

@@ -241,18 +241,18 @@ class TestFormulationPin:
     """
 
     DAM_LP_SHA256 = {
-        "clear": "c9300e6a0ab5d81670833331afa6a94776577e727f2c613474a1729439996d98",
-        "cloudy": "5a176c496a65c375c4dcf453d3d3f5f04a7b9840b45e9793d16b0c5c50ec857c",
+        "clear": "92d871e8ac2158e21c528031168b2354be073b63c4e6db2779b885677e1e0575",
+        "cloudy": "d3639d5ebaf6103aebbe90aae95d9b595d56edb8a29797fa8c14c349592f42f4",
     }
     # (n_vars, n_constraints, binaries) per clear-day session
     CLEAR_SESSION_SIZES = {
-        1: (1488, 1535, 96),
-        2: (1488, 1535, 96),
-        3: (1240, 1285, 80),
-        4: (1054, 1093, 68),
-        5: (806, 837, 52),
-        6: (558, 581, 36),
-        7: (248, 261, 16),
+        1: (1464, 1463, 96),
+        2: (1464, 1463, 96),
+        3: (1220, 1225, 80),
+        4: (1037, 1042, 68),
+        5: (793, 798, 52),
+        6: (549, 554, 36),
+        7: (244, 249, 16),
     }
 
     @staticmethod

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from vppopt.casestudy import clear_scenario, cloudy_scenario
 from vppopt.dam import assemble_dam
-from vppopt.milp import solve, verify
+from vppopt.milp import BINARY, reformulate_sos2_as_binary, solve, verify
 from vppopt.stu import (
     CHG,
     DIS,
@@ -68,8 +69,6 @@ def _solved(s):
 
 class TestConversionCurve:
     def test_segment_factors_met_at_grid_points(self):
-        from vppopt.casestudy import clear_scenario
-
         curve = pb_curve(clear_scenario().stu[0])
         assert curve.breakpoints == (0.0, 25.0, 62.5, 93.75, 125.0)
         assert curve.values == (0.0, 6.25, 19.375, 33.75, 50.0)
@@ -222,6 +221,7 @@ class TestConversionAtOptimum:
                 ppb = x[reg.id(PPB, a.id, t)]
                 p = x[reg.id(POWER, a.id, t)]
                 if on:
+                    assert a.pb_min - 1e-6 <= ppb <= a.pb_max + 1e-6
                     assert abs(p - eval_pb_oracle(curve, ppb)) <= 1e-6
                 else:
                     assert abs(ppb) <= 1e-6
@@ -234,11 +234,50 @@ class TestModelStructure:
         model, _ = assemble_dam(s)
         names = {model.constraint_name(r) for r in range(model.n_constraints)}
         for family in ("chg_avail", "chg_cap", "chg_min", "dis_cap", "dis_min",
-                       "pb_input", "pb_hi", "pb_lo", "ebal",
+                       "pb_input", "ebal",
                        "start_lo", "start_prev", "start_on",
-                       "conv_in", "conv_out", "conv_sum", "conv_origin"):
+                       "conv_in", "conv_out", "conv_sum"):
             assert f"stu_{family}.csp.t1" in names
             assert f"stu_{family}.csp.t2" in names
+        # the operating window follows from the weights summing to the
+        # commitment, so it has no rows of its own
+        for family in ("pb_hi", "pb_lo", "conv_origin"):
+            assert not any(n.startswith(f"stu_{family}.") for n in names)
         assert "stu_end_lo.csp" in names
         assert "stu_end_hi.csp" in names
         assert any(n == "stu_sos2.csp.t1" for _, n in model.sos2_sets)
+
+    def test_clear_day_segment_binaries(self):
+        # three segment binaries per power-block period; a segment from
+        # the origin would make it four, 201 binaries in all
+        model, _ = assemble_dam(clear_scenario())
+        reformulated = reformulate_sos2_as_binary(model)
+        binaries = sum(reformulated.kind(i) == BINARY for i in range(reformulated.n_vars))
+        assert binaries == 177
+
+
+class TestOptimaPinned:
+    """Day-ahead optima recorded with the origin weight still modelled.
+
+    Dropping it removes no physical schedule, so no optimum may move.
+    """
+
+    SHIPPED = {"clear": 32197.799660000004, "cloudy": 18416.406600000002}
+    RANDOM_SEED = 31
+    RANDOM = (6458.455310737327, 7158.701559014535, 5207.212046999999,
+              10856.530890395738, 4925.110112705896, 10272.388578449045,
+              9765.315143121552, 13195.870931342643, 8221.455192344096,
+              4332.845240101674)
+
+    @pytest.mark.parametrize("name", ["clear", "cloudy"])
+    def test_shipped_day_ahead(self, name):
+        s = {"clear": clear_scenario, "cloudy": cloudy_scenario}[name]()
+        _, _, sol = _solved(s)
+        expected = self.SHIPPED[name]
+        assert abs(sol.objective - expected) <= 1e-6 * abs(expected)
+
+    def test_random_units(self):
+        rng = np.random.default_rng(self.RANDOM_SEED)
+        for expected in self.RANDOM:
+            _, _, sol = _solved(random_stu_scenario(rng))
+            assert abs(sol.objective - expected) <= 1e-6 * abs(expected)
