@@ -2,9 +2,13 @@
 
 A :class:`MilpModel` holds variables, linear constraints, SOS-2 sets and a
 maximization objective. :func:`solve` hands every model to HiGHS through
-``scipy.optimize.milp``. HiGHS takes no SOS-2 sets, so :func:`solve`
+the HiGHS binding that scipy bundles (``scipy.optimize._highspy``), which
+unlike ``scipy.optimize.milp`` reaches every HiGHS option; see
+:class:`ScipyMilpAdapter`. HiGHS takes no SOS-2 sets, so :func:`solve`
 replaces them by the standard segment-binary reformulation and projects
-the solution back onto the original variables.
+the solution back onto the original variables. A :class:`Solution`
+carries HiGHS's search statistics: nodes, simplex iterations and the
+dual bound.
 
 :func:`verify` re-checks any assignment against the model independently of
 the backend, so every run can self-certify feasibility.
@@ -12,16 +16,17 @@ the backend, so every run can self-certify feasibility.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.optimize
+import scipy.optimize._highspy._core as _h
 import scipy.sparse
 
 CONTINUOUS = "continuous"
@@ -46,6 +51,9 @@ class Solution:
     values: np.ndarray | None = None
     runtime_s: float = 0.0
     message: str = ""
+    nodes: int = 0  # branch-and-bound nodes
+    lp_iterations: int = 0  # simplex iterations
+    dual_bound: float | None = None  # proven upper bound on the objective
 
     def __post_init__(self):
         has_assignment = self.values is not None
@@ -196,124 +204,186 @@ class MilpModel:
 # Backend
 # ---------------------------------------------------------------------------
 
+def highs_options(options: SolveOptions) -> dict[str, object]:
+    """Every HiGHS option the backend sets, by HiGHS's own option names."""
+    return {
+        "output_flag": False,
+        "presolve": "on",
+        "time_limit": float(options.time_limit),
+        "mip_rel_gap": float(options.gap_tol),
+        "mip_heuristic_run_rins": False,
+        "mip_heuristic_run_rens": False,
+        "mip_allow_restart": False,
+    }
+
+
+@dataclass(frozen=True)
+class _Lowered:
+    """A model as HiGHS takes it: minimize ``cost @ x`` subject to
+    ``row_lower <= A x <= row_upper`` and ``lower <= x <= upper``, with
+    ``A`` column-wise."""
+
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    matrix: scipy.sparse.csc_array
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    integer: np.ndarray  # bool mask of the binaries
+
+
+def _lower(model: MilpModel) -> _Lowered:
+    n, m = model.n_vars, model.n_constraints
+    cost = np.zeros(n)
+    for v, coef in model._obj.items():
+        cost[v] = -coef  # HiGHS minimizes
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
+    row_lower = np.full(m, -math.inf)
+    row_upper = np.full(m, math.inf)
+    for r, (coeffs, sense, rhs, _) in enumerate(model._constraints):
+        rows.extend([r] * len(coeffs))
+        cols.extend(coeffs)
+        data.extend(coeffs.values())
+        if sense != "<=":
+            row_lower[r] = rhs
+        if sense != ">=":
+            row_upper[r] = rhs
+    matrix = scipy.sparse.csc_array((np.array(data, dtype=float), (rows, cols)), shape=(m, n))
+    return _Lowered(cost, model.lb_array(), model.ub_array(), matrix, row_lower, row_upper,
+                    np.array([kind == BINARY for kind in model._kind], dtype=bool))
+
+
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at stderr. HiGHS prints some MIP debug
+    lines straight to the process's stdout even with ``output_flag`` off."""
+    saved = os.dup(1)
+    try:
+        os.dup2(2, 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 class ScipyMilpAdapter:
-    """HiGHS backend via scipy.optimize.milp. It takes no SOS-2 sets;
+    """HiGHS backend, called through the HiGHS binding that scipy bundles
+    (``scipy.optimize._highspy._core``). It takes no SOS-2 sets;
     :func:`solve` reformulates them first.
+
+    The model is lowered once to a column-wise matrix and passed whole
+    with ``passModel``, the layout ``scipy.optimize.milp`` builds. The
+    binding is used instead of ``scipy.optimize.milp`` because only the
+    binding reaches every HiGHS option: HiGHS runs with its RINS and RENS
+    sub-MIP heuristics and its root restarts off (:func:`highs_options`).
+    On the shipped days HiGHS finds the optimal incumbent early and spends
+    most of the run proving it; the sub-MIPs and restarts took much of
+    that time without improving the incumbent. An option HiGHS rejects
+    raises ``ValueError`` before any solve.
 
     Integer variables come back from the backend only to within its
     integrality tolerance; downstream identities (piecewise conversion,
     storage telescoping) amplify that noise. Assignments with integers are
-    therefore polished: the integers are rounded and fixed, and the
-    continuous variables are refit by one LP solve.
-
-    HiGHS runs with its RINS and RENS sub-MIP heuristics off. On the
-    shipped days it finds the optimal incumbent early and spends most of
-    the run proving it; those sub-MIPs took much of that time without
-    improving the incumbent. scipy passes both option names, which it
-    does not list, to HiGHS verbatim; the RuntimeWarning it raises for
-    that is filtered around the backend call only. The warning scipy
-    raises when HiGHS does not know a name still surfaces.
+    therefore polished: the integers are rounded and fixed through their
+    column bounds, and the continuous variables are refit by one LP solve.
+    The LP runs on a fresh HiGHS instance built from the same lowered
+    arrays. Reusing the MIP instance (changing its integrality and bounds)
+    can make HiGHS return another optimal vertex of the LP, and the
+    thermal storage has alternate optima, so the next intraday session and
+    the run's total profit would move.
     """
 
     def solve(self, model: MilpModel, options: SolveOptions) -> Solution:
         if model.sos2_sets:
-            raise ValueError("scipy backend cannot take SOS-2 sets directly; use solve()")
+            raise ValueError("HiGHS backend cannot take SOS-2 sets directly; use solve()")
         t0 = time.perf_counter()
-        n = model.n_vars
-        lb, ub = model.lb_array(), model.ub_array()
-        if np.any(lb > ub):
+        low = _lower(model)
+        if np.any(low.lower > low.upper):
             return Solution(status="infeasible", message="empty variable domain",
                             runtime_s=time.perf_counter() - t0)
-
-        c = np.zeros(n)
-        for v, coef in model.objective_coeffs.items():
-            c[v] = -coef  # backend minimizes
-        integrality = np.array([1 if model.kind(i) == BINARY else 0 for i in range(n)])
-
-        constraints = []
-        if model.n_constraints:
-            rows, cols, data, clb, cub = [], [], [], [], []
-            for r in range(model.n_constraints):
-                coeffs, sense, rhs, _ = model.constraint(r)
-                for v, coef in coeffs.items():
-                    rows.append(r)
-                    cols.append(v)
-                    data.append(coef)
-                if sense == "<=":
-                    clb.append(-math.inf)
-                    cub.append(rhs)
-                elif sense == ">=":
-                    clb.append(rhs)
-                    cub.append(math.inf)
-                else:
-                    clb.append(rhs)
-                    cub.append(rhs)
-            mat = scipy.sparse.csr_matrix((data, (rows, cols)),
-                                          shape=(model.n_constraints, n))
-            constraints = [scipy.optimize.LinearConstraint(mat, clb, cub)]
-
-        def call_backend(lo: np.ndarray, hi: np.ndarray, integ: np.ndarray):
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", message="Unrecognized options detected",
-                                        category=RuntimeWarning)
-                return scipy.optimize.milp(
-                    c,
-                    constraints=constraints,
-                    integrality=integ,
-                    bounds=scipy.optimize.Bounds(lo, hi),
-                    options={
-                        "disp": False,
-                        "presolve": True,
-                        "time_limit": options.time_limit,
-                        "mip_rel_gap": options.gap_tol,
-                        "mip_heuristic_run_rins": False,
-                        "mip_heuristic_run_rens": False,
-                    },
-                )
-
-        try:
-            res = call_backend(lb, ub, integrality)
-        except Exception as exc:  # backend failure surfaces as a status
-            return Solution(status="error", message=f"backend failure: {exc}",
+        if not np.all(np.isfinite(low.cost)):
+            return Solution(status="error", message="non-finite objective coefficient",
                             runtime_s=time.perf_counter() - t0)
-
-        if res.status in (0, 1) and res.x is not None:
-            status = "optimal" if res.status == 0 else "feasible"
-            values = self._polish(np.asarray(res.x, dtype=float), call_backend,
-                                  lb, ub, integrality)
-            objective = float(c @ values)
-            return Solution(status=status, objective=-objective + model.obj_constant,
-                            values=values, runtime_s=time.perf_counter() - t0,
-                            message=str(res.message))
-        status = {1: "error", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
-        return Solution(status=status, runtime_s=time.perf_counter() - t0,
-                        message=str(res.message))
+        is_mip = bool(low.integer.any())
+        highs, status = self._run(low, low.lower, low.upper, low.integer, options)
+        info = highs.getInfo()
+        stats = {"nodes": max(int(info.mip_node_count), 0) if is_mip else 0,
+                 "lp_iterations": max(int(info.simplex_iteration_count), 0)}
+        message = highs.modelStatusToString(status)
+        incumbent = status == _h.HighsModelStatus.kOptimal or (
+            is_mip and status in _LIMITS and info.objective_function_value != _h.kHighsInf)
+        if not incumbent:
+            return Solution(status=_FAILED.get(status, "error"), message=message,
+                            runtime_s=time.perf_counter() - t0, **stats)
+        values = np.array(highs.getSolution().col_value)
+        bound = info.mip_dual_bound if is_mip else info.objective_function_value
+        if is_mip:
+            values = self._polish(low, values, options)
+        return Solution(
+            status="optimal" if status == _h.HighsModelStatus.kOptimal else "feasible",
+            objective=-float(low.cost @ values) + model.obj_constant, values=values,
+            runtime_s=time.perf_counter() - t0, message=message,
+            dual_bound=-float(bound) + model.obj_constant, **stats)
 
     @staticmethod
-    def _polish(x: np.ndarray, call_backend, lb: np.ndarray, ub: np.ndarray,
-                integrality: np.ndarray) -> np.ndarray:
+    def _run(low: _Lowered, lower: np.ndarray, upper: np.ndarray, integer: np.ndarray,
+             options: SolveOptions):
+        """Run a fresh HiGHS instance over the lowered model with these
+        column bounds and integer columns. Returns the instance and its
+        model status: ``kModelError`` when HiGHS does not take the model,
+        ``kSolveError`` when the run fails."""
+        highs = _h._Highs()
+        for name, value in highs_options(options).items():
+            if highs.setOptionValue(name, value) != _h.HighsStatus.kOk:
+                raise ValueError(f"HiGHS rejected option {name}={value!r}")
+        lp = _h.HighsLp()
+        lp.num_col_, lp.num_row_ = low.matrix.shape[1], low.matrix.shape[0]
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = low.cost, lower, upper
+        lp.row_lower_, lp.row_upper_ = low.row_lower, low.row_upper
+        lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = lp.num_col_, lp.num_row_
+        lp.a_matrix_.start_ = low.matrix.indptr
+        lp.a_matrix_.index_ = low.matrix.indices
+        lp.a_matrix_.value_ = low.matrix.data
+        lp.integrality_ = [_INTEGER if i else _CONTINUOUS for i in integer]
+        if highs.passModel(lp) == _h.HighsStatus.kError:
+            return highs, _h.HighsModelStatus.kModelError
+        with _stdout_to_stderr():
+            if highs.run() == _h.HighsStatus.kError:
+                return highs, _h.HighsModelStatus.kSolveError
+        return highs, highs.getModelStatus()
+
+    @classmethod
+    def _polish(cls, low: _Lowered, x: np.ndarray, options: SolveOptions) -> np.ndarray:
         """Fix the integers at their rounded values and refit the rest.
 
         Keeps the incumbent when the refit fails, which can only happen
         through backend numerics: the rounded point is feasible whenever
         the incumbent satisfied the integrality tolerance.
         """
-        mask = integrality > 0
-        if not mask.any():
+        mask = low.integer
+        snapped = np.clip(np.round(x[mask]), low.lower[mask], low.upper[mask])
+        lower, upper = low.lower.copy(), low.upper.copy()
+        lower[mask] = snapped
+        upper[mask] = snapped
+        highs, status = cls._run(low, lower, upper, np.zeros_like(mask), options)
+        if status != _h.HighsModelStatus.kOptimal:
             return x
-        snapped = np.clip(np.round(x[mask]), lb[mask], ub[mask])
-        lo, hi = lb.copy(), ub.copy()
-        lo[mask] = snapped
-        hi[mask] = snapped
-        try:
-            res = call_backend(lo, hi, np.zeros(x.shape[0]))
-        except Exception:
-            return x
-        if res.status == 0 and res.x is not None:
-            polished = np.asarray(res.x, dtype=float)
-            polished[mask] = snapped
-            return polished
-        return x
+        polished = np.array(highs.getSolution().col_value)
+        polished[mask] = snapped
+        return polished
+
+
+_INTEGER = _h.HighsVarType.kInteger
+_CONTINUOUS = _h.HighsVarType.kContinuous
+_LIMITS = (_h.HighsModelStatus.kTimeLimit, _h.HighsModelStatus.kIterationLimit)
+# model statuses without an assignment; the rest end as "error". A model
+# HiGHS does not take ends "infeasible", as scipy.optimize.milp reported it.
+_FAILED = {_h.HighsModelStatus.kInfeasible: "infeasible",
+           _h.HighsModelStatus.kModelError: "infeasible",
+           _h.HighsModelStatus.kUnbounded: "unbounded"}
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ class SessionResult:
     runtime_s: float
     n_vars: int
     n_constraints: int
+    nodes: int = 0  # branch-and-bound nodes
+    lp_iterations: int = 0  # simplex iterations of the MILP solve
+    abs_gap: float | None = None  # |objective - dual bound|, EUR
 
 
 @dataclass(frozen=True)
@@ -173,9 +176,14 @@ def _solve_session(model: MilpModel, options: SolveOptions,
     violations: tuple[Violation, ...] = ()
     if sol.values is not None:
         violations = tuple(verify(model, sol))
+    abs_gap = None
+    if sol.objective is not None and sol.dual_bound is not None:
+        abs_gap = abs(sol.objective - sol.dual_bound)
     result = SessionResult(key=key, status=sol.status, objective=sol.objective,
                            violations=violations, runtime_s=sol.runtime_s,
-                           n_vars=model.n_vars, n_constraints=model.n_constraints)
+                           n_vars=model.n_vars, n_constraints=model.n_constraints,
+                           nodes=sol.nodes, lp_iterations=sol.lp_iterations,
+                           abs_gap=abs_gap)
     return sol, result
 
 
@@ -315,7 +323,12 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
             violations=tuple(v for p in parts for v in p.violations),
             runtime_s=sum(p.runtime_s for p in parts),
             n_vars=sum(p.n_vars for p in parts),
-            n_constraints=sum(p.n_constraints for p in parts)))
+            n_constraints=sum(p.n_constraints for p in parts),
+            nodes=sum(p.nodes for p in parts),
+            lp_iterations=sum(p.lp_iterations for p in parts),
+            # the parts' gaps add up to a bound on the aggregate's gap
+            abs_gap=None if any(p.abs_gap is None for p in parts)
+            else sum(p.abs_gap for p in parts)))
 
     return RunResult(mode="nocoord", scenario_name=s.name,
                      sessions=tuple(merged_sessions), ledger=None, ledger_history=(),

@@ -72,6 +72,9 @@ def _session_dicts(result: RunResult) -> list[dict]:
             "runtimeS": r.runtime_s,
             "nVars": r.n_vars,
             "nConstraints": r.n_constraints,
+            "nodes": r.nodes,
+            "lpIterations": r.lp_iterations,
+            "absGap": r.abs_gap,
         }
         for r in result.sessions
     ]

@@ -1,12 +1,12 @@
 """End-to-end acceptance gates on the shipped study days and randomized
 instances.
 
-Nine checks, one test each: clean and fast solves of both shipped days,
-agreement of the day-ahead optimizer with exhaustive enumeration,
-conversion-curve fidelity and agreement of the two SOS-2 routes, storage
-bookkeeping, demand contracts, the value of coordination, sharp
-profile-payment thresholds, inert no-news sessions, and price
-monotonicity.
+Eleven checks, one test each: clean and fast solves of both shipped days,
+their pinned total profits and day-ahead search counts, agreement of the
+day-ahead optimizer with exhaustive enumeration, conversion-curve
+fidelity and agreement of the two SOS-2 routes, storage bookkeeping,
+demand contracts, the value of coordination, sharp profile-payment
+thresholds, inert no-news sessions, and price monotonicity.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import _Highs
 
 from conftest import Sos2EnumerationAdapter, enumerate_dam_optimum, make_scenario
 from vppopt.casestudy import equal_information_variant
@@ -41,6 +42,13 @@ from vppopt.synth import (
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 RUNTIME_BUDGET_S = 10.0  # full day-ahead-plus-intraday run, per shipped day
+# total profit in EUR of each shipped day, coordinated and with every asset alone
+SHIPPED_TOTALS = {"clear": {"vpp": 35057.069660, "nocoord": 30473.354660},
+                  "cloudy": {"vpp": 7032.207469, "nocoord": 1851.802469}}
+# (B&B nodes, simplex iterations) of each shipped day-ahead solve; they
+# repeat exactly on one HiGHS build
+DAY_AHEAD_COUNTS = {"clear": (3, 935), "cloudy": (5, 2172)}
+COUNTS_HIGHS_VERSION = "1.12.0"
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +121,27 @@ class TestSolveQuality:
                 assert sess.violations == (), \
                     f"{name}/{sess.key}: {sess.violations[:3]}"
             assert wall < RUNTIME_BUDGET_S, f"{name}: {wall:.2f}s"
+
+    def test_shipped_totals_are_pinned(self, study, baselines):
+        """The total profits of both days in both modes stay at their
+        recorded values to 1e-6 relative. The thermal storage has
+        alternate optima, so a backend change can move a total while every
+        session still verifies clean."""
+        for name, want in SHIPPED_TOTALS.items():
+            got = {"vpp": study[name][1].profits.total,
+                   "nocoord": baselines[name].profits.total}
+            for mode in want:
+                assert got[mode] == pytest.approx(want[mode], rel=1e-6), f"{name}/{mode}"
+
+    @pytest.mark.skipif(_Highs().version() != COUNTS_HIGHS_VERSION,
+                        reason=f"search counts are pinned for HiGHS {COUNTS_HIGHS_VERSION}")
+    def test_day_ahead_search_counts_are_pinned(self, study):
+        """A change to the formulation or to the HiGHS options shows as a
+        count diff before it shows in any timing."""
+        for name, (nodes, iterations) in DAY_AHEAD_COUNTS.items():
+            dam = study[name][1].sessions[0]
+            assert (dam.nodes, dam.lp_iterations) == (nodes, iterations), name
+            assert dam.abs_gap <= 1e-6 * abs(dam.objective), name
 
     def test_day_ahead_matches_exhaustive_enumeration(self):
         """Branch-and-bound agrees with brute force over every commitment

@@ -9,17 +9,20 @@ import numpy as np
 import pytest
 
 from conftest import Sos2EnumerationAdapter, recompute_objective
+from vppopt import milp
+from vppopt.dam import assemble_dam
 from vppopt.milp import (
     MilpModel,
     ScipyMilpAdapter,
     Solution,
     SolveOptions,
     dump_lp,
+    highs_options,
     reformulate_sos2_as_binary,
     solve,
     verify,
 )
-from vppopt.synth import random_piecewise_model
+from vppopt.synth import random_piecewise_model, random_stu_scenario
 
 
 class TestSolveBasics:
@@ -120,6 +123,64 @@ class TestSolveBasics:
             assert warnings.filters == filters
         assert sol.status == "optimal", sol.message
         assert np.isclose(sol.objective, 16.0, atol=1e-9)
+
+
+def _two_binaries() -> MilpModel:
+    m = MilpModel()
+    u = m.add_binary("u")
+    v = m.add_binary("v")
+    y = m.add_continuous("y", ub=10.0)
+    m.add_constraint({y: 1.0, u: -6.0, v: -4.0}, "<=", 0.0, "cap")
+    m.add_constraint({u: 1.0, v: 1.0}, "<=", 1.0, "one")
+    m.set_objective({y: 3.0, u: -2.0, v: -1.0})
+    return m
+
+
+class TestHighsBinding:
+    """The backend calls HiGHS through scipy's private binding; a release
+    that moves or renames it, or drops an option, fails here first."""
+
+    def test_binding_takes_every_option(self):
+        from scipy.optimize._highspy._core import HighsStatus, _Highs
+
+        highs = _Highs()
+        for name, value in highs_options(SolveOptions(gap_tol=1e-4, time_limit=5)).items():
+            assert highs.setOptionValue(name, value) == HighsStatus.kOk, name
+            assert highs.getOptionValue(name) == (HighsStatus.kOk, value), name
+
+    def test_unknown_option_raises(self, monkeypatch):
+        options = highs_options(SolveOptions())
+        monkeypatch.setattr(milp, "highs_options",
+                            lambda _: {**options, "no_such_option": 1})
+        with pytest.raises(ValueError, match="no_such_option"):
+            ScipyMilpAdapter().solve(_two_binaries(), SolveOptions())
+
+    def test_search_statistics(self):
+        sol = solve(_two_binaries())
+        assert sol.status == "optimal"
+        assert sol.nodes >= 0 and sol.lp_iterations >= 0
+        assert sol.dual_bound == pytest.approx(16.0, abs=1e-6)
+        lp = MilpModel()
+        x = lp.add_continuous("x", ub=4.0)
+        lp.add_constraint({x: 1.0}, "<=", 3.0, "cap")
+        lp.set_objective({x: 2.0}, constant=1.0)
+        sol = solve(lp)
+        assert (sol.objective, sol.dual_bound, sol.nodes) == (7.0, 7.0, 0)
+        assert sol.lp_iterations >= 0
+        free = MilpModel()
+        free.set_objective({free.add_continuous("x"): 1.0})
+        assert solve(free).dual_bound is None  # unbounded
+
+    def test_highs_does_not_write_to_stdout(self, capfd):
+        # instance 6 makes HiGHS 1.12 print a MIP debug line to the
+        # process's stdout whatever its output options say
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            random_stu_scenario(rng)
+        model, _ = assemble_dam(random_stu_scenario(rng))
+        sol = solve(model)
+        assert capfd.readouterr().out == ""
+        assert abs(sol.objective - 9765.315143) <= 1e-6 * 9765.315143
 
 
 class TestValidation:

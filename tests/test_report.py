@@ -145,13 +145,21 @@ class TestEmitAndLoad:
         assert doc["total"] == report.total_profit
 
     def test_profiles_and_verify_json(self, toy, tmp_path):
-        report = build_report(toy, run_vpp(toy))
+        result = run_vpp(toy)
+        report = build_report(toy, result)
         emit_report(report, tmp_path)
         profiles = json.loads((tmp_path / "profiles.json").read_text())
         assert profiles == {"load": {"selected": "flat", "cost": 0.0}}
         verify_doc = json.loads((tmp_path / "verify.json").read_text())
         assert [sess["key"] for sess in verify_doc["sessions"]] == ["dam", "idm1"]
         assert all(sess["violations"] == [] for sess in verify_doc["sessions"])
+        # per-session solver statistics, as the run recorded them
+        for sess, res in zip(verify_doc["sessions"], result.sessions):
+            assert (sess["nodes"], sess["lpIterations"], sess["absGap"]) == \
+                (res.nodes, res.lp_iterations, res.abs_gap)
+            assert isinstance(sess["nodes"], int) and sess["nodes"] >= 0
+            assert isinstance(sess["lpIterations"], int) and sess["lpIterations"] >= 0
+            assert 0.0 <= sess["absGap"] <= 1e-6 * max(1.0, abs(sess["objective"]))
         assert verify_doc["summary"] == []
         assert set(verify_doc["checks"]) == {"demandContracts", "aggregateBalance",
                                              "storageConservation"}
