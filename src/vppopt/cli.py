@@ -7,9 +7,10 @@ a scenario file and prints its diagnostics.
 
 Exit codes: 0 success, 2 usage or input errors (a bad scenario file, a
 bad flag value such as ``--step 0``, or an output path that cannot be
-written, caught before the first solve), 3 an infeasible session,
-4 a solver failure, a verification violation, or recomputed profits that
-drift from the solver's by more than ``MAX_PROFIT_DRIFT``.
+written, caught before the first solve; or a model with a non-finite
+number built from a valid scenario), 3 an infeasible session, 4 a solver
+failure, a verification violation or check finding, or recomputed
+profits that drift from the solver's by more than ``MAX_PROFIT_DRIFT``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from vppopt import dam as dam_mod
-from vppopt.milp import SolveOptions, dump_lp
+from vppopt.milp import ModelError, SolveOptions, dump_lp
 from vppopt.orchestrator import RunConfig, run, session_keys, sweep_profile_costs
 from vppopt.report import build_report, emit_report, emit_thresholds
 from vppopt.scenario import ScenarioError, ScenarioValidationError, load_scenario
@@ -112,13 +114,17 @@ def _load(path: str):
 
 
 @contextmanager
-def _writing():
-    """Turn a failed write into one stderr line and exit 2."""
+def _exit_2_on(error: type[Exception], what: str):
+    """Turn ``error`` into one ``what: <error>`` line on stderr and exit 2."""
     try:
         yield
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
+    except error as exc:
+        print(f"{what}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+_writing = partial(_exit_2_on, OSError, "cannot write output")
+_building = partial(_exit_2_on, ModelError, "cannot build model")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -135,14 +141,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with _writing():
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     if args.dump_model:
-        model, _ = dam_mod.assemble_dam(scenario)
+        with _building():
+            model, _ = dam_mod.assemble_dam(scenario)
         with _writing():
             dump_lp(model, args.dump_model)
         print(f"model written to {args.dump_model}")
 
     cfg = RunConfig(mode=args.mode, sessions=sessions,
                     options=SolveOptions(gap_tol=args.gap, time_limit=args.time_limit))
-    result = run(scenario, cfg)
+    with _building():
+        result = run(scenario, cfg)
 
     report = build_report(scenario, result)
     with _writing():
@@ -176,9 +184,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with _writing():
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     try:
-        entries = sweep_profile_costs(scenario, demand_id=args.demand,
-                                      profile_id=args.profile, max_cost=args.max,
-                                      resolution=args.step)
+        with _building():
+            entries = sweep_profile_costs(scenario, demand_id=args.demand,
+                                          profile_id=args.profile, max_cost=args.max,
+                                          resolution=args.step)
     except KeyError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

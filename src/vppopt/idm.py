@@ -249,11 +249,11 @@ def build_idm_demand_constraints(model: MilpModel, reg: VariableRegistry, s: Sce
                              f"dem_minenergy.{d.id}")
 
 
-def assemble_idm(s: Scenario, ledger: LedgerState, k: int,
-                 forecast: ForecastSet | None = None) -> tuple[MilpModel, VariableRegistry]:
-    """Complete model for intraday session k given the ledger so far."""
-    if forecast is None:
-        forecast = s.forecast(k)
+def assemble_idm(s: Scenario, ledger: LedgerState,
+                 k: int) -> tuple[MilpModel, VariableRegistry]:
+    """Complete model for intraday session k given the ledger so far, under
+    the session's own forecast set."""
+    forecast = s.forecast(k)
     tau = s.calendar.session(k).first_period
     model = MilpModel(f"idm{k}[{s.name}]" if s.name else f"idm{k}")
     reg = VariableRegistry()

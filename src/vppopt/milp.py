@@ -34,6 +34,8 @@ BINARY = "binary"
 
 _SENSES = ("<=", ">=", "==")
 
+FEAS_TOL = 1e-6  # absolute tolerance of verify()
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -60,6 +62,10 @@ class Solution:
         if has_assignment != (self.status in ("optimal", "feasible")):
             raise ValueError(
                 f"status {self.status!r} inconsistent with assignment presence {has_assignment}")
+
+
+class ModelError(ValueError):
+    """A model that cannot go to a solver, from :meth:`MilpModel.validate`."""
 
 
 @dataclass(frozen=True)
@@ -172,32 +178,38 @@ class MilpModel:
         return out
 
     def validate(self) -> None:
-        """Raise ValueError on any structural defect."""
+        """Raise :class:`ModelError` on any structural defect."""
         n = self.n_vars
         for i, (coeffs, sense, rhs, name) in enumerate(self._constraints):
-            for v in coeffs:
+            for v, coef in coeffs.items():
                 if not 0 <= v < n:
-                    raise ValueError(f"constraint {name or i} references unknown variable {v}")
+                    raise ModelError(f"constraint {name or i} references unknown variable {v}")
+                if not math.isfinite(coef):
+                    raise ModelError(f"constraint {name or i} has non-finite coefficient "
+                                     f"{coef} on {self.var_name(v)}")
             if not math.isfinite(rhs):
-                raise ValueError(f"constraint {name or i} has non-finite rhs {rhs}")
-        for v in self._obj:
+                raise ModelError(f"constraint {name or i} has non-finite rhs {rhs}")
+        for v, coef in self._obj.items():
             if not 0 <= v < n:
-                raise ValueError(f"objective references unknown variable {v}")
+                raise ModelError(f"objective references unknown variable {v}")
+            if not math.isfinite(coef):
+                raise ModelError(f"objective has non-finite coefficient {coef} on "
+                                 f"{self.var_name(v)}")
         for members, name in self.sos2_sets:
             if len(members) < 2:
-                raise ValueError(f"SOS-2 set {name!r} needs at least 2 members")
+                raise ModelError(f"SOS-2 set {name!r} needs at least 2 members")
             if len(set(members)) != len(members):
-                raise ValueError(f"SOS-2 set {name!r} repeats a member")
+                raise ModelError(f"SOS-2 set {name!r} repeats a member")
             for m in members:
                 if not 0 <= m < n:
-                    raise ValueError(f"SOS-2 set {name!r} references unknown variable {m}")
+                    raise ModelError(f"SOS-2 set {name!r} references unknown variable {m}")
                 if self._kind[m] != CONTINUOUS:
-                    raise ValueError(f"SOS-2 set {name!r} member {m} must be continuous")
+                    raise ModelError(f"SOS-2 set {name!r} member {m} must be continuous")
         for i, (kind, lb, ub) in enumerate(zip(self._kind, self._lb, self._ub)):
             if kind == BINARY and not (0 <= lb and ub <= 1):
-                raise ValueError(f"binary variable {self.var_name(i)} has bounds outside [0,1]")
+                raise ModelError(f"binary variable {self.var_name(i)} has bounds outside [0,1]")
             if math.isnan(lb) or math.isnan(ub):
-                raise ValueError(f"variable {self.var_name(i)} has NaN bounds")
+                raise ModelError(f"variable {self.var_name(i)} has NaN bounds")
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +314,6 @@ class ScipyMilpAdapter:
         low = _lower(model)
         if np.any(low.lower > low.upper):
             return Solution(status="infeasible", message="empty variable domain",
-                            runtime_s=time.perf_counter() - t0)
-        if not np.all(np.isfinite(low.cost)):
-            return Solution(status="error", message="non-finite objective coefficient",
                             runtime_s=time.perf_counter() - t0)
         is_mip = bool(low.integer.any())
         highs, status = self._run(low, low.lower, low.upper, low.integer, options)
@@ -452,12 +461,12 @@ def reformulate_sos2_as_binary(model: MilpModel) -> MilpModel:
     return out
 
 
-def verify(model: MilpModel, solution: Solution, feas_tol: float = 1e-6) -> list[Violation]:
+def verify(model: MilpModel, solution: Solution) -> list[Violation]:
     """Independently re-check an assignment against the model.
 
     Returns one violation per failed constraint, bound, integrality or
-    SOS-2 condition; an empty list certifies feasibility within the
-    tolerance.
+    SOS-2 condition; an empty list certifies feasibility within
+    ``FEAS_TOL``.
     """
     if solution.values is None:
         raise ValueError(f"solution with status {solution.status!r} has no assignment")
@@ -475,22 +484,22 @@ def verify(model: MilpModel, solution: Solution, feas_tol: float = 1e-6) -> list
             residual = rhs - act
         else:
             residual = abs(act - rhs)
-        if residual > feas_tol:
+        if residual > FEAS_TOL:
             out.append(Violation("constraint", model.constraint_name(r), float(residual)))
 
     for i in range(model.n_vars):
         lb, ub = model.bounds(i)
-        if x[i] < lb - feas_tol:
+        if x[i] < lb - FEAS_TOL:
             out.append(Violation("bound", model.var_name(i), float(lb - x[i])))
-        elif x[i] > ub + feas_tol:
+        elif x[i] > ub + FEAS_TOL:
             out.append(Violation("bound", model.var_name(i), float(x[i] - ub)))
         if model.kind(i) == BINARY:
             drift = abs(x[i] - round(x[i]))
-            if drift > feas_tol:
+            if drift > FEAS_TOL:
                 out.append(Violation("integrality", model.var_name(i), float(drift)))
 
     for members, name in model.sos2_sets:
-        nz = [m for m in members if abs(x[m]) > feas_tol]
+        nz = [m for m in members if abs(x[m]) > FEAS_TOL]
         label = (name or "sos2") + " adjacency"
         if len(nz) > 2:
             # everything beyond the largest adjacent pair must vanish

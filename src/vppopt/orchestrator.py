@@ -5,8 +5,9 @@ A VPP run solves the day-ahead model, seeds the ledger, then walks the
 calendar's intraday sessions in order, each with its own forecast set.
 Every solved session is independently re-verified. The no-coordination
 baseline gives each asset its own isolated market run (demands stay
-passive on their default profile), so the two modes are comparable
-profit-for-profit. The sweep finds, per demand profile, the largest
+passive on their default profile) and folds the runs into one ledger,
+so the two modes are comparable profit-for-profit and check-for-check.
+The sweep finds, per demand profile, the largest
 payment at which the optimizer still picks it over the default, in
 closed form from two day-ahead solves with the choice held either way.
 """
@@ -273,53 +274,69 @@ def passive_demand_profit(s: Scenario, d: DemandAsset) -> float:
                 in zip(s.calendar.dam_prices, profile.power)) * s.dt
 
 
+def _aggregate_ledger(s: Scenario, keys: Sequence[str], parts: Sequence[LedgerState],
+                      demand_profit: float) -> LedgerState:
+    """The portfolio's ledger after the sessions ``keys``: the isolated
+    assets' trades and objectives summed in asset order, their own
+    schedules, and every demand on its default profile, bought day-ahead."""
+    defaults = {d.id: d.default_profile() for d in s.demands}
+    dam_trade = [0.0] * s.n_periods
+    idm_trades = {int(key[3:]): [0.0] * s.n_periods for key in keys[1:]}
+    for part in parts:
+        dam_trade = [x + y for x, y in zip(dam_trade, part.dam_trade)]
+        idm_trades = {k: [x + y for x, y in zip(series, part.idm_trades[k])]
+                      for k, series in idm_trades.items()}
+    for profile in defaults.values():
+        dam_trade = [x - y for x, y in zip(dam_trade, profile.power)]
+    objectives = {key: float(sum(part.objectives[key] for part in parts)) for key in keys}
+    objectives["dam"] += demand_profit
+    schedules = {name: {aid: v for part in parts for aid, v in getattr(part, name).items()}
+                 for name in ("dres_p", "dres_u", "ndres_p", "stu_series")}
+    return LedgerState(
+        n_periods=s.n_periods, dam_trade=tuple(dam_trade),
+        idm_trades={k: tuple(series) for k, series in idm_trades.items()},
+        selected_profiles={did: p.id for did, p in defaults.items()},
+        demand_p={did: p.power for did, p in defaults.items()},
+        objectives=objectives, **schedules)
+
+
 def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     """Every asset bids alone; demands stay passive on the default profile.
 
     Each generation asset gets an isolated single-bus run over the same
-    calendar and its own forecasts; aggregate profit is the sum of the
-    individual outcomes plus the passive demand purchase costs (booked at
-    the day-ahead stage).
+    calendar and its own forecasts. The runs fold into one aggregate
+    ledger per session that every asset completed, so profits, their
+    recomputation and the post-hoc checks treat the baseline like a VPP
+    run. The passive demand purchase costs are booked at the day-ahead
+    stage.
     """
     cfg = cfg or RunConfig()
     keys = session_keys(s, cfg.sessions)
-    sub_cfg = replace(cfg, mode="vpp")
-    asset_runs: list[tuple[str, RunResult]] = []
-    failure = None
-    for a in s.dres + s.ndres + s.stu:
-        sub = single_asset_scenario(s, a.id)
-        run = run_vpp(sub, sub_cfg)
-        asset_runs.append((a.id, run))
-        if not run.ok and failure is None:
-            failure = run.failure
+    asset_runs = [(a.id, run_vpp(single_asset_scenario(s, a.id), cfg))
+                  for a in s.dres + s.ndres + s.stu]
+    failure = next((run.failure for _, run in asset_runs if not run.ok), None)
 
     demand_profit = {d.id: passive_demand_profit(s, d) for d in s.demands}
-
-    per_session: dict[str, float] = {}
-    recomputed: dict[str, float] = {}
-    for key in keys:
-        contributions = [run.profits.per_session.get(key) for _, run in asset_runs]
-        if any(c is None for c in contributions):
-            continue
-        per_session[key] = float(sum(contributions))
-        recomputed[key] = float(sum(run.profits.recomputed.get(key, 0.0)
-                                    for _, run in asset_runs))
-        if key == "dam":
-            per_session[key] += sum(demand_profit.values())
-            recomputed[key] += sum(demand_profit.values())
+    done = min((len(run.ledger_history) for _, run in asset_runs), default=len(keys))
+    history = [_aggregate_ledger(s, keys[:i + 1],
+                                 [run.ledger_history[i] for _, run in asset_runs],
+                                 sum(demand_profit.values()))
+               for i in range(done)]
+    profits = ProfitBreakdown({}, {})
+    if history:
+        profits = ProfitBreakdown(per_session=dict(history[-1].objectives),
+                                  recomputed=recompute_profits(s, history))
 
     merged_sessions = []
     for i, key in enumerate(keys):
         parts = [run.sessions[i] for _, run in asset_runs if len(run.sessions) > i]
         if not parts:
             break
-        status = "optimal"
-        for p in parts:
-            if p.status != "optimal":
-                status = p.status
         merged_sessions.append(SessionResult(
-            key=key, status=status,
-            objective=per_session.get(key),
+            key=key,
+            status=next((p.status for p in reversed(parts) if p.status != "optimal"),
+                        "optimal"),
+            objective=profits.per_session.get(key),
             violations=tuple(v for p in parts for v in p.violations),
             runtime_s=sum(p.runtime_s for p in parts),
             n_vars=sum(p.n_vars for p in parts),
@@ -331,8 +348,9 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
             else sum(p.abs_gap for p in parts)))
 
     return RunResult(mode="nocoord", scenario_name=s.name,
-                     sessions=tuple(merged_sessions), ledger=None, ledger_history=(),
-                     profits=ProfitBreakdown(per_session=per_session, recomputed=recomputed),
+                     sessions=tuple(merged_sessions),
+                     ledger=history[-1] if history else None,
+                     ledger_history=tuple(history), profits=profits,
                      failure=failure, asset_runs=tuple(asset_runs),
                      passive_demand_profit=demand_profit)
 
@@ -447,8 +465,10 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
 # Independent post-hoc checkers
 # ---------------------------------------------------------------------------
 
-def check_demand_contracts(s: Scenario, ledger: LedgerState,
-                           tol: float = 1e-6) -> list[str]:
+CHECK_TOL = 1e-6  # absolute tolerance of the checkers below
+
+
+def check_demand_contracts(s: Scenario, ledger: LedgerState) -> list[str]:
     """Re-check every demand's settled consumption against its contract:
     tolerance band around the selected profile, ramp limits, and the
     minimum-energy floor. Independent of any solver artifact."""
@@ -461,26 +481,25 @@ def check_demand_contracts(s: Scenario, ledger: LedgerState,
             ref = profile.power[t - 1]
             lo = (1.0 - d.tol_lo[t - 1]) * ref
             hi = (1.0 + d.tol_hi[t - 1]) * ref
-            if not lo - tol <= series[t - 1] <= hi + tol:
+            if not lo - CHECK_TOL <= series[t - 1] <= hi + CHECK_TOL:
                 out.append(f"{d.id}: period {t} consumption {series[t - 1]:.6f} "
                            f"outside band [{lo:.6f}, {hi:.6f}]")
         for t in range(2, s.n_periods + 1):
             step = series[t - 1] - series[t - 2]
-            if step > d.ramp_up * dt + tol:
+            if step > d.ramp_up * dt + CHECK_TOL:
                 out.append(f"{d.id}: period {t} ramp-up {step:.6f} exceeds "
                            f"{d.ramp_up * dt:.6f}")
-            if -step > d.ramp_down * dt + tol:
+            if -step > d.ramp_down * dt + CHECK_TOL:
                 out.append(f"{d.id}: period {t} ramp-down {-step:.6f} exceeds "
                            f"{d.ramp_down * dt:.6f}")
         energy = sum(series) * dt
-        if energy < d.min_energy - tol:
+        if energy < d.min_energy - CHECK_TOL:
             out.append(f"{d.id}: energy {energy:.6f} MWh below minimum "
                        f"{d.min_energy:.6f}")
     return out
 
 
-def check_aggregate_balance(s: Scenario, ledger: LedgerState,
-                            tol: float = 1e-6) -> list[str]:
+def check_aggregate_balance(s: Scenario, ledger: LedgerState) -> list[str]:
     """Generation minus consumption must equal the committed trade in
     every period of the final schedules."""
     out = []
@@ -490,15 +509,14 @@ def check_aggregate_balance(s: Scenario, ledger: LedgerState,
         gen += sum(ledger.stu_series[a.id][stu_mod.POWER][t - 1] for a in s.stu)
         load = sum(ledger.demand_p[d.id][t - 1] for d in s.demands)
         residual = gen - load - ledger.cumulative_trade(t)
-        if abs(residual) > tol:
+        if abs(residual) > CHECK_TOL:
             out.append(f"period {t}: generation {gen:.6f} - load {load:.6f} "
                        f"!= trade {ledger.cumulative_trade(t):.6f} "
                        f"(residual {residual:.3e})")
     return out
 
 
-def check_storage_conservation(s: Scenario, ledger: LedgerState,
-                               tol: float = 1e-6) -> list[str]:
+def check_storage_conservation(s: Scenario, ledger: LedgerState) -> list[str]:
     """Telescoped storage balance and end-of-horizon window on the final
     storage trajectories."""
     out = []
@@ -511,10 +529,10 @@ def check_storage_conservation(s: Scenario, ledger: LedgerState,
         expected = a.initial_energy + sum(
             a.charge_eff * chg[t] * dt - dis[t] * dt / a.discharge_eff
             for t in range(s.n_periods))
-        if abs(e[-1] - expected) > tol:
+        if abs(e[-1] - expected) > CHECK_TOL:
             out.append(f"{a.id}: end energy {e[-1]:.6f} != telescoped {expected:.6f}")
-        cap_end = a.storage_cap[-1]
-        if not (a.end_alpha_lo * cap_end - tol <= e[-1] <= a.end_alpha_hi * cap_end + tol):
+        lo, hi = a.end_alpha_lo * a.storage_cap[-1], a.end_alpha_hi * a.storage_cap[-1]
+        if not lo - CHECK_TOL <= e[-1] <= hi + CHECK_TOL:
             out.append(f"{a.id}: end energy {e[-1]:.6f} outside window "
-                       f"[{a.end_alpha_lo * cap_end:.6f}, {a.end_alpha_hi * cap_end:.6f}]")
+                       f"[{lo:.6f}, {hi:.6f}]")
     return out

@@ -68,7 +68,7 @@ def _session_dicts(result: RunResult) -> list[dict]:
             "key": r.key,
             "status": r.status,
             "objective": r.objective,
-            "violations": [f"{v.kind} {v.name}: {v.residual:.3e}" for v in r.violations],
+            "violations": [str(v) for v in r.violations],
             "runtimeS": r.runtime_s,
             "nVars": r.n_vars,
             "nConstraints": r.n_constraints,
@@ -93,8 +93,13 @@ def _running_totals(dam_trade: Sequence[float], idm_trades: Mapping[int, Sequenc
 
 
 def build_report(s: Scenario, result: RunResult) -> Report:
+    """One builder for both modes: a no-coordination run carries the
+    aggregate ledger of its isolated asset runs, plus the passive demand
+    profits and a note on what the baseline assumes."""
+    labels = {}
     if result.mode == "nocoord":
-        return _build_nocoord_report(s, result)
+        labels = {"passive_demand_profit": dict(result.passive_demand_profit),
+                  "note": NOCOORD_NOTE}
     ledger = result.ledger
     if ledger is None:
         return Report(
@@ -102,7 +107,7 @@ def build_report(s: Scenario, result: RunResult) -> Report:
             dam_trade=(), idm_trade={}, idm_cumulative={}, dispatch={}, storage={},
             demand={}, profits={}, recomputed_profits={}, chosen_profiles={},
             profile_costs={}, sessions=_session_dicts(result), checks={},
-            failure=result.failure)
+            failure=result.failure, **labels)
 
     dispatch: dict[str, tuple[float, ...]] = {}
     for a in s.dres:
@@ -135,60 +140,7 @@ def build_report(s: Scenario, result: RunResult) -> Report:
         sessions=_session_dicts(result),
         checks=checks,
         failure=result.failure,
-    )
-
-
-def _build_nocoord_report(s: Scenario, result: RunResult) -> Report:
-    T = s.n_periods
-    dam_trade = [0.0] * T
-    idm_trade: dict[int, list[float]] = {sess.k: [0.0] * T for sess in s.calendar.sessions}
-    dispatch: dict[str, tuple[float, ...]] = {}
-    storage: dict[str, tuple[float, ...]] = {}
-    checks: dict[str, list[str]] = {"storageConservation": [], "aggregateBalance": [],
-                                    "demandContracts": []}
-    for aid, run in result.asset_runs:
-        ledger = run.ledger
-        if ledger is None:
-            continue
-        for t in range(T):
-            dam_trade[t] += ledger.dam_trade[t]
-        for k, series in ledger.idm_trades.items():
-            for t in range(T):
-                idm_trade[k][t] += series[t]
-        for cid, series in ledger.dres_p.items():
-            dispatch[cid] = series
-        for rid, series in ledger.ndres_p.items():
-            dispatch[rid] = series
-        for tid, roles in ledger.stu_series.items():
-            dispatch[tid] = roles[stu_mod.POWER]
-            storage[tid] = roles[stu_mod.ENERGY]
-
-    demand = {}
-    for d in s.demands:
-        profile = d.default_profile()
-        demand[d.id] = profile.power
-        for t in range(T):
-            dam_trade[t] -= profile.power[t]
-
-    return Report(
-        scenario_name=s.name,
-        mode="nocoord",
-        n_periods=T,
-        dam_trade=tuple(dam_trade),
-        idm_trade={k: tuple(v) for k, v in idm_trade.items()},
-        idm_cumulative=_running_totals(dam_trade, idm_trade),
-        dispatch=dispatch,
-        storage=storage,
-        demand=demand,
-        profits=dict(result.profits.per_session),
-        recomputed_profits=dict(result.profits.recomputed),
-        chosen_profiles={d.id: d.default_profile().id for d in s.demands},
-        profile_costs={d.id: 0.0 for d in s.demands},
-        sessions=_session_dicts(result),
-        checks=checks,
-        failure=result.failure,
-        passive_demand_profit=dict(result.passive_demand_profit),
-        note=NOCOORD_NOTE,
+        **labels,
     )
 
 

@@ -223,9 +223,15 @@ class TestEconomics:
         the cloudy day."""
         gaps = {}
         for name in ("clear", "cloudy"):
-            assert baselines[name].ok
+            s, base = study[name][0], baselines[name]
+            assert base.ok
+            # the baseline's aggregate ledger passes the same checks as a VPP run
+            assert check_demand_contracts(s, base.ledger) == [], name
+            assert check_aggregate_balance(s, base.ledger) == [], name
+            assert check_storage_conservation(s, base.ledger) == [], name
+            assert base.profits.max_recompute_drift() <= 1e-6, name
             vpp = study[name][1].profits.total
-            solo = baselines[name].profits.total
+            solo = base.profits.total
             assert vpp >= solo - 1e-6, f"{name}: {vpp} < {solo}"
             gaps[name] = (vpp - solo) / abs(solo)
         assert gaps["cloudy"] > gaps["clear"]

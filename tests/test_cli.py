@@ -149,6 +149,41 @@ class TestRun:
         assert doc["mode"] == "nocoord"
         assert "note" in doc
 
+    def test_nocoord_writes_the_vpp_file_set(self, tmp_path):
+        """A session prefix writes the files of the sessions that ran, in
+        both modes."""
+        doc = toy_doc()
+        doc["calendar"]["sessions"].append({"k": 2, "tau": 2, "prices": [25.0, 35.0]})
+        doc["forecasts"]["idm"]["2"] = {"ndresAvail": {"wind": [6.0, 5.0]},
+                                        "stuAvail_th": {}}
+        path = _write(tmp_path, doc)
+        written = {}
+        for mode in ("vpp", "nocoord"):
+            out = tmp_path / mode
+            code = main(["run", "--scenario", str(path), "--mode", mode,
+                         "--sessions", "dam,idm1", "--out", str(out)])
+            assert code == EXIT_OK
+            written[mode] = sorted(p.name for p in out.iterdir())
+        assert written["nocoord"] == written["vpp"]
+        assert "idm_1.csv" in written["nocoord"] and "idm_2.csv" not in written["nocoord"]
+
+    def test_nocoord_checks_the_passive_default_profile(self, tmp_path, capsys):
+        """A passive demand stays on its default profile, so a default that
+        breaks the demand's ramp limit is a finding in the baseline."""
+        doc = toy_doc()
+        doc["demands"][0]["profiles"][0]["power"] = [1.0, 3.0, 2.0]
+        doc["demands"][0]["rampUp"] = 1.0
+        path = _write(tmp_path, doc)
+        out = tmp_path / "solo"
+        code = main(["run", "--scenario", str(path), "--mode", "nocoord",
+                     "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert "verification found violations" in capsys.readouterr().err
+        checks = json.loads((out / "verify.json").read_text())["checks"]
+        assert checks == {"demandContracts": ["load: period 2 ramp-up 2.000000 exceeds "
+                                              "1.000000"],
+                          "aggregateBalance": [], "storageConservation": []}
+
     def test_infeasible_session_exits_3(self, tmp_path, capsys):
         doc = toy_doc()
         doc["network"]["tradeCap"] = {"b1": 0.0}
@@ -288,6 +323,50 @@ class TestUnwritableOutput:
         assert err.value.code == EXIT_USAGE
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("cannot write output: ")
+
+
+class TestModelBuildErrors:
+    """Scenarios that pass validation but build a model with a non-finite
+    number exit 2 with one stderr line."""
+
+    def _run(self, path, tmp_path, capsys, argv):
+        assert main(["validate", "--scenario", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--scenario", str(path), "--out", str(tmp_path / "r")])
+        assert err.value.code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cannot build model: ")
+        return lines[0]
+
+    def test_infinite_right_hand_side(self, tmp_path, capsys):
+        doc = toy_doc()
+        doc["calendar"]["dtHours"] = 2.0
+        doc["demands"][0]["rampUp"] = 1.5e308  # times dtHours overflows
+        path = _write(tmp_path, doc)
+        line = self._run(path, tmp_path, capsys, ["run", "--sessions", "dam,idm1"])
+        assert "dem_rampup.load" in line and "non-finite rhs inf" in line
+
+    def test_infinite_objective_coefficient(self, tmp_path, capsys):
+        doc = toy_doc()
+        doc["calendar"]["dtHours"] = 2.0
+        doc["dres"][0]["variableCost"] = 1e308  # times dtHours overflows
+        path = _write(tmp_path, doc)
+        line = self._run(path, tmp_path, capsys, ["run", "--sessions", "dam"])
+        assert "objective has non-finite coefficient -inf on dres_p.gen.t1" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--sessions", "dam"],
+        ["run", "--sessions", "dam", "--mode", "nocoord"],
+        ["sweep", "--demand", "industrial", "--profile", "early_shift", "--max", "10"],
+    ], ids=["run", "nocoord", "sweep"])
+    def test_infinite_coefficient(self, tmp_path, capsys, argv):
+        doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
+        doc["calendar"]["dtHours"] = 2.0
+        doc["stu"][0]["dischargeEff"] = 1e-308  # dt / dischargeEff overflows
+        path = _write(tmp_path, doc)
+        line = self._run(path, tmp_path, capsys, argv)
+        assert "stu_ebal.csp" in line and "non-finite coefficient inf" in line
 
 
 class TestConsoleScript:

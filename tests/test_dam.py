@@ -255,6 +255,18 @@ class TestDegenerateScenarios:
                            atol=1e-9)
 
 
+class TestRegistry:
+    def test_keys_name_fresh_columns_once(self, toy):
+        model, reg = assemble_dam(toy)
+        n = model.n_vars
+        with pytest.raises(KeyError, match="already registered"):
+            reg.new(model, DRES_P, "gen", 1)
+        assert model.n_vars == n  # a refused key adds no column
+        var = reg.new(model, DRES_P, "gen", 4, lb=1.0, ub=2.0)
+        assert (var, reg.id(DRES_P, "gen", 4)) == (n, n)
+        assert model.bounds(var) == (1.0, 2.0) and model.var_name(var) == "dres_p.gen.t4"
+
+
 class TestPriceMonotonicity:
     def test_uniform_price_lift_never_hurts_a_seller(self):
         rng = np.random.default_rng(3)

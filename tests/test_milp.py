@@ -13,6 +13,7 @@ from vppopt import milp
 from vppopt.dam import assemble_dam
 from vppopt.milp import (
     MilpModel,
+    ModelError,
     ScipyMilpAdapter,
     Solution,
     SolveOptions,
@@ -197,6 +198,30 @@ class TestValidation:
         m.add_constraint({x: 1.0}, "<=", math.inf, "open")
         with pytest.raises(ValueError, match="non-finite"):
             m.validate()
+
+    @pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient(self, coef):
+        m = MilpModel()
+        x = m.add_continuous("x", ub=1.0)
+        y = m.add_continuous("y", ub=2.0)
+        m.add_constraint({x: coef, y: 1.0}, "<=", 2.0, "odd")
+        m.set_objective({x: 1.0, y: 1.0})
+        with pytest.raises(ModelError,
+                           match="odd has non-finite coefficient .* on x"):
+            m.validate()
+        # refused before HiGHS, which drops a NaN and calls an inf a model error
+        with pytest.raises(ModelError):
+            solve(m)
+
+    def test_non_finite_objective_coefficient(self):
+        m = MilpModel()
+        x = m.add_continuous("x", ub=1.0)
+        m.set_objective({x: -math.inf})
+        with pytest.raises(ModelError, match="objective has non-finite"):
+            solve(m)
+
+    def test_validation_errors_are_value_errors(self):
+        assert issubclass(ModelError, ValueError)
 
     def test_unknown_sense(self):
         m = MilpModel()

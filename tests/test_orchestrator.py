@@ -151,6 +151,35 @@ class TestNoCoordination:
         assert dam.n_vars == sum(r.sessions[0].n_vars for _, r in result.asset_runs)
         assert abs(dam.objective - result.profits.per_session["dam"]) <= 1e-9
 
+    def test_history_is_the_aggregate_ledger_per_session(self, toy):
+        result = run_no_coordination(toy)
+        assert result.ledger is result.ledger_history[-1]
+        assert [sorted(led.objectives) for led in result.ledger_history] == \
+            [["dam"], ["dam", "idm1"]]
+        assert result.profits.per_session == result.ledger.objectives
+        assert result.profits.max_recompute_drift() <= 1e-9
+        ledger = result.ledger
+        assert ledger.selected_profiles == {"load": "flat"}
+        assert ledger.demand_p == {"load": (2.0, 2.0, 2.0)}
+        assert set(ledger.dres_p) == {"gen"} and set(ledger.ndres_p) == {"wind"}
+        for t in range(1, 4):
+            assert abs(ledger.cumulative_trade(t) - sum(
+                r.ledger.cumulative_trade(t) for _, r in result.asset_runs) + 2.0) <= 1e-9
+
+    def test_demand_only_portfolio_keeps_its_profits(self):
+        doc = toy_doc()
+        doc["dres"] = []
+        doc["ndres"] = []
+        doc["forecasts"]["dam"]["ndresAvail"] = {}
+        doc["forecasts"]["idm"]["1"]["ndresAvail"] = {}
+        s = make_scenario(doc)
+        result = run_no_coordination(s)
+        assert result.ok and result.asset_runs == ()
+        assert result.profits.per_session == {"dam": -180.0, "idm1": 0.0}
+        assert result.profits.recomputed == {"dam": -180.0, "idm1": 0.0}
+        assert result.ledger.dam_trade == (-2.0, -2.0, -2.0)
+        assert result.ledger.idm_trades == {1: (0.0, 0.0, 0.0)}
+
     def test_passive_demand_pays_day_ahead_prices(self, toy):
         d = toy.demands[0]
         assert passive_demand_profit(toy, d) == -(2 * 30.0 + 2 * 20.0 + 2 * 40.0)
