@@ -143,6 +143,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.dump_model:
         with _building():
             model, _ = dam_mod.assemble_dam(scenario)
+            model.validate()
         with _writing():
             dump_lp(model, args.dump_model)
         print(f"model written to {args.dump_model}")

@@ -274,5 +274,4 @@ def assemble_dam(s: Scenario) -> tuple[MilpModel, VariableRegistry]:
     build_stu_blocks(model, reg, s, periods, s.dam_forecast,
                      {a.id: (a.initial_energy, a.initial_pb_on) for a in s.stu})
     model.set_objective(build_dam_objective(s, reg))
-    model.validate()
     return model, reg

@@ -273,5 +273,4 @@ def assemble_idm(s: Scenario, ledger: LedgerState,
                  for a in s.stu}
     build_stu_blocks(model, reg, s, periods, forecast, state)
     model.set_objective(build_idm_objective(s, ledger, k, reg))
-    model.validate()
     return model, reg

@@ -72,7 +72,6 @@ class RunResult:
     mode: str
     scenario_name: str
     sessions: tuple[SessionResult, ...]
-    ledger: LedgerState | None
     ledger_history: tuple[LedgerState, ...]
     profits: ProfitBreakdown
     failure: str | None = None  # session key that stopped the run
@@ -82,6 +81,11 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.failure is None
+
+    @property
+    def ledger(self) -> LedgerState | None:
+        """The ledger after the last completed session."""
+        return self.ledger_history[-1] if self.ledger_history else None
 
 
 def session_keys(s: Scenario, requested: Sequence[str] | None = None) -> list[str]:
@@ -204,8 +208,8 @@ def run_vpp(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     results.append(res)
     if sol.values is None:
         return RunResult(mode="vpp", scenario_name=s.name, sessions=tuple(results),
-                         ledger=None, ledger_history=(),
-                         profits=ProfitBreakdown({}, {}), failure="dam")
+                         ledger_history=(), profits=ProfitBreakdown({}, {}),
+                         failure="dam")
     ledger = ledger_from_dam(s, reg, sol)
     history.append(ledger)
 
@@ -224,8 +228,7 @@ def run_vpp(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     profits = ProfitBreakdown(per_session=dict(ledger.objectives),
                               recomputed=recompute_profits(s, history))
     return RunResult(mode="vpp", scenario_name=s.name, sessions=tuple(results),
-                     ledger=ledger, ledger_history=tuple(history),
-                     profits=profits, failure=failure)
+                     ledger_history=tuple(history), profits=profits, failure=failure)
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +333,25 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     merged_sessions = []
     for i, key in enumerate(keys):
         parts = [run.sessions[i] for _, run in asset_runs if len(run.sessions) > i]
-        if not parts:
-            break
+        if not parts and i >= len(history):
+            break  # a session no asset ran still counts if the aggregate covers it
         merged_sessions.append(SessionResult(
             key=key,
             status=next((p.status for p in reversed(parts) if p.status != "optimal"),
                         "optimal"),
             objective=profits.per_session.get(key),
             violations=tuple(v for p in parts for v in p.violations),
-            runtime_s=sum(p.runtime_s for p in parts),
+            runtime_s=sum((p.runtime_s for p in parts), 0.0),
             n_vars=sum(p.n_vars for p in parts),
             n_constraints=sum(p.n_constraints for p in parts),
             nodes=sum(p.nodes for p in parts),
             lp_iterations=sum(p.lp_iterations for p in parts),
             # the parts' gaps add up to a bound on the aggregate's gap
             abs_gap=None if any(p.abs_gap is None for p in parts)
-            else sum(p.abs_gap for p in parts)))
+            else sum((p.abs_gap for p in parts), 0.0)))
 
     return RunResult(mode="nocoord", scenario_name=s.name,
                      sessions=tuple(merged_sessions),
-                     ledger=history[-1] if history else None,
                      ledger_history=tuple(history), profits=profits,
                      failure=failure, asset_runs=tuple(asset_runs),
                      passive_demand_profit=demand_profit)

@@ -176,26 +176,16 @@ def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
                      float(report.idm_cumulative[k][t - 1])] for t in periods])
         written.append(path)
 
-    if report.dispatch:
-        path = out / "dispatch.csv"
-        rows = [[t, aid, float(series[t - 1])]
-                for aid, series in sorted(report.dispatch.items()) for t in periods]
-        _write_csv(path, ["period", "assetId", "MW"], rows)
-        written.append(path)
-
-    if report.storage:
-        path = out / "storage.csv"
-        rows = [[t, sid, float(series[t - 1])]
-                for sid, series in sorted(report.storage.items()) for t in periods]
-        _write_csv(path, ["period", "stuId", "MWh_th"], rows)
-        written.append(path)
-
-    if report.demand:
-        path = out / "demand.csv"
-        rows = [[t, did, float(series[t - 1])]
-                for did, series in sorted(report.demand.items()) for t in periods]
-        _write_csv(path, ["period", "demandId", "MW"], rows)
-        written.append(path)
+    for name, id_column, unit, series_map in (
+            ("dispatch.csv", "assetId", "MW", report.dispatch),
+            ("storage.csv", "stuId", "MWh_th", report.storage),
+            ("demand.csv", "demandId", "MW", report.demand)):
+        if series_map:
+            path = out / name
+            _write_csv(path, ["period", id_column, unit],
+                       [[t, i, float(series[t - 1])]
+                        for i, series in sorted(series_map.items()) for t in periods])
+            written.append(path)
 
     profit_doc = {
         "scenario": report.scenario_name,

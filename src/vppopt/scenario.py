@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -55,215 +55,8 @@ class Diagnostic:
 
 
 # ---------------------------------------------------------------------------
-# Domain types
+# JSON converters
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Line:
-    id: str
-    from_bus: str
-    to_bus: str
-    susceptance: float  # p.u.
-    flow_limit: float   # MW
-
-
-@dataclass(frozen=True)
-class Network:
-    buses: tuple[str, ...]
-    main_grid_buses: tuple[str, ...]  # coupling points with the main grid
-    lines: tuple[Line, ...]
-    trade_cap: Mapping[str, float]    # MW per main-grid bus
-
-
-@dataclass(frozen=True)
-class DresAsset:
-    """Dispatchable renewable plant (hydro, biomass), committed like a
-    conventional unit with linear operating costs."""
-
-    id: str
-    bus: str
-    p_min: float          # MW when committed
-    p_max: float
-    variable_cost: float  # EUR/MWh
-    startup_cost: float   # EUR
-    shutdown_cost: float  # EUR
-    initial_on: bool = False
-
-
-@dataclass(frozen=True)
-class NdresAsset:
-    """Non-dispatchable renewable (wind, PV): output capped by the
-    per-session availability forecast."""
-
-    id: str
-    bus: str
-    p_min: tuple[float, ...]  # MW, technical minimum per period
-
-
-@dataclass(frozen=True)
-class StuAsset:
-    """Solar thermal unit: solar field, thermal storage, and a power block
-    whose thermal-to-electric conversion steepens with load."""
-
-    id: str
-    bus: str
-    # power block thermal input window and piecewise conversion grid
-    pb_min: float      # MW_th
-    pb_max: float
-    pb_break1: float
-    pb_break2: float
-    eta1: float        # conversion factor per segment, low to high load
-    eta2: float
-    eta3: float
-    eta4: float
-    startup_loss: float   # fraction of pb_max lost in a startup period
-    # storage loop
-    charge_min: float     # MW_th
-    charge_max: float
-    discharge_min: float
-    discharge_max: float
-    charge_eff: float
-    discharge_eff: float
-    storage_cap: tuple[float, ...]    # MWh_th per period
-    storage_floor: tuple[float, ...]
-    end_alpha_lo: float   # end-of-day energy window, as fraction of cap
-    end_alpha_hi: float
-    initial_energy: float  # MWh_th at the start of the horizon
-    # electrical rating, used in aggregate trade bounds
-    electrical_min: float  # MW
-    electrical_max: float
-    initial_pb_on: bool = False
-
-
-@dataclass(frozen=True)
-class DemandProfile:
-    id: str
-    power: tuple[float, ...]  # MW per period
-    cost: float               # EUR paid to the owner if selected
-    default: bool = False
-
-
-@dataclass(frozen=True)
-class DemandAsset:
-    """Flexible demand: one profile is picked day-ahead, intraday sessions
-    may then flex consumption inside a tolerance band."""
-
-    id: str
-    bus: str
-    profiles: tuple[DemandProfile, ...]
-    min_energy: float            # MWh over the horizon
-    tol_lo: tuple[float, ...]    # fraction below the chosen profile
-    tol_hi: tuple[float, ...]    # fraction above
-    ramp_down: float             # MW/h
-    ramp_up: float
-
-    def default_profile(self) -> DemandProfile:
-        for p in self.profiles:
-            if p.default:
-                return p
-        raise ScenarioError(f"demand {self.id} has no default profile")
-
-    def profile(self, profile_id: str) -> DemandProfile:
-        for p in self.profiles:
-            if p.id == profile_id:
-                return p
-        raise KeyError(f"demand {self.id} has no profile {profile_id!r}")
-
-
-@dataclass(frozen=True)
-class IdmSession:
-    k: int
-    first_period: int           # tau: first delivery period covered
-    prices: tuple[float, ...]   # EUR/MWh for t = tau .. T
-
-
-@dataclass(frozen=True)
-class MarketCalendar:
-    n_periods: int              # T
-    dt_hours: float
-    dam_prices: tuple[float, ...]
-    sessions: tuple[IdmSession, ...]
-
-    def session(self, k: int) -> IdmSession:
-        for s in self.sessions:
-            if s.k == k:
-                return s
-        raise KeyError(f"no intraday session {k}")
-
-
-@dataclass(frozen=True)
-class ForecastSet:
-    """Availability forecasts for one market session.
-
-    Series span that session's delivery window: the full horizon for the
-    day-ahead stage, ``t >= tau`` for an intraday session.
-    """
-
-    ndres_avail: Mapping[str, tuple[float, ...]]   # MW
-    stu_avail: Mapping[str, tuple[float, ...]]     # MW_th from the solar field
-
-
-@dataclass(frozen=True)
-class Scenario:
-    network: Network
-    dres: tuple[DresAsset, ...]
-    ndres: tuple[NdresAsset, ...]
-    stu: tuple[StuAsset, ...]
-    demands: tuple[DemandAsset, ...]
-    calendar: MarketCalendar
-    dam_forecast: ForecastSet
-    idm_forecasts: Mapping[int, ForecastSet]
-    name: str = ""
-
-    @property
-    def n_periods(self) -> int:
-        return self.calendar.n_periods
-
-    @property
-    def dt(self) -> float:
-        return self.calendar.dt_hours
-
-    def asset_ids(self) -> list[str]:
-        out = [a.id for a in self.dres + self.ndres + self.stu + self.demands]
-        return out
-
-    def forecast(self, session: int) -> ForecastSet:
-        """Forecast set for an intraday session."""
-        try:
-            return self.idm_forecasts[session]
-        except KeyError:
-            raise KeyError(f"no forecast set for intraday session {session}") from None
-
-
-# ---------------------------------------------------------------------------
-# JSON loading
-# ---------------------------------------------------------------------------
-
-def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario JSON file.
-
-    Raises :class:`ScenarioError` if the file does not parse against the
-    schema and :class:`ScenarioValidationError` (carrying the full
-    diagnostic list) if any invariant is violated. A document without a
-    name is named after the file.
-    """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
-    scenario = scenario_from_dict(doc)
-    if not scenario.name:
-        scenario = replace(scenario, name=path.stem)
-    diagnostics = validate_scenario(scenario)
-    if diagnostics:
-        raise ScenarioValidationError(diagnostics)
-    return scenario
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
-
 
 _REQUIRED = object()
 
@@ -352,6 +145,237 @@ def _on_off(value: Any) -> bool:
     raise ValueError(f"expected 'on', 'off' or a boolean, got {value!r}")
 
 
+@dataclass(frozen=True)
+class _ById:
+    """An object keyed by id whose every value goes through ``conv``."""
+
+    conv: Any
+
+
+def _json(key: str, conv: Any, absent: Any = _REQUIRED, **kwargs: Any) -> Any:
+    """A field stored under ``key`` in the JSON schema.
+
+    ``conv`` converts the JSON value: a plain converter, ``_series`` for a
+    per-period series, an entity class for a list of entities, or
+    ``_ById(conv)``. ``absent`` stands in for a missing key, which is
+    required without it. ``kwargs`` go to :func:`dataclasses.field`.
+    """
+    return field(metadata={"json": (key, conv, absent)}, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Domain types
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Line:
+    id: str = _json("id", _text)
+    from_bus: str = _json("from", _text)
+    to_bus: str = _json("to", _text)
+    susceptance: float = _json("susceptance", _number)  # p.u.
+    flow_limit: float = _json("flowLimit", _number)     # MW
+
+
+@dataclass(frozen=True)
+class Network:
+    buses: tuple[str, ...] = _json("buses", _texts)
+    main_grid_buses: tuple[str, ...] = _json("mainGridBuses", _texts)  # coupling points
+    lines: tuple[Line, ...] = _json("lines", Line, absent=())
+    trade_cap: Mapping[str, float] = _json("tradeCap", _ById(_number))  # MW per main-grid bus
+
+
+@dataclass(frozen=True)
+class DresAsset:
+    """Dispatchable renewable plant (hydro, biomass), committed like a
+    conventional unit with linear operating costs."""
+
+    id: str = _json("id", _text)
+    bus: str = _json("bus", _text)
+    p_min: float = _json("pMin", _number)  # MW when committed
+    p_max: float = _json("pMax", _number)
+    variable_cost: float = _json("variableCost", _number)  # EUR/MWh
+    startup_cost: float = _json("startupCost", _number)    # EUR
+    shutdown_cost: float = _json("shutdownCost", _number)  # EUR
+    initial_on: bool = _json("initialCommitment", _on_off, absent="off", default=False)
+
+
+@dataclass(frozen=True)
+class NdresAsset:
+    """Non-dispatchable renewable (wind, PV): output capped by the
+    per-session availability forecast."""
+
+    id: str = _json("id", _text)
+    bus: str = _json("bus", _text)
+    p_min: tuple[float, ...] = _json("pMin", _series, absent=0.0)  # MW, technical minimum
+
+
+@dataclass(frozen=True)
+class StuAsset:
+    """Solar thermal unit: solar field, thermal storage, and a power block
+    whose thermal-to-electric conversion steepens with load."""
+
+    id: str = _json("id", _text)
+    bus: str = _json("bus", _text)
+    # power block thermal input window and piecewise conversion grid
+    pb_min: float = _json("pbMin_th", _number)  # MW_th
+    pb_max: float = _json("pbMax_th", _number)
+    pb_break1: float = _json("pbBreak1_th", _number)
+    pb_break2: float = _json("pbBreak2_th", _number)
+    eta1: float = _json("eta1", _number)  # conversion factor per segment, low to high load
+    eta2: float = _json("eta2", _number)
+    eta3: float = _json("eta3", _number)
+    eta4: float = _json("eta4", _number)
+    startup_loss: float = _json("startupLossFactor", _number)  # fraction of pb_max lost
+    # storage loop
+    charge_min: float = _json("chargeMin_th", _number)  # MW_th
+    charge_max: float = _json("chargeMax_th", _number)
+    discharge_min: float = _json("dischargeMin_th", _number)
+    discharge_max: float = _json("dischargeMax_th", _number)
+    charge_eff: float = _json("chargeEff", _number)
+    discharge_eff: float = _json("dischargeEff", _number)
+    storage_cap: tuple[float, ...] = _json("storageCap_th", _series)  # MWh_th per period
+    storage_floor: tuple[float, ...] = _json("storageFloor_th", _series, absent=0.0)
+    end_alpha_lo: float = _json("endAlphaLo", _number)  # end-of-day window, fraction of cap
+    end_alpha_hi: float = _json("endAlphaHi", _number)
+    initial_energy: float = _json("initialEnergy_th", _number)  # MWh_th at the start
+    # electrical rating, used in aggregate trade bounds
+    electrical_min: float = _json("electricalMin", _number)  # MW
+    electrical_max: float = _json("electricalMax", _number)
+    initial_pb_on: bool = _json("initialPbStatus", _on_off, absent="off", default=False)
+
+
+@dataclass(frozen=True)
+class DemandProfile:
+    id: str = _json("id", _text)
+    power: tuple[float, ...] = _json("power", _series)  # MW per period
+    cost: float = _json("cost", _number, absent=0.0)     # EUR paid to the owner if selected
+    default: bool = _json("default", _flag, absent=False, default=False)
+
+
+@dataclass(frozen=True)
+class DemandAsset:
+    """Flexible demand: one profile is picked day-ahead, intraday sessions
+    may then flex consumption inside a tolerance band."""
+
+    id: str = _json("id", _text)
+    bus: str = _json("bus", _text)
+    profiles: tuple[DemandProfile, ...] = _json("profiles", DemandProfile)
+    min_energy: float = _json("minEnergy", _number)  # MWh over the horizon
+    tol_lo: tuple[float, ...] = _json("tolLo", _series, absent=0.0)  # fraction below profile
+    tol_hi: tuple[float, ...] = _json("tolHi", _series, absent=0.0)  # fraction above
+    ramp_down: float = _json("rampDown", _number)  # MW/h
+    ramp_up: float = _json("rampUp", _number)
+
+    def default_profile(self) -> DemandProfile:
+        for p in self.profiles:
+            if p.default:
+                return p
+        raise ScenarioError(f"demand {self.id} has no default profile")
+
+    def profile(self, profile_id: str) -> DemandProfile:
+        for p in self.profiles:
+            if p.id == profile_id:
+                return p
+        raise KeyError(f"demand {self.id} has no profile {profile_id!r}")
+
+
+@dataclass(frozen=True)
+class IdmSession:
+    k: int = _json("k", _integer)
+    first_period: int = _json("tau", _integer)  # tau: first delivery period covered
+    prices: tuple[float, ...] = _json("prices", _series)  # EUR/MWh for t = tau .. T
+
+
+@dataclass(frozen=True)
+class MarketCalendar:
+    n_periods: int = _json("T", _integer)
+    dt_hours: float = _json("dtHours", _number)
+    dam_prices: tuple[float, ...] = _json("damPrices", _series)
+    sessions: tuple[IdmSession, ...] = _json("sessions", IdmSession, absent=())
+
+    def session(self, k: int) -> IdmSession:
+        for s in self.sessions:
+            if s.k == k:
+                return s
+        raise KeyError(f"no intraday session {k}")
+
+
+@dataclass(frozen=True)
+class ForecastSet:
+    """Availability forecasts for one market session.
+
+    Series span that session's delivery window: the full horizon for the
+    day-ahead stage, ``t >= tau`` for an intraday session.
+    """
+
+    ndres_avail: Mapping[str, tuple[float, ...]] = _json(  # MW
+        "ndresAvail", _ById(_series), absent={})
+    stu_avail: Mapping[str, tuple[float, ...]] = _json(  # MW_th from the solar field
+        "stuAvail_th", _ById(_series), absent={})
+
+
+@dataclass(frozen=True)
+class Scenario:
+    network: Network
+    dres: tuple[DresAsset, ...]
+    ndres: tuple[NdresAsset, ...]
+    stu: tuple[StuAsset, ...]
+    demands: tuple[DemandAsset, ...]
+    calendar: MarketCalendar
+    dam_forecast: ForecastSet
+    idm_forecasts: Mapping[int, ForecastSet]
+    name: str = ""
+
+    @property
+    def n_periods(self) -> int:
+        return self.calendar.n_periods
+
+    @property
+    def dt(self) -> float:
+        return self.calendar.dt_hours
+
+    def asset_ids(self) -> list[str]:
+        out = [a.id for a in self.dres + self.ndres + self.stu + self.demands]
+        return out
+
+    def forecast(self, session: int) -> ForecastSet:
+        """Forecast set for an intraday session."""
+        try:
+            return self.idm_forecasts[session]
+        except KeyError:
+            raise KeyError(f"no forecast set for intraday session {session}") from None
+
+
+# ---------------------------------------------------------------------------
+# JSON loading
+# ---------------------------------------------------------------------------
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Load and validate a scenario JSON file.
+
+    Raises :class:`ScenarioError` if the file does not parse against the
+    schema and :class:`ScenarioValidationError` (carrying the full
+    diagnostic list) if any invariant is violated. A document without a
+    name is named after the file.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
+    scenario = scenario_from_dict(doc)
+    if not scenario.name:
+        scenario = replace(scenario, name=path.stem)
+    diagnostics = validate_scenario(scenario)
+    if diagnostics:
+        raise ScenarioValidationError(diagnostics)
+    return scenario
+
+
+def save_scenario(scenario: Scenario, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+
+
 def _entries(doc: Any, key: str, where: str = "",
              default: Any = ()) -> Iterator[tuple[str, Any]]:
     """The objects in the list ``doc[key]`` (optional unless ``default`` is
@@ -363,222 +387,80 @@ def _entries(doc: Any, key: str, where: str = "",
         yield f"{path}[{ident if isinstance(ident, str) else i}]", entry
 
 
+def _read(cls: type, doc: Any, where: str, horizon: int) -> Any:
+    """A ``cls`` read from ``doc`` field by field, in declaration order."""
+    values: dict[str, Any] = {}
+    for f in fields(cls):
+        key, conv, absent = f.metadata["json"]
+        item = conv.conv if isinstance(conv, _ById) else conv
+        if item is _series:  # a session window covers t >= tau, anything else the horizon
+            item = _series(horizon - values.get("first_period", 1) + 1)
+        if isinstance(conv, type):
+            values[f.name] = tuple(_read(conv, entry, path, horizon)
+                                   for path, entry in _entries(doc, key, where, absent))
+        elif isinstance(conv, _ById):  # entry by entry, so each id stays in the path
+            by_id = _req(doc, key, where, _object, absent)
+            values[f.name] = {str(i): _req(by_id, i, f"{where}.{key}", item) for i in by_id}
+        else:
+            values[f.name] = _req(doc, key, where, item, absent)
+    return cls(**values)
+
+
+def _write(entity: Any) -> dict:
+    """The JSON form of an entity: its keys in declaration order, an object
+    keyed by id in id order."""
+    def plain(value: Any, conv: Any) -> Any:
+        if isinstance(conv, type):
+            return [_write(e) for e in value]
+        if isinstance(conv, _ById):
+            return {i: plain(v, conv.conv) for i, v in sorted(value.items())}
+        if conv is _on_off:
+            return "on" if value else "off"
+        return list(value) if conv is _series or conv is _texts else value
+
+    return {f.metadata["json"][0]: plain(getattr(entity, f.name), f.metadata["json"][1])
+            for f in fields(entity)}
+
+
+_ASSETS = {"dres": DresAsset, "ndres": NdresAsset, "stu": StuAsset, "demands": DemandAsset}
+
+
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     """Build a :class:`Scenario` from a parsed JSON document (no validation)."""
     net_doc = _req(doc, "network", "", _object)
     cal_doc = _req(doc, "calendar", "", _object)
-
     n_periods = _req(cal_doc, "T", "calendar", _integer)
-    dt_hours = _req(cal_doc, "dtHours", "calendar", _number)
-    dam_prices = _req(cal_doc, "damPrices", "calendar", _series(n_periods))
-    sessions = []
-    for where, s_doc in _entries(cal_doc, "sessions", "calendar"):
-        k = _req(s_doc, "k", where, _integer)
-        tau = _req(s_doc, "tau", where, _integer)
-        prices = _req(s_doc, "prices", where, _series(n_periods - tau + 1))
-        sessions.append(IdmSession(k=k, first_period=tau, prices=prices))
-
-    lines = tuple(
-        Line(
-            id=_req(l, "id", where, _text),
-            from_bus=_req(l, "from", where, _text),
-            to_bus=_req(l, "to", where, _text),
-            susceptance=_req(l, "susceptance", where, _number),
-            flow_limit=_req(l, "flowLimit", where, _number),
-        )
-        for where, l in _entries(net_doc, "lines", "network")
-    )
-    caps = _req(net_doc, "tradeCap", "network", _object)
-    network = Network(
-        buses=_req(net_doc, "buses", "network", _texts),
-        main_grid_buses=_req(net_doc, "mainGridBuses", "network", _texts),
-        lines=lines,
-        trade_cap={str(b): _req(caps, b, "network.tradeCap", _number) for b in caps},
-    )
-
-    dres = tuple(
-        DresAsset(
-            id=_req(a, "id", where, _text),
-            bus=_req(a, "bus", where, _text),
-            p_min=_req(a, "pMin", where, _number),
-            p_max=_req(a, "pMax", where, _number),
-            variable_cost=_req(a, "variableCost", where, _number),
-            startup_cost=_req(a, "startupCost", where, _number),
-            shutdown_cost=_req(a, "shutdownCost", where, _number),
-            initial_on=_req(a, "initialCommitment", where, _on_off, default="off"),
-        )
-        for where, a in _entries(doc, "dres")
-    )
-
-    ndres = tuple(
-        NdresAsset(
-            id=_req(a, "id", where, _text),
-            bus=_req(a, "bus", where, _text),
-            p_min=_req(a, "pMin", where, _series(n_periods), default=0.0),
-        )
-        for where, a in _entries(doc, "ndres")
-    )
-
-    stu = tuple(
-        StuAsset(
-            id=_req(a, "id", where, _text),
-            bus=_req(a, "bus", where, _text),
-            pb_min=_req(a, "pbMin_th", where, _number),
-            pb_max=_req(a, "pbMax_th", where, _number),
-            pb_break1=_req(a, "pbBreak1_th", where, _number),
-            pb_break2=_req(a, "pbBreak2_th", where, _number),
-            eta1=_req(a, "eta1", where, _number),
-            eta2=_req(a, "eta2", where, _number),
-            eta3=_req(a, "eta3", where, _number),
-            eta4=_req(a, "eta4", where, _number),
-            startup_loss=_req(a, "startupLossFactor", where, _number),
-            charge_min=_req(a, "chargeMin_th", where, _number),
-            charge_max=_req(a, "chargeMax_th", where, _number),
-            discharge_min=_req(a, "dischargeMin_th", where, _number),
-            discharge_max=_req(a, "dischargeMax_th", where, _number),
-            charge_eff=_req(a, "chargeEff", where, _number),
-            discharge_eff=_req(a, "dischargeEff", where, _number),
-            storage_cap=_req(a, "storageCap_th", where, _series(n_periods)),
-            storage_floor=_req(a, "storageFloor_th", where, _series(n_periods), default=0.0),
-            end_alpha_lo=_req(a, "endAlphaLo", where, _number),
-            end_alpha_hi=_req(a, "endAlphaHi", where, _number),
-            initial_energy=_req(a, "initialEnergy_th", where, _number),
-            electrical_min=_req(a, "electricalMin", where, _number),
-            electrical_max=_req(a, "electricalMax", where, _number),
-            initial_pb_on=_req(a, "initialPbStatus", where, _on_off, default="off"),
-        )
-        for where, a in _entries(doc, "stu")
-    )
-
-    demands = []
-    for where, a in _entries(doc, "demands"):
-        profiles = tuple(
-            DemandProfile(
-                id=_req(p, "id", p_where, _text),
-                power=_req(p, "power", p_where, _series(n_periods)),
-                cost=_req(p, "cost", p_where, _number, default=0.0),
-                default=_req(p, "default", p_where, _flag, default=False),
-            )
-            for p_where, p in _entries(a, "profiles", where, default=_REQUIRED)
-        )
-        demands.append(DemandAsset(
-            id=_req(a, "id", where, _text),
-            bus=_req(a, "bus", where, _text),
-            profiles=profiles,
-            min_energy=_req(a, "minEnergy", where, _number),
-            tol_lo=_req(a, "tolLo", where, _series(n_periods), default=0.0),
-            tol_hi=_req(a, "tolHi", where, _series(n_periods), default=0.0),
-            ramp_down=_req(a, "rampDown", where, _number),
-            ramp_up=_req(a, "rampUp", where, _number),
-        ))
+    calendar = _read(MarketCalendar, cal_doc, "calendar", n_periods)
+    network = _read(Network, net_doc, "network", n_periods)
+    assets = {key: tuple(_read(cls, a, where, n_periods) for where, a in _entries(doc, key))
+              for key, cls in _ASSETS.items()}
 
     fc_doc = _req(doc, "forecasts", "", _object)
-    dam_forecast = _forecast_from_dict(_req(fc_doc, "dam", "forecasts", _object), n_periods,
-                                       "forecasts.dam")
-    idm_doc = _req(fc_doc, "idm", "forecasts", _object, default={})
+    dam_forecast = _read(ForecastSet, _req(fc_doc, "dam", "forecasts", _object),
+                         "forecasts.dam", n_periods)
     idm_forecasts = {}
-    for key, sub in idm_doc.items():
+    for key, sub in _req(fc_doc, "idm", "forecasts", _object, default={}).items():
         where = f"forecasts.idm.{key}"
         k = _convert(key, where, int)
-        session = next((s for s in sessions if s.k == k), None)
+        session = next((s for s in calendar.sessions if s.k == k), None)
         window = n_periods - session.first_period + 1 if session else n_periods
-        idm_forecasts[k] = _forecast_from_dict(sub, window, where)
+        idm_forecasts[k] = _read(ForecastSet, sub, where, window)
 
-    return Scenario(
-        network=network,
-        dres=dres,
-        ndres=ndres,
-        stu=stu,
-        demands=tuple(demands),
-        calendar=MarketCalendar(n_periods=n_periods, dt_hours=dt_hours,
-                                dam_prices=dam_prices, sessions=tuple(sessions)),
-        dam_forecast=dam_forecast,
-        idm_forecasts=idm_forecasts,
-        name=_req(doc, "name", "", _text, default=""),
-    )
-
-
-def _forecast_from_dict(doc: Any, window: int, where: str) -> ForecastSet:
-    def series_by_asset(group: str) -> dict[str, tuple[float, ...]]:
-        group_doc = _req(doc, group, where, _object, default={})
-        return {str(i): _req(group_doc, i, f"{where}.{group}", _series(window))
-                for i in group_doc}
-
-    return ForecastSet(ndres_avail=series_by_asset("ndresAvail"),
-                       stu_avail=series_by_asset("stuAvail_th"))
+    return Scenario(network=network, **assets, calendar=calendar, dam_forecast=dam_forecast,
+                    idm_forecasts=idm_forecasts, name=_req(doc, "name", "", _text, default=""))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialize to the JSON schema. Round-trips field-for-field."""
     s = scenario
-
-    def fc(f: ForecastSet) -> dict:
-        return {
-            "ndresAvail": {i: list(v) for i, v in sorted(f.ndres_avail.items())},
-            "stuAvail_th": {i: list(v) for i, v in sorted(f.stu_avail.items())},
-        }
-
     return {
         "name": s.name,
-        "network": {
-            "buses": list(s.network.buses),
-            "mainGridBuses": list(s.network.main_grid_buses),
-            "lines": [
-                {"id": l.id, "from": l.from_bus, "to": l.to_bus,
-                 "susceptance": l.susceptance, "flowLimit": l.flow_limit}
-                for l in s.network.lines
-            ],
-            "tradeCap": {b: v for b, v in sorted(s.network.trade_cap.items())},
-        },
-        "dres": [
-            {"id": a.id, "bus": a.bus, "pMin": a.p_min, "pMax": a.p_max,
-             "variableCost": a.variable_cost, "startupCost": a.startup_cost,
-             "shutdownCost": a.shutdown_cost,
-             "initialCommitment": "on" if a.initial_on else "off"}
-            for a in s.dres
-        ],
-        "ndres": [
-            {"id": a.id, "bus": a.bus, "pMin": list(a.p_min)} for a in s.ndres
-        ],
-        "stu": [
-            {"id": a.id, "bus": a.bus,
-             "pbMin_th": a.pb_min, "pbMax_th": a.pb_max,
-             "pbBreak1_th": a.pb_break1, "pbBreak2_th": a.pb_break2,
-             "eta1": a.eta1, "eta2": a.eta2, "eta3": a.eta3, "eta4": a.eta4,
-             "startupLossFactor": a.startup_loss,
-             "chargeMin_th": a.charge_min, "chargeMax_th": a.charge_max,
-             "dischargeMin_th": a.discharge_min, "dischargeMax_th": a.discharge_max,
-             "chargeEff": a.charge_eff, "dischargeEff": a.discharge_eff,
-             "storageCap_th": list(a.storage_cap), "storageFloor_th": list(a.storage_floor),
-             "endAlphaLo": a.end_alpha_lo, "endAlphaHi": a.end_alpha_hi,
-             "initialEnergy_th": a.initial_energy,
-             "electricalMin": a.electrical_min, "electricalMax": a.electrical_max,
-             "initialPbStatus": "on" if a.initial_pb_on else "off"}
-            for a in s.stu
-        ],
-        "demands": [
-            {"id": a.id, "bus": a.bus,
-             "profiles": [
-                 {"id": p.id, "power": list(p.power), "cost": p.cost, "default": p.default}
-                 for p in a.profiles
-             ],
-             "minEnergy": a.min_energy,
-             "tolLo": list(a.tol_lo), "tolHi": list(a.tol_hi),
-             "rampDown": a.ramp_down, "rampUp": a.ramp_up}
-            for a in s.demands
-        ],
-        "calendar": {
-            "T": s.calendar.n_periods,
-            "dtHours": s.calendar.dt_hours,
-            "damPrices": list(s.calendar.dam_prices),
-            "sessions": [
-                {"k": sess.k, "tau": sess.first_period, "prices": list(sess.prices)}
-                for sess in s.calendar.sessions
-            ],
-        },
+        "network": _write(s.network),
+        **{key: [_write(a) for a in getattr(s, key)] for key in _ASSETS},
+        "calendar": _write(s.calendar),
         "forecasts": {
-            "dam": fc(s.dam_forecast),
-            "idm": {str(k): fc(f) for k, f in sorted(s.idm_forecasts.items())},
+            "dam": _write(s.dam_forecast),
+            "idm": {str(k): _write(f) for k, f in sorted(s.idm_forecasts.items())},
         },
     }
 

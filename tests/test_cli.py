@@ -214,7 +214,7 @@ class TestRun:
             sessions=(SessionResult(key="dam", status="error", objective=None,
                                     violations=(), runtime_s=0.0, n_vars=0,
                                     n_constraints=0),),
-            ledger=None, ledger_history=(), profits=ProfitBreakdown({}, {}),
+            ledger_history=(), profits=ProfitBreakdown({}, {}),
             failure="dam")
         monkeypatch.setattr(cli, "run", lambda s, cfg: broken)
         code = main(["run", "--scenario", str(toy_file), "--out", str(tmp_path / "r")])
@@ -240,6 +240,26 @@ class TestRun:
         with pytest.raises(SystemExit) as err:
             main(["run", "--scenario", str(toy_file), "--mode", "solo"])
         assert err.value.code == EXIT_USAGE
+
+    def test_demand_only_nocoord_run_lists_every_session(self, tmp_path, capsys):
+        doc = toy_doc()
+        doc["dres"], doc["ndres"] = [], []
+        for forecast in (doc["forecasts"]["dam"], *doc["forecasts"]["idm"].values()):
+            forecast["ndresAvail"] = {}
+        out = tmp_path / "r"
+        code = main(["run", "--scenario", str(_write(tmp_path, doc)), "--mode", "nocoord",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        stdout = capsys.readouterr().out
+        profits = json.loads((out / "profit.json").read_text())["sessions"]
+        sessions = json.loads((out / "verify.json").read_text())["sessions"]
+        assert [sess["key"] for sess in sessions] == list(profits) == ["dam", "idm1"]
+        for sess in sessions:
+            assert sess["status"] == "optimal"
+            assert sess["objective"] == profits[sess["key"]]
+            assert sess["nVars"] == sess["nodes"] == sess["lpIterations"] == 0
+            assert sess["absGap"] == 0.0
+            assert f"{sess['key']}: optimal objective={profits[sess['key']]:.2f}" in stdout
 
 
 class TestSweep:

@@ -119,6 +119,15 @@ class TestRoundTrip:
             assert again == s
             assert validate_scenario(s) == []
 
+    @pytest.mark.parametrize("name", ["clear", "cloudy"])
+    def test_shipped_files_are_written_byte_for_byte(self, name):
+        from vppopt.casestudy import clear_scenario, cloudy_scenario
+
+        path = SCENARIO_DIR / f"{name}.json"
+        builder = {"clear": clear_scenario, "cloudy": cloudy_scenario}[name]
+        for s in (load_scenario(path), builder()):
+            assert json.dumps(scenario_to_dict(s), indent=2) + "\n" == path.read_text()
+
 
 class TestCalendarRules:
     def test_too_many_sessions(self):
