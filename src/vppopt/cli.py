@@ -127,6 +127,24 @@ _writing = partial(_exit_2_on, OSError, "cannot write output")
 _building = partial(_exit_2_on, ModelError, "cannot build model")
 
 
+@contextmanager
+def _output_dir(path: Path):
+    """Create the output directory up front, so an unwritable path exits 2
+    before any solve. A command that ends with nothing written removes the
+    directories it created; a directory that existed before is kept."""
+    created = [d for d in (path, *path.parents) if not d.exists()]  # deepest first
+    with _writing():
+        path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    finally:
+        for d in created:
+            try:
+                d.rmdir()  # refuses a directory that is no longer empty
+            except OSError:
+                break
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     try:
@@ -138,24 +156,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     out_dir = args.out or f"{Path(args.scenario).stem}-{args.mode}-report"
-    with _writing():
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    if args.dump_model:
+    with _output_dir(Path(out_dir)):
+        if args.dump_model:
+            with _building():
+                model, _ = dam_mod.assemble_dam(scenario)
+                model.validate()
+            with _writing():
+                dump_lp(model, args.dump_model)
+            print(f"model written to {args.dump_model}")
+
+        cfg = RunConfig(mode=args.mode, sessions=sessions,
+                        options=SolveOptions(gap_tol=args.gap, time_limit=args.time_limit))
         with _building():
-            model, _ = dam_mod.assemble_dam(scenario)
-            model.validate()
+            result = run(scenario, cfg)
+
+        report = build_report(scenario, result)
         with _writing():
-            dump_lp(model, args.dump_model)
-        print(f"model written to {args.dump_model}")
-
-    cfg = RunConfig(mode=args.mode, sessions=sessions,
-                    options=SolveOptions(gap_tol=args.gap, time_limit=args.time_limit))
-    with _building():
-        result = run(scenario, cfg)
-
-    report = build_report(scenario, result)
-    with _writing():
-        emit_report(report, out_dir)
+            emit_report(report, out_dir)
 
     for sess in result.sessions:
         objective = "-" if sess.objective is None else f"{sess.objective:.2f}"
@@ -182,22 +199,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     out_dir = args.out or f"{Path(args.scenario).stem}-sweep"
-    with _writing():
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    try:
-        with _building():
-            entries = sweep_profile_costs(scenario, demand_id=args.demand,
-                                          profile_id=args.profile, max_cost=args.max,
-                                          resolution=args.step)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    with _writing():
-        path = emit_thresholds(entries, out_dir)
+    with _output_dir(Path(out_dir)):
+        try:
+            with _building():
+                entries = sweep_profile_costs(scenario, demand_id=args.demand,
+                                              profile_id=args.profile, max_cost=args.max,
+                                              resolution=args.step)
+        except KeyError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_USAGE
+        except RuntimeError as exc:
+            print(f"sweep failed: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+        with _writing():
+            path = emit_thresholds(entries, out_dir)
     for e in entries:
         if e.status == "threshold":
             print(f"{e.demand_id}/{e.profile_id}: threshold {e.threshold:.2f} EUR "

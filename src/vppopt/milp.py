@@ -2,9 +2,20 @@
 
 A :class:`MilpModel` holds variables, linear constraints, SOS-2 sets and a
 maximization objective. :func:`solve` hands every model to HiGHS through
-the HiGHS binding that scipy bundles (``scipy.optimize._highspy``), which
-unlike ``scipy.optimize.milp`` reaches every HiGHS option; see
-:class:`ScipyMilpAdapter`. HiGHS takes no SOS-2 sets, so :func:`solve`
+the HiGHS binding that scipy bundles (``scipy.optimize._highspy._core``),
+which unlike ``scipy.optimize.milp`` reaches every HiGHS option; see
+:class:`ScipyMilpAdapter`.
+
+The binding is a compiled extension, and this module loads it straight
+from its file in scipy's directory (:func:`_load_highs`). Importing it by
+name would first run the ``scipy.optimize`` package init, which pulls in
+linalg, sparse, special and more, none of which vppopt calls: that was
+most of the start-up time of every ``vppopt`` process. The model is
+lowered to HiGHS's column-wise arrays with numpy alone (:func:`_lower`),
+so importing vppopt loads numpy and the extension and nothing else of
+scipy.
+
+HiGHS takes no SOS-2 sets, so :func:`solve`
 replaces them by the standard segment-binary reformulation and projects
 the solution back onto the original variables. A :class:`Solution`
 carries HiGHS's search statistics: nodes, simplex iterations and the
@@ -17,17 +28,55 @@ the backend, so every run can self-certify feasibility.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import math
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import ModuleType
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.optimize._highspy._core as _h
-import scipy.sparse
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs() -> ModuleType:
+    """Load scipy's HiGHS extension from its file, without importing
+    ``scipy`` or ``scipy.optimize``.
+
+    The module goes into ``sys.modules`` under its own dotted name before
+    it runs, so a later ``import scipy.optimize`` (or of the extension by
+    name) finds it there and reuses this module object: pybind11 registers
+    the extension's types once per process and refuses a second load.
+    When ``scipy.optimize`` came first, its module is returned as it is.
+    """
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates, does not import
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError(f"cannot load {_HIGHS_MODULE}: scipy is not installed")
+    where = Path(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+    candidates = [where / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in candidates if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's HiGHS extension _core is missing from {where}")
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    return module
+
+
+_h = _load_highs()
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -56,6 +105,9 @@ class Solution:
     nodes: int = 0  # branch-and-bound nodes
     lp_iterations: int = 0  # simplex iterations
     dual_bound: float | None = None  # proven upper bound on the objective
+    # size of the model HiGHS received, after the SOS-2 reformulation
+    n_binaries: int = 0
+    n_nonzeros: int = 0  # constraint coefficients
 
     def __post_init__(self):
         has_assignment = self.values is not None
@@ -233,12 +285,16 @@ def highs_options(options: SolveOptions) -> dict[str, object]:
 class _Lowered:
     """A model as HiGHS takes it: minimize ``cost @ x`` subject to
     ``row_lower <= A x <= row_upper`` and ``lower <= x <= upper``, with
-    ``A`` column-wise."""
+    ``A`` column-wise: column ``j`` holds ``value[start[j]:start[j+1]]``
+    in the rows ``index[start[j]:start[j+1]]``, rows ascending (the
+    compressed sparse column layout)."""
 
     cost: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    matrix: scipy.sparse.csc_array
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
     row_lower: np.ndarray
     row_upper: np.ndarray
     integer: np.ndarray  # bool mask of the binaries
@@ -262,8 +318,14 @@ def _lower(model: MilpModel) -> _Lowered:
             row_lower[r] = rhs
         if sense != ">=":
             row_upper[r] = rhs
-    matrix = scipy.sparse.csc_array((np.array(data, dtype=float), (rows, cols)), shape=(m, n))
-    return _Lowered(cost, model.lb_array(), model.ub_array(), matrix, row_lower, row_upper,
+    # each row holds a column at most once, so (column, row) orders every entry
+    row_of = np.array(rows, dtype=np.int32)
+    col_of = np.array(cols, dtype=np.int32)
+    order = np.lexsort((row_of, col_of))
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col_of, minlength=n), out=start[1:])
+    return _Lowered(cost, model.lb_array(), model.ub_array(), start, row_of[order],
+                    np.array(data, dtype=float)[order], row_lower, row_upper,
                     np.array([kind == BINARY for kind in model._kind], dtype=bool))
 
 
@@ -285,7 +347,15 @@ class ScipyMilpAdapter:
     (``scipy.optimize._highspy._core``). It takes no SOS-2 sets;
     :func:`solve` reformulates them first.
 
-    The model is lowered once to a column-wise matrix and passed whole
+    The binding is loaded from its file by :func:`_load_highs`, not
+    imported by name: importing it by name runs the whole
+    ``scipy.optimize`` package init first, which took most of each
+    process's start-up. It is registered in ``sys.modules`` under its own
+    name, so that scipy, when something else imports it, reuses the same
+    module; pybind11 cannot register the binding's types twice.
+
+    The model is lowered once to column-wise arrays (:func:`_lower`, with
+    numpy; the arrays equal ``scipy.sparse.csc_array``'s) and passed whole
     with ``passModel``, the layout ``scipy.optimize.milp`` builds. The
     binding is used instead of ``scipy.optimize.milp`` because only the
     binding reaches every HiGHS option: HiGHS runs with its RINS and RENS
@@ -312,14 +382,15 @@ class ScipyMilpAdapter:
             raise ValueError("HiGHS backend cannot take SOS-2 sets directly; use solve()")
         t0 = time.perf_counter()
         low = _lower(model)
+        size = {"n_binaries": int(low.integer.sum()), "n_nonzeros": len(low.value)}
         if np.any(low.lower > low.upper):
             return Solution(status="infeasible", message="empty variable domain",
-                            runtime_s=time.perf_counter() - t0)
+                            runtime_s=time.perf_counter() - t0, **size)
         is_mip = bool(low.integer.any())
         highs, status = self._run(low, low.lower, low.upper, low.integer, options)
         info = highs.getInfo()
         stats = {"nodes": max(int(info.mip_node_count), 0) if is_mip else 0,
-                 "lp_iterations": max(int(info.simplex_iteration_count), 0)}
+                 "lp_iterations": max(int(info.simplex_iteration_count), 0), **size}
         message = highs.modelStatusToString(status)
         incumbent = status == _h.HighsModelStatus.kOptimal or (
             is_mip and status in _LIMITS and info.objective_function_value != _h.kHighsInf)
@@ -348,14 +419,14 @@ class ScipyMilpAdapter:
             if highs.setOptionValue(name, value) != _h.HighsStatus.kOk:
                 raise ValueError(f"HiGHS rejected option {name}={value!r}")
         lp = _h.HighsLp()
-        lp.num_col_, lp.num_row_ = low.matrix.shape[1], low.matrix.shape[0]
+        lp.num_col_, lp.num_row_ = len(low.cost), len(low.row_lower)
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = low.cost, lower, upper
         lp.row_lower_, lp.row_upper_ = low.row_lower, low.row_upper
         lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = lp.num_col_, lp.num_row_
-        lp.a_matrix_.start_ = low.matrix.indptr
-        lp.a_matrix_.index_ = low.matrix.indices
-        lp.a_matrix_.value_ = low.matrix.data
+        lp.a_matrix_.start_ = low.start
+        lp.a_matrix_.index_ = low.index
+        lp.a_matrix_.value_ = low.value
         lp.integrality_ = [_INTEGER if i else _CONTINUOUS for i in integer]
         if highs.passModel(lp) == _h.HighsStatus.kError:
             return highs, _h.HighsModelStatus.kModelError

@@ -40,6 +40,9 @@ class SessionResult:
     runtime_s: float
     n_vars: int
     n_constraints: int
+    # size as HiGHS received the model, after the SOS-2 reformulation
+    n_binaries: int = 0
+    n_nonzeros: int = 0
     nodes: int = 0  # branch-and-bound nodes
     lp_iterations: int = 0  # simplex iterations of the MILP solve
     abs_gap: float | None = None  # |objective - dual bound|, EUR
@@ -187,6 +190,7 @@ def _solve_session(model: MilpModel, options: SolveOptions,
     result = SessionResult(key=key, status=sol.status, objective=sol.objective,
                            violations=violations, runtime_s=sol.runtime_s,
                            n_vars=model.n_vars, n_constraints=model.n_constraints,
+                           n_binaries=sol.n_binaries, n_nonzeros=sol.n_nonzeros,
                            nodes=sol.nodes, lp_iterations=sol.lp_iterations,
                            abs_gap=abs_gap)
     return sol, result
@@ -344,6 +348,8 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
             runtime_s=sum((p.runtime_s for p in parts), 0.0),
             n_vars=sum(p.n_vars for p in parts),
             n_constraints=sum(p.n_constraints for p in parts),
+            n_binaries=sum(p.n_binaries for p in parts),
+            n_nonzeros=sum(p.n_nonzeros for p in parts),
             nodes=sum(p.nodes for p in parts),
             lp_iterations=sum(p.lp_iterations for p in parts),
             # the parts' gaps add up to a bound on the aggregate's gap

@@ -72,6 +72,8 @@ def _session_dicts(result: RunResult) -> list[dict]:
             "runtimeS": r.runtime_s,
             "nVars": r.n_vars,
             "nConstraints": r.n_constraints,
+            "nBinaries": r.n_binaries,
+            "nNonzeros": r.n_nonzeros,
             "nodes": r.nodes,
             "lpIterations": r.lp_iterations,
             "absGap": r.abs_gap,

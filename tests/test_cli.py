@@ -389,6 +389,48 @@ class TestModelBuildErrors:
         assert "stu_ebal.csp" in line and "non-finite coefficient inf" in line
 
 
+class TestReportDirectory:
+    """A command that exits before writing anything leaves no empty report
+    directory behind, but never removes one that was there already."""
+
+    def _overflowing(self, tmp_path):
+        doc = toy_doc()
+        doc["calendar"]["dtHours"] = 2.0
+        doc["dres"][0]["variableCost"] = 1e308  # times dtHours overflows
+        return _write(tmp_path, doc)
+
+    def test_build_error_removes_the_directory_it_made(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--scenario", str(self._overflowing(tmp_path)), "--out", str(out),
+                  "--dump-model", str(tmp_path / "m.lp")])
+        assert err.value.code == EXIT_USAGE
+        assert "cannot build model: " in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "m.lp").exists()
+
+    def test_build_error_keeps_an_existing_directory(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        out.mkdir()
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--scenario", str(self._overflowing(tmp_path)), "--out", str(out)])
+        assert err.value.code == EXIT_USAGE
+        assert out.is_dir()
+
+    def test_missing_parents_go_too(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--scenario", str(self._overflowing(tmp_path)),
+                  "--out", str(tmp_path / "a" / "b" / "r")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json"]
+
+    def test_unknown_sweep_demand(self, toy_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--scenario", str(toy_file), "--demand", "ghost",
+                     "--profile", "shift", "--max", "10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "ghost" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, toy_file):
         proc = subprocess.run([sys.executable, "-m", "vppopt.cli", "validate",

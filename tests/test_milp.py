@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,19 @@ from vppopt.milp import (
     solve,
     verify,
 )
+from vppopt.scenario import load_scenario
 from vppopt.synth import random_piecewise_model, random_stu_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that finds vppopt; return stdout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestSolveBasics:
@@ -182,6 +198,105 @@ class TestHighsBinding:
         sol = solve(model)
         assert capfd.readouterr().out == ""
         assert abs(sol.objective - 9765.315143) <= 1e-6 * 9765.315143
+
+    def test_import_loads_no_scipy_package(self):
+        # vppopt loads the binding from its file: no scipy.optimize init
+        loaded = set(_python("import sys, vppopt.cli\nprint(*sys.modules)").split())
+        assert milp._HIGHS_MODULE in loaded
+        assert not loaded & {"scipy.optimize", "scipy.sparse", "scipy.linalg"}
+
+    def test_missing_extension_names_the_directory(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, milp._HIGHS_MODULE)
+        monkeypatch.setattr(milp.importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"missing from .*scipy.optimize._highspy"):
+            milp._load_highs()
+
+    @pytest.mark.parametrize("first", ["vppopt", "scipy"])
+    def test_scipy_and_vppopt_share_the_binding(self, first):
+        code = """
+import sys
+if sys.argv[1] == "scipy":
+    import scipy.optimize
+from vppopt.milp import MilpModel, _h, solve
+import numpy as np
+import scipy.optimize
+from scipy.optimize._highspy import _core
+assert _h is sys.modules["scipy.optimize._highspy._core"] is _core
+# 0-1 knapsack: take items 0 and 2 (weight 3 of 4) for 8
+ref = scipy.optimize.milp(c=[-5, -4, -3], integrality=[1, 1, 1],
+                          bounds=scipy.optimize.Bounds(0, 1),
+                          constraints=scipy.optimize.LinearConstraint([[2, 3, 1]], -np.inf, 4))
+m = MilpModel()
+u, v, y = m.add_binary("u"), m.add_binary("v"), m.add_continuous("y", ub=10.0)
+m.add_constraint({y: 1.0, u: -6.0, v: -4.0}, "<=", 0.0, "cap")
+m.add_constraint({u: 1.0, v: 1.0}, "<=", 1.0, "one")
+m.set_objective({y: 3.0, u: -2.0, v: -1.0})
+print(ref.status, ref.fun, solve(m).objective)
+"""
+        status, ref, ours = _python(code, first).split()
+        assert int(status) == 0 and float(ref) == pytest.approx(-8.0, abs=1e-9)
+        assert float(ours) == pytest.approx(16.0, abs=1e-9)
+
+
+def _csc_reference(model: MilpModel):
+    """The column-wise matrix as scipy.sparse builds it from the rows."""
+    import scipy.sparse
+
+    rows, cols, data = [], [], []
+    for r in range(model.n_constraints):
+        coeffs = model.constraint(r)[0]
+        rows.extend([r] * len(coeffs))
+        cols.extend(coeffs)
+        data.extend(coeffs.values())
+    return scipy.sparse.csc_array((np.array(data, dtype=float), (rows, cols)),
+                                  shape=(model.n_constraints, model.n_vars))
+
+
+def _shipped_day_ahead(day: str) -> MilpModel:
+    """A shipped day-ahead model as HiGHS receives it."""
+    model, _ = assemble_dam(load_scenario(ROOT / "scenarios" / f"{day}.json"))
+    return reformulate_sos2_as_binary(model)
+
+
+def _edge_model() -> MilpModel:
+    m = MilpModel()
+    x, y = m.add_continuous("x", ub=1.0), m.add_binary("y")
+    m.add_continuous("unused")  # a column in no row
+    m.add_constraint({y: 2.0, x: 1.0}, "<=", 2.0, "reversed")
+    m.add_constraint({}, "<=", 1.0, "empty")  # a row with no coefficients
+    m.add_constraint({x: 0.0, y: -1.0}, ">=", -1.0, "zero")  # an explicit 0.0
+    m.set_objective({x: 1.0, y: 1.5})
+    return m
+
+
+def _no_rows() -> MilpModel:
+    m = MilpModel()
+    m.set_objective({m.add_continuous("x", ub=2.0): 1.0, m.add_binary("y"): 1.0})
+    return m
+
+
+class TestLowering:
+    """``_lower`` builds HiGHS's column-wise arrays with numpy; they must
+    equal scipy.sparse's, the layout ``scipy.optimize.milp`` passes."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: _shipped_day_ahead("clear"),
+        lambda: _shipped_day_ahead("cloudy"),
+        _edge_model,
+        _no_rows,
+    ], ids=["clear-dam", "cloudy-dam", "edges", "no-rows"])
+    def test_arrays_equal_scipy_sparse(self, build):
+        model = build()
+        low, ref = milp._lower(model), _csc_reference(model)
+        assert np.array_equal(low.start, ref.indptr)
+        assert np.array_equal(low.index, ref.indices)
+        assert np.array_equal(low.value, ref.data)
+        assert len(low.cost) == model.n_vars and len(low.row_lower) == model.n_constraints
+
+    def test_edge_model_solves(self):
+        sol = solve(_edge_model())
+        assert sol.status == "optimal" and sol.objective == pytest.approx(1.5, abs=1e-9)
+        assert (sol.n_binaries, sol.n_nonzeros) == (1, 4)
 
 
 class TestValidation:

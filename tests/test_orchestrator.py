@@ -149,6 +149,9 @@ class TestNoCoordination:
         assert dam.key == "dam"
         assert dam.status == "optimal"
         assert dam.n_vars == sum(r.sessions[0].n_vars for _, r in result.asset_runs)
+        for size in ("n_binaries", "n_nonzeros"):
+            parts = [getattr(r.sessions[0], size) for _, r in result.asset_runs]
+            assert getattr(dam, size) == sum(parts) > 0, size
         assert abs(dam.objective - result.profits.per_session["dam"]) <= 1e-9
 
     def test_history_is_the_aggregate_ledger_per_session(self, toy):

@@ -22,6 +22,9 @@ from vppopt.report import (
     emit_report,
     emit_thresholds,
 )
+from vppopt.scenario import load_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def load_trade_csv(path: Path) -> dict[str, list[float]]:
@@ -157,12 +160,22 @@ class TestEmitAndLoad:
         for sess, res in zip(verify_doc["sessions"], result.sessions):
             assert (sess["nodes"], sess["lpIterations"], sess["absGap"]) == \
                 (res.nodes, res.lp_iterations, res.abs_gap)
+            assert (sess["nBinaries"], sess["nNonzeros"]) == (res.n_binaries, res.n_nonzeros)
             assert isinstance(sess["nodes"], int) and sess["nodes"] >= 0
             assert isinstance(sess["lpIterations"], int) and sess["lpIterations"] >= 0
             assert 0.0 <= sess["absGap"] <= 1e-6 * max(1.0, abs(sess["objective"]))
         assert verify_doc["summary"] == []
         assert set(verify_doc["checks"]) == {"demandContracts", "aggregateBalance",
                                              "storageConservation"}
+
+    def test_clear_day_ahead_size_is_pinned(self, tmp_path):
+        # counted as HiGHS receives the model, after the SOS-2 reformulation
+        scenario = load_scenario(SCENARIO_DIR / "clear.json")
+        result = run_vpp(scenario, RunConfig(sessions=("dam",)))
+        emit_report(build_report(scenario, result), tmp_path)
+        (dam,) = json.loads((tmp_path / "verify.json").read_text())["sessions"]
+        assert (dam["nVars"], dam["nConstraints"]) == (1425, 1397)
+        assert (dam["nBinaries"], dam["nNonzeros"]) == (177, 4326)
 
     def test_emission_is_idempotent(self, toy, tmp_path):
         report = build_report(toy, run_vpp(toy))
