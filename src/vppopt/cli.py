@@ -176,8 +176,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     for sess in result.sessions:
         objective = "-" if sess.objective is None else f"{sess.objective:.2f}"
+        gap = "-" if sess.abs_gap is None else f"{sess.abs_gap:.2g}"
         print(f"{sess.key}: {sess.status} objective={objective} "
-              f"({sess.runtime_s:.2f}s, {len(sess.violations)} violations)")
+              f"({sess.runtime_s:.2f}s, {sess.nodes} nodes, "
+              f"{sess.lp_iterations} LP iterations, absGap {gap}, "
+              f"{len(sess.violations)} violations)")
     print(f"total profit: {report.total_profit:.2f}")
     print(f"report written to {out_dir}")
 

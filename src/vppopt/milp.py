@@ -34,6 +34,7 @@ import math
 import os
 import re
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -329,17 +330,38 @@ def _lower(model: MilpModel) -> _Lowered:
                     np.array([kind == BINARY for kind in model._kind], dtype=bool))
 
 
+_redirect_lock = threading.Lock()
+_redirect_depth = 0  # solves inside _stdout_to_stderr
+_saved_stdout = -1  # a duplicate of the original fd 1 while depth > 0
+
+
 @contextlib.contextmanager
 def _stdout_to_stderr():
     """Point file descriptor 1 at stderr. HiGHS prints some MIP debug
-    lines straight to the process's stdout even with ``output_flag`` off."""
-    saved = os.dup(1)
+    lines straight to the process's stdout even with ``output_flag`` off.
+
+    File descriptors belong to the process, so solves on several threads
+    share one redirect: the first solve in saves fd 1 and points it at
+    stderr, the last one out restores it."""
+    global _redirect_depth, _saved_stdout
+    with _redirect_lock:
+        if _redirect_depth == 0:
+            saved = os.dup(1)
+            try:
+                os.dup2(2, 1)
+            except BaseException:
+                os.close(saved)
+                raise
+            _saved_stdout = saved
+        _redirect_depth += 1
     try:
-        os.dup2(2, 1)
         yield
     finally:
-        os.dup2(saved, 1)
-        os.close(saved)
+        with _redirect_lock:
+            _redirect_depth -= 1
+            if _redirect_depth == 0:
+                os.dup2(_saved_stdout, 1)
+                os.close(_saved_stdout)
 
 
 class ScipyMilpAdapter:

@@ -10,18 +10,29 @@ so the two modes are comparable profit-for-profit and check-for-check.
 The sweep finds, per demand profile, the largest
 payment at which the optimizer still picks it over the default, in
 closed form from two day-ahead solves with the choice held either way.
+
+MILPs that do not depend on each other run at the same time
+(:func:`_concurrently`): the baseline's isolated asset runs, and the
+sweep's held day-ahead solves. HiGHS releases the GIL while it solves, so
+threads put every core to work. A VPP run stays sequential: each intraday
+session starts from the ledger the previous one left.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence, TypeVar
 
 from vppopt import dam as dam_mod
 from vppopt import stu as stu_mod
 from vppopt.idm import LedgerState, apply_idm, assemble_idm, ledger_from_dam
 from vppopt.milp import MilpModel, Solution, SolveOptions, Violation, solve, verify
 from vppopt.scenario import DemandAsset, ForecastSet, Network, Scenario
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -175,6 +186,60 @@ def recompute_profits(s: Scenario, history: Sequence[LedgerState]) -> dict[str, 
 
 
 # ---------------------------------------------------------------------------
+# Independent solves
+# ---------------------------------------------------------------------------
+
+def _concurrently(tasks: Sequence[Callable[[], T]]) -> list[T]:
+    """Run independent tasks on threads; their results, in task order.
+
+    The calling thread runs the first task while ``min(os.cpu_count(),
+    len(tasks)) - 1`` threads it starts (at least one) run the next ones;
+    a thread that is done takes the next task nobody has taken. Put the
+    longest task first: the caller works through it while the other
+    threads clear the rest. The outcome is the sequential loop's: the
+    earliest task in order that fails raises its error, no task is taken
+    after a failure, and none is still running when this returns or raises.
+    """
+    if len(tasks) <= 1:
+        return [task() for task in tasks]
+    outcomes: list = [None] * len(tasks)  # (True, result) or (False, error)
+    untaken = iter(range(1, len(tasks)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def run(i: int) -> None:
+        try:
+            outcomes[i] = (True, tasks[i]())
+        except Exception as exc:
+            outcomes[i] = (False, exc)
+            stop.set()
+
+    def take() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(untaken, None)
+            if i is None:
+                return
+            run(i)
+
+    threads = [threading.Thread(target=take)
+               for _ in range(max(min(os.cpu_count() or 1, len(tasks)) - 1, 1))]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+        take()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    for ok, value in filter(None, outcomes):
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+# ---------------------------------------------------------------------------
 # VPP pipeline
 # ---------------------------------------------------------------------------
 
@@ -311,16 +376,20 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     """Every asset bids alone; demands stay passive on the default profile.
 
     Each generation asset gets an isolated single-bus run over the same
-    calendar and its own forecasts. The runs fold into one aggregate
-    ledger per session that every asset completed, so profits, their
-    recomputation and the post-hoc checks treat the baseline like a VPP
-    run. The passive demand purchase costs are booked at the day-ahead
-    stage.
+    calendar and its own forecasts. The runs do not depend on each other
+    and go through :func:`_concurrently`, the storage units' (the
+    longest) first. They fold, in portfolio order so that every sum is the
+    sequential one, into one aggregate ledger per session that every
+    asset completed, so profits, their recomputation and the post-hoc
+    checks treat the baseline like a VPP run. The passive demand purchase
+    costs are booked at the day-ahead stage.
     """
     cfg = cfg or RunConfig()
     keys = session_keys(s, cfg.sessions)
-    asset_runs = [(a.id, run_vpp(single_asset_scenario(s, a.id), cfg))
-                  for a in s.dres + s.ndres + s.stu]
+    longest_first = [a.id for a in s.stu + s.dres + s.ndres]
+    runs = dict(zip(longest_first, _concurrently(
+        [partial(run_vpp, single_asset_scenario(s, aid), cfg) for aid in longest_first])))
+    asset_runs = [(a.id, runs[a.id]) for a in s.dres + s.ndres + s.stu]
     failure = next((run.failure for _, run in asset_runs if not run.ok), None)
 
     demand_profit = {d.id: passive_demand_profit(s, d) for d in s.demands}
@@ -438,7 +507,8 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
     and ``V_def`` the optima with either profile held. Two solves give the
     break-even payment ``V_ch - V_def`` exactly; the reported threshold
     keeps ``resolution / 2`` below it, so the challenger is still picked
-    at the threshold and dropped one resolution above it.
+    at the threshold and dropped one resolution above it. The held solves
+    of all pairs are independent and go through :func:`_concurrently`.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -454,11 +524,13 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
         raise KeyError(f"no non-default profile matches demand={demand_id} "
                        f"profile={profile_id}")
 
+    contests = [_pair_contest(s, did, pid) for did, pid, _ in pairs]
+    held = _concurrently([partial(_held_objective, contest, did, kept, options)
+                          for contest, (did, pid, default) in zip(contests, pairs)
+                          for kept in (pid, default)])
     out = []
-    for did, pid, default in pairs:
-        contest = _pair_contest(s, did, pid)
-        gain = (_held_objective(contest, did, pid, options)
-                - _held_objective(contest, did, default, options))
+    for (did, pid, _), v_ch, v_def in zip(pairs, held[::2], held[1::2]):
+        gain = v_ch - v_def
         if gain <= 0:
             out.append(ThresholdEntry(did, pid, "never", None, resolution))
         elif gain >= max_cost:

@@ -1,12 +1,13 @@
 """End-to-end acceptance gates on the shipped study days and randomized
 instances.
 
-Eleven checks, one test each: clean and fast solves of both shipped days,
-their pinned total profits and day-ahead search counts, agreement of the
-day-ahead optimizer with exhaustive enumeration, conversion-curve
+Thirteen checks, one test each: clean and fast solves of both shipped
+days, their pinned total profits and day-ahead search counts, agreement of
+the day-ahead optimizer with exhaustive enumeration, conversion-curve
 fidelity and agreement of the two SOS-2 routes, storage bookkeeping,
 demand contracts, the value of coordination, sharp profile-payment
-thresholds, inert no-news sessions, and price monotonicity.
+thresholds, inert no-news sessions, price monotonicity, and results that
+concurrent solves leave as sequential ones gave them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from vppopt.orchestrator import (
     check_storage_conservation,
     chosen_profiles,
     run,
+    run_vpp,
+    single_asset_scenario,
     sweep_profile_costs,
 )
 from vppopt.scenario import load_scenario
@@ -69,6 +72,12 @@ def baselines():
     return {name: run(load_scenario(SCENARIO_DIR / f"{name}.json"),
                       RunConfig(mode="nocoord"))
             for name in ("clear", "cloudy")}
+
+
+@pytest.fixture(scope="module")
+def thresholds(study):
+    """Payment thresholds of every non-default profile of the clear day."""
+    return sweep_profile_costs(study["clear"][0], max_cost=1200.0, resolution=1.0)
 
 
 def _tiny_doc(prices: tuple[float, ...], initial: str) -> dict:
@@ -236,12 +245,12 @@ class TestEconomics:
             gaps[name] = (vpp - solo) / abs(solo)
         assert gaps["cloudy"] > gaps["clear"]
 
-    def test_profile_cost_thresholds_are_sharp(self, study):
+    def test_profile_cost_thresholds_are_sharp(self, study, thresholds):
         """Every alternative consumption profile has a finite payment
         threshold; independent re-solves pick it at the threshold and at
         half of it, and drop it one unit above."""
         s = study["clear"][0]
-        entries = sweep_profile_costs(s, max_cost=1200.0, resolution=1.0)
+        entries = thresholds
         non_default = sorted((d.id, p.id) for d in s.demands
                              for p in d.profiles if not p.default)
         assert sorted((e.demand_id, e.profile_id) for e in entries) == non_default
@@ -294,3 +303,23 @@ class TestEconomics:
             lifted = solve(lifted_model)
             assert base.status == "optimal" and lifted.status == "optimal"
             assert lifted.objective >= base.objective - 1e-6
+
+
+class TestConcurrentSolves:
+    """Solving independent MILPs at the same time changes no result."""
+
+    def test_isolated_asset_runs_equal_sequential_ones(self, study, baselines):
+        for name in ("clear", "cloudy"):
+            s = study[name][0]
+            asset_runs = baselines[name].asset_runs
+            assert [aid for aid, _ in asset_runs] == [a.id for a in s.dres + s.ndres + s.stu]
+            for aid, got in asset_runs:
+                want = run_vpp(single_asset_scenario(s, aid))
+                assert [r.objective for r in got.sessions] == \
+                    [r.objective for r in want.sessions], f"{name}/{aid}"
+                assert got.ledger_history == want.ledger_history, f"{name}/{aid}"
+
+    def test_clear_day_thresholds_are_pinned(self, thresholds):
+        # in the order of the demands and their profiles in clear.json
+        pinned = [450.4, 180.175, 807.475, 311.125, 524.2, 115.0]
+        assert [e.threshold for e in thresholds] == pytest.approx(pinned, abs=1e-6)

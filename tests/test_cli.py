@@ -105,6 +105,15 @@ class TestRun:
         for name in ("dam.csv", "idm_1.csv", "profit.json", "verify.json"):
             assert (out / name).exists()
 
+    def test_summary_lines_carry_the_search_statistics(self, toy_file, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert main(["run", "--scenario", str(toy_file), "--out", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        for sess in json.loads((out / "verify.json").read_text())["sessions"]:
+            line = next(x for x in lines if x.startswith(f"{sess['key']}: optimal objective="))
+            assert f", {sess['nodes']} nodes, {sess['lpIterations']} LP iterations, " \
+                   f"absGap {sess['absGap']:.2g}, 0 violations)" in line
+
     def test_default_report_directory_uses_the_scenario_stem(
             self, toy_file, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +200,55 @@ class TestHighsBinding:
         sol = solve(model)
         assert capfd.readouterr().out == ""
         assert abs(sol.objective - 9765.315143) <= 1e-6 * 9765.315143
+
+    def test_concurrent_solves_keep_stdout(self, capfd):
+        # two threads share the redirect of fd 1; a save/restore pair per
+        # solve would interleave and could leave fd 1 on stderr
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            random_stu_scenario(rng)
+        s = random_stu_scenario(rng)
+        models = [assemble_dam(s)[0] for _ in range(2)]
+        before = os.fstat(1)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with ThreadPoolExecutor(2) as pool:
+            solutions = list(pool.map(solve, models))
+        after = os.fstat(1)
+        assert capfd.readouterr().out == ""
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        for sol in solutions:
+            assert abs(sol.objective - 9765.315143) <= 1e-6 * 9765.315143
+
+    def test_redirect_holds_while_threads_overlap(self):
+        def identity(fd):
+            stat = os.fstat(fd)
+            return stat.st_dev, stat.st_ino
+
+        stdout, stderr = identity(1), identity(2)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        strays = []
+
+        def solver():
+            for _ in range(200):
+                with milp._stdout_to_stderr():
+                    if identity(1) != stderr:
+                        strays.append(identity(1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solver) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert strays == []
+        assert identity(1) == stdout
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
     def test_import_loads_no_scipy_package(self):
         # vppopt loads the binding from its file: no scipy.optimize init

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from conftest import make_scenario, toy_doc
 from vppopt.orchestrator import (
     RunConfig,
+    _concurrently,
     check_aggregate_balance,
     check_demand_contracts,
     check_storage_conservation,
@@ -32,6 +36,76 @@ def _priced_doc(prices=(40.0, 20.0, 30.0)):
     doc["calendar"]["damPrices"] = list(prices)
     doc["calendar"]["sessions"][0]["prices"] = list(prices)
     return doc
+
+
+def _pool_size(n_tasks: int) -> int:
+    """Threads besides the caller that ``_concurrently`` may start."""
+    return max(min(os.cpu_count() or 1, n_tasks) - 1, 1)
+
+
+class TestConcurrently:
+    def test_results_come_back_in_task_order(self):
+        def task(i, pause):
+            time.sleep(pause)
+            return i, threading.get_ident()
+
+        pauses = [0.05, 0.15, 0.0, 0.1, 0.02]
+        results = _concurrently([lambda i=i, p=p: task(i, p) for i, p in enumerate(pauses)])
+        assert [i for i, _ in results] == list(range(len(pauses)))
+        assert results[0][1] == threading.get_ident()  # the caller runs the first
+
+    def test_earliest_failing_task_raises_even_when_a_later_one_fails_first(self):
+        def fail(message, pause):
+            time.sleep(pause)
+            raise RuntimeError(message)
+
+        with pytest.raises(RuntimeError, match="^earliest$"):
+            _concurrently([lambda: fail("earliest", 0.2), lambda: fail("later", 0.0)])
+
+    def test_tasks_not_started_do_not_run_after_an_error(self):
+        ran, running = [], []
+
+        def fail():
+            raise RuntimeError("stop")
+
+        def hold():  # keeps a started thread busy
+            running.append(1)
+            time.sleep(0.3)
+            running.pop()
+
+        # one hold per started thread: with the queued tasks there are at
+        # least as many tasks as cores, so the helper starts cores - 1
+        holds = [hold] * _pool_size(os.cpu_count() or 1)
+        queued = [lambda i=i: ran.append(i) for i in range(3)]
+        with pytest.raises(RuntimeError, match="stop"):
+            _concurrently([fail, *holds, *queued])
+        assert running == []  # the call waited for the tasks it had started
+        time.sleep(0.1)
+        assert ran == []
+
+    def test_a_single_task_runs_on_the_calling_thread(self):
+        before = threading.active_count()
+        (ident, count), = _concurrently([lambda: (threading.get_ident(),
+                                                  threading.active_count())])
+        assert ident == threading.get_ident()
+        assert count == before
+
+    def test_no_tasks(self):
+        assert _concurrently([]) == []
+
+    def test_threads_stay_within_the_cores(self):
+        before = threading.active_count()
+        seen = []
+
+        def task():
+            seen.append(threading.active_count())
+            time.sleep(0.05)
+
+        tasks = [task] * 5
+        _concurrently(tasks)
+        assert len(seen) == len(tasks)
+        assert max(seen) <= before + _pool_size(len(tasks))
+        assert threading.active_count() == before  # nothing outlives the call
 
 
 class TestVppRun:
