@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from vppopt.orchestrator import RunConfig, run
 from vppopt.scenario import load_scenario
 from vppopt.stu import (
@@ -22,7 +24,6 @@ from vppopt.stu import (
     POWER,
     PPB,
     PSF,
-    eval_pb_oracle,
     pb_curve,
 )
 
@@ -42,6 +43,10 @@ def main() -> None:
     asset = s.stu[0]
     series = result.ledger.stu_series[asset.id]
     curve = pb_curve(asset)
+
+    def on_curve(thermal_input: float) -> float:
+        return float(np.interp(thermal_input, curve.breakpoints, curve.values))
+
     print(f"{asset.id} on the {s.name} day "
           f"(storage {asset.storage_cap[-1]:.0f} MWh_th, "
           f"end window [{asset.end_alpha_lo:.0%}, {asset.end_alpha_hi:.0%}])")
@@ -50,7 +55,7 @@ def main() -> None:
     for t in range(1, s.n_periods + 1):
         i = t - 1
         on = series[PB_ON][i] > 0.5
-        fitted = eval_pb_oracle(curve, series[PPB][i]) if on else 0.0
+        fitted = on_curve(series[PPB][i]) if on else 0.0
         cols = [series[PSF][i], series[CHG][i], series[DIS][i],
                 series[ENERGY][i], series[PPB][i], series[POWER][i], fitted]
         psf, chg, dis, stored, ppb, power, fitted = (v + 0.0 for v in cols)
@@ -62,7 +67,7 @@ def main() -> None:
     hi = asset.end_alpha_hi * asset.storage_cap[-1]
     print()
     print(f"end-of-day storage {end:.1f} MWh_th inside [{lo:.1f}, {hi:.1f}]")
-    worst = max(abs(series[POWER][t] - eval_pb_oracle(curve, series[PPB][t]))
+    worst = max(abs(series[POWER][t] - on_curve(series[PPB][t]))
                 for t in range(s.n_periods) if series[PB_ON][t] > 0.5)
     print(f"largest curve deviation while running: {worst:.2e} MW")
 

@@ -15,9 +15,8 @@ re-imposes the same builders on its receding horizon.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from vppopt import stu as stu_mod
 from vppopt.milp import MilpModel
@@ -57,12 +56,12 @@ def register_window_variables(model: MilpModel, reg: VariableRegistry, s: Scenar
     """
     net = s.network
     for t in periods:
-        reg.new(model, trade_role, "vpp", t, lb=-np.inf, ub=np.inf)
+        reg.new(model, trade_role, "vpp", t, lb=-math.inf, ub=math.inf)
         for b in net.main_grid_buses:
             cap = net.trade_cap[b]
             reg.new(model, TRADE_BUS, b, t, lb=-cap, ub=cap)
         for b in net.buses:
-            reg.new(model, ANGLE, b, t, lb=-np.inf, ub=np.inf)
+            reg.new(model, ANGLE, b, t, lb=-math.inf, ub=math.inf)
         for line in net.lines:
             reg.new(model, FLOW, line.id, t, lb=-line.flow_limit, ub=line.flow_limit)
         for a in s.dres:
@@ -73,14 +72,14 @@ def register_window_variables(model: MilpModel, reg: VariableRegistry, s: Scenar
             # them continuous keeps the optimum and shrinks the tree
             reg.new(model, DRES_V, a.id, t, lb=0.0, ub=1.0)
             reg.new(model, DRES_W, a.id, t, lb=0.0, ub=1.0)
-            reg.new(model, DRES_C1, a.id, t, lb=0.0, ub=np.inf)
-            reg.new(model, DRES_C0, a.id, t, lb=0.0, ub=np.inf)
+            reg.new(model, DRES_C1, a.id, t, lb=0.0, ub=math.inf)
+            reg.new(model, DRES_C0, a.id, t, lb=0.0, ub=math.inf)
             for role in dres_free:
-                reg.new(model, role, a.id, t, lb=-np.inf, ub=np.inf)
+                reg.new(model, role, a.id, t, lb=-math.inf, ub=math.inf)
         for a in s.ndres:
-            reg.new(model, NDRES_P, a.id, t, lb=0.0, ub=np.inf)
+            reg.new(model, NDRES_P, a.id, t, lb=0.0, ub=math.inf)
         for d in s.demands:
-            reg.new(model, DEM_P, d.id, t, lb=0.0, ub=np.inf)
+            reg.new(model, DEM_P, d.id, t, lb=0.0, ub=math.inf)
     for a in s.stu:
         stu_mod.register_stu_variables(model, reg, a, periods)
 

@@ -90,15 +90,15 @@ def ledger_from_dam(s: Scenario, reg: VariableRegistry, sol: Solution) -> Ledger
         selected[d.id] = chosen[0]
     return LedgerState(
         n_periods=s.n_periods,
-        dam_trade=tuple(reg.values(x, TRADE_DAM, "vpp", periods)),
+        dam_trade=reg.values(x, TRADE_DAM, "vpp", periods),
         idm_trades={},
         selected_profiles=selected,
-        demand_p={d.id: tuple(reg.values(x, DEM_P, d.id, periods)) for d in s.demands},
-        dres_p={a.id: tuple(reg.values(x, DRES_P, a.id, periods)) for a in s.dres},
+        demand_p={d.id: reg.values(x, DEM_P, d.id, periods) for d in s.demands},
+        dres_p={a.id: reg.values(x, DRES_P, a.id, periods) for a in s.dres},
         dres_u={a.id: tuple(_binary(v) for v in reg.values(x, DRES_U, a.id, periods))
                 for a in s.dres},
-        ndres_p={a.id: tuple(reg.values(x, NDRES_P, a.id, periods)) for a in s.ndres},
-        stu_series={a.id: {role: tuple(reg.values(x, role, a.id, periods))
+        ndres_p={a.id: reg.values(x, NDRES_P, a.id, periods) for a in s.ndres},
+        stu_series={a.id: {role: reg.values(x, role, a.id, periods)
                            for role in STU_ROLES} for a in s.stu},
         objectives={"dam": float(sol.objective)},
     )

@@ -11,9 +11,9 @@ from its file in scipy's directory (:func:`_load_highs`). Importing it by
 name would first run the ``scipy.optimize`` package init, which pulls in
 linalg, sparse, special and more, none of which vppopt calls: that was
 most of the start-up time of every ``vppopt`` process. The model is
-lowered to HiGHS's column-wise arrays with numpy alone (:func:`_lower`),
-so importing vppopt loads numpy and the extension and nothing else of
-scipy.
+lowered to HiGHS's column-wise arrays as lists (:func:`_lower`), so
+importing vppopt loads no numpy, and nothing of scipy but the extension;
+the binding loads numpy itself at the first solve (``HighsLp.col_cost_``).
 
 HiGHS takes no SOS-2 sets, so :func:`solve`
 replaces them by the standard segment-binary reformulation and projects
@@ -30,7 +30,9 @@ from __future__ import annotations
 import contextlib
 import importlib.machinery
 import importlib.util
+import itertools
 import math
+import operator
 import os
 import re
 import sys
@@ -41,9 +43,28 @@ from pathlib import Path
 from types import ModuleType
 from typing import Mapping, Sequence
 
-import numpy as np
-
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+class _BindToPackage:
+    """Import hook: once ``scipy.optimize._highspy`` is imported, make the
+    extension :func:`_load_highs` loaded its ``_core`` attribute. The
+    import system binds a submodule to its package only when it loads the
+    submodule itself, and it never loads one found in ``sys.modules``."""
+
+    @staticmethod
+    def find_spec(name, path, target=None):
+        spec = None
+        if name == _HIGHS_MODULE.rpartition(".")[0]:
+            spec = importlib.machinery.PathFinder.find_spec(name, path, target)
+        if spec is not None:
+            exec_package = spec.loader.exec_module
+
+            def exec_module(package: ModuleType) -> None:
+                exec_package(package)
+                package._core = sys.modules[_HIGHS_MODULE]
+            spec.loader.exec_module = exec_module
+        return spec
 
 
 def _load_highs() -> ModuleType:
@@ -54,6 +75,7 @@ def _load_highs() -> ModuleType:
     it runs, so a later ``import scipy.optimize`` (or of the extension by
     name) finds it there and reuses this module object: pybind11 registers
     the extension's types once per process and refuses a second load.
+    :class:`_BindToPackage` then makes it the package's attribute too.
     When ``scipy.optimize`` came first, its module is returned as it is.
     """
     if _HIGHS_MODULE in sys.modules:
@@ -74,6 +96,7 @@ def _load_highs() -> ModuleType:
     except BaseException:
         del sys.modules[_HIGHS_MODULE]
         raise
+    sys.meta_path.insert(0, _BindToPackage)
     return module
 
 
@@ -100,7 +123,7 @@ class Solution:
 
     status: str  # optimal | feasible | infeasible | unbounded | error
     objective: float | None = None
-    values: np.ndarray | None = None
+    values: tuple[float, ...] | None = None
     runtime_s: float = 0.0
     message: str = ""
     nodes: int = 0  # branch-and-bound nodes
@@ -212,12 +235,6 @@ class MilpModel:
     def objective_coeffs(self) -> dict[int, float]:
         return dict(self._obj)
 
-    def lb_array(self) -> np.ndarray:
-        return np.array(self._lb, dtype=float)
-
-    def ub_array(self) -> np.ndarray:
-        return np.array(self._ub, dtype=float)
-
     def copy(self, drop_sos2: bool = False) -> "MilpModel":
         out = MilpModel(self.name)
         out._kind = list(self._kind)
@@ -284,50 +301,44 @@ def highs_options(options: SolveOptions) -> dict[str, object]:
 
 @dataclass(frozen=True)
 class _Lowered:
-    """A model as HiGHS takes it: minimize ``cost @ x`` subject to
+    """A model as HiGHS takes it: minimize ``sum(cost[j] * x[j])`` subject to
     ``row_lower <= A x <= row_upper`` and ``lower <= x <= upper``, with
     ``A`` column-wise: column ``j`` holds ``value[start[j]:start[j+1]]``
     in the rows ``index[start[j]:start[j+1]]``, rows ascending (the
     compressed sparse column layout)."""
 
-    cost: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    start: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
-    row_lower: np.ndarray
-    row_upper: np.ndarray
-    integer: np.ndarray  # bool mask of the binaries
+    cost: list[float]
+    lower: list[float]
+    upper: list[float]
+    start: list[int]
+    index: list[int]
+    value: list[float]
+    row_lower: list[float]
+    row_upper: list[float]
+    integer: list[bool]  # mask of the binaries
 
 
 def _lower(model: MilpModel) -> _Lowered:
-    n, m = model.n_vars, model.n_constraints
-    cost = np.zeros(n)
+    n = model.n_vars
+    cost = [0.0] * n
     for v, coef in model._obj.items():
         cost[v] = -coef  # HiGHS minimizes
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    row_lower = np.full(m, -math.inf)
-    row_upper = np.full(m, math.inf)
+    # walking the rows in order leaves every column's entries row-ascending
+    col_rows: list[list[int]] = [[] for _ in range(n)]
+    col_values: list[list[float]] = [[] for _ in range(n)]
+    row_lower: list[float] = []
+    row_upper: list[float] = []
     for r, (coeffs, sense, rhs, _) in enumerate(model._constraints):
-        rows.extend([r] * len(coeffs))
-        cols.extend(coeffs)
-        data.extend(coeffs.values())
-        if sense != "<=":
-            row_lower[r] = rhs
-        if sense != ">=":
-            row_upper[r] = rhs
-    # each row holds a column at most once, so (column, row) orders every entry
-    row_of = np.array(rows, dtype=np.int32)
-    col_of = np.array(cols, dtype=np.int32)
-    order = np.lexsort((row_of, col_of))
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col_of, minlength=n), out=start[1:])
-    return _Lowered(cost, model.lb_array(), model.ub_array(), start, row_of[order],
-                    np.array(data, dtype=float)[order], row_lower, row_upper,
-                    np.array([kind == BINARY for kind in model._kind], dtype=bool))
+        for v, coef in coeffs.items():
+            col_rows[v].append(r)
+            col_values[v].append(coef)
+        row_lower.append(-math.inf if sense == "<=" else rhs)
+        row_upper.append(math.inf if sense == ">=" else rhs)
+    return _Lowered(cost, list(model._lb), list(model._ub),
+                    [0, *itertools.accumulate(map(len, col_rows))],
+                    list(itertools.chain.from_iterable(col_rows)),
+                    list(itertools.chain.from_iterable(col_values)),
+                    row_lower, row_upper, [kind == BINARY for kind in model._kind])
 
 
 _redirect_lock = threading.Lock()
@@ -376,16 +387,18 @@ class ScipyMilpAdapter:
     name, so that scipy, when something else imports it, reuses the same
     module; pybind11 cannot register the binding's types twice.
 
-    The model is lowered once to column-wise arrays (:func:`_lower`, with
-    numpy; the arrays equal ``scipy.sparse.csc_array``'s) and passed whole
-    with ``passModel``, the layout ``scipy.optimize.milp`` builds. The
-    binding is used instead of ``scipy.optimize.milp`` because only the
-    binding reaches every HiGHS option: HiGHS runs with its RINS and RENS
-    sub-MIP heuristics and its root restarts off (:func:`highs_options`).
-    On the shipped days HiGHS finds the optimal incumbent early and spends
-    most of the run proving it; the sub-MIPs and restarts took much of
-    that time without improving the incumbent. An option HiGHS rejects
-    raises ``ValueError`` before any solve.
+    The model is lowered once to column-wise lists in one pass over its
+    rows (:func:`_lower`, no numpy; the lists equal
+    ``scipy.sparse.csc_array``'s arrays) and passed whole with
+    ``passModel``, the layout ``scipy.optimize.milp`` builds. The binding
+    is used instead of ``scipy.optimize.milp`` because only the binding
+    reaches every HiGHS option: HiGHS runs with its RINS and RENS sub-MIP
+    heuristics and its root restarts off (:func:`highs_options`). On the
+    shipped days HiGHS spends most of each run finding the optimum, not
+    proving it: the optimal incumbent arrives at 44-92% of each session's
+    solve. The sub-MIPs and restarts took much of the run time without
+    improving the incumbent. An option HiGHS rejects raises ``ValueError``
+    before any solve.
 
     Integer variables come back from the backend only to within its
     integrality tolerance; downstream identities (piecewise conversion,
@@ -404,11 +417,11 @@ class ScipyMilpAdapter:
             raise ValueError("HiGHS backend cannot take SOS-2 sets directly; use solve()")
         t0 = time.perf_counter()
         low = _lower(model)
-        size = {"n_binaries": int(low.integer.sum()), "n_nonzeros": len(low.value)}
-        if np.any(low.lower > low.upper):
+        size = {"n_binaries": sum(low.integer), "n_nonzeros": len(low.value)}
+        if any(lb > ub for lb, ub in zip(low.lower, low.upper)):
             return Solution(status="infeasible", message="empty variable domain",
                             runtime_s=time.perf_counter() - t0, **size)
-        is_mip = bool(low.integer.any())
+        is_mip = any(low.integer)
         highs, status = self._run(low, low.lower, low.upper, low.integer, options)
         info = highs.getInfo()
         stats = {"nodes": max(int(info.mip_node_count), 0) if is_mip else 0,
@@ -419,18 +432,18 @@ class ScipyMilpAdapter:
         if not incumbent:
             return Solution(status=_FAILED.get(status, "error"), message=message,
                             runtime_s=time.perf_counter() - t0, **stats)
-        values = np.array(highs.getSolution().col_value)
+        values = tuple(highs.getSolution().col_value)
         bound = info.mip_dual_bound if is_mip else info.objective_function_value
         if is_mip:
             values = self._polish(low, values, options)
         return Solution(
             status="optimal" if status == _h.HighsModelStatus.kOptimal else "feasible",
-            objective=-float(low.cost @ values) + model.obj_constant, values=values,
-            runtime_s=time.perf_counter() - t0, message=message,
+            objective=-math.fsum(map(operator.mul, low.cost, values)) + model.obj_constant,
+            values=values, runtime_s=time.perf_counter() - t0, message=message,
             dual_bound=-float(bound) + model.obj_constant, **stats)
 
     @staticmethod
-    def _run(low: _Lowered, lower: np.ndarray, upper: np.ndarray, integer: np.ndarray,
+    def _run(low: _Lowered, lower: list[float], upper: list[float], integer: list[bool],
              options: SolveOptions):
         """Run a fresh HiGHS instance over the lowered model with these
         column bounds and integer columns. Returns the instance and its
@@ -458,24 +471,22 @@ class ScipyMilpAdapter:
         return highs, highs.getModelStatus()
 
     @classmethod
-    def _polish(cls, low: _Lowered, x: np.ndarray, options: SolveOptions) -> np.ndarray:
+    def _polish(cls, low: _Lowered, x: tuple[float, ...],
+                options: SolveOptions) -> tuple[float, ...]:
         """Fix the integers at their rounded values and refit the rest.
 
         Keeps the incumbent when the refit fails, which can only happen
         through backend numerics: the rounded point is feasible whenever
         the incumbent satisfied the integrality tolerance.
         """
-        mask = low.integer
-        snapped = np.clip(np.round(x[mask]), low.lower[mask], low.upper[mask])
-        lower, upper = low.lower.copy(), low.upper.copy()
-        lower[mask] = snapped
-        upper[mask] = snapped
-        highs, status = cls._run(low, lower, upper, np.zeros_like(mask), options)
+        snapped = {j: min(max(round(x[j], 0), low.lower[j]), low.upper[j])  # half to even
+                   for j, is_int in enumerate(low.integer) if is_int}
+        lower = [snapped.get(j, lb) for j, lb in enumerate(low.lower)]
+        upper = [snapped.get(j, ub) for j, ub in enumerate(low.upper)]
+        highs, status = cls._run(low, lower, upper, [False] * len(lower), options)
         if status != _h.HighsModelStatus.kOptimal:
             return x
-        polished = np.array(highs.getSolution().col_value)
-        polished[mask] = snapped
-        return polished
+        return tuple(snapped.get(j, v) for j, v in enumerate(highs.getSolution().col_value))
 
 
 _INTEGER = _h.HighsVarType.kInteger
@@ -511,7 +522,7 @@ def solve(model: MilpModel, options: SolveOptions | None = None) -> Solution:
                 return Solution(status="infeasible",
                                 message=f"constant constraint {name or r} fails")
         return Solution(status="optimal", objective=model.obj_constant,
-                        values=np.zeros(0))
+                        values=())
 
     if model.sos2_sets:
         reformulated = reformulate_sos2_as_binary(model)
@@ -563,13 +574,12 @@ def verify(model: MilpModel, solution: Solution) -> list[Violation]:
     """
     if solution.values is None:
         raise ValueError(f"solution with status {solution.status!r} has no assignment")
-    x = np.asarray(solution.values, dtype=float)
-    if x.shape != (model.n_vars,):
-        raise ValueError(f"assignment has {x.shape[0]} values, model has {model.n_vars} variables")
+    x = solution.values
+    if len(x) != model.n_vars:
+        raise ValueError(f"assignment has {len(x)} values, model has {model.n_vars} variables")
     out: list[Violation] = []
 
-    for r in range(model.n_constraints):
-        coeffs, sense, rhs, _ = model.constraint(r)
+    for r, (coeffs, sense, rhs, _) in enumerate(model._constraints):
         act = sum(coef * x[v] for v, coef in coeffs.items())
         if sense == "<=":
             residual = act - rhs
@@ -580,14 +590,13 @@ def verify(model: MilpModel, solution: Solution) -> list[Violation]:
         if residual > FEAS_TOL:
             out.append(Violation("constraint", model.constraint_name(r), float(residual)))
 
-    for i in range(model.n_vars):
-        lb, ub = model.bounds(i)
-        if x[i] < lb - FEAS_TOL:
-            out.append(Violation("bound", model.var_name(i), float(lb - x[i])))
-        elif x[i] > ub + FEAS_TOL:
-            out.append(Violation("bound", model.var_name(i), float(x[i] - ub)))
-        if model.kind(i) == BINARY:
-            drift = abs(x[i] - round(x[i]))
+    for i, (kind, lb, ub, xi) in enumerate(zip(model._kind, model._lb, model._ub, x)):
+        if xi < lb - FEAS_TOL:
+            out.append(Violation("bound", model.var_name(i), float(lb - xi)))
+        elif xi > ub + FEAS_TOL:
+            out.append(Violation("bound", model.var_name(i), float(xi - ub)))
+        if kind == BINARY:
+            drift = abs(xi - round(xi))
             if drift > FEAS_TOL:
                 out.append(Violation("integrality", model.var_name(i), float(drift)))
 

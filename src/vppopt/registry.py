@@ -12,9 +12,7 @@ by raw column index.
 from __future__ import annotations
 
 import math
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from vppopt.milp import MilpModel
 
@@ -42,7 +40,7 @@ class VariableRegistry:
     def id(self, role: str, entity: str, t: int | None = None) -> int:
         return self._by_key[(role, entity, t)]
 
-    def values(self, x: np.ndarray, role: str, entity: str,
-               periods: Iterable[int]) -> np.ndarray:
+    def values(self, x: Sequence[float], role: str, entity: str,
+               periods: Iterable[int]) -> tuple[float, ...]:
         """Read a per-period series out of a solution assignment."""
-        return np.array([x[self._by_key[(role, entity, t)]] for t in periods], dtype=float)
+        return tuple([x[self._by_key[(role, entity, t)]] for t in periods])

@@ -589,6 +589,8 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
             bad(Diagnostic(a.id, "charge_bounds", "need 0 <= chargeMin <= chargeMax"))
         if not (0 <= a.discharge_min <= a.discharge_max):
             bad(Diagnostic(a.id, "discharge_bounds", "need 0 <= dischargeMin <= dischargeMax"))
+        if not (0 <= a.electrical_min <= a.electrical_max):
+            bad(Diagnostic(a.id, "electrical_bounds", "need 0 <= electricalMin <= electricalMax"))
         if len(a.storage_cap) != T or len(a.storage_floor) != T:
             bad(Diagnostic(a.id, "series_length", "storage cap/floor series must span the horizon"))
         elif any(f > c for f, c in zip(a.storage_floor, a.storage_cap)):

@@ -7,8 +7,7 @@ continuous interpolant through the curve's four operating breakpoints
 (minimum load, two interior breaks, full load), encoded with SOS-2
 weights that sum to the commitment: a committed block runs inside its
 operating window, and an off block has all-zero weights, so no input and
-no output. :func:`eval_pb_oracle` is the reference evaluation of the
-whole curve from the origin, used to cross-check solved models.
+no output. :class:`PbCurve` is the whole curve from the origin.
 
 Builders take an explicit period window plus the storage energy and power
 block status just before it, so the same code serves the day-ahead stage
@@ -18,10 +17,9 @@ window, ledger state).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from vppopt.milp import MilpModel
 from vppopt.registry import VariableRegistry
@@ -71,19 +69,11 @@ def pb_curve(asset: StuAsset) -> PbCurve:
     return PbCurve(breakpoints=b, values=v)
 
 
-def eval_pb_oracle(curve: PbCurve, thermal_input: float) -> float:
-    """Electrical output for a thermal input, by direct interpolation."""
-    if not 0 <= thermal_input <= curve.breakpoints[-1] + 1e-9:
-        raise ValueError(
-            f"thermal input {thermal_input} outside [0, {curve.breakpoints[-1]}]")
-    return float(np.interp(thermal_input, curve.breakpoints, curve.values))
-
-
 def register_stu_variables(model: MilpModel, reg: VariableRegistry, asset: StuAsset,
                            periods: Sequence[int]) -> None:
     """Declare the unit's variable block over a period window."""
     for t in periods:
-        reg.new(model, PSF, asset.id, t, lb=0.0, ub=np.inf)  # capped per session below
+        reg.new(model, PSF, asset.id, t, lb=0.0, ub=math.inf)  # capped per session below
         reg.new(model, CHG, asset.id, t, lb=0.0, ub=asset.charge_max)
         reg.new(model, DIS, asset.id, t, lb=0.0, ub=asset.discharge_max)
         reg.new(model, UPLUS, asset.id, t, kind="binary")
@@ -94,7 +84,7 @@ def register_stu_variables(model: MilpModel, reg: VariableRegistry, asset: StuAs
         # the three startup inequalities pin this to u_t(1 - u_{t-1})
         # whenever the on/off statuses are binary, so it can stay continuous
         reg.new(model, PB_START, asset.id, t, lb=0.0, ub=1.0)
-        reg.new(model, POWER, asset.id, t, lb=0.0, ub=np.inf)
+        reg.new(model, POWER, asset.id, t, lb=0.0, ub=math.inf)
         for i in range(1, 5):
             reg.new(model, f"{WEIGHT}{i}", asset.id, t, lb=0.0, ub=1.0)
 

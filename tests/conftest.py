@@ -25,6 +25,7 @@ import pytest
 
 from vppopt.milp import MilpModel, Solution, SolveOptions, solve
 from vppopt.scenario import Scenario, scenario_from_dict
+from vppopt.stu import PbCurve
 
 TOY_DOC = {
     "name": "toy",
@@ -184,6 +185,16 @@ class Sos2EnumerationAdapter:
                             message="every segment combination is infeasible")
         status = "feasible" if any_limit else "optimal"
         return replace(best, status=status, runtime_s=runtime)
+
+
+def eval_pb_oracle(curve: PbCurve, thermal_input: float) -> float:
+    """Electrical output of a power block for a thermal input, by direct
+    interpolation of its whole curve from the origin: the reference that
+    solved models are cross-checked against."""
+    if not 0 <= thermal_input <= curve.breakpoints[-1] + 1e-9:
+        raise ValueError(
+            f"thermal input {thermal_input} outside [0, {curve.breakpoints[-1]}]")
+    return float(np.interp(thermal_input, curve.breakpoints, curve.values))
 
 
 def recompute_objective(model: MilpModel, values: np.ndarray) -> float:

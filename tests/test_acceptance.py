@@ -20,7 +20,12 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy._core import _Highs
 
-from conftest import Sos2EnumerationAdapter, enumerate_dam_optimum, make_scenario
+from conftest import (
+    Sos2EnumerationAdapter,
+    enumerate_dam_optimum,
+    eval_pb_oracle,
+    make_scenario,
+)
 from vppopt.casestudy import equal_information_variant
 from vppopt.dam import assemble_dam
 from vppopt.milp import SolveOptions, solve
@@ -36,7 +41,7 @@ from vppopt.orchestrator import (
     sweep_profile_costs,
 )
 from vppopt.scenario import load_scenario
-from vppopt.stu import CHG, DIS, ENERGY, PB_ON, POWER, PPB, eval_pb_oracle, pb_curve
+from vppopt.stu import CHG, DIS, ENERGY, PB_ON, POWER, PPB, pb_curve
 from vppopt.synth import (
     random_piecewise_model,
     random_seller_scenario,

@@ -222,10 +222,10 @@ class TestLedger:
     def test_rejects_ambiguous_profile_selection(self, toy):
         model, reg = assemble_dam(toy)
         sol = solve(model)
-        x = sol.values.copy()
+        x = list(sol.values)
         x[reg.id(DEM_U, "load/flat")] = 0.0
         x[reg.id(DEM_U, "load/shift")] = 0.0
-        broken = dataclasses.replace(sol, values=x)
+        broken = dataclasses.replace(sol, values=tuple(x))
         with pytest.raises(ValueError, match="selected 0 profiles"):
             ledger_from_dam(toy, reg, broken)
 

@@ -92,7 +92,7 @@ class TestSolveBasics:
         sol = solve(m)
         assert sol.status == "optimal"
         assert sol.objective == 3.5
-        assert sol.values.shape == (0,)
+        assert sol.values == ()
 
     def test_zero_variable_constant_conflict(self):
         m = MilpModel()
@@ -256,6 +256,30 @@ class TestHighsBinding:
         assert milp._HIGHS_MODULE in loaded
         assert not loaded & {"scipy.optimize", "scipy.sparse", "scipy.linalg"}
 
+    def test_start_up_and_validate_load_no_numpy(self):
+        code = """
+import sys
+import vppopt.cli
+from vppopt.scenario import load_scenario
+load_scenario(sys.argv[1])
+loaded = "numpy" in sys.modules
+vppopt.cli.main(["validate", "--scenario", sys.argv[1]])
+print(loaded, "numpy" in sys.modules)
+"""
+        out = _python(code, str(ROOT / "scenarios" / "clear.json"))
+        assert out.splitlines()[-1] == "False False"
+
+    def test_package_exposes_the_binding_loaded_first(self):
+        # the import system binds a submodule to its package only when it
+        # loads the submodule itself; vppopt loaded it already
+        code = """
+import vppopt.milp
+import scipy.optimize._highspy._core
+assert scipy.optimize._highspy._core is vppopt.milp._h
+print(scipy.optimize._highspy._core.HighsLp.__name__)
+"""
+        assert _python(code).split() == ["HighsLp"]
+
     def test_missing_extension_names_the_directory(self, monkeypatch):
         monkeypatch.delitem(sys.modules, milp._HIGHS_MODULE)
         monkeypatch.setattr(milp.importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
@@ -327,8 +351,9 @@ def _no_rows() -> MilpModel:
 
 
 class TestLowering:
-    """``_lower`` builds HiGHS's column-wise arrays with numpy; they must
-    equal scipy.sparse's, the layout ``scipy.optimize.milp`` passes."""
+    """``_lower`` builds HiGHS's column-wise arrays in one pass over the
+    rows; they must equal scipy.sparse's, the layout ``scipy.optimize.milp``
+    passes."""
 
     @pytest.mark.parametrize("build", [
         lambda: _shipped_day_ahead("clear"),
@@ -537,7 +562,7 @@ class TestSos2Reformulation:
         m = self._curve_model(4)
         sol = solve(m)
         assert sol.status == "optimal"
-        assert sol.values.shape == (m.n_vars,)
+        assert len(sol.values) == m.n_vars
         assert verify(m, sol) == []
 
     def test_original_model_untouched(self):

@@ -234,6 +234,14 @@ class TestAssetRules:
         found = rules(make_scenario(doc))
         assert {"alpha_window", "initial_energy"} <= found
 
+    @pytest.mark.parametrize("low", [50.0 + 10.0, -1.0])
+    def test_stu_electrical_bounds(self, low):
+        doc = clear_doc()
+        (csp,) = [a for a in doc["stu"] if a["id"] == "csp"]
+        assert csp["electricalMax"] == 50.0
+        csp["electricalMin"] = low
+        assert "electrical_bounds" in rules(scenario_from_dict(doc))
+
     def test_demand_needs_exactly_one_default(self):
         doc = toy_doc()
         doc["demands"][0]["profiles"][1]["default"] = True

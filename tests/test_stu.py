@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import eval_pb_oracle, make_scenario
 from vppopt.casestudy import clear_scenario, cloudy_scenario
 from vppopt.dam import assemble_dam
 from vppopt.milp import BINARY, reformulate_sos2_as_binary, solve, verify
@@ -19,7 +19,6 @@ from vppopt.stu import (
     PPB,
     PSF,
     PbCurve,
-    eval_pb_oracle,
     pb_curve,
 )
 from vppopt.synth import random_stu_scenario
@@ -187,11 +186,11 @@ class TestStorageDynamics:
         for t in range(2):
             assert abs(v1[t] - max(u[t] - prev, 0.0)) <= 1e-6
             prev = u[t]
-        psf = reg.values(x, PSF, "csp", PERIODS_2)
-        chg = reg.values(x, CHG, "csp", PERIODS_2)
-        dis = reg.values(x, DIS, "csp", PERIODS_2)
-        ppb = reg.values(x, PPB, "csp", PERIODS_2)
-        loss = 0.2 * 100.0 * v1
+        psf = np.asarray(reg.values(x, PSF, "csp", PERIODS_2))
+        chg = np.asarray(reg.values(x, CHG, "csp", PERIODS_2))
+        dis = np.asarray(reg.values(x, DIS, "csp", PERIODS_2))
+        ppb = np.asarray(reg.values(x, PPB, "csp", PERIODS_2))
+        loss = 0.2 * 100.0 * np.asarray(v1)
         assert np.allclose(ppb, psf + dis - chg - loss, atol=1e-6)
         assert v1[0] >= 0.5  # running is worth the one-off loss here
 
@@ -204,7 +203,7 @@ class TestStorageDynamics:
         assert e[-1] <= 200.0 + 1e-6
         # half the stored heat stays reserved, the rest is sold
         dis = reg.values(sol.values, DIS, "csp", PERIODS_2)
-        assert np.isclose(dis.sum(), 50.0, atol=1e-6)
+        assert np.isclose(np.sum(dis), 50.0, atol=1e-6)
 
 
 class TestConversionAtOptimum:
