@@ -44,6 +44,7 @@ DRES_DP = "dres_dp"      # dispatch change vs the previous session [MW]
 
 STU_ROLES = (stu_mod.PSF, stu_mod.CHG, stu_mod.DIS, stu_mod.UPLUS, stu_mod.ENERGY,
              stu_mod.PPB, stu_mod.PB_ON, stu_mod.PB_START, stu_mod.POWER)
+STU_BINARY_ROLES = (stu_mod.UPLUS, stu_mod.PB_ON, stu_mod.PB_START)
 
 
 @dataclass(frozen=True)
@@ -76,32 +77,58 @@ def _binary(x: float) -> int:
     return 1 if x > 0.5 else 0
 
 
+def _read_window(ledger: LedgerState, s: Scenario, reg: VariableRegistry,
+                 x: tuple[float, ...], first: int, trade_role: str
+                 ) -> tuple[dict, tuple[float, ...]]:
+    """Read a solved session's schedules on periods ``first``..T.
+
+    Returns the ledger's schedule fields with every series overwritten on
+    that window and kept elsewhere, and the session's trade series, zero
+    outside the window.
+    """
+    window = range(first, s.n_periods + 1)
+
+    def read(old: tuple, role: str, entity: str, as_int: bool = False) -> tuple:
+        new = list(old)
+        for t in window:
+            v = x[reg.id(role, entity, t)]
+            new[t - 1] = _binary(v) if as_int else float(v)
+        return tuple(new)
+
+    schedules = dict(
+        demand_p={d.id: read(ledger.demand_p[d.id], DEM_P, d.id) for d in s.demands},
+        dres_p={a.id: read(ledger.dres_p[a.id], DRES_P, a.id) for a in s.dres},
+        dres_u={a.id: read(ledger.dres_u[a.id], DRES_U, a.id, as_int=True)
+                for a in s.dres},
+        ndres_p={a.id: read(ledger.ndres_p[a.id], NDRES_P, a.id) for a in s.ndres},
+        stu_series={a.id: {role: read(ledger.stu_series[a.id][role], role, a.id,
+                                      as_int=role in STU_BINARY_ROLES)
+                           for role in STU_ROLES} for a in s.stu},
+    )
+    return schedules, read((0.0,) * s.n_periods, trade_role, "vpp")
+
+
 def ledger_from_dam(s: Scenario, reg: VariableRegistry, sol: Solution) -> LedgerState:
-    """Seed the ledger from a solved day-ahead model."""
+    """Seed the ledger from a solved day-ahead model: its window is the
+    whole horizon, read over zero series."""
     if sol.values is None:
         raise ValueError(f"day-ahead solution has status {sol.status!r}, no assignment")
     x = sol.values
-    periods = range(1, s.n_periods + 1)
     selected: dict[str, str] = {}
     for d in s.demands:
         chosen = [p.id for p in d.profiles if _binary(x[reg.id(DEM_U, f"{d.id}/{p.id}")])]
         if len(chosen) != 1:
             raise ValueError(f"demand {d.id} selected {len(chosen)} profiles")
         selected[d.id] = chosen[0]
-    return LedgerState(
-        n_periods=s.n_periods,
-        dam_trade=reg.values(x, TRADE_DAM, "vpp", periods),
-        idm_trades={},
-        selected_profiles=selected,
-        demand_p={d.id: reg.values(x, DEM_P, d.id, periods) for d in s.demands},
-        dres_p={a.id: reg.values(x, DRES_P, a.id, periods) for a in s.dres},
-        dres_u={a.id: tuple(_binary(v) for v in reg.values(x, DRES_U, a.id, periods))
-                for a in s.dres},
-        ndres_p={a.id: reg.values(x, NDRES_P, a.id, periods) for a in s.ndres},
-        stu_series={a.id: {role: reg.values(x, role, a.id, periods)
-                           for role in STU_ROLES} for a in s.stu},
-        objectives={"dam": float(sol.objective)},
-    )
+    zero = (0.0,) * s.n_periods
+    blank = LedgerState(
+        n_periods=s.n_periods, dam_trade=zero, idm_trades={}, selected_profiles=selected,
+        demand_p={d.id: zero for d in s.demands}, dres_p={a.id: zero for a in s.dres},
+        dres_u={a.id: zero for a in s.dres}, ndres_p={a.id: zero for a in s.ndres},
+        stu_series={a.id: dict.fromkeys(STU_ROLES, zero) for a in s.stu}, objectives={})
+    schedules, trade = _read_window(blank, s, reg, x, 1, TRADE_DAM)
+    return replace(blank, dam_trade=trade, objectives={"dam": float(sol.objective)},
+                   **schedules)
 
 
 def apply_idm(ledger: LedgerState, s: Scenario, k: int, reg: VariableRegistry,
@@ -110,37 +137,11 @@ def apply_idm(ledger: LedgerState, s: Scenario, k: int, reg: VariableRegistry,
     overwrite every schedule on the session window."""
     if sol.values is None:
         raise ValueError(f"session {k} solution has status {sol.status!r}, no assignment")
-    x = sol.values
-    tau = s.calendar.session(k).first_period
-    window = range(tau, s.n_periods + 1)
-
-    def merge(old: tuple[float, ...], role: str, entity: str, as_int: bool = False):
-        new = list(old)
-        for t in window:
-            v = x[reg.id(role, entity, t)]
-            new[t - 1] = _binary(v) if as_int else float(v)
-        return tuple(new)
-
-    trade = [0.0] * s.n_periods
-    for t in window:
-        trade[t - 1] = float(x[reg.id(IDM_TRADE, "vpp", t)])
-
-    objectives = dict(ledger.objectives)
-    objectives[f"idm{k}"] = float(sol.objective)
-    return replace(
-        ledger,
-        idm_trades={**ledger.idm_trades, k: tuple(trade)},
-        demand_p={d.id: merge(ledger.demand_p[d.id], DEM_P, d.id) for d in s.demands},
-        dres_p={a.id: merge(ledger.dres_p[a.id], DRES_P, a.id) for a in s.dres},
-        dres_u={a.id: merge(ledger.dres_u[a.id], DRES_U, a.id, as_int=True)
-                for a in s.dres},
-        ndres_p={a.id: merge(ledger.ndres_p[a.id], NDRES_P, a.id) for a in s.ndres},
-        stu_series={a.id: {role: merge(ledger.stu_series[a.id][role], role, a.id,
-                                       as_int=role in (stu_mod.UPLUS, stu_mod.PB_ON,
-                                                       stu_mod.PB_START))
-                           for role in STU_ROLES} for a in s.stu},
-        objectives=objectives,
-    )
+    schedules, trade = _read_window(ledger, s, reg, sol.values,
+                                    s.calendar.session(k).first_period, IDM_TRADE)
+    return replace(ledger, idm_trades={**ledger.idm_trades, k: trade},
+                   objectives={**ledger.objectives, f"idm{k}": float(sol.objective)},
+                   **schedules)
 
 
 # ---------------------------------------------------------------------------

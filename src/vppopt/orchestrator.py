@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, Sequence, TypeVar
 
@@ -44,13 +44,18 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SessionResult:
+    """One solved session. The fields, in this order and in camelCase,
+    are the session record of ``verify.json``; a no-coordination run sums
+    its assets' values of every field after ``violations`` but
+    ``abs_gap``, starting from the field's default."""
+
     key: str  # "dam" or "idm<k>"
     status: str
     objective: float | None
     violations: tuple[Violation, ...]
-    runtime_s: float
-    n_vars: int
-    n_constraints: int
+    runtime_s: float = 0.0
+    n_vars: int = 0
+    n_constraints: int = 0
     # size as HiGHS received the model, after the SOS-2 reformulation
     n_binaries: int = 0
     n_nonzeros: int = 0
@@ -119,18 +124,14 @@ def session_keys(s: Scenario, requested: Sequence[str] | None = None) -> list[st
 # Profit recomputation (independent of solver objective values)
 # ---------------------------------------------------------------------------
 
-def _commitment_costs(u: Sequence[int], prev: Sequence[int] | int, startup: float,
+def _commitment_costs(u: Sequence[int], prev: Sequence[int], startup: float,
                       shutdown: float, periods: Sequence[int]) -> float:
-    """Start/stop cost of a commitment pattern. ``prev`` is either the
-    initial status (temporal transitions, day-ahead) or the prior plan per
-    period (recommitment deltas, intraday)."""
+    """Start/stop cost of a commitment pattern against ``prev``, the
+    status before each period: the previous period's (day-ahead) or the
+    prior plan's (intraday recommitment)."""
     total = 0.0
-    for i, t in enumerate(periods):
-        if isinstance(prev, int):
-            before = prev if i == 0 else u[t - 2]
-        else:
-            before = prev[t - 1]
-        delta = u[t - 1] - before
+    for t in periods:
+        delta = u[t - 1] - prev[t - 1]
         if delta > 0:
             total += startup
         elif delta < 0:
@@ -147,7 +148,8 @@ def recompute_dam_profit(s: Scenario, ledger: LedgerState) -> float:
     periods = range(1, s.n_periods + 1)
     for a in s.dres:
         cost += a.variable_cost * dt * sum(ledger.dres_p[a.id])
-        cost += _commitment_costs(ledger.dres_u[a.id], 1 if a.initial_on else 0,
+        u = ledger.dres_u[a.id]
+        cost += _commitment_costs(u, (1 if a.initial_on else 0,) + u[:-1],
                                   a.startup_cost, a.shutdown_cost, periods)
     for d in s.demands:
         cost += d.profile(ledger.selected_profiles[d.id]).cost
@@ -262,40 +264,33 @@ def _solve_session(model: MilpModel, options: SolveOptions,
 
 
 def run_vpp(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
-    """Day-ahead solve plus the configured intraday sessions in order.
+    """The configured sessions in order, day-ahead first: each one is
+    assembled from the ledger the previous one left, solved, verified and
+    folded into the ledger.
 
     Stops at the first session that fails to produce an assignment and
     marks it; completed sessions keep their results.
     """
     cfg = cfg or RunConfig()
-    keys = session_keys(s, cfg.sessions)
     results: list[SessionResult] = []
     history: list[LedgerState] = []
-
-    model, reg = dam_mod.assemble_dam(s)
-    sol, res = _solve_session(model, cfg.options, "dam")
-    results.append(res)
-    if sol.values is None:
-        return RunResult(mode="vpp", scenario_name=s.name, sessions=tuple(results),
-                         ledger_history=(), profits=ProfitBreakdown({}, {}),
-                         failure="dam")
-    ledger = ledger_from_dam(s, reg, sol)
-    history.append(ledger)
-
     failure = None
-    for key in keys[1:]:
-        k = int(key[3:])
-        model, reg = assemble_idm(s, ledger, k)
+    for key in session_keys(s, cfg.sessions):
+        k = None if key == "dam" else int(key[3:])
+        model, reg = (dam_mod.assemble_dam(s) if k is None
+                      else assemble_idm(s, history[-1], k))
         sol, res = _solve_session(model, cfg.options, key)
         results.append(res)
         if sol.values is None:
             failure = key
             break
-        ledger = apply_idm(ledger, s, k, reg, sol)
-        history.append(ledger)
+        history.append(ledger_from_dam(s, reg, sol) if k is None
+                       else apply_idm(history[-1], s, k, reg, sol))
 
-    profits = ProfitBreakdown(per_session=dict(ledger.objectives),
-                              recomputed=recompute_profits(s, history))
+    profits = ProfitBreakdown({}, {})
+    if history:
+        profits = ProfitBreakdown(per_session=dict(history[-1].objectives),
+                                  recomputed=recompute_profits(s, history))
     return RunResult(mode="vpp", scenario_name=s.name, sessions=tuple(results),
                      ledger_history=tuple(history), profits=profits, failure=failure)
 
@@ -372,6 +367,11 @@ def _aggregate_ledger(s: Scenario, keys: Sequence[str], parts: Sequence[LedgerSt
         objectives=objectives, **schedules)
 
 
+_SUMMED_FIELDS = tuple(f for f in fields(SessionResult)
+                       if f.name not in ("key", "status", "objective", "violations",
+                                         "abs_gap"))
+
+
 def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     """Every asset bids alone; demands stay passive on the default profile.
 
@@ -414,16 +414,11 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
                         "optimal"),
             objective=profits.per_session.get(key),
             violations=tuple(v for p in parts for v in p.violations),
-            runtime_s=sum((p.runtime_s for p in parts), 0.0),
-            n_vars=sum(p.n_vars for p in parts),
-            n_constraints=sum(p.n_constraints for p in parts),
-            n_binaries=sum(p.n_binaries for p in parts),
-            n_nonzeros=sum(p.n_nonzeros for p in parts),
-            nodes=sum(p.nodes for p in parts),
-            lp_iterations=sum(p.lp_iterations for p in parts),
             # the parts' gaps add up to a bound on the aggregate's gap
             abs_gap=None if any(p.abs_gap is None for p in parts)
-            else sum((p.abs_gap for p in parts), 0.0)))
+            else sum((p.abs_gap for p in parts), 0.0),
+            **{f.name: sum((getattr(p, f.name) for p in parts), f.default)
+               for f in _SUMMED_FIELDS}))
 
     return RunResult(mode="nocoord", scenario_name=s.name,
                      sessions=tuple(merged_sessions),
@@ -468,11 +463,10 @@ def _pair_contest(s: Scenario, demand_id: str, profile_id: str) -> Scenario:
     return replace(s, demands=tuple(demands))
 
 
-def chosen_profiles(s: Scenario,
-                    options: SolveOptions | None = None) -> tuple[dict[str, str], float]:
+def chosen_profiles(s: Scenario) -> tuple[dict[str, str], float]:
     """Solve the day-ahead stage and read the selected profile per demand."""
     model, reg = dam_mod.assemble_dam(s)
-    sol = solve(model, options)
+    sol = solve(model)
     if sol.values is None:
         raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
     out = {}
@@ -483,12 +477,11 @@ def chosen_profiles(s: Scenario,
     return out, float(sol.objective)
 
 
-def _held_objective(s: Scenario, demand_id: str, profile_id: str,
-                    options: SolveOptions | None) -> float:
+def _held_objective(s: Scenario, demand_id: str, profile_id: str) -> float:
     """Day-ahead optimum with one demand held to one of its profiles."""
     model, reg = dam_mod.assemble_dam(s)
     model.set_bounds(reg.id(dam_mod.DEM_U, f"{demand_id}/{profile_id}"), lb=1.0)
-    sol = solve(model, options)
+    sol = solve(model)
     if sol.values is None:
         raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
     return float(sol.objective)
@@ -496,8 +489,7 @@ def _held_objective(s: Scenario, demand_id: str, profile_id: str,
 
 def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
                         profile_id: str | None = None, max_cost: float = 1000.0,
-                        resolution: float = 1.0,
-                        options: SolveOptions | None = None) -> list[ThresholdEntry]:
+                        resolution: float = 1.0) -> list[ThresholdEntry]:
     """Largest payment at which a non-default profile is still selected.
 
     Each (demand, profile) pair is contested head to head against that
@@ -525,7 +517,7 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
                        f"profile={profile_id}")
 
     contests = [_pair_contest(s, did, pid) for did, pid, _ in pairs]
-    held = _concurrently([partial(_held_objective, contest, did, kept, options)
+    held = _concurrently([partial(_held_objective, contest, did, kept)
                           for contest, (did, pid, default) in zip(contests, pairs)
                           for kept in (pid, default)])
     out = []

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from vppopt import stu as stu_mod
 from vppopt.orchestrator import (
     RunResult,
+    SessionResult,
     check_aggregate_balance,
     check_demand_contracts,
     check_storage_conservation,
@@ -35,19 +36,20 @@ class Report:
     scenario_name: str
     mode: str
     n_periods: int
-    dam_trade: tuple[float, ...]
-    idm_trade: dict[int, tuple[float, ...]]
-    idm_cumulative: dict[int, tuple[float, ...]]
-    dispatch: dict[str, tuple[float, ...]]
-    storage: dict[str, tuple[float, ...]]
-    demand: dict[str, tuple[float, ...]]
     profits: dict[str, float]
     recomputed_profits: dict[str, float]
-    chosen_profiles: dict[str, str]
-    profile_costs: dict[str, float]
     sessions: list[dict]
-    checks: dict[str, list[str]]
     failure: str | None = None
+    # read from the ledger of the last completed session; empty without one
+    dam_trade: tuple[float, ...] = ()
+    idm_trade: dict[int, tuple[float, ...]] = field(default_factory=dict)
+    idm_cumulative: dict[int, tuple[float, ...]] = field(default_factory=dict)
+    dispatch: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    storage: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    demand: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    chosen_profiles: dict[str, str] = field(default_factory=dict)
+    profile_costs: dict[str, float] = field(default_factory=dict)
+    checks: dict[str, list[str]] = field(default_factory=dict)
     passive_demand_profit: dict[str, float] = field(default_factory=dict)
     note: str = ""
 
@@ -62,24 +64,22 @@ class Report:
         return out
 
 
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+# verify.json session key per SessionResult field, in declaration order
+_RECORD_KEYS = {f.name: _camel(f.name) for f in fields(SessionResult)}
+
+
 def _session_dicts(result: RunResult) -> list[dict]:
-    return [
-        {
-            "key": r.key,
-            "status": r.status,
-            "objective": r.objective,
-            "violations": [str(v) for v in r.violations],
-            "runtimeS": r.runtime_s,
-            "nVars": r.n_vars,
-            "nConstraints": r.n_constraints,
-            "nBinaries": r.n_binaries,
-            "nNonzeros": r.n_nonzeros,
-            "nodes": r.nodes,
-            "lpIterations": r.lp_iterations,
-            "absGap": r.abs_gap,
-        }
-        for r in result.sessions
-    ]
+    out = []
+    for r in result.sessions:
+        doc = {key: getattr(r, name) for name, key in _RECORD_KEYS.items()}
+        doc["violations"] = [str(v) for v in r.violations]
+        out.append(doc)
+    return out
 
 
 def _running_totals(dam_trade: Sequence[float], idm_trades: Mapping[int, Sequence[float]]
@@ -98,51 +98,39 @@ def build_report(s: Scenario, result: RunResult) -> Report:
     """One builder for both modes: a no-coordination run carries the
     aggregate ledger of its isolated asset runs, plus the passive demand
     profits and a note on what the baseline assumes."""
-    labels = {}
+    extra = {}
     if result.mode == "nocoord":
-        labels = {"passive_demand_profit": dict(result.passive_demand_profit),
-                  "note": NOCOORD_NOTE}
+        extra.update(passive_demand_profit=dict(result.passive_demand_profit),
+                     note=NOCOORD_NOTE)
     ledger = result.ledger
-    if ledger is None:
-        return Report(
-            scenario_name=s.name, mode=result.mode, n_periods=s.n_periods,
-            dam_trade=(), idm_trade={}, idm_cumulative={}, dispatch={}, storage={},
-            demand={}, profits={}, recomputed_profits={}, chosen_profiles={},
-            profile_costs={}, sessions=_session_dicts(result), checks={},
-            failure=result.failure, **labels)
-
-    dispatch: dict[str, tuple[float, ...]] = {}
-    for a in s.dres:
-        dispatch[a.id] = ledger.dres_p[a.id]
-    for a in s.ndres:
-        dispatch[a.id] = ledger.ndres_p[a.id]
-    for a in s.stu:
-        dispatch[a.id] = ledger.stu_series[a.id][stu_mod.POWER]
-
-    checks = {
-        "demandContracts": check_demand_contracts(s, ledger),
-        "aggregateBalance": check_aggregate_balance(s, ledger),
-        "storageConservation": check_storage_conservation(s, ledger),
-    }
+    if ledger is not None:
+        dispatch = {a.id: ledger.dres_p[a.id] for a in s.dres}
+        dispatch.update((a.id, ledger.ndres_p[a.id]) for a in s.ndres)
+        dispatch.update((a.id, ledger.stu_series[a.id][stu_mod.POWER]) for a in s.stu)
+        extra.update(
+            dam_trade=ledger.dam_trade,
+            idm_trade=dict(ledger.idm_trades),
+            idm_cumulative=_running_totals(ledger.dam_trade, ledger.idm_trades),
+            dispatch=dispatch,
+            storage={a.id: ledger.stu_series[a.id][stu_mod.ENERGY] for a in s.stu},
+            demand=dict(ledger.demand_p),
+            chosen_profiles=dict(ledger.selected_profiles),
+            profile_costs={d.id: d.profile(ledger.selected_profiles[d.id]).cost
+                           for d in s.demands},
+            checks={
+                "demandContracts": check_demand_contracts(s, ledger),
+                "aggregateBalance": check_aggregate_balance(s, ledger),
+                "storageConservation": check_storage_conservation(s, ledger),
+            })
     return Report(
         scenario_name=s.name,
         mode=result.mode,
         n_periods=s.n_periods,
-        dam_trade=ledger.dam_trade,
-        idm_trade=dict(ledger.idm_trades),
-        idm_cumulative=_running_totals(ledger.dam_trade, ledger.idm_trades),
-        dispatch=dispatch,
-        storage={a.id: ledger.stu_series[a.id][stu_mod.ENERGY] for a in s.stu},
-        demand=dict(ledger.demand_p),
         profits=dict(result.profits.per_session),
         recomputed_profits=dict(result.profits.recomputed),
-        chosen_profiles=dict(ledger.selected_profiles),
-        profile_costs={d.id: d.profile(ledger.selected_profiles[d.id]).cost
-                       for d in s.demands},
         sessions=_session_dicts(result),
-        checks=checks,
         failure=result.failure,
-        **labels,
+        **extra,
     )
 
 

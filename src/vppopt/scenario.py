@@ -618,6 +618,15 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
                 continue
             if any(v < 0 for v in p.power):
                 bad(Diagnostic(a.id, "profile_power_negative", f"profile {p.id} has negative power"))
+            # the checkers' tolerance; a limit that overflows to inf binds nothing
+            up, down = a.ramp_up * s.calendar.dt_hours, a.ramp_down * s.calendar.dt_hours
+            for t in range(1, len(p.power)):
+                step = p.power[t] - p.power[t - 1]
+                if step > up + 1e-6 or -step > down + 1e-6:
+                    bad(Diagnostic(a.id, "profile_ramp",
+                                   f"profile {p.id} steps {step:+g} MW into period {t + 1}, "
+                                   f"beyond the ramp limits (+{up:g}, -{down:g})"))
+                    break
             energy = sum(p.power) * s.calendar.dt_hours
             if a.min_energy > energy + 1e-9:
                 bad(Diagnostic(a.id, "min_energy_unreachable",

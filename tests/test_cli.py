@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import toy_doc
+from conftest import make_scenario, toy_doc
 from test_scenario import MALFORMED, MALFORMED_IDS, _set_leaf
 from vppopt.cli import (
     EXIT_INFEASIBLE,
@@ -19,6 +19,8 @@ from vppopt.cli import (
     main,
     parse_sessions,
 )
+from vppopt.idm import LedgerState
+from vppopt.orchestrator import check_demand_contracts
 
 
 @pytest.fixture
@@ -177,21 +179,26 @@ class TestRun:
         assert "idm_1.csv" in written["nocoord"] and "idm_2.csv" not in written["nocoord"]
 
     def test_nocoord_checks_the_passive_default_profile(self, tmp_path, capsys):
-        """A passive demand stays on its default profile, so a default that
-        breaks the demand's ramp limit is a finding in the baseline."""
+        """A passive demand stays on its default profile. A default that
+        breaks the demand's ramp limit is refused before any solve; a
+        ledger that holds the demand on it anyway is a contract finding."""
         doc = toy_doc()
         doc["demands"][0]["profiles"][0]["power"] = [1.0, 3.0, 2.0]
         doc["demands"][0]["rampUp"] = 1.0
         path = _write(tmp_path, doc)
-        out = tmp_path / "solo"
-        code = main(["run", "--scenario", str(path), "--mode", "nocoord",
-                     "--out", str(out)])
-        assert code == EXIT_SOLVER
-        assert "verification found violations" in capsys.readouterr().err
-        checks = json.loads((out / "verify.json").read_text())["checks"]
-        assert checks == {"demandContracts": ["load: period 2 ramp-up 2.000000 exceeds "
-                                              "1.000000"],
-                          "aggregateBalance": [], "storageConservation": []}
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--scenario", str(path), "--mode", "nocoord",
+                  "--out", str(tmp_path / "solo")])
+        assert err.value.code == EXIT_USAGE
+        assert "profile_ramp" in capsys.readouterr().err
+        s = make_scenario(doc)
+        default = s.demands[0].default_profile()
+        ledger = LedgerState(
+            n_periods=3, dam_trade=(0.0,) * 3, idm_trades={},
+            selected_profiles={"load": default.id}, demand_p={"load": default.power},
+            dres_p={}, dres_u={}, ndres_p={}, stu_series={}, objectives={})
+        assert check_demand_contracts(s, ledger) == [
+            "load: period 2 ramp-up 2.000000 exceeds 1.000000"]
 
     def test_infeasible_session_exits_3(self, tmp_path, capsys):
         doc = toy_doc()

@@ -291,12 +291,12 @@ class TestCheckers:
         messages = check_demand_contracts(toy, bad)
         assert any("outside band" in m for m in messages)
 
-    def test_ramp_violation_is_reported(self):
+    def test_ramp_violation_is_reported(self, toy):
         doc = toy_doc()
         doc["demands"][0]["rampUp"] = 0.4
         doc["demands"][0]["rampDown"] = 0.4
-        s = make_scenario(doc)
-        ledger = run_vpp(s).ledger
+        s = make_scenario(doc)  # its shifted profile breaks profile_ramp
+        ledger = run_vpp(toy).ledger
         bad = dataclasses.replace(
             ledger, demand_p={"load": (1.5, 2.5, 1.5)})  # steps of 1 > 0.4
         messages = check_demand_contracts(s, bad)

@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import make_scenario, toy_doc
 from vppopt.orchestrator import (
@@ -167,6 +168,30 @@ class TestEmitAndLoad:
         assert verify_doc["summary"] == []
         assert set(verify_doc["checks"]) == {"demandContracts", "aggregateBalance",
                                              "storageConservation"}
+
+    @pytest.mark.parametrize("mode, generation", [
+        ("vpp", True), ("nocoord", True), ("nocoord", False)],
+        ids=["vpp", "nocoord", "nocoord-demand-only"])
+    def test_verify_json_session_schema(self, tmp_path, mode, generation):
+        doc = toy_doc()
+        if not generation:
+            doc["dres"], doc["ndres"] = [], []
+            for forecast in (doc["forecasts"]["dam"], *doc["forecasts"]["idm"].values()):
+                forecast["ndresAvail"] = {}
+        s = make_scenario(doc)
+        result = run_vpp(s) if mode == "vpp" else run_no_coordination(s)
+        emit_report(build_report(s, result), tmp_path)
+        sessions = json.loads((tmp_path / "verify.json").read_text())["sessions"]
+        assert [sess["key"] for sess in sessions] == ["dam", "idm1"]
+        for sess in sessions:
+            assert list(sess) == ["key", "status", "objective", "violations", "runtimeS",
+                                  "nVars", "nConstraints", "nBinaries", "nNonzeros",
+                                  "nodes", "lpIterations", "absGap"]
+            assert type(sess["runtimeS"]) is float and type(sess["absGap"]) is float
+            for count in ("nVars", "nConstraints", "nBinaries", "nNonzeros", "nodes",
+                          "lpIterations"):
+                assert type(sess[count]) is int
+            assert (sess["nVars"] > 0) == generation
 
     def test_clear_day_ahead_size_is_pinned(self, tmp_path):
         # counted as HiGHS receives the model, after the SOS-2 reformulation

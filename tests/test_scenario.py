@@ -274,6 +274,24 @@ class TestAssetRules:
         doc["demands"][0]["rampUp"] = -1.0
         assert "ramp_negative" in rules(make_scenario(doc))
 
+    def test_profile_steps_within_ramp(self):
+        """A profile the demand cannot follow within its ramp limits would
+        validate yet fail the post-hoc contract check of every run."""
+        doc = clear_doc()
+        (industrial,) = [d for d in doc["demands"] if d["id"] == "industrial"]
+        industrial["rampUp"] = industrial["rampDown"] = 0.0
+        found = [d for d in validate_scenario(scenario_from_dict(doc))
+                 if d.rule == "profile_ramp"]
+        assert [d.entity for d in found] == ["industrial"] * 3
+        # the industrial profiles step up by at most 10 MW and down by at
+        # most 8 MW in one hour
+        industrial["rampUp"], industrial["rampDown"] = 10.0, 8.0
+        assert "profile_ramp" not in rules(scenario_from_dict(doc))
+        industrial["rampUp"] = 10.0 - 1e-5
+        assert "profile_ramp" in rules(scenario_from_dict(doc))
+        industrial["rampUp"], industrial["rampDown"] = 10.0, 8.0 - 1e-5
+        assert "profile_ramp" in rules(scenario_from_dict(doc))
+
 
 class TestForecastRules:
     def test_missing_session_forecast(self):
