@@ -6,48 +6,4 @@ units with storage, and flexible demands, connected to the main grid
 through one or more coupling points.
 """
 
-from vppopt.scenario import (
-    DemandAsset,
-    DemandProfile,
-    Diagnostic,
-    DresAsset,
-    ForecastSet,
-    IdmSession,
-    Line,
-    MarketCalendar,
-    NdresAsset,
-    Network,
-    Scenario,
-    ScenarioError,
-    ScenarioValidationError,
-    StuAsset,
-    load_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    validate_scenario,
-)
-
-__all__ = [
-    "DemandAsset",
-    "DemandProfile",
-    "Diagnostic",
-    "DresAsset",
-    "ForecastSet",
-    "IdmSession",
-    "Line",
-    "MarketCalendar",
-    "NdresAsset",
-    "Network",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioValidationError",
-    "StuAsset",
-    "load_scenario",
-    "save_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "validate_scenario",
-]
-
 __version__ = "0.1.0"

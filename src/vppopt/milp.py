@@ -418,9 +418,6 @@ class ScipyMilpAdapter:
         t0 = time.perf_counter()
         low = _lower(model)
         size = {"n_binaries": sum(low.integer), "n_nonzeros": len(low.value)}
-        if any(lb > ub for lb, ub in zip(low.lower, low.upper)):
-            return Solution(status="infeasible", message="empty variable domain",
-                            runtime_s=time.perf_counter() - t0, **size)
         is_mip = any(low.integer)
         highs, status = self._run(low, low.lower, low.upper, low.integer, options)
         info = highs.getInfo()

@@ -89,7 +89,6 @@ class ProfitBreakdown:
 @dataclass(frozen=True)
 class RunResult:
     mode: str
-    scenario_name: str
     sessions: tuple[SessionResult, ...]
     ledger_history: tuple[LedgerState, ...]
     profits: ProfitBreakdown
@@ -291,7 +290,7 @@ def run_vpp(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     if history:
         profits = ProfitBreakdown(per_session=dict(history[-1].objectives),
                                   recomputed=recompute_profits(s, history))
-    return RunResult(mode="vpp", scenario_name=s.name, sessions=tuple(results),
+    return RunResult(mode="vpp", sessions=tuple(results),
                      ledger_history=tuple(history), profits=profits, failure=failure)
 
 
@@ -420,8 +419,7 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
             **{f.name: sum((getattr(p, f.name) for p in parts), f.default)
                for f in _SUMMED_FIELDS}))
 
-    return RunResult(mode="nocoord", scenario_name=s.name,
-                     sessions=tuple(merged_sessions),
+    return RunResult(mode="nocoord", sessions=tuple(merged_sessions),
                      ledger_history=tuple(history), profits=profits,
                      failure=failure, asset_runs=tuple(asset_runs),
                      passive_demand_profit=demand_profit)

@@ -1,29 +1,25 @@
-"""Result serialization: schedules, trade series, profits, verification.
+"""Result serialization: the report file set as data, then on disk.
 
-A :class:`Report` is the flattened, serializable view of a finished run:
-per-period traded power for the day-ahead stage and each intraday session,
-final dispatch and consumption series, storage trajectories, the profit
-decomposition and the verifier summary. CSV files carry 6 decimals for
-humans and plotting; JSON carries full double precision for machines.
+:func:`build_report` lays out every file of a finished run as a
+:class:`Report`: per-period traded power for the day-ahead stage and each
+intraday session with the running position, final dispatch, storage and
+consumption series, the selected profiles, the profit decomposition and
+the verifier's sessions, checks and summary. :func:`emit_report` only
+writes that file set. CSV files carry 6 decimals for humans and plotting;
+JSON carries full double precision for machines.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from vppopt import stu as stu_mod
-from vppopt.orchestrator import (
-    RunResult,
-    SessionResult,
-    check_aggregate_balance,
-    check_demand_contracts,
-    check_storage_conservation,
-    ThresholdEntry,
-)
+from vppopt.orchestrator import (RunResult, SessionResult, ThresholdEntry,
+                                 check_aggregate_balance, check_demand_contracts,
+                                 check_storage_conservation)
 from vppopt.scenario import Scenario
 
 NOCOORD_NOTE = ("no-coordination baseline: every generation asset bids alone at the "
@@ -33,35 +29,19 @@ NOCOORD_NOTE = ("no-coordination baseline: every generation asset bids alone at 
 
 @dataclass(frozen=True)
 class Report:
-    scenario_name: str
-    mode: str
-    n_periods: int
-    profits: dict[str, float]
-    recomputed_profits: dict[str, float]
-    sessions: list[dict]
-    failure: str | None = None
-    # read from the ledger of the last completed session; empty without one
-    dam_trade: tuple[float, ...] = ()
-    idm_trade: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    idm_cumulative: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    dispatch: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    storage: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    demand: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    chosen_profiles: dict[str, str] = field(default_factory=dict)
-    profile_costs: dict[str, float] = field(default_factory=dict)
-    checks: dict[str, list[str]] = field(default_factory=dict)
-    passive_demand_profit: dict[str, float] = field(default_factory=dict)
-    note: str = ""
+    """The report directory as data, both maps in write order: ``tables``
+    maps each CSV file name to its header and rows, ``documents`` each
+    JSON file name to its document."""
+
+    tables: dict[str, tuple[list[str], list[list]]]
+    documents: dict[str, dict]
 
     @property
     def total_profit(self) -> float:
-        return sum(self.profits.values())
+        return self.documents["profit.json"]["total"]
 
     def verifier_summary(self) -> list[str]:
-        out = [f"{sess['key']}: {v}" for sess in self.sessions for v in sess["violations"]]
-        for name, problems in self.checks.items():
-            out.extend(f"{name}: {p}" for p in problems)
-        return out
+        return self.documents["verify.json"]["summary"]
 
 
 def _camel(name: str) -> str:
@@ -73,152 +53,105 @@ def _camel(name: str) -> str:
 _RECORD_KEYS = {f.name: _camel(f.name) for f in fields(SessionResult)}
 
 
-def _session_dicts(result: RunResult) -> list[dict]:
-    out = []
-    for r in result.sessions:
-        doc = {key: getattr(r, name) for name, key in _RECORD_KEYS.items()}
-        doc["violations"] = [str(v) for v in r.violations]
-        out.append(doc)
-    return out
-
-
-def _running_totals(dam_trade: Sequence[float], idm_trades: Mapping[int, Sequence[float]]
-                    ) -> dict[int, tuple[float, ...]]:
-    """Committed position after each session: the day-ahead trade plus
-    every session's adjustment up to and including it."""
-    out: dict[int, tuple[float, ...]] = {}
-    running = list(dam_trade)
-    for k in sorted(idm_trades):
-        running = [c + v for c, v in zip(running, idm_trades[k])]
-        out[k] = tuple(running)
-    return out
-
-
 def build_report(s: Scenario, result: RunResult) -> Report:
-    """One builder for both modes: a no-coordination run carries the
-    aggregate ledger of its isolated asset runs, plus the passive demand
-    profits and a note on what the baseline assumes."""
-    extra = {}
-    if result.mode == "nocoord":
-        extra.update(passive_demand_profit=dict(result.passive_demand_profit),
-                     note=NOCOORD_NOTE)
+    """Lay out every file of the report. One builder for both modes: a
+    no-coordination run carries the aggregate ledger of its isolated asset
+    runs, and its profit document adds the passive demand profits and a
+    note on what the baseline assumes. Without a completed session there
+    is no ledger, so only the three JSON documents are written."""
+    tables: dict[str, tuple[list[str], list[list]]] = {}
+    profiles: dict[str, dict] = {}
+    checks: dict[str, list[str]] = {}
     ledger = result.ledger
     if ledger is not None:
+        periods = range(1, s.n_periods + 1)
+        tables["dam.csv"] = (["period", "tradedMW"],
+                             [[t, float(v)] for t, v in zip(periods, ledger.dam_trade)])
+        # committed position after each session: the day-ahead trade plus
+        # every session's adjustment up to and including it
+        running = list(ledger.dam_trade)
+        for k in sorted(ledger.idm_trades):
+            trade = ledger.idm_trades[k]
+            running = [c + v for c, v in zip(running, trade)]
+            tables[f"idm_{k}.csv"] = (
+                ["period", "tradedMW", "cumulativeMW"],
+                [[t, float(v), float(c)] for t, v, c in zip(periods, trade, running)])
         dispatch = {a.id: ledger.dres_p[a.id] for a in s.dres}
         dispatch.update((a.id, ledger.ndres_p[a.id]) for a in s.ndres)
         dispatch.update((a.id, ledger.stu_series[a.id][stu_mod.POWER]) for a in s.stu)
-        extra.update(
-            dam_trade=ledger.dam_trade,
-            idm_trade=dict(ledger.idm_trades),
-            idm_cumulative=_running_totals(ledger.dam_trade, ledger.idm_trades),
-            dispatch=dispatch,
-            storage={a.id: ledger.stu_series[a.id][stu_mod.ENERGY] for a in s.stu},
-            demand=dict(ledger.demand_p),
-            chosen_profiles=dict(ledger.selected_profiles),
-            profile_costs={d.id: d.profile(ledger.selected_profiles[d.id]).cost
-                           for d in s.demands},
-            checks={
-                "demandContracts": check_demand_contracts(s, ledger),
-                "aggregateBalance": check_aggregate_balance(s, ledger),
-                "storageConservation": check_storage_conservation(s, ledger),
-            })
-    return Report(
-        scenario_name=s.name,
-        mode=result.mode,
-        n_periods=s.n_periods,
-        profits=dict(result.profits.per_session),
-        recomputed_profits=dict(result.profits.recomputed),
-        sessions=_session_dicts(result),
-        failure=result.failure,
-        **extra,
-    )
+        storage = {a.id: ledger.stu_series[a.id][stu_mod.ENERGY] for a in s.stu}
+        for name, id_column, unit, series_map in (
+                ("dispatch.csv", "assetId", "MW", dispatch),
+                ("storage.csv", "stuId", "MWh_th", storage),
+                ("demand.csv", "demandId", "MW", ledger.demand_p)):
+            if series_map:
+                tables[name] = (["period", id_column, unit],
+                                [[t, i, float(v)] for i, series in sorted(series_map.items())
+                                 for t, v in zip(periods, series)])
+        for d in sorted(s.demands, key=lambda d: d.id):
+            selected = ledger.selected_profiles[d.id]
+            profiles[d.id] = {"selected": selected, "cost": d.profile(selected).cost}
+        checks = {
+            "demandContracts": check_demand_contracts(s, ledger),
+            "aggregateBalance": check_aggregate_balance(s, ledger),
+            "storageConservation": check_storage_conservation(s, ledger),
+        }
+
+    profit = {
+        "scenario": s.name,
+        "mode": result.mode,
+        "sessions": dict(result.profits.per_session),
+        "recomputed": dict(result.profits.recomputed),
+        "total": result.profits.total,
+        "failure": result.failure,
+    }
+    if result.mode == "nocoord":
+        profit["passiveDemandProfit"] = dict(result.passive_demand_profit)
+        profit["note"] = NOCOORD_NOTE
+    sessions = [{key: getattr(r, name) for name, key in _RECORD_KEYS.items()}
+                | {"violations": [str(v) for v in r.violations]} for r in result.sessions]
+    summary = [f"{sess['key']}: {v}" for sess in sessions for v in sess["violations"]]
+    summary.extend(f"{name}: {p}" for name, problems in checks.items() for p in problems)
+    return Report(tables, {
+        "profit.json": profit,
+        "profiles.json": profiles,
+        "verify.json": {"sessions": sessions, "checks": checks, "summary": summary},
+    })
 
 
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
+def _cell(v):
+    """6 decimals for a float, and a value that rounds to zero reads
+    ``0.000000`` whatever its sign; anything else as ``csv`` writes it."""
+    if not isinstance(v, float):
+        return v
+    text = f"{v:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in row])
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
-    """Write the full file set; overwrites are idempotent. Returns paths."""
+    """Write the file set, tables first; overwrites are idempotent.
+    Returns the paths in write order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    periods = range(1, report.n_periods + 1)
-
-    if report.dam_trade:
-        path = out / "dam.csv"
-        _write_csv(path, ["period", "tradedMW"],
-                   [[t, float(report.dam_trade[t - 1])] for t in periods])
-        written.append(path)
-
-    for k in sorted(report.idm_trade):
-        path = out / f"idm_{k}.csv"
-        _write_csv(path, ["period", "tradedMW", "cumulativeMW"],
-                   [[t, float(report.idm_trade[k][t - 1]),
-                     float(report.idm_cumulative[k][t - 1])] for t in periods])
-        written.append(path)
-
-    for name, id_column, unit, series_map in (
-            ("dispatch.csv", "assetId", "MW", report.dispatch),
-            ("storage.csv", "stuId", "MWh_th", report.storage),
-            ("demand.csv", "demandId", "MW", report.demand)):
-        if series_map:
-            path = out / name
-            _write_csv(path, ["period", id_column, unit],
-                       [[t, i, float(series[t - 1])]
-                        for i, series in sorted(series_map.items()) for t in periods])
-            written.append(path)
-
-    profit_doc = {
-        "scenario": report.scenario_name,
-        "mode": report.mode,
-        "sessions": report.profits,
-        "recomputed": report.recomputed_profits,
-        "total": report.total_profit,
-        "failure": report.failure,
-    }
-    if report.mode == "nocoord":
-        profit_doc["passiveDemandProfit"] = report.passive_demand_profit
-        profit_doc["note"] = report.note
-    path = out / "profit.json"
-    path.write_text(json.dumps(profit_doc, indent=2) + "\n")
-    written.append(path)
-
-    path = out / "profiles.json"
-    path.write_text(json.dumps(
-        {d: {"selected": p, "cost": report.profile_costs.get(d, 0.0)}
-         for d, p in sorted(report.chosen_profiles.items())}, indent=2) + "\n")
-    written.append(path)
-
-    path = out / "verify.json"
-    path.write_text(json.dumps({
-        "sessions": report.sessions,
-        "checks": report.checks,
-        "summary": report.verifier_summary(),
-    }, indent=2) + "\n")
-    written.append(path)
-    return written
+    for name, (header, rows) in report.tables.items():
+        _write_csv(out / name, header, rows)
+    for name, doc in report.documents.items():
+        (out / name).write_text(json.dumps(doc, indent=2) + "\n")
+    return [out / name for name in (*report.tables, *report.documents)]
 
 
 def emit_thresholds(entries: list[ThresholdEntry], out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "thresholds.csv"
-    rows = []
-    for e in entries:
-        rows.append([e.demand_id, e.profile_id, e.status,
-                     "" if e.threshold is None else f"{e.threshold:.6f}",
-                     f"{e.resolution:.6f}"])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["demandId", "profileId", "status", "thresholdEUR", "resolutionEUR"])
-        writer.writerows(rows)
+    _write_csv(path, ["demandId", "profileId", "status", "thresholdEUR", "resolutionEUR"],
+               [[e.demand_id, e.profile_id, e.status, e.threshold, e.resolution]
+                for e in entries])
     return path

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -226,7 +227,7 @@ class TestRun:
         from vppopt.orchestrator import ProfitBreakdown, RunResult, SessionResult
 
         broken = RunResult(
-            mode="vpp", scenario_name="toy",
+            mode="vpp",
             sessions=(SessionResult(key="dam", status="error", objective=None,
                                     violations=(), runtime_s=0.0, n_vars=0,
                                     n_constraints=0),),
@@ -449,8 +450,12 @@ class TestReportDirectory:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, toy_file):
+        # the child finds vppopt where this suite does, installed or not
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "vppopt.cli", "validate",
                                "--scenario", str(toy_file)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "ok" in proc.stdout

@@ -73,10 +73,16 @@ class TestSolveBasics:
         assert np.isclose(sol.objective, 15.0)
         assert np.isclose(recompute_objective(m, sol.values), sol.objective)
 
-    def test_empty_domain_is_infeasible(self):
+    @pytest.mark.parametrize("with_binary", [False, True], ids=["lp", "mip"])
+    def test_empty_domain_is_infeasible(self, with_binary):
         m = MilpModel()
         x = m.add_continuous("x", lb=5.0, ub=1.0)
-        m.set_objective({x: 1.0})
+        objective = {x: 1.0}
+        if with_binary:
+            b = m.add_binary("b")
+            m.add_constraint({x: 1.0, b: 1.0}, "<=", 10.0)
+            objective[b] = -1.0
+        m.set_objective(objective)
         sol = solve(m)
         assert sol.status == "infeasible"
 
@@ -126,8 +132,9 @@ class TestSolveBasics:
 
     def test_highs_takes_the_heuristic_options_silently(self):
         # the backend switches off HiGHS's RINS/RENS sub-MIPs through
-        # options scipy passes on verbatim; a renamed or dropped option
-        # surfaces here as a backend error or an escaping warning
+        # options it sets one by one on the HiGHS instance; a renamed or
+        # dropped option surfaces here as a backend error or an escaping
+        # warning
         m = MilpModel()
         u = m.add_binary("u")
         v = m.add_binary("v")

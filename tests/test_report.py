@@ -19,6 +19,7 @@ from vppopt.orchestrator import (
 )
 from vppopt.report import (
     NOCOORD_NOTE,
+    _write_csv,
     build_report,
     emit_report,
     emit_thresholds,
@@ -62,44 +63,63 @@ def load_thresholds_csv(path: Path) -> list[ThresholdEntry]:
     return out
 
 
+def _failing_at_dam():
+    """The toy with a line too weak for the wind's minimum output."""
+    doc = toy_doc()
+    doc["network"]["lines"][0]["flowLimit"] = 1.0
+    doc["ndres"][0]["pMin"] = [4.0, 6.0, 5.0]
+    return make_scenario(doc)
+
+
+def column(report, name: str, j: int) -> list:
+    """Column ``j`` of the table ``name`` as the report lays it out."""
+    return [row[j] for row in report.tables[name][1]]
+
+
+def series_of(report, name: str, ident: str) -> list[float]:
+    """One id's value column of a long (period, id, value) table."""
+    return [value for _, i, value in report.tables[name][1] if i == ident]
+
+
 class TestBuildReport:
     def test_series_and_bookkeeping(self, toy):
         result = run_vpp(toy)
         report = build_report(toy, result)
-        assert report.mode == "vpp"
-        assert report.n_periods == 3
-        assert len(report.dam_trade) == 3
-        assert set(report.idm_trade) == {1}
+        profit = report.documents["profit.json"]
+        assert profit["mode"] == "vpp"
+        assert column(report, "dam.csv", 0) == [1, 2, 3]
+        assert len(column(report, "dam.csv", 1)) == 3
+        assert [name for name in report.tables if name.startswith("idm_")] == ["idm_1.csv"]
         assert np.allclose(
-            report.idm_cumulative[1],
-            np.array(report.dam_trade) + np.array(report.idm_trade[1]),
+            column(report, "idm_1.csv", 2),
+            np.array(column(report, "dam.csv", 1)) + np.array(column(report, "idm_1.csv", 1)),
             atol=1e-12)
-        assert set(report.dispatch) == {"gen", "wind"}
-        assert report.storage == {}
-        assert set(report.demand) == {"load"}
-        assert report.chosen_profiles == {"load": "flat"}
-        assert report.failure is None
+        assert set(column(report, "dispatch.csv", 1)) == {"gen", "wind"}
+        assert "storage.csv" not in report.tables
+        assert set(column(report, "demand.csv", 1)) == {"load"}
+        assert {d: doc["selected"] for d, doc in report.documents["profiles.json"].items()} \
+            == {"load": "flat"}
+        assert profit["failure"] is None
         assert report.verifier_summary() == []
-        assert all(not problems for problems in report.checks.values())
+        assert all(not problems
+                   for problems in report.documents["verify.json"]["checks"].values())
 
     def test_profits_carry_both_views(self, toy):
         result = run_vpp(toy)
         report = build_report(toy, result)
-        assert abs(report.profits["dam"] - 853.0) <= 1e-6
+        profit = report.documents["profit.json"]
+        assert abs(profit["sessions"]["dam"] - 853.0) <= 1e-6
         assert abs(report.total_profit - 863.0) <= 1e-6
-        for key, value in report.profits.items():
-            assert abs(report.recomputed_profits[key] - value) <= 1e-6
+        for key, value in profit["sessions"].items():
+            assert abs(profit["recomputed"][key] - value) <= 1e-6
 
     def test_failed_run_reports_the_failure(self):
-        doc = toy_doc()
-        doc["network"]["lines"][0]["flowLimit"] = 1.0
-        doc["ndres"][0]["pMin"] = [4.0, 6.0, 5.0]
-        s = make_scenario(doc)
+        s = _failing_at_dam()
         report = build_report(s, run_vpp(s))
-        assert report.failure == "dam"
-        assert report.dam_trade == ()
-        assert report.profits == {}
-        assert report.sessions[0]["status"] == "infeasible"
+        assert report.documents["profit.json"]["failure"] == "dam"
+        assert "dam.csv" not in report.tables
+        assert report.documents["profit.json"]["sessions"] == {}
+        assert report.documents["verify.json"]["sessions"][0]["status"] == "infeasible"
 
 
 class TestEmitAndLoad:
@@ -118,23 +138,34 @@ class TestEmitAndLoad:
         assert not any(name.startswith("idm_") for name in written)
 
     def test_trade_csv_round_trips_at_six_decimals(self, toy, tmp_path):
-        report = build_report(toy, run_vpp(toy))
-        emit_report(report, tmp_path)
+        result = run_vpp(toy)
+        emit_report(build_report(toy, result), tmp_path)
+        ledger = result.ledger
         dam = load_trade_csv(tmp_path / "dam.csv")
         assert dam["period"] == [1.0, 2.0, 3.0]
-        assert np.allclose(dam["tradedMW"], report.dam_trade, atol=5e-7)
+        assert np.allclose(dam["tradedMW"], ledger.dam_trade, atol=5e-7)
         idm = load_trade_csv(tmp_path / "idm_1.csv")
-        assert np.allclose(idm["tradedMW"], report.idm_trade[1], atol=5e-7)
-        assert np.allclose(idm["cumulativeMW"], report.idm_cumulative[1], atol=5e-7)
+        assert np.allclose(idm["tradedMW"], ledger.idm_trades[1], atol=5e-7)
+        assert np.allclose(idm["cumulativeMW"],
+                           [ledger.cumulative_trade(t) for t in (1, 2, 3)], atol=5e-7)
 
     def test_long_csvs_round_trip_per_asset(self, toy, tmp_path):
-        report = build_report(toy, run_vpp(toy))
-        emit_report(report, tmp_path)
+        result = run_vpp(toy)
+        emit_report(build_report(toy, result), tmp_path)
         dispatch = load_long_csv(tmp_path / "dispatch.csv")
         assert set(dispatch) == {"gen", "wind"}
-        assert np.allclose(dispatch["wind"], report.dispatch["wind"], atol=5e-7)
+        assert np.allclose(dispatch["wind"], result.ledger.ndres_p["wind"], atol=5e-7)
         demand = load_long_csv(tmp_path / "demand.csv")
-        assert np.allclose(demand["load"], report.demand["load"], atol=5e-7)
+        assert np.allclose(demand["load"], result.ledger.demand_p["load"], atol=5e-7)
+
+    def test_negative_zero_reads_as_zero(self, tmp_path):
+        # HiGHS returns exact -0.0 for some settled values; a value that
+        # prints as zero at 6 decimals carries no sign
+        _write_csv(tmp_path / "z.csv", ["period", "tradedMW"],
+                   [[1, -0.0], [2, -4e-13], [3, -6e-7], [4, 0.0]])
+        assert (tmp_path / "z.csv").read_bytes() == (
+            b"period,tradedMW\r\n1,0.000000\r\n2,0.000000\r\n"
+            b"3,-0.000001\r\n4,0.000000\r\n")
 
     def test_profit_json_carries_full_precision(self, toy, tmp_path):
         result = run_vpp(toy)
@@ -221,14 +252,59 @@ class TestEmitAndLoad:
         assert np.allclose(trace["csp"], [100.0, 0.0], atol=5e-7)
 
 
+class TestReportLayout:
+    """The file set pinned: path order, CSV headers, top-level JSON key order."""
+
+    FULL = ["dam.csv", "idm_1.csv", "dispatch.csv", "demand.csv",
+            "profit.json", "profiles.json", "verify.json"]
+    PROFIT_KEYS = ["scenario", "mode", "sessions", "recomputed", "total", "failure"]
+    HEADERS = {
+        "dam.csv": "period,tradedMW",
+        "idm_1.csv": "period,tradedMW,cumulativeMW",
+        "dispatch.csv": "period,assetId,MW",
+        "storage.csv": "period,stuId,MWh_th",
+        "demand.csv": "period,demandId,MW",
+    }
+
+    @pytest.mark.parametrize("case, paths, profit_keys, profile_keys", [
+        ("vpp", FULL, PROFIT_KEYS, ["load"]),
+        ("nocoord", FULL, PROFIT_KEYS + ["passiveDemandProfit", "note"], ["load"]),
+        ("vpp-dam-infeasible", ["profit.json", "profiles.json", "verify.json"],
+         PROFIT_KEYS, []),
+    ], ids=["vpp", "nocoord", "vpp-dam-infeasible"])
+    def test_layout(self, tmp_path, case, paths, profit_keys, profile_keys):
+        if case == "vpp-dam-infeasible":
+            s = _failing_at_dam()
+            result = run_vpp(s)
+            assert result.failure == "dam"
+        else:
+            s = make_scenario(toy_doc())
+            result = run_vpp(s) if case == "vpp" else run_no_coordination(s)
+        written = emit_report(build_report(s, result), tmp_path)
+        assert written == [tmp_path / name for name in paths]
+        for path in written:
+            if path.suffix == ".csv":
+                header, _ = path.read_bytes().split(b"\r\n", 1)
+                assert header.decode() == self.HEADERS[path.name]
+
+        def keys(name):
+            return list(json.loads((tmp_path / name).read_text()))
+
+        assert keys("profit.json") == profit_keys
+        assert keys("profiles.json") == profile_keys
+        assert keys("verify.json") == ["sessions", "checks", "summary"]
+
+
 class TestNocoordReport:
     def test_baseline_report_is_labelled_and_passive(self, toy, tmp_path):
         report = build_report(toy, run_no_coordination(toy))
-        assert report.mode == "nocoord"
-        assert report.note == NOCOORD_NOTE
-        assert report.passive_demand_profit == {"load": -180.0}
-        assert report.chosen_profiles == {"load": "flat"}
-        assert np.allclose(report.demand["load"], [2.0, 2.0, 2.0])
+        profit = report.documents["profit.json"]
+        assert profit["mode"] == "nocoord"
+        assert profit["note"] == NOCOORD_NOTE
+        assert profit["passiveDemandProfit"] == {"load": -180.0}
+        assert {d: doc["selected"] for d, doc in report.documents["profiles.json"].items()} \
+            == {"load": "flat"}
+        assert np.allclose(series_of(report, "demand.csv", "load"), [2.0, 2.0, 2.0])
         emit_report(report, tmp_path)
         doc = json.loads((tmp_path / "profit.json").read_text())
         assert doc["note"] == NOCOORD_NOTE
@@ -237,7 +313,7 @@ class TestNocoordReport:
     def test_baseline_trade_nets_the_passive_load(self, toy):
         report = build_report(toy, run_no_coordination(toy))
         # isolated unit at 10 MW, wind at availability, 2 MW bought back
-        assert np.allclose(report.dam_trade, [12.0, 14.0, 13.0], atol=1e-6)
+        assert np.allclose(column(report, "dam.csv", 1), [12.0, 14.0, 13.0], atol=1e-6)
 
 
 class TestThresholdFiles:
