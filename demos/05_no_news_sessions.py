@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from vppopt.casestudy import equal_information_variant
+from casestudy import equal_information_variant
 from vppopt.orchestrator import RunConfig, run
 from vppopt.scenario import load_scenario
 

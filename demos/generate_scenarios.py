@@ -1,8 +1,9 @@
 """Regenerate the shipped study-day scenario files.
 
-Writes scenarios/clear.json and scenarios/cloudy.json from the built-in
-study builders, validates the round trip, and reports what changed. The
-shipped files are byte-for-byte reproducible from this script.
+Writes scenarios/clear.json and scenarios/cloudy.json from the study
+builders in casestudy.py, validates the round trip, and reports what
+changed. The shipped files are byte-for-byte reproducible from this
+script.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from vppopt.casestudy import clear_scenario, cloudy_scenario
+from casestudy import clear_scenario, cloudy_scenario
 from vppopt.scenario import load_scenario, scenario_to_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"

@@ -7,10 +7,12 @@ a scenario file and prints its diagnostics.
 
 Exit codes: 0 success, 2 usage or input errors (a bad scenario file, a
 bad flag value such as ``--step 0``, or an output path that cannot be
-written, caught before the first solve; or a model with a non-finite
-number built from a valid scenario), 3 an infeasible session, 4 a solver
-failure, a verification violation or check finding, or recomputed
-profits that drift from the solver's by more than ``MAX_PROFIT_DRIFT``.
+written, caught before the first solve; or a model built from a valid
+scenario that has a non-finite number or that HiGHS refuses), 3 an
+infeasible session, 4 a solver failure (``time_limit`` when the time
+limit ends a solve before any incumbent), a verification violation or
+check finding, or recomputed profits that drift from the solver's by
+more than ``MAX_PROFIT_DRIFT``.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                               profile_id=args.profile, max_cost=args.max,
                                               resolution=args.step)
         except KeyError as exc:
-            print(str(exc), file=sys.stderr)
+            print(exc.args[0], file=sys.stderr)  # str() would quote it
             return EXIT_USAGE
         except RuntimeError as exc:
             print(f"sweep failed: {exc}", file=sys.stderr)

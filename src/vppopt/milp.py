@@ -121,7 +121,10 @@ class Solution:
     """Solver outcome. An assignment is present exactly when the status is
     optimal or feasible."""
 
-    status: str  # optimal | feasible | infeasible | unbounded | error
+    # optimal | feasible (an unproven incumbent, found when a limit was
+    # reached) | infeasible | unbounded | time_limit (the time limit was
+    # reached before any incumbent) | error
+    status: str
     objective: float | None = None
     values: tuple[float, ...] | None = None
     runtime_s: float = 0.0
@@ -141,7 +144,8 @@ class Solution:
 
 
 class ModelError(ValueError):
-    """A model that cannot go to a solver, from :meth:`MilpModel.validate`."""
+    """A model that cannot go to a solver, from :meth:`MilpModel.validate`
+    or from HiGHS refusing it."""
 
 
 @dataclass(frozen=True)
@@ -444,8 +448,9 @@ class ScipyMilpAdapter:
              options: SolveOptions):
         """Run a fresh HiGHS instance over the lowered model with these
         column bounds and integer columns. Returns the instance and its
-        model status: ``kModelError`` when HiGHS does not take the model,
-        ``kSolveError`` when the run fails."""
+        model status, ``kSolveError`` when the run fails. Raises
+        :class:`ModelError` when HiGHS does not take the model, for
+        instance a coefficient beyond its ``large_matrix_value`` (1e15)."""
         highs = _h._Highs()
         for name, value in highs_options(options).items():
             if highs.setOptionValue(name, value) != _h.HighsStatus.kOk:
@@ -461,7 +466,8 @@ class ScipyMilpAdapter:
         lp.a_matrix_.value_ = low.value
         lp.integrality_ = [_INTEGER if i else _CONTINUOUS for i in integer]
         if highs.passModel(lp) == _h.HighsStatus.kError:
-            return highs, _h.HighsModelStatus.kModelError
+            largest = max(map(abs, low.value), default=0.0)
+            raise ModelError(f"HiGHS refused the model (largest |coefficient| {largest:g})")
         with _stdout_to_stderr():
             if highs.run() == _h.HighsStatus.kError:
                 return highs, _h.HighsModelStatus.kSolveError
@@ -489,11 +495,11 @@ class ScipyMilpAdapter:
 _INTEGER = _h.HighsVarType.kInteger
 _CONTINUOUS = _h.HighsVarType.kContinuous
 _LIMITS = (_h.HighsModelStatus.kTimeLimit, _h.HighsModelStatus.kIterationLimit)
-# model statuses without an assignment; the rest end as "error". A model
-# HiGHS does not take ends "infeasible", as scipy.optimize.milp reported it.
+# model statuses without an assignment; the rest end as "error". A time
+# limit reached before any incumbent ends "time_limit".
 _FAILED = {_h.HighsModelStatus.kInfeasible: "infeasible",
-           _h.HighsModelStatus.kModelError: "infeasible",
-           _h.HighsModelStatus.kUnbounded: "unbounded"}
+           _h.HighsModelStatus.kUnbounded: "unbounded",
+           _h.HighsModelStatus.kTimeLimit: "time_limit"}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ by raw column index.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
 from vppopt.milp import MilpModel
 
@@ -39,8 +38,3 @@ class VariableRegistry:
 
     def id(self, role: str, entity: str, t: int | None = None) -> int:
         return self._by_key[(role, entity, t)]
-
-    def values(self, x: Sequence[float], role: str, entity: str,
-               periods: Iterable[int]) -> tuple[float, ...]:
-        """Read a per-period series out of a solution assignment."""
-        return tuple([x[self._by_key[(role, entity, t)]] for t in periods])

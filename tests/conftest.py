@@ -19,13 +19,18 @@ import itertools
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vppopt.milp import MilpModel, Solution, SolveOptions, solve
+from vppopt.registry import VariableRegistry
 from vppopt.scenario import Scenario, scenario_from_dict
 from vppopt.stu import PbCurve
+
+# the shipped study days, as the CLI and the benchmark read them
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 TOY_DOC = {
     "name": "toy",
@@ -79,6 +84,11 @@ def toy_doc() -> dict:
 
 def make_scenario(doc: dict) -> Scenario:
     return scenario_from_dict(doc)
+
+
+def series(reg: VariableRegistry, x, role: str, entity: str, periods) -> tuple[float, ...]:
+    """Read a per-period series out of a solution assignment."""
+    return tuple(x[reg.id(role, entity, t)] for t in periods)
 
 
 @pytest.fixture
@@ -172,8 +182,8 @@ class Sos2EnumerationAdapter:
                     any_limit = True
                 if best is None or res.objective > best.objective:
                     best = res
-            elif res.status in ("unbounded", "error"):
-                any_error = any_error or res.status == "error"
+            elif res.status in ("unbounded", "error", "time_limit"):
+                any_error = any_error or res.status != "unbounded"
                 if res.status == "unbounded":
                     return replace(res, runtime_s=time.perf_counter() - t0)
         runtime = time.perf_counter() - t0

@@ -14,19 +14,19 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize._highspy._core import _Highs
 
+from casestudy import equal_information_variant
 from conftest import (
+    SCENARIO_DIR,
     Sos2EnumerationAdapter,
     enumerate_dam_optimum,
     eval_pb_oracle,
     make_scenario,
 )
-from vppopt.casestudy import equal_information_variant
 from vppopt.dam import assemble_dam
 from vppopt.milp import SolveOptions, solve
 from vppopt.orchestrator import (
@@ -48,7 +48,6 @@ from vppopt.synth import (
     random_stu_scenario,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 RUNTIME_BUDGET_S = 10.0  # full day-ahead-plus-intraday run, per shipped day
 # total profit in EUR of each shipped day, coordinated and with every asset alone
 SHIPPED_TOTALS = {"clear": {"vpp": 35057.069660, "nocoord": 30473.354660},

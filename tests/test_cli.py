@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_scenario, toy_doc
+from conftest import SCENARIO_DIR, make_scenario, toy_doc
 from test_scenario import MALFORMED, MALFORMED_IDS, _set_leaf
 from vppopt.cli import (
     EXIT_INFEASIBLE,
@@ -29,9 +29,6 @@ def toy_file(tmp_path):
     path = tmp_path / "toy.json"
     path.write_text(json.dumps(toy_doc()))
     return path
-
-
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _write(tmp_path, doc, name="case.json"):
@@ -222,6 +219,15 @@ class TestRun:
         assert code == EXIT_INFEASIBLE
         assert "run stopped at dam" in capsys.readouterr().err
 
+    def test_time_limit_without_incumbent_exits_4(self, tmp_path, capsys):
+        code = main(["run", "--scenario", str(SCENARIO_DIR / "clear.json"),
+                     "--sessions", "dam", "--time-limit", "1e-9",
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out.startswith("dam: time_limit objective=- ")
+        assert "run stopped at dam: time_limit" in captured.err
+
     def test_solver_failure_exits_4(self, toy_file, tmp_path, capsys, monkeypatch):
         from vppopt import cli
         from vppopt.orchestrator import ProfitBreakdown, RunResult, SessionResult
@@ -309,7 +315,8 @@ class TestSweep:
                      "--profile", "ghost", "--max", "10",
                      "--out", str(tmp_path / "sweep")])
         assert code == EXIT_USAGE
-        assert "no non-default profile" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "no non-default profile matches demand=load profile=ghost\n"
 
 
 SWEEP = ["sweep", "--demand", "load", "--profile", "shift"]
@@ -364,7 +371,7 @@ class TestUnwritableOutput:
 
 class TestModelBuildErrors:
     """Scenarios that pass validation but build a model with a non-finite
-    number exit 2 with one stderr line."""
+    number, or one that HiGHS refuses, exit 2 with one stderr line."""
 
     def _run(self, path, tmp_path, capsys, argv):
         assert main(["validate", "--scenario", str(path)]) == EXIT_OK
@@ -404,6 +411,14 @@ class TestModelBuildErrors:
         path = _write(tmp_path, doc)
         line = self._run(path, tmp_path, capsys, argv)
         assert "stu_ebal.csp" in line and "non-finite coefficient inf" in line
+
+    def test_coefficient_highs_refuses(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
+        l1 = next(line for line in doc["network"]["lines"] if line["id"] == "l1")
+        l1["susceptance"] = 1e16  # finite, so the file validates
+        path = _write(tmp_path, doc)
+        line = self._run(path, tmp_path, capsys, ["run", "--sessions", "dam"])
+        assert line == "cannot build model: HiGHS refused the model (largest |coefficient| 1e+16)"
 
 
 class TestReportDirectory:

@@ -7,7 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TOY_DAM_OBJECTIVE, enumerate_dam_optimum, make_scenario, toy_doc
+from conftest import (
+    TOY_DAM_OBJECTIVE,
+    enumerate_dam_optimum,
+    make_scenario,
+    series,
+    toy_doc,
+)
 from vppopt.dam import (
     ANGLE,
     DEM_U,
@@ -64,13 +70,13 @@ class TestToyDayAhead:
 
     def test_traded_power_by_period(self, toy):
         _, reg, sol = _solved(toy)
-        trade = reg.values(sol.values, TRADE_DAM, "vpp", T3)
+        trade = series(reg, sol.values, TRADE_DAM, "vpp", T3)
         assert np.allclose(trade, [12.0, 14.0, 13.0], atol=1e-6)
 
     def test_startup_cost_charged_once(self, toy):
         _, reg, sol = _solved(toy)
-        c1 = reg.values(sol.values, DRES_C1, "gen", T3)
-        c0 = reg.values(sol.values, DRES_C0, "gen", T3)
+        c1 = series(reg, sol.values, DRES_C1, "gen", T3)
+        c0 = series(reg, sol.values, DRES_C0, "gen", T3)
         assert np.allclose(c1, [7.0, 0.0, 0.0], atol=1e-6)
         assert np.allclose(c0, 0.0, atol=1e-6)
 
@@ -185,7 +191,7 @@ class TestNetworkPhysics:
 
     def test_flow_carries_the_remote_surplus(self, toy):
         _, reg, sol = _solved(toy)
-        flows = reg.values(sol.values, FLOW, "l1", T3)
+        flows = series(reg, sol.values, FLOW, "l1", T3)
         # all generation sits at b2, so the line runs at minus the export
         assert np.allclose(flows, [-12.0, -14.0, -13.0], atol=1e-6)
 
@@ -193,7 +199,7 @@ class TestNetworkPhysics:
         doc = toy_doc()
         doc["network"]["lines"][0]["flowLimit"] = 8.0
         _, reg, sol = _solved(make_scenario(doc))
-        flows = reg.values(sol.values, FLOW, "l1", T3)
+        flows = series(reg, sol.values, FLOW, "l1", T3)
         assert np.allclose(np.abs(flows), 8.0, atol=1e-6)
         assert sol.objective < TOY_DAM_OBJECTIVE
 
@@ -251,7 +257,7 @@ class TestDegenerateScenarios:
                             "idm": {"1": {"ndresAvail": {}, "stuAvail_th": {}}}}
         _, reg, sol = _solved(make_scenario(doc))
         assert abs(sol.objective) <= 1e-9
-        assert np.allclose(reg.values(sol.values, TRADE_DAM, "vpp", T3), 0.0,
+        assert np.allclose(series(reg, sol.values, TRADE_DAM, "vpp", T3), 0.0,
                            atol=1e-9)
 
 

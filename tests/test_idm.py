@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_scenario, toy_doc
+from conftest import SCENARIO_DIR, make_scenario, series, toy_doc
 from vppopt.dam import DEM_P, DEM_U, DRES_P, NDRES_P, assemble_dam
 from vppopt.idm import (
     DRES_DP,
@@ -22,7 +21,6 @@ from vppopt.milp import BINARY, Solution, dump_lp, solve, verify
 from vppopt.scenario import load_scenario
 
 T3 = (1, 2, 3)
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _dam_ledger(s):
@@ -66,7 +64,7 @@ class TestSessionAdjustments:
         ledger = _dam_ledger(toy_zero_tol)
         _, reg, sol = _solved_session(toy_zero_tol, ledger, 1)
         assert abs(sol.objective) <= 1e-6
-        trades = reg.values(sol.values, IDM_TRADE, "vpp", T3)
+        trades = series(reg, sol.values, IDM_TRADE, "vpp", T3)
         assert np.allclose(trades, 0.0, atol=1e-6)
 
     def test_band_arbitrage_on_the_price_spread(self, toy):
@@ -75,9 +73,9 @@ class TestSessionAdjustments:
         ledger = _dam_ledger(toy)
         _, reg, sol = _solved_session(toy, ledger, 1)
         assert abs(sol.objective - 10.0) <= 1e-6
-        dem = reg.values(sol.values, DEM_P, "load", T3)
+        dem = series(reg, sol.values, DEM_P, "load", T3)
         assert np.allclose(dem, [2.0, 2.5, 1.5], atol=1e-6)
-        trades = reg.values(sol.values, IDM_TRADE, "vpp", T3)
+        trades = series(reg, sol.values, IDM_TRADE, "vpp", T3)
         assert np.allclose(trades, [0.0, -0.5, 0.5], atol=1e-6)
 
     def test_wind_shortfall_is_bought_back(self, toy_zero_tol):
@@ -92,12 +90,12 @@ class TestSessionAdjustments:
         ledger = _dam_ledger(s)
         _, reg, sol = _solved_session(s, ledger, 1)
         assert abs(sol.objective - (-100.0)) <= 1e-6
-        trades = reg.values(sol.values, IDM_TRADE, "vpp", T3)
+        trades = series(reg, sol.values, IDM_TRADE, "vpp", T3)
         assert np.allclose(trades, [0.0, -5.0, 0.0], atol=1e-6)
         after = apply_idm(ledger, s, 1, reg, sol)
         assert np.allclose(_cumulative_trades(after), [12.0, 9.0, 13.0],
                            atol=1e-6)
-        wind = reg.values(sol.values, NDRES_P, "wind", T3)
+        wind = series(reg, sol.values, NDRES_P, "wind", T3)
         assert np.allclose(wind, [4.0, 1.0, 5.0], atol=1e-6)
 
     def test_infeasible_session_is_reported_as_such(self):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import Sos2EnumerationAdapter, recompute_objective
+from conftest import SCENARIO_DIR, Sos2EnumerationAdapter, recompute_objective
 from vppopt import milp
 from vppopt.dam import assemble_dam
 from vppopt.milp import (
@@ -85,6 +85,11 @@ class TestSolveBasics:
         m.set_objective(objective)
         sol = solve(m)
         assert sol.status == "infeasible"
+
+    def test_time_limit_without_incumbent(self):
+        model, _ = assemble_dam(load_scenario(SCENARIO_DIR / "clear.json"))
+        sol = solve(model, SolveOptions(time_limit=1e-9))
+        assert (sol.status, sol.values) == ("time_limit", None)
 
     def test_unbounded_reported(self):
         m = MilpModel()
@@ -273,7 +278,7 @@ loaded = "numpy" in sys.modules
 vppopt.cli.main(["validate", "--scenario", sys.argv[1]])
 print(loaded, "numpy" in sys.modules)
 """
-        out = _python(code, str(ROOT / "scenarios" / "clear.json"))
+        out = _python(code, str(SCENARIO_DIR / "clear.json"))
         assert out.splitlines()[-1] == "False False"
 
     def test_package_exposes_the_binding_loaded_first(self):
@@ -336,7 +341,7 @@ def _csc_reference(model: MilpModel):
 
 def _shipped_day_ahead(day: str) -> MilpModel:
     """A shipped day-ahead model as HiGHS receives it."""
-    model, _ = assemble_dam(load_scenario(ROOT / "scenarios" / f"{day}.json"))
+    model, _ = assemble_dam(load_scenario(SCENARIO_DIR / f"{day}.json"))
     return reformulate_sos2_as_binary(model)
 
 
@@ -416,6 +421,15 @@ class TestValidation:
         x = m.add_continuous("x", ub=1.0)
         m.set_objective({x: -math.inf})
         with pytest.raises(ModelError, match="objective has non-finite"):
+            solve(m)
+
+    def test_coefficient_highs_refuses(self):
+        m = MilpModel()
+        x = m.add_continuous("x", ub=1.0)
+        m.add_constraint({x: 1e16}, "<=", 1.0, "huge")  # above large_matrix_value
+        m.set_objective({x: 1.0})
+        m.validate()
+        with pytest.raises(ModelError, match=r"HiGHS refused the model .*1e\+16"):
             solve(m)
 
     def test_validation_errors_are_value_errors(self):

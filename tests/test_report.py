@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_scenario, toy_doc
+from conftest import SCENARIO_DIR, make_scenario, toy_doc
 from vppopt.orchestrator import (
     RunConfig,
     ThresholdEntry,
@@ -25,8 +25,6 @@ from vppopt.report import (
     emit_thresholds,
 )
 from vppopt.scenario import load_scenario
-
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def load_trade_csv(path: Path) -> dict[str, list[float]]:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import eval_pb_oracle, make_scenario
-from vppopt.casestudy import clear_scenario, cloudy_scenario
+from conftest import SCENARIO_DIR, eval_pb_oracle, make_scenario, series
 from vppopt.dam import assemble_dam
 from vppopt.milp import BINARY, reformulate_sos2_as_binary, solve, verify
+from vppopt.scenario import load_scenario
 from vppopt.stu import (
     CHG,
     DIS,
@@ -68,7 +68,7 @@ def _solved(s):
 
 class TestConversionCurve:
     def test_segment_factors_met_at_grid_points(self):
-        curve = pb_curve(clear_scenario().stu[0])
+        curve = pb_curve(load_scenario(SCENARIO_DIR / "clear.json").stu[0])
         assert curve.breakpoints == (0.0, 25.0, 62.5, 93.75, 125.0)
         assert curve.values == (0.0, 6.25, 19.375, 33.75, 50.0)
 
@@ -112,10 +112,10 @@ class TestHandSolvedDispatch:
         assert abs(sol.objective - 2000.0) <= 1e-6
 
         x = sol.values
-        psf = reg.values(x, PSF, "csp", PERIODS_2)
-        chg = reg.values(x, CHG, "csp", PERIODS_2)
-        dis = reg.values(x, DIS, "csp", PERIODS_2)
-        p = reg.values(x, POWER, "csp", PERIODS_2)
+        psf = series(reg, x, PSF, "csp", PERIODS_2)
+        chg = series(reg, x, CHG, "csp", PERIODS_2)
+        dis = series(reg, x, DIS, "csp", PERIODS_2)
+        p = series(reg, x, POWER, "csp", PERIODS_2)
         assert np.allclose(psf, [100.0, 0.0], atol=1e-6)
         assert np.allclose(chg, [100.0, 0.0], atol=1e-6)
         assert np.allclose(dis, [0.0, 100.0], atol=1e-6)
@@ -124,7 +124,7 @@ class TestHandSolvedDispatch:
     def test_storage_trace(self):
         s = _stu_scenario([5.0, 50.0], [100.0, 0.0])
         _, reg, sol = _solved(s)
-        e = reg.values(sol.values, ENERGY, "csp", PERIODS_2)
+        e = series(reg, sol.values, ENERGY, "csp", PERIODS_2)
         assert np.allclose(e, [100.0, 0.0], atol=1e-6)
 
     def test_flat_prices_prefer_immediate_full_load(self):
@@ -134,7 +134,7 @@ class TestHandSolvedDispatch:
                           chargeEff=0.9, dischargeEff=0.9)
         _, reg, sol = _solved(s)
         assert abs(sol.objective - 2 * 40.0 * 40.0) <= 1e-6
-        chg = reg.values(sol.values, CHG, "csp", PERIODS_2)
+        chg = series(reg, sol.values, CHG, "csp", PERIODS_2)
         assert np.allclose(chg, 0.0, atol=1e-6)
 
 
@@ -146,9 +146,9 @@ class TestStorageDynamics:
         _, reg, sol = _solved(s)
         x = sol.values
         periods = range(1, 4)
-        e = reg.values(x, ENERGY, "csp", periods)
-        chg = reg.values(x, CHG, "csp", periods)
-        dis = reg.values(x, DIS, "csp", periods)
+        e = series(reg, x, ENERGY, "csp", periods)
+        chg = series(reg, x, CHG, "csp", periods)
+        dis = series(reg, x, DIS, "csp", periods)
         prev = 60.0
         for t in range(3):
             expected = prev + 0.9 * chg[t] - dis[t] / 0.8
@@ -160,7 +160,7 @@ class TestStorageDynamics:
         # charge even though the battery of the day sits nearly empty
         s = _stu_scenario([10.0, 10.0], [0.0, 80.0], initialEnergy_th=20.0)
         _, reg, sol = _solved(s)
-        chg = reg.values(sol.values, CHG, "csp", PERIODS_2)
+        chg = series(reg, sol.values, CHG, "csp", PERIODS_2)
         assert chg[0] <= 1e-9
 
     def test_charge_and_discharge_exclude_each_other(self):
@@ -170,8 +170,8 @@ class TestStorageDynamics:
             _, reg, sol = _solved(s)
             a = s.stu[0]
             periods = range(1, s.n_periods + 1)
-            chg = reg.values(sol.values, CHG, a.id, periods)
-            dis = reg.values(sol.values, DIS, a.id, periods)
+            chg = series(reg, sol.values, CHG, a.id, periods)
+            dis = series(reg, sol.values, DIS, a.id, periods)
             assert np.all(np.minimum(chg, dis) <= 1e-6)
 
     def test_startup_burns_thermal_input(self):
@@ -179,17 +179,17 @@ class TestStorageDynamics:
                           startupLossFactor=0.2, initialPbStatus="off")
         _, reg, sol = _solved(s)
         x = sol.values
-        u = reg.values(x, PB_ON, "csp", PERIODS_2)
-        v1 = reg.values(x, PB_START, "csp", PERIODS_2)
+        u = series(reg, x, PB_ON, "csp", PERIODS_2)
+        v1 = series(reg, x, PB_START, "csp", PERIODS_2)
         # the indicator marks exactly the off-to-on edge
         prev = 0.0
         for t in range(2):
             assert abs(v1[t] - max(u[t] - prev, 0.0)) <= 1e-6
             prev = u[t]
-        psf = np.asarray(reg.values(x, PSF, "csp", PERIODS_2))
-        chg = np.asarray(reg.values(x, CHG, "csp", PERIODS_2))
-        dis = np.asarray(reg.values(x, DIS, "csp", PERIODS_2))
-        ppb = np.asarray(reg.values(x, PPB, "csp", PERIODS_2))
+        psf = np.asarray(series(reg, x, PSF, "csp", PERIODS_2))
+        chg = np.asarray(series(reg, x, CHG, "csp", PERIODS_2))
+        dis = np.asarray(series(reg, x, DIS, "csp", PERIODS_2))
+        ppb = np.asarray(series(reg, x, PPB, "csp", PERIODS_2))
         loss = 0.2 * 100.0 * np.asarray(v1)
         assert np.allclose(ppb, psf + dis - chg - loss, atol=1e-6)
         assert v1[0] >= 0.5  # running is worth the one-off loss here
@@ -198,11 +198,11 @@ class TestStorageDynamics:
         s = _stu_scenario([100.0, 100.0], [0.0, 0.0],
                           initialEnergy_th=150.0, endAlphaLo=0.5)
         _, reg, sol = _solved(s)
-        e = reg.values(sol.values, ENERGY, "csp", PERIODS_2)
+        e = series(reg, sol.values, ENERGY, "csp", PERIODS_2)
         assert e[-1] >= 0.5 * 200.0 - 1e-6
         assert e[-1] <= 200.0 + 1e-6
         # half the stored heat stays reserved, the rest is sold
-        dis = reg.values(sol.values, DIS, "csp", PERIODS_2)
+        dis = series(reg, sol.values, DIS, "csp", PERIODS_2)
         assert np.isclose(np.sum(dis), 50.0, atol=1e-6)
 
 
@@ -249,7 +249,7 @@ class TestModelStructure:
     def test_clear_day_segment_binaries(self):
         # three segment binaries per power-block period; a segment from
         # the origin would make it four, 201 binaries in all
-        model, _ = assemble_dam(clear_scenario())
+        model, _ = assemble_dam(load_scenario(SCENARIO_DIR / "clear.json"))
         reformulated = reformulate_sos2_as_binary(model)
         binaries = sum(reformulated.kind(i) == BINARY for i in range(reformulated.n_vars))
         assert binaries == 177
@@ -270,8 +270,7 @@ class TestOptimaPinned:
 
     @pytest.mark.parametrize("name", ["clear", "cloudy"])
     def test_shipped_day_ahead(self, name):
-        s = {"clear": clear_scenario, "cloudy": cloudy_scenario}[name]()
-        _, _, sol = _solved(s)
+        _, _, sol = _solved(load_scenario(SCENARIO_DIR / f"{name}.json"))
         expected = self.SHIPPED[name]
         assert abs(sol.objective - expected) <= 1e-6 * abs(expected)
 
