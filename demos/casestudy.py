@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from vppopt.scenario import Scenario, scenario_from_dict
+from vppopt.scenario import Scenario, scenario_from_dict, scenario_to_dict
 
 T = 24
 
@@ -278,3 +278,36 @@ def equal_information_variant(s: Scenario, zero_tolerance: bool = True) -> Scena
             for d in s.demands)
     return replace(s, name=f"{s.name}-equal-info", calendar=replace(cal, sessions=sessions),
                    idm_forecasts=idm_forecasts, demands=demands)
+
+
+def refine(s: Scenario, f: int) -> Scenario:
+    """Copy a scenario onto a grid ``f`` times finer: every period series
+    repeats each value ``f`` times, ``T`` grows and ``dtHours`` shrinks by
+    ``f``, each session's first period ``tau`` moves to ``f·(tau − 1) + 1``
+    and each demand's ramp limits (MW/h) grow by ``f``, so that a profile's
+    hourly step still fits one finer period. Energies, prices and costs
+    keep their units. The refined days are stress instances, not study
+    days: their model is ``f`` times larger and branches more. The one
+    quantity that does not carry over is the solar-thermal startup loss, a
+    power taken for one period, so a start costs ``f`` times less energy."""
+
+    def finer(x):
+        if isinstance(x, dict):
+            return {key: finer(v) for key, v in x.items()}
+        if isinstance(x, list):
+            if all(isinstance(v, (int, float)) for v in x):  # a period series
+                return [v for v in x for _ in range(f)]
+            return [finer(v) for v in x]
+        return x
+
+    doc = finer(scenario_to_dict(s))
+    doc["name"] = f"{s.name}-f{f}"
+    cal = doc["calendar"]
+    cal["T"] *= f
+    cal["dtHours"] /= f
+    for sess in cal["sessions"]:
+        sess["tau"] = f * (sess["tau"] - 1) + 1
+    for d in doc["demands"]:
+        d["rampUp"] *= f
+        d["rampDown"] *= f
+    return scenario_from_dict(doc)

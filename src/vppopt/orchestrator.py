@@ -9,7 +9,8 @@ passive on their default profile) and folds the runs into one ledger,
 so the two modes are comparable profit-for-profit and check-for-check.
 The sweep finds, per demand profile, the largest
 payment at which the optimizer still picks it over the default, in
-closed form from two day-ahead solves with the choice held either way.
+closed form from two solves of the scenario's own day-ahead model with
+the choice held either way, each verified like a run's session.
 
 MILPs that do not depend on each other run at the same time
 (:func:`_concurrently`): the baseline's isolated asset runs, and the
@@ -30,6 +31,7 @@ from vppopt import dam as dam_mod
 from vppopt import stu as stu_mod
 from vppopt.idm import LedgerState, apply_idm, assemble_idm, ledger_from_dam
 from vppopt.milp import MilpModel, Solution, SolveOptions, Violation, solve, verify
+from vppopt.registry import VariableRegistry
 from vppopt.scenario import DemandAsset, ForecastSet, Network, Scenario
 
 T = TypeVar("T")
@@ -447,86 +449,70 @@ class ThresholdEntry:
     resolution: float
 
 
-def _pair_contest(s: Scenario, demand_id: str, profile_id: str) -> Scenario:
-    """Keep only the default profile and one challenger, at zero payment,
-    for a demand, so the sweep measures the challenger's value against the
-    default."""
-    demands = []
-    for d in s.demands:
-        if d.id == demand_id:
-            keep = tuple(replace(p, cost=0.0) if p.id == profile_id else p
-                         for p in d.profiles if p.default or p.id == profile_id)
-            d = replace(d, profiles=keep)
-        demands.append(d)
-    return replace(s, demands=tuple(demands))
+def _day_ahead(s: Scenario, held: str | None = None) -> tuple[Solution, VariableRegistry]:
+    """The day-ahead model of ``s``, solved and verified like a run's
+    session, with the ``"<demand>/<profile>"`` selector ``held`` fixed at 1
+    when given. Raises ``RuntimeError`` when the solve ends without an
+    assignment or the assignment violates the model."""
+    model, reg = dam_mod.assemble_dam(s)
+    if held is not None:
+        model.set_bounds(reg.id(dam_mod.DEM_U, held), lb=1.0)
+    sol, result = _solve_session(model, SolveOptions(), "dam")
+    if sol.values is None:
+        raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
+    if result.violations:
+        raise RuntimeError(f"day-ahead solve has {len(result.violations)} violations, "
+                           f"the first {result.violations[0]}")
+    return sol, reg
 
 
 def chosen_profiles(s: Scenario) -> tuple[dict[str, str], float]:
     """Solve the day-ahead stage and read the selected profile per demand."""
-    model, reg = dam_mod.assemble_dam(s)
-    sol = solve(model)
-    if sol.values is None:
-        raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
-    out = {}
-    for d in s.demands:
-        for p in d.profiles:
-            if sol.values[reg.id(dam_mod.DEM_U, f"{d.id}/{p.id}")] > 0.5:
-                out[d.id] = p.id
-    return out, float(sol.objective)
-
-
-def _held_objective(s: Scenario, demand_id: str, profile_id: str) -> float:
-    """Day-ahead optimum with one demand held to one of its profiles."""
-    model, reg = dam_mod.assemble_dam(s)
-    model.set_bounds(reg.id(dam_mod.DEM_U, f"{demand_id}/{profile_id}"), lb=1.0)
-    sol = solve(model)
-    if sol.values is None:
-        raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
-    return float(sol.objective)
+    sol, reg = _day_ahead(s)
+    return ({d.id: p.id for d in s.demands for p in d.profiles
+             if sol.values[reg.id(dam_mod.DEM_U, f"{d.id}/{p.id}")] > 0.5},
+            float(sol.objective))
 
 
 def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
                         profile_id: str | None = None, max_cost: float = 1000.0,
                         resolution: float = 1.0) -> list[ThresholdEntry]:
-    """Largest payment at which a non-default profile is still selected.
+    """Largest payment at which a non-default profile is still selected
+    over its demand's default.
 
-    Each (demand, profile) pair is contested head to head against that
-    demand's default profile. The payment ``c`` enters the objective only
-    through the challenger's selector, so the contest's optimum is
-    ``max(V_def, V_ch - c)``, with ``V_ch`` (challenger at zero payment)
-    and ``V_def`` the optima with either profile held. Two solves give the
-    break-even payment ``V_ch - V_def`` exactly; the reported threshold
-    keeps ``resolution / 2`` below it, so the challenger is still picked
-    at the threshold and dropped one resolution above it. The held solves
-    of all pairs are independent and go through :func:`_concurrently`.
+    Each (demand, profile) pair is contested in the scenario's own
+    day-ahead model, the one ``run`` solves, with every other profile and
+    purchase cap in place. The payment ``c`` enters the objective only
+    through the challenger's selector, so with ``V_ch`` the optimum with
+    the challenger held (plus its own payment, giving its value at zero
+    payment) and ``V_def`` the optimum with the default held, the
+    challenger wins while ``V_ch - c`` exceeds ``V_def``. Two solves give
+    the break-even payment ``V_ch - V_def`` exactly; the reported
+    threshold keeps ``resolution / 2`` below it, so the challenger is
+    still picked over the default at the threshold and dropped one
+    resolution above it. Each held solve is verified like a run's session
+    (:func:`_day_ahead`); the held solves of all pairs are independent and
+    go through :func:`_concurrently`.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    pairs: list[tuple[str, str, str]] = []
-    for d in s.demands:
-        if demand_id is not None and d.id != demand_id:
-            continue
-        for p in d.profiles:
-            if p.default or (profile_id is not None and p.id != profile_id):
-                continue
-            pairs.append((d.id, p.id, d.default_profile().id))
+    pairs = [(d, p) for d in s.demands if demand_id in (None, d.id)
+             for p in d.profiles if not p.default and profile_id in (None, p.id)]
     if (demand_id is not None or profile_id is not None) and not pairs:
         raise KeyError(f"no non-default profile matches demand={demand_id} "
                        f"profile={profile_id}")
 
-    contests = [_pair_contest(s, did, pid) for did, pid, _ in pairs]
-    held = _concurrently([partial(_held_objective, contest, did, kept)
-                          for contest, (did, pid, default) in zip(contests, pairs)
-                          for kept in (pid, default)])
+    held = _concurrently([partial(_day_ahead, s, f"{d.id}/{kept.id}")
+                          for d, p in pairs for kept in (p, d.default_profile())])
     out = []
-    for (did, pid, _), v_ch, v_def in zip(pairs, held[::2], held[1::2]):
-        gain = v_ch - v_def
+    for (d, p), (ch, _), (default, _) in zip(pairs, held[::2], held[1::2]):
+        gain = ch.objective + p.cost - default.objective
         if gain <= 0:
-            out.append(ThresholdEntry(did, pid, "never", None, resolution))
+            out.append(ThresholdEntry(d.id, p.id, "never", None, resolution))
         elif gain >= max_cost:
-            out.append(ThresholdEntry(did, pid, "above_max", None, resolution))
+            out.append(ThresholdEntry(d.id, p.id, "above_max", None, resolution))
         else:
-            out.append(ThresholdEntry(did, pid, "threshold",
+            out.append(ThresholdEntry(d.id, p.id, "threshold",
                                       max(gain - resolution / 2.0, 0.0), resolution))
     return out
 

@@ -521,6 +521,10 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
         bad(Diagnostic("network", "empty", "network has no buses"))
     if len(buses) != len(net.buses):
         bad(Diagnostic("network", "duplicate_id", "duplicate bus ids"))
+    if not net.main_grid_buses:
+        bad(Diagnostic("network", "main_grid_empty", "network has no main-grid bus"))
+    if len(set(net.main_grid_buses)) != len(net.main_grid_buses):
+        bad(Diagnostic("network", "duplicate_id", "duplicate main-grid buses"))
     for b in net.main_grid_buses:
         if b not in buses:
             bad(Diagnostic(b, "main_grid_subset", "main-grid bus is not a network bus"))

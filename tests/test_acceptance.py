@@ -1,13 +1,14 @@
 """End-to-end acceptance gates on the shipped study days and randomized
 instances.
 
-Thirteen checks, one test each: clean and fast solves of both shipped
+Fourteen checks, one test each: clean and fast solves of both shipped
 days, their pinned total profits and day-ahead search counts, agreement of
 the day-ahead optimizer with exhaustive enumeration, conversion-curve
 fidelity and agreement of the two SOS-2 routes, storage bookkeeping,
 demand contracts, the value of coordination, sharp profile-payment
-thresholds, inert no-news sessions, price monotonicity, and results that
-concurrent solves leave as sequential ones gave them.
+thresholds, inert no-news sessions, price monotonicity, results that
+concurrent solves leave as sequential ones gave them, and clean day-ahead
+runs of both days on a half-hour grid (one case per day).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy._core import _Highs
 
-from casestudy import equal_information_variant
+from casestudy import equal_information_variant, refine
 from conftest import (
     SCENARIO_DIR,
     Sos2EnumerationAdapter,
@@ -40,7 +41,8 @@ from vppopt.orchestrator import (
     single_asset_scenario,
     sweep_profile_costs,
 )
-from vppopt.scenario import load_scenario
+from vppopt.report import build_report
+from vppopt.scenario import load_scenario, validate_scenario
 from vppopt.stu import CHG, DIS, ENERGY, PB_ON, POWER, PPB, pb_curve
 from vppopt.synth import (
     random_piecewise_model,
@@ -106,19 +108,23 @@ def _tiny_doc(prices: tuple[float, ...], initial: str) -> dict:
     }
 
 
-def _pair_contest(s, demand_id: str, profile_id: str, cost: float):
-    """Restrict one demand to its default-versus-challenger contest with
-    the challenger at the given payment; an independent re-check of the
-    thresholds the sweep derives from its two held solves."""
+PRICED_OUT = 1e5  # EUR, a payment no profile on the shipped days is worth
+
+
+def _priced_contest(s, demand_id: str, profile_id: str, cost: float):
+    """One demand's default-versus-challenger contest, with the challenger
+    at the given payment and the demand's other alternatives priced out,
+    in the scenario's own day-ahead model (every profile and purchase cap
+    stays); an independent re-check of the thresholds the sweep derives
+    from its two held solves."""
     demands = []
     for d in s.demands:
-        if d.id != demand_id:
-            demands.append(d)
-            continue
-        profiles = tuple(
-            dataclasses.replace(p, cost=cost if p.id == profile_id else p.cost)
-            for p in d.profiles if p.default or p.id == profile_id)
-        demands.append(dataclasses.replace(d, profiles=profiles))
+        if d.id == demand_id:
+            d = dataclasses.replace(d, profiles=tuple(
+                p if p.default else
+                dataclasses.replace(p, cost=cost if p.id == profile_id else PRICED_OUT)
+                for p in d.profiles))
+        demands.append(d)
     return dataclasses.replace(s, demands=tuple(demands))
 
 
@@ -264,7 +270,7 @@ class TestEconomics:
             for cost, want in ((e.threshold / 2.0, True),
                                (e.threshold, True),
                                (e.threshold + 1.0, False)):
-                probe = _pair_contest(s, e.demand_id, e.profile_id, cost)
+                probe = _priced_contest(s, e.demand_id, e.profile_id, cost)
                 chosen, _ = chosen_profiles(probe)
                 picked = chosen[e.demand_id] == e.profile_id
                 assert picked is want, \
@@ -327,3 +333,21 @@ class TestConcurrentSolves:
         # in the order of the demands and their profiles in clear.json
         pinned = [450.4, 180.175, 807.475, 311.125, 524.2, 115.0]
         assert [e.threshold for e in thresholds] == pytest.approx(pinned, abs=1e-6)
+
+
+class TestFinerGrid:
+    """The shipped days refined to half-hour periods: a model twice the
+    size that branches more, and the only solving test with a period
+    shorter than one hour."""
+
+    @pytest.mark.parametrize("name", ["clear", "cloudy"])
+    def test_half_hour_day_ahead_runs_clean(self, name):
+        s = refine(load_scenario(SCENARIO_DIR / f"{name}.json"), 2)
+        assert (s.n_periods, s.dt) == (48, 0.5)
+        assert validate_scenario(s) == []
+        result = run_vpp(s, RunConfig(sessions=("dam",)))
+        assert result.ok
+        (dam,) = result.sessions
+        assert (dam.status, dam.violations) == ("optimal", ())
+        assert result.profits.max_recompute_drift() <= 1e-6
+        assert build_report(s, result).verifier_summary() == []

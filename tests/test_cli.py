@@ -37,6 +37,28 @@ def _write(tmp_path, doc, name="case.json"):
     return path
 
 
+class TestMainGridBuses:
+    @pytest.mark.parametrize("network", [
+        {"mainGridBuses": [], "tradeCap": {}},
+        {"mainGridBuses": ["b1", "b1"]},
+    ], ids=["none", "twice"])
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["run", "--sessions", "dam"],
+        ["sweep", "--demand", "industrial", "--profile", "night_shift", "--max", "1200"],
+    ], ids=["validate", "run", "sweep"])
+    def test_exit_2_before_any_solve(self, tmp_path, capsys, network, argv):
+        doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
+        doc["network"].update(network)
+        path = _write(tmp_path, doc)
+        out = ["--out", str(tmp_path / "out")] if argv[0] != "validate" else []
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--scenario", str(path)] + out)
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"invalid scenario {path}:")
+        assert not (tmp_path / "out").exists()
+
+
 class TestParseSessions:
     def test_plain_lists_and_ranges(self):
         assert parse_sessions("dam") == ("dam",)
@@ -317,6 +339,22 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == \
             "no non-default profile matches demand=load profile=ghost\n"
+
+    def test_held_solve_with_a_violation_exits_4(self, toy_file, tmp_path, capsys,
+                                                 monkeypatch):
+        from vppopt import orchestrator
+        from vppopt.milp import Violation
+
+        monkeypatch.setattr(orchestrator, "verify",
+                            lambda model, sol: [Violation("constraint", "bal.b1.t1", 0.5)])
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--scenario", str(toy_file), "--demand", "load",
+                     "--profile", "shift", "--max", "50", "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "sweep failed: day-ahead solve has 1 violations, the first "
+            "constraint bal.b1.t1: residual 5.000e-01\n")
+        assert not (out / "thresholds.csv").exists()
 
 
 SWEEP = ["sweep", "--demand", "load", "--profile", "shift"]

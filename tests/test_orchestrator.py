@@ -352,6 +352,15 @@ class TestSweep:
         # the shifted profile saves exactly 10 of purchase value
         assert 10.0 - entry.resolution <= entry.threshold <= 10.0
 
+    def test_threshold_does_not_depend_on_the_current_payment(self):
+        doc = _priced_doc()
+        doc["demands"][0]["profiles"][1]["cost"] = 25.0  # above the 10 it saves
+        (entry,) = sweep_profile_costs(make_scenario(doc), "load", "shift", max_cost=100.0)
+        (free,) = sweep_profile_costs(make_scenario(_priced_doc()), "load", "shift",
+                                      max_cost=100.0)
+        assert entry.status == "threshold"
+        assert entry.threshold == pytest.approx(free.threshold, abs=1e-9)
+
     def test_choice_flips_around_the_threshold(self):
         s = make_scenario(_priced_doc())
         (entry,) = sweep_profile_costs(s, "load", "shift", max_cost=100.0)
@@ -387,6 +396,35 @@ class TestSweep:
         assert taxed_chosen == {"load": "flat"}
         assert abs(free_objective - 853.0) <= 1e-6
         assert abs(taxed_objective - 843.0) <= 1e-6
+
+    def test_held_solves_keep_the_other_profiles_purchase_caps(self):
+        """A third profile of the demand stays in the contest's model: its
+        0.5 MW in period 3 caps the purchase there (``trade_lower_bounds``),
+        which makes the challenger worth 4.5 more than with the third
+        profile dropped (a threshold of 27.5)."""
+        doc = _priced_doc((40.0, 20.0, 5.0))
+        for fc in (doc["forecasts"]["dam"], doc["forecasts"]["idm"]["1"]):
+            fc["ndresAvail"]["wind"] = [4.0, 6.0, 0.0]
+        doc["demands"][0]["profiles"].append(
+            {"id": "light", "power": [2.0, 2.0, 0.5], "cost": 0.0})
+        doc["demands"][0]["minEnergy"] = 4.5
+        (entry,) = sweep_profile_costs(make_scenario(doc), "load", "shift", max_cost=100.0)
+        assert entry.status == "threshold"
+        assert entry.threshold == pytest.approx(32.0, abs=1e-6)
+        # the flip, in the same model with "light" priced out of the contest
+        doc["demands"][0]["profiles"][2]["cost"] = 1000.0
+        for cost, want in ((entry.threshold, "shift"), (entry.threshold + 1.0, "flat")):
+            doc["demands"][0]["profiles"][1]["cost"] = cost
+            assert chosen_profiles(make_scenario(doc))[0]["load"] == want
+
+    def test_probe_with_a_violation_is_surfaced(self, toy, monkeypatch):
+        from vppopt import orchestrator
+        from vppopt.milp import Violation
+
+        monkeypatch.setattr(orchestrator, "verify",
+                            lambda model, sol: [Violation("bound", "x3", 1.0)])
+        with pytest.raises(RuntimeError, match="1 violations, the first bound x3"):
+            chosen_profiles(toy)
 
     def test_failed_probe_is_surfaced(self):
         doc = toy_doc()

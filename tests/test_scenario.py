@@ -189,6 +189,16 @@ class TestNetworkRules:
         found = rules(make_scenario(doc))
         assert {"trade_cap_missing", "trade_cap_negative", "trade_cap_unknown_bus"} <= found
 
+    @pytest.mark.parametrize("network, rule", [
+        ({"mainGridBuses": [], "tradeCap": {}}, "main_grid_empty"),
+        ({"mainGridBuses": ["b1", "b1"]}, "duplicate_id"),
+    ], ids=["none", "twice"])
+    def test_main_grid_buses_listed_once_each_and_at_least_one(self, network, rule):
+        doc = clear_doc()
+        doc["network"].update(network)
+        diagnostics = validate_scenario(make_scenario(doc))
+        assert [(d.entity, d.rule) for d in diagnostics] == [("network", rule)]
+
     def test_asset_on_unknown_bus(self):
         doc = toy_doc()
         doc["dres"][0]["bus"] = "nowhere"
