@@ -12,13 +12,15 @@ scenario that has a non-finite number or that HiGHS refuses), 3 an
 infeasible session, 4 a solver failure (``time_limit`` when the time
 limit ends a solve before any incumbent), a verification violation or
 check finding, or recomputed profits that drift from the solver's by
-more than ``MAX_PROFIT_DRIFT``.
+more than ``MAX_PROFIT_DRIFT``. A stdout closed by its reader changes no
+exit code (:func:`_say`).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -102,6 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(line: str) -> None:
+    """Print a line on stdout. Once the reader has closed stdout (``| head
+    -1``), fd 1 is pointed at ``os.devnull``: the rest of the command then
+    prints nowhere, and still writes stderr and returns its exit code."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _load(path: str):
     try:
         return load_scenario(path)
@@ -165,7 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 model.validate()
             with _writing():
                 dump_lp(model, args.dump_model)
-            print(f"model written to {args.dump_model}")
+            _say(f"model written to {args.dump_model}")
 
         cfg = RunConfig(mode=args.mode, sessions=sessions,
                         options=SolveOptions(gap_tol=args.gap, time_limit=args.time_limit))
@@ -179,12 +193,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for sess in result.sessions:
         objective = "-" if sess.objective is None else f"{sess.objective:.2f}"
         gap = "-" if sess.abs_gap is None else f"{sess.abs_gap:.2g}"
-        print(f"{sess.key}: {sess.status} objective={objective} "
-              f"({sess.runtime_s:.2f}s, {sess.nodes} nodes, "
-              f"{sess.lp_iterations} LP iterations, absGap {gap}, "
-              f"{len(sess.violations)} violations)")
-    print(f"total profit: {report.total_profit:.2f}")
-    print(f"report written to {out_dir}")
+        _say(f"{sess.key}: {sess.status} objective={objective} "
+             f"({sess.runtime_s:.2f}s, {sess.nodes} nodes, "
+             f"{sess.lp_iterations} LP iterations, absGap {gap}, "
+             f"{len(sess.violations)} violations)")
+    _say(f"total profit: {report.total_profit:.2f}")
+    _say(f"report written to {out_dir}")
 
     if result.failure is not None:
         failed = next(r for r in result.sessions if r.key == result.failure)
@@ -220,17 +234,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             path = emit_thresholds(entries, out_dir)
     for e in entries:
         if e.status == "threshold":
-            print(f"{e.demand_id}/{e.profile_id}: threshold {e.threshold:.2f} EUR "
-                  f"(resolution {e.resolution:g})")
+            _say(f"{e.demand_id}/{e.profile_id}: threshold {e.threshold:.2f} EUR "
+                 f"(resolution {e.resolution:g})")
         else:
-            print(f"{e.demand_id}/{e.profile_id}: {e.status}")
-    print(f"thresholds written to {path}")
+            _say(f"{e.demand_id}/{e.profile_id}: {e.status}")
+    _say(f"thresholds written to {path}")
     return EXIT_OK
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     _load(args.scenario)  # exits 2 with diagnostics when invalid
-    print(f"{args.scenario}: ok")
+    _say(f"{args.scenario}: ok")
     return EXIT_OK
 
 

@@ -7,10 +7,11 @@ relaxation bounds; unit commitment for dispatchable renewables;
 availability bounds for non-dispatchable ones; profile selection for
 demands; and the solar-thermal-unit block.
 
-The variable block and the balance, flow, non-dispatchable and
-solar-thermal builders take an explicit period window: the day-ahead
-stage is the window that starts at period 1, and the intraday formulation
-re-imposes the same builders on its receding horizon.
+The variable block, the objective and the balance, flow,
+non-dispatchable and solar-thermal builders take an explicit period
+window: the day-ahead stage is the window that starts at period 1, and
+the intraday formulation re-imposes the same builders on its receding
+horizon.
 """
 
 from __future__ import annotations
@@ -84,21 +85,21 @@ def register_window_variables(model: MilpModel, reg: VariableRegistry, s: Scenar
         stu_mod.register_stu_variables(model, reg, a, periods)
 
 
-def build_dam_objective(s: Scenario, reg: VariableRegistry) -> dict[int, float]:
-    """Objective coefficients: market revenue at day-ahead prices minus
-    dispatchable operating costs and profile payments."""
+def build_window_objective(s: Scenario, reg: VariableRegistry, periods: Sequence[int],
+                           prices: Sequence[float], trade_role: str,
+                           dres_energy_role: str) -> dict[int, float]:
+    """Objective coefficients of a stage over a period window: the trade
+    ``trade_role`` at the stage's ``prices`` (one per period of the
+    window) minus each dispatchable plant's energy cost, charged on
+    ``dres_energy_role``, and its startup and shutdown cost carriers."""
     dt = s.dt
     coeffs: dict[int, float] = {}
-    for t in range(1, s.n_periods + 1):
-        coeffs[reg.id(TRADE_DAM, "vpp", t)] = s.calendar.dam_prices[t - 1] * dt
+    for t, price in zip(periods, prices, strict=True):
+        coeffs[reg.id(trade_role, "vpp", t)] = price * dt
         for a in s.dres:
-            coeffs[reg.id(DRES_P, a.id, t)] = -a.variable_cost * dt
+            coeffs[reg.id(dres_energy_role, a.id, t)] = -a.variable_cost * dt
             coeffs[reg.id(DRES_C1, a.id, t)] = -1.0
             coeffs[reg.id(DRES_C0, a.id, t)] = -1.0
-    for d in s.demands:
-        for p in d.profiles:
-            if p.cost:
-                coeffs[reg.id(DEM_U, f"{d.id}/{p.id}")] = -p.cost
     return coeffs
 
 
@@ -272,5 +273,11 @@ def assemble_dam(s: Scenario) -> tuple[MilpModel, VariableRegistry]:
     build_demand_profile_constraints(model, reg, s)
     build_stu_blocks(model, reg, s, periods, s.dam_forecast,
                      {a.id: (a.initial_energy, a.initial_pb_on) for a in s.stu})
-    model.set_objective(build_dam_objective(s, reg))
+    objective = build_window_objective(s, reg, periods, s.calendar.dam_prices,
+                                       TRADE_DAM, DRES_P)
+    for d in s.demands:  # profile payments are day-ahead only
+        for p in d.profiles:
+            if p.cost:
+                objective[reg.id(DEM_U, f"{d.id}/{p.id}")] = -p.cost
+    model.set_objective(objective)
     return model, reg

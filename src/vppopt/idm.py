@@ -32,6 +32,7 @@ from vppopt.dam import (
     build_dc_flow_constraints,
     build_ndres_constraints,
     build_stu_blocks,
+    build_window_objective,
     register_window_variables,
     trade_upper_bound,
 )
@@ -148,22 +149,6 @@ def apply_idm(ledger: LedgerState, s: Scenario, k: int, reg: VariableRegistry,
 # Session model
 # ---------------------------------------------------------------------------
 
-def build_idm_objective(s: Scenario, ledger: LedgerState, k: int,
-                        reg: VariableRegistry) -> dict[int, float]:
-    """Session profit: adjustment revenue at session prices minus dispatch
-    change costs. Profile payments are day-ahead only."""
-    sess = s.calendar.session(k)
-    dt = s.dt
-    coeffs: dict[int, float] = {}
-    for t in range(sess.first_period, s.n_periods + 1):
-        coeffs[reg.id(IDM_TRADE, "vpp", t)] = sess.prices[t - sess.first_period] * dt
-        for a in s.dres:
-            coeffs[reg.id(DRES_DP, a.id, t)] = -a.variable_cost * dt
-            coeffs[reg.id(DRES_C1, a.id, t)] = -1.0
-            coeffs[reg.id(DRES_C0, a.id, t)] = -1.0
-    return coeffs
-
-
 def build_idm_trade_constraints(model: MilpModel, reg: VariableRegistry, s: Scenario,
                                 ledger: LedgerState, k: int,
                                 forecast: ForecastSet) -> None:
@@ -273,5 +258,6 @@ def assemble_idm(s: Scenario, ledger: LedgerState,
                         bool(ledger.stu_series[a.id][stu_mod.PB_ON][tau - 2]))
                  for a in s.stu}
     build_stu_blocks(model, reg, s, periods, forecast, state)
-    model.set_objective(build_idm_objective(s, ledger, k, reg))
+    model.set_objective(build_window_objective(s, reg, periods, s.calendar.session(k).prices,
+                                               IDM_TRADE, DRES_DP))
     return model, reg

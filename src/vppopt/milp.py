@@ -159,18 +159,21 @@ class Violation:
 
 
 class MilpModel:
-    """Mutable builder for a mixed-integer linear program (maximize)."""
+    """Mutable builder for a mixed-integer linear program (maximize).
+
+    Its fields are the model: per column ``kind``, ``lb``, ``ub`` and
+    ``var_names``; per row one ``(coeffs, sense, rhs, name)`` tuple in
+    ``constraints``, never changed once added; the objective ``obj``."""
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._kind: list[str] = []
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._var_names: list[str] = []
-        # each constraint: (coeffs dict var->coef, sense, rhs, name)
-        self._constraints: list[tuple[dict[int, float], str, float, str]] = []
+        self.kind: list[str] = []
+        self.lb: list[float] = []
+        self.ub: list[float] = []
+        self.var_names: list[str] = []
+        self.constraints: list[tuple[dict[int, float], str, float, str]] = []
         self.sos2_sets: list[tuple[tuple[int, ...], str]] = []
-        self._obj: dict[int, float] = {}
+        self.obj: dict[int, float] = {}
         self.obj_constant: float = 0.0
 
     # -- construction -------------------------------------------------
@@ -182,79 +185,52 @@ class MilpModel:
         return self._add_var(BINARY, name, 0.0, 1.0)
 
     def _add_var(self, kind: str, name: str, lb: float, ub: float) -> int:
-        self._kind.append(kind)
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        self._var_names.append(name)
-        return len(self._kind) - 1
+        self.kind.append(kind)
+        self.lb.append(float(lb))
+        self.ub.append(float(ub))
+        self.var_names.append(name)
+        return len(self.kind) - 1
 
     def add_constraint(self, coeffs: Mapping[int, float], sense: str, rhs: float,
                        name: str = "") -> int:
         if sense not in _SENSES:
             raise ValueError(f"unknown sense {sense!r}")
-        self._constraints.append((dict(coeffs), sense, float(rhs), name))
-        return len(self._constraints) - 1
+        self.constraints.append((dict(coeffs), sense, float(rhs), name))
+        return len(self.constraints) - 1
 
     def add_sos2(self, members: Sequence[int], name: str = "") -> None:
         self.sos2_sets.append((tuple(members), name))
 
     def set_objective(self, coeffs: Mapping[int, float], constant: float = 0.0) -> None:
-        self._obj = dict(coeffs)
+        self.obj = dict(coeffs)
         self.obj_constant = float(constant)
 
     def set_bounds(self, var_id: int, lb: float | None = None, ub: float | None = None) -> None:
         if lb is not None:
-            self._lb[var_id] = float(lb)
+            self.lb[var_id] = float(lb)
         if ub is not None:
-            self._ub[var_id] = float(ub)
+            self.ub[var_id] = float(ub)
 
     # -- inspection ---------------------------------------------------
 
     @property
     def n_vars(self) -> int:
-        return len(self._kind)
+        return len(self.kind)
 
     @property
     def n_constraints(self) -> int:
-        return len(self._constraints)
-
-    def kind(self, var_id: int) -> str:
-        return self._kind[var_id]
-
-    def bounds(self, var_id: int) -> tuple[float, float]:
-        return self._lb[var_id], self._ub[var_id]
+        return len(self.constraints)
 
     def var_name(self, var_id: int) -> str:
-        return self._var_names[var_id] or f"x{var_id}"
-
-    def constraint(self, row: int) -> tuple[dict[int, float], str, float, str]:
-        coeffs, sense, rhs, name = self._constraints[row]
-        return dict(coeffs), sense, rhs, name
+        return self.var_names[var_id] or f"x{var_id}"
 
     def constraint_name(self, row: int) -> str:
-        name = self._constraints[row][3]
-        return name or f"c{row}"
-
-    @property
-    def objective_coeffs(self) -> dict[int, float]:
-        return dict(self._obj)
-
-    def copy(self, drop_sos2: bool = False) -> "MilpModel":
-        out = MilpModel(self.name)
-        out._kind = list(self._kind)
-        out._lb = list(self._lb)
-        out._ub = list(self._ub)
-        out._var_names = list(self._var_names)
-        out._constraints = [(dict(c), s, r, n) for c, s, r, n in self._constraints]
-        out.sos2_sets = [] if drop_sos2 else list(self.sos2_sets)
-        out._obj = dict(self._obj)
-        out.obj_constant = self.obj_constant
-        return out
+        return self.constraints[row][3] or f"c{row}"
 
     def validate(self) -> None:
         """Raise :class:`ModelError` on any structural defect."""
         n = self.n_vars
-        for i, (coeffs, sense, rhs, name) in enumerate(self._constraints):
+        for i, (coeffs, sense, rhs, name) in enumerate(self.constraints):
             for v, coef in coeffs.items():
                 if not 0 <= v < n:
                     raise ModelError(f"constraint {name or i} references unknown variable {v}")
@@ -263,7 +239,7 @@ class MilpModel:
                                      f"{coef} on {self.var_name(v)}")
             if not math.isfinite(rhs):
                 raise ModelError(f"constraint {name or i} has non-finite rhs {rhs}")
-        for v, coef in self._obj.items():
+        for v, coef in self.obj.items():
             if not 0 <= v < n:
                 raise ModelError(f"objective references unknown variable {v}")
             if not math.isfinite(coef):
@@ -277,9 +253,9 @@ class MilpModel:
             for m in members:
                 if not 0 <= m < n:
                     raise ModelError(f"SOS-2 set {name!r} references unknown variable {m}")
-                if self._kind[m] != CONTINUOUS:
+                if self.kind[m] != CONTINUOUS:
                     raise ModelError(f"SOS-2 set {name!r} member {m} must be continuous")
-        for i, (kind, lb, ub) in enumerate(zip(self._kind, self._lb, self._ub)):
+        for i, (kind, lb, ub) in enumerate(zip(self.kind, self.lb, self.ub)):
             if kind == BINARY and not (0 <= lb and ub <= 1):
                 raise ModelError(f"binary variable {self.var_name(i)} has bounds outside [0,1]")
             if math.isnan(lb) or math.isnan(ub):
@@ -325,24 +301,24 @@ class _Lowered:
 def _lower(model: MilpModel) -> _Lowered:
     n = model.n_vars
     cost = [0.0] * n
-    for v, coef in model._obj.items():
+    for v, coef in model.obj.items():
         cost[v] = -coef  # HiGHS minimizes
     # walking the rows in order leaves every column's entries row-ascending
     col_rows: list[list[int]] = [[] for _ in range(n)]
     col_values: list[list[float]] = [[] for _ in range(n)]
     row_lower: list[float] = []
     row_upper: list[float] = []
-    for r, (coeffs, sense, rhs, _) in enumerate(model._constraints):
+    for r, (coeffs, sense, rhs, _) in enumerate(model.constraints):
         for v, coef in coeffs.items():
             col_rows[v].append(r)
             col_values[v].append(coef)
         row_lower.append(-math.inf if sense == "<=" else rhs)
         row_upper.append(math.inf if sense == ">=" else rhs)
-    return _Lowered(cost, list(model._lb), list(model._ub),
+    return _Lowered(cost, list(model.lb), list(model.ub),
                     [0, *itertools.accumulate(map(len, col_rows))],
                     list(itertools.chain.from_iterable(col_rows)),
                     list(itertools.chain.from_iterable(col_values)),
-                    row_lower, row_upper, [kind == BINARY for kind in model._kind])
+                    row_lower, row_upper, [kind == BINARY for kind in model.kind])
 
 
 _redirect_lock = threading.Lock()
@@ -518,8 +494,7 @@ def solve(model: MilpModel, options: SolveOptions | None = None) -> Solution:
 
     if model.n_vars == 0:
         # nothing to decide; constraints reduce to constant comparisons
-        for r in range(model.n_constraints):
-            _, sense, rhs, name = model.constraint(r)
+        for r, (_, sense, rhs, name) in enumerate(model.constraints):
             ok = {"<=": 0 <= rhs, ">=": 0 >= rhs, "==": rhs == 0}[sense]
             if not ok:
                 return Solution(status="infeasible",
@@ -544,21 +519,25 @@ def reformulate_sos2_as_binary(model: MilpModel) -> MilpModel:
     times the activity of the segments it belongs to. Projecting the new
     feasible set onto the original variables reproduces the SOS-2 set
     exactly. Members must have finite upper bounds.
+
+    The result extends a shallow copy: new column and row lists, which
+    share the model's row tuples (no row changes once added).
     """
-    if not model.sos2_sets:
-        return model.copy()
-    out = model.copy(drop_sos2=True)
+    out = MilpModel(model.name)
+    out.kind, out.lb, out.ub = list(model.kind), list(model.lb), list(model.ub)
+    out.var_names, out.constraints = list(model.var_names), list(model.constraints)
+    out.obj, out.obj_constant = dict(model.obj), model.obj_constant
     for members, name in model.sos2_sets:
         label = name or f"sos{len(out.sos2_sets)}"
         for m in members:
-            if not math.isfinite(model.bounds(m)[1]):
+            if not math.isfinite(model.ub[m]):
                 raise ValueError(
                     f"SOS-2 set {name!r} member {m} needs a finite upper bound "
                     "for the binary reformulation")
         z = [out.add_binary(f"{label}_seg{j}") for j in range(len(members) - 1)]
         out.add_constraint({v: 1.0 for v in z}, "==", 1.0, f"{label}_one_segment")
         for i, m in enumerate(members):
-            ub = model.bounds(m)[1]
+            ub = model.ub[m]
             coeffs = {m: 1.0}
             if i > 0:
                 coeffs[z[i - 1]] = -ub
@@ -582,7 +561,7 @@ def verify(model: MilpModel, solution: Solution) -> list[Violation]:
         raise ValueError(f"assignment has {len(x)} values, model has {model.n_vars} variables")
     out: list[Violation] = []
 
-    for r, (coeffs, sense, rhs, _) in enumerate(model._constraints):
+    for r, (coeffs, sense, rhs, _) in enumerate(model.constraints):
         act = sum(coef * x[v] for v, coef in coeffs.items())
         if sense == "<=":
             residual = act - rhs
@@ -593,7 +572,7 @@ def verify(model: MilpModel, solution: Solution) -> list[Violation]:
         if residual > FEAS_TOL:
             out.append(Violation("constraint", model.constraint_name(r), float(residual)))
 
-    for i, (kind, lb, ub, xi) in enumerate(zip(model._kind, model._lb, model._ub, x)):
+    for i, (kind, lb, ub, xi) in enumerate(zip(model.kind, model.lb, model.ub, x)):
         if xi < lb - FEAS_TOL:
             out.append(Violation("bound", model.var_name(i), float(lb - xi)))
         elif xi > ub + FEAS_TOL:
@@ -667,16 +646,14 @@ def dump_lp(model: MilpModel, path: str | Path | None = None) -> str:
     if model.obj_constant:
         lines.append(f"\\ objective constant: {model.obj_constant!r}")
     lines.append("Maximize")
-    lines.append(f" obj: {terms(model.objective_coeffs)}")
+    lines.append(f" obj: {terms(model.obj)}")
     lines.append("Subject To")
     sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
-    for r in range(model.n_constraints):
-        coeffs, sense, rhs, _ = model.constraint(r)
-        lines.append(f" {cnames[r]}: {terms(coeffs)} {sense_txt[sense]} {rhs:.12g}")
+    for cname, (coeffs, sense, rhs, _) in zip(cnames, model.constraints):
+        lines.append(f" {cname}: {terms(coeffs)} {sense_txt[sense]} {rhs:.12g}")
     lines.append("Bounds")
-    for i in range(model.n_vars):
-        lb, ub = model.bounds(i)
-        if model.kind(i) == BINARY and lb == 0 and ub == 1:
+    for i, (kind, lb, ub) in enumerate(zip(model.kind, model.lb, model.ub)):
+        if kind == BINARY and lb == 0 and ub == 1:
             continue
         if lb == ub:
             lines.append(f" {vnames[i]} = {lb:.12g}")
@@ -686,7 +663,7 @@ def dump_lp(model: MilpModel, path: str | Path | None = None) -> str:
             lo = "-inf" if lb == -math.inf else f"{lb:.12g}"
             hi = "+inf" if ub == math.inf else f"{ub:.12g}"
             lines.append(f" {lo} <= {vnames[i]} <= {hi}")
-    binaries = [vnames[i] for i in range(model.n_vars) if model.kind(i) == BINARY]
+    binaries = [v for v, kind in zip(vnames, model.kind) if kind == BINARY]
     if binaries:
         lines.append("Binary")
         lines.extend(f" {b}" for b in binaries)

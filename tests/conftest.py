@@ -120,7 +120,7 @@ def enumerate_dam_optimum(s: Scenario) -> float:
     best = None
     for pattern in itertools.product((0.0, 1.0), repeat=len(slots)):
         for chosen in itertools.product(*profile_ids):
-            sub = model.copy()
+            sub = copy.deepcopy(model)
             for (aid, t), val in zip(slots, pattern):
                 sub.set_bounds(reg.id(DRES_U, aid, t), lb=val, ub=val)
             for d, pid in zip(s.demands, chosen):
@@ -155,7 +155,7 @@ class Sos2EnumerationAdapter:
             return solve(model, options)
         for members, name in model.sos2_sets:
             for m in members:
-                if model.bounds(m)[0] > 0:
+                if model.lb[m] > 0:
                     raise ValueError(
                         f"SOS-2 set {name!r} member {m} has a positive lower bound; "
                         "members must admit zero")
@@ -170,7 +170,8 @@ class Sos2EnumerationAdapter:
         any_error = False
         segment_choices = [range(len(members) - 1) for members, _ in model.sos2_sets]
         for combo in itertools.product(*segment_choices):
-            sub = model.copy(drop_sos2=True)
+            sub = copy.deepcopy(model)
+            sub.sos2_sets = []
             for (members, _), seg in zip(model.sos2_sets, combo):
                 active = {members[seg], members[seg + 1]}
                 for m in members:
@@ -210,5 +211,5 @@ def eval_pb_oracle(curve: PbCurve, thermal_input: float) -> float:
 def recompute_objective(model: MilpModel, values: np.ndarray) -> float:
     """Objective value implied by an assignment, independent of the solver."""
     x = np.asarray(values, dtype=float)
-    return float(sum(coef * x[v] for v, coef in model.objective_coeffs.items())
+    return float(sum(coef * x[v] for v, coef in model.obj.items())
                  + model.obj_constant)

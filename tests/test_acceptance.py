@@ -1,19 +1,22 @@
 """End-to-end acceptance gates on the shipped study days and randomized
 instances.
 
-Fourteen checks, one test each: clean and fast solves of both shipped
+Fifteen checks, one test each: clean and fast solves of both shipped
 days, their pinned total profits and day-ahead search counts, agreement of
 the day-ahead optimizer with exhaustive enumeration, conversion-curve
 fidelity and agreement of the two SOS-2 routes, storage bookkeeping,
 demand contracts, the value of coordination, sharp profile-payment
 thresholds, inert no-news sessions, price monotonicity, results that
-concurrent solves leave as sequential ones gave them, and clean day-ahead
-runs of both days on a half-hour grid (one case per day).
+concurrent solves leave as sequential ones gave them, clean day-ahead
+runs of both days on a half-hour grid (one case per day), and hourly
+day-ahead optima that stay feasible, at the same profit, on a finer grid
+(six small days).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -27,9 +30,11 @@ from conftest import (
     enumerate_dam_optimum,
     eval_pb_oracle,
     make_scenario,
+    recompute_objective,
+    toy_doc,
 )
-from vppopt.dam import assemble_dam
-from vppopt.milp import SolveOptions, solve
+from vppopt.dam import DRES_C0, DRES_C1, DRES_V, DRES_W, assemble_dam
+from vppopt.milp import Solution, SolveOptions, solve, verify
 from vppopt.orchestrator import (
     RunConfig,
     check_aggregate_balance,
@@ -42,8 +47,13 @@ from vppopt.orchestrator import (
     sweep_profile_costs,
 )
 from vppopt.report import build_report
-from vppopt.scenario import load_scenario, validate_scenario
-from vppopt.stu import CHG, DIS, ENERGY, PB_ON, POWER, PPB, pb_curve
+from vppopt.scenario import (
+    load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_scenario,
+)
+from vppopt.stu import CHG, DIS, ENERGY, PB_ON, PB_START, POWER, PPB, pb_curve
 from vppopt.synth import (
     random_piecewise_model,
     random_seller_scenario,
@@ -336,9 +346,9 @@ class TestConcurrentSolves:
 
 
 class TestFinerGrid:
-    """The shipped days refined to half-hour periods: a model twice the
-    size that branches more, and the only solving test with a period
-    shorter than one hour."""
+    """Day-ahead models on grids finer than one hour: the shipped days at
+    half-hour periods, a model twice the size that branches more, and small
+    days where the hourly optimum carries over to the finer grid."""
 
     @pytest.mark.parametrize("name", ["clear", "cloudy"])
     def test_half_hour_day_ahead_runs_clean(self, name):
@@ -351,3 +361,62 @@ class TestFinerGrid:
         assert (dam.status, dam.violations) == ("optimal", ())
         assert result.profits.max_recompute_drift() <= 1e-6
         assert build_report(s, result).verifier_summary() == []
+
+    # columns that hold an event or its cost: the hour's value goes on the
+    # hour's first sub-period only
+    ONCE_PER_HOUR = {DRES_V, DRES_W, DRES_C1, DRES_C0, PB_START}
+    COLUMN = re.compile(r"^(?P<role>[^.]+)\.(?P<entity>.+?)(?:\.t(?P<t>\d+))?$")
+
+    @classmethod
+    def _embed(cls, s, reg, x, refined, refined_reg, f):
+        """The hourly assignment ``x`` as an assignment of the refined model,
+        column by column through the two registries."""
+        out = []
+        for j, name in enumerate(refined.var_names):
+            role, entity, t = cls.COLUMN.match(name).group("role", "entity", "t")
+            if t is None:
+                assert refined_reg.id(role, entity) == j
+                out.append(x[reg.id(role, entity)])
+                continue
+            t = int(t)
+            assert refined_reg.id(role, entity, t) == j
+            hour, sub = divmod(t - 1, f)
+            value = x[reg.id(role, entity, hour + 1)]
+            if role in cls.ONCE_PER_HOUR and sub:
+                value = 0.0
+            elif role == ENERGY:  # the storage level moves evenly through the hour
+                before = (next(a for a in s.stu if a.id == entity).initial_energy
+                          if hour == 0 else x[reg.id(role, entity, hour)])
+                value = before + (sub + 1) / f * (value - before)
+            out.append(value)
+        return out
+
+    @pytest.mark.parametrize("day, f", [
+        ("toy", 2), ("toy", 3), ("stu0", 2), ("stu1", 2), ("stu2", 2), ("stu3", 2),
+    ])
+    def test_hourly_optimum_embeds_in_the_refined_day_ahead(self, day, f):
+        """With no startup loss, the hourly day-ahead schedule, held through
+        each hour, is feasible on the finer grid and earns the same: so the
+        refined optimum is at least the hourly one."""
+        if day == "toy":
+            s = make_scenario(toy_doc())
+        else:
+            rng = np.random.default_rng(5)
+            draws = [random_stu_scenario(rng) for _ in range(4)]
+            s = draws[int(day[3:])]
+        doc = scenario_to_dict(s)
+        for unit in doc["stu"]:
+            unit["startupLossFactor"] = 0.0
+        s = scenario_from_dict(doc)
+        hourly, reg = assemble_dam(s)
+        sol = solve(hourly)
+        assert sol.status == "optimal"
+        refined, refined_reg = assemble_dam(refine(s, f))
+        embedded = self._embed(s, reg, sol.values, refined, refined_reg, f)
+
+        assert verify(refined, Solution("feasible", 0.0, tuple(embedded))) == []
+        assert recompute_objective(refined, embedded) == pytest.approx(sol.objective,
+                                                                       abs=1e-6)
+        finer = solve(refined)
+        assert finer.status == "optimal"
+        assert finer.objective >= sol.objective - 1e-6

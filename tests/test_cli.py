@@ -512,3 +512,37 @@ class TestConsoleScript:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "ok" in proc.stdout
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``vppopt run ... | head -1``)
+    costs the command its remaining stdout lines and nothing else: the
+    same exit code, the same stderr, and no traceback."""
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command, code, err_line", [
+        (["validate"], EXIT_OK, None),
+        (["run", "--sessions", "dam"], EXIT_OK, None),
+        (["run", "--sessions", "dam", "--time-limit", "1e-9"], EXIT_SOLVER,
+         "run stopped at dam: time_limit"),
+    ], ids=["validate", "run-dam", "run-dam-time-limit"])
+    def test_exit_code_and_stderr_survive(self, tmp_path, buffering, command, code,
+                                          err_line):
+        argv = [*command, "--scenario", str(SCENARIO_DIR / "clear.json")]
+        if command[0] == "run":
+            argv += ["--out", str(tmp_path / "r")]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "PYTHONUNBUFFERED": "1" if buffering == "unbuffered" else ""}
+        proc = subprocess.Popen([sys.executable, "-m", "vppopt.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=env)
+        proc.stdout.close()  # long before the child's first print
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == code
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert err_line is None or err_line in err.splitlines()
+        if command == ["run", "--sessions", "dam"]:
+            assert (tmp_path / "r" / "verify.json").is_file()

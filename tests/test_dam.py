@@ -46,7 +46,7 @@ def _solved(s):
 def _row(model, name):
     for r in range(model.n_constraints):
         if model.constraint_name(r) == name:
-            return model.constraint(r)
+            return model.constraints[r]
     raise AssertionError(f"no constraint named {name}")
 
 
@@ -139,7 +139,8 @@ class TestBruteForceEnumeration:
 class TestTradeBounds:
     def test_bus_trade_capped_by_published_capacity(self, toy):
         model, reg, _ = _solved(toy)
-        lb, ub = model.bounds(reg.id(TRADE_BUS, "b1", 1))
+        var = reg.id(TRADE_BUS, "b1", 1)
+        lb, ub = model.lb[var], model.ub[var]
         assert (lb, ub) == (-50.0, 50.0)
 
     def test_sale_cap_row(self, toy):
@@ -179,7 +180,8 @@ class TestNetworkPhysics:
     def test_reference_angle_pinned(self, toy):
         model, reg, _ = _solved(toy)
         assert reference_bus(toy) == "b1"
-        assert model.bounds(reg.id(ANGLE, "b1", 2)) == (0.0, 0.0)
+        var = reg.id(ANGLE, "b1", 2)
+        assert (model.lb[var], model.ub[var]) == (0.0, 0.0)
 
     def test_flow_follows_angle_difference(self, toy):
         _, reg, sol = _solved(toy)
@@ -270,7 +272,8 @@ class TestRegistry:
         assert model.n_vars == n  # a refused key adds no column
         var = reg.new(model, DRES_P, "gen", 4, lb=1.0, ub=2.0)
         assert (var, reg.id(DRES_P, "gen", 4)) == (n, n)
-        assert model.bounds(var) == (1.0, 2.0) and model.var_name(var) == "dres_p.gen.t4"
+        assert ((model.lb[var], model.ub[var]) == (1.0, 2.0)
+                and model.var_name(var) == "dres_p.gen.t4")
 
 
 class TestPriceMonotonicity:

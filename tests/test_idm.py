@@ -53,7 +53,7 @@ def _solved_session(s, ledger, k):
 def _row(model, name):
     for r in range(model.n_constraints):
         if model.constraint_name(r) == name:
-            return model.constraint(r)
+            return model.constraints[r]
     raise AssertionError(f"no constraint named {name}")
 
 
@@ -232,15 +232,35 @@ class TestFormulationPin:
     """The assembled models of the shipped days, pinned.
 
     A refactor of the stage builders must leave every model unchanged:
-    the day-ahead LP text byte for byte, and each clear-day session's
-    size. Session sizes do not depend on solver values, so the ledger
-    here is the day-ahead model's zero assignment with every demand on
-    its default profile.
+    the day-ahead and every session's LP text byte for byte, and each
+    clear-day session's size. Session models are assembled on the ledger
+    of the day-ahead model's zero assignment with every demand on its
+    default profile, so they do not depend on solver values.
     """
 
     DAM_LP_SHA256 = {
         "clear": "92d871e8ac2158e21c528031168b2354be073b63c4e6db2779b885677e1e0575",
         "cloudy": "d3639d5ebaf6103aebbe90aae95d9b595d56edb8a29797fa8c14c349592f42f4",
+    }
+    IDM_LP_SHA256 = {
+        "clear": {
+            1: "aee30a819028c564609e33e261e2a35b75c683269e888817c7a6984e8f4948c1",
+            2: "dca832bc49ca052f81cad05a3401e62d9e9f6d7d837166132755f27369e5760b",
+            3: "f0df6ba31186026cd1e4bb727a929d222ef5aff19c37bfa1bcebe17aa6c9f764",
+            4: "910aff9eccd3c0a7babc412de98d4243293b925f0264352f91c28dcac9e8c88e",
+            5: "3cc5ce09c985f45d32578fd7dddde05689e14229b30eca22a87e4c7c8897747b",
+            6: "41b3f065c8a60c793ae2996df30e61a0da090f5eef9b3b6b9af9f56196941deb",
+            7: "27362dcf22dffba7085044d5615e6a2d95c72ed566ec91b3b6de284966ecaca3",
+        },
+        "cloudy": {
+            1: "43cade02f1cc0e4197b744bc5f6d6c94003abecd771bd0dd831c410d38ad207b",
+            2: "6df879b020b30a2c9ac1c57ce9fd9da9edafa78eeddb5fbb90cfb2d998e8e14a",
+            3: "01de70fe0b2e74b588b68af44c45d25348273bf52ffcf5971fd09617acac0937",
+            4: "d0e3d83f0ee1df8e90f064869a0b2ecd59fc1da649f0702fe3b9ab7ae8cb670d",
+            5: "8d5b42ff4f66d7007f354696dd0545c4abe61d5bf61ccbe844d6d704d00029c1",
+            6: "0fa9724d5470f5701e19a72959fbbed5b98132a4d7f2dacaf30092cb75fd5fa0",
+            7: "5d9998f214922c7141f9f1dc85ff3bf3049e7a4d08ba43ec15d63b6ebf7a6c2b",
+        },
     }
     # (n_vars, n_constraints, binaries) per clear-day session
     CLEAR_SESSION_SIZES = {
@@ -257,22 +277,36 @@ class TestFormulationPin:
     def _shipped(name):
         return load_scenario(SCENARIO_DIR / f"{name}.json")
 
+    @staticmethod
+    def _default_ledger(s):
+        model, reg = assemble_dam(s)
+        x = np.zeros(model.n_vars)
+        for d in s.demands:
+            x[reg.id(DEM_U, f"{d.id}/{d.default_profile().id}")] = 1.0
+        return ledger_from_dam(s, reg, Solution("feasible", 0.0, x))
+
     @pytest.mark.parametrize("name", ["clear", "cloudy"])
     def test_day_ahead_lp_text(self, name):
         model, _ = assemble_dam(self._shipped(name))
         digest = hashlib.sha256(dump_lp(model).encode()).hexdigest()
         assert digest == self.DAM_LP_SHA256[name]
 
+    @pytest.mark.parametrize("name", ["clear", "cloudy"])
+    def test_intraday_lp_text(self, name):
+        s = self._shipped(name)
+        ledger = self._default_ledger(s)
+        digests = {}
+        for sess in s.calendar.sessions:
+            model, _ = assemble_idm(s, ledger, sess.k)
+            digests[sess.k] = hashlib.sha256(dump_lp(model).encode()).hexdigest()
+        assert digests == self.IDM_LP_SHA256[name]
+
     def test_clear_session_sizes(self):
         s = self._shipped("clear")
-        model, reg = assemble_dam(s)
-        x = np.zeros(model.n_vars)
-        for d in s.demands:
-            x[reg.id(DEM_U, f"{d.id}/{d.default_profile().id}")] = 1.0
-        ledger = ledger_from_dam(s, reg, Solution("feasible", 0.0, x))
+        ledger = self._default_ledger(s)
         sizes = {}
         for sess in s.calendar.sessions:
             model, _ = assemble_idm(s, ledger, sess.k)
-            binaries = sum(model.kind(i) == BINARY for i in range(model.n_vars))
+            binaries = model.kind.count(BINARY)
             sizes[sess.k] = (model.n_vars, model.n_constraints, binaries)
         assert sizes == self.CLEAR_SESSION_SIZES

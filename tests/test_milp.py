@@ -330,8 +330,7 @@ def _csc_reference(model: MilpModel):
     import scipy.sparse
 
     rows, cols, data = [], [], []
-    for r in range(model.n_constraints):
-        coeffs = model.constraint(r)[0]
+    for r, (coeffs, _, _, _) in enumerate(model.constraints):
         rows.extend([r] * len(coeffs))
         cols.extend(coeffs)
         data.extend(coeffs.values())
@@ -562,8 +561,7 @@ class TestSos2Reformulation:
         assert r.n_vars == m.n_vars + 2           # one binary per segment
         assert r.n_constraints == m.n_constraints + 4  # selection + one link per weight
         assert r.sos2_sets == []
-        binaries = [i for i in range(r.n_vars) if r.kind(i) == "binary"]
-        assert len(binaries) == 2
+        assert r.kind.count("binary") == 2
 
     def test_bookkeeping_five_weights(self):
         m = self._curve_model(5)

@@ -251,7 +251,7 @@ class TestModelStructure:
         # the origin would make it four, 201 binaries in all
         model, _ = assemble_dam(load_scenario(SCENARIO_DIR / "clear.json"))
         reformulated = reformulate_sos2_as_binary(model)
-        binaries = sum(reformulated.kind(i) == BINARY for i in range(reformulated.n_vars))
+        binaries = reformulated.kind.count(BINARY)
         assert binaries == 177
 
 
