@@ -49,10 +49,14 @@ def parse_sessions(text: str) -> tuple[str, ...]:
             lo, hi = token.split("..", 1)
             if not (lo.startswith("idm") and hi.startswith("idm")):
                 raise ValueError(f"bad session range {token!r}")
-            for k in range(int(lo[3:]), int(hi[3:]) + 1):
-                out.append(f"idm{k}")
+            first, last = int(lo[3:]), int(hi[3:])
+            if first > last:
+                raise ValueError(f"bad session range {token!r}: reversed")
+            out.extend(f"idm{k}" for k in range(first, last + 1))
         elif token:
             out.append(token)
+    if not out:
+        raise ValueError("no session given")
     return tuple(out)
 
 
@@ -164,9 +168,8 @@ def _output_dir(path: Path):
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     try:
-        sessions = parse_sessions(args.sessions) if args.sessions else None
-        if sessions is not None:
-            session_keys(scenario, sessions)  # fail fast on bad prefixes
+        sessions = None if args.sessions is None else parse_sessions(args.sessions)
+        session_keys(scenario, sessions)  # fail fast on bad prefixes
     except ValueError as exc:
         print(f"bad --sessions: {exc}", file=sys.stderr)
         return EXIT_USAGE

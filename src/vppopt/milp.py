@@ -275,6 +275,7 @@ def highs_options(options: SolveOptions) -> dict[str, object]:
         "mip_rel_gap": float(options.gap_tol),
         "mip_heuristic_run_rins": False,
         "mip_heuristic_run_rens": False,
+        "mip_heuristic_run_feasibility_jump": False,
         "mip_allow_restart": False,
     }
 
@@ -373,12 +374,16 @@ class ScipyMilpAdapter:
     ``passModel``, the layout ``scipy.optimize.milp`` builds. The binding
     is used instead of ``scipy.optimize.milp`` because only the binding
     reaches every HiGHS option: HiGHS runs with its RINS and RENS sub-MIP
-    heuristics and its root restarts off (:func:`highs_options`). On the
-    shipped days HiGHS spends most of each run finding the optimum, not
-    proving it: the optimal incumbent arrives at 44-92% of each session's
-    solve. The sub-MIPs and restarts took much of the run time without
-    improving the incumbent. An option HiGHS rejects raises ``ValueError``
-    before any solve.
+    heuristics, its feasibility-jump heuristic and its root restarts off
+    (:func:`highs_options`). On the shipped days HiGHS spends most of each
+    run finding the optimum, not proving it: the optimal incumbent arrives
+    at 44-92% of each session's solve. The sub-MIPs and restarts took much
+    of the run time without improving the incumbent. Feasibility jump
+    changes no node or LP-iteration count and no incumbent on these
+    models, since later heuristics always replace the incumbent it finds,
+    so its root work only adds time (about a fifth of the lone
+    solar-thermal unit's day-ahead solve). An option HiGHS rejects raises
+    ``ValueError`` before any solve.
 
     Integer variables come back from the backend only to within its
     integrality tolerance; downstream identities (piecewise conversion,

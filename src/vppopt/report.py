@@ -5,14 +5,17 @@
 intraday session with the running position, final dispatch, storage and
 consumption series, the selected profiles, the profit decomposition and
 the verifier's sessions, checks and summary. :func:`emit_report` only
-writes that file set. CSV files carry 6 decimals for humans and plotting;
-JSON carries full double precision for machines.
+writes that file set, and removes the tables an earlier report left in
+the same directory that this one does not hold. CSV files carry 6
+decimals for humans and plotting; JSON carries full double precision for
+machines.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -135,11 +138,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
+# every CSV file name a report can hold
+_TABLE_NAME = re.compile(r"(dam|idm_\d+|dispatch|storage|demand)\.csv")
+
+
 def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
     """Write the file set, tables first; overwrites are idempotent.
-    Returns the paths in write order."""
+    A report table that this report does not hold, left by an earlier run
+    in the same directory, is removed; no other file is touched. Returns
+    the paths in write order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for path in out.iterdir():
+        if (_TABLE_NAME.fullmatch(path.name) and path.name not in report.tables
+                and not path.is_dir()):
+            path.unlink()
     for name, (header, rows) in report.tables.items():
         _write_csv(out / name, header, rows)
     for name, doc in report.documents.items():

@@ -71,6 +71,15 @@ class TestParseSessions:
         with pytest.raises(ValueError, match="bad session range"):
             parse_sessions("dam..idm2")
 
+    def test_reversed_range_rejected(self):
+        with pytest.raises(ValueError, match="reversed"):
+            parse_sessions("dam,idm3..idm1")
+
+    @pytest.mark.parametrize("text", ["", " ", ","])
+    def test_empty_list_rejected(self, text):
+        with pytest.raises(ValueError, match="no session given"):
+            parse_sessions(text)
+
 
 class TestValidate:
     def test_ok(self, toy_file, capsys):
@@ -161,6 +170,16 @@ class TestRun:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert "bad session range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sessions", ["dam,idm2..idm1", ""])
+    def test_reversed_or_empty_sessions_exit_2_before_any_solve(
+            self, toy_file, tmp_path, capsys, sessions):
+        out = tmp_path / "x"
+        code = main(["run", "--scenario", str(toy_file), "--sessions", sessions,
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("bad --sessions: ")
+        assert not out.exists()
 
     def test_dump_model(self, toy_file, tmp_path, capsys):
         lp = tmp_path / "day.lp"

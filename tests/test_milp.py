@@ -29,6 +29,7 @@ from vppopt.milp import (
     solve,
     verify,
 )
+from vppopt.orchestrator import single_asset_scenario
 from vppopt.scenario import load_scenario
 from vppopt.synth import random_piecewise_model, random_stu_scenario
 
@@ -186,6 +187,9 @@ class TestHighsBinding:
         with pytest.raises(ValueError, match="no_such_option"):
             ScipyMilpAdapter().solve(_two_binaries(), SolveOptions())
 
+    def test_feasibility_jump_is_off(self):
+        assert highs_options(SolveOptions())["mip_heuristic_run_feasibility_jump"] is False
+
     def test_search_statistics(self):
         sol = solve(_two_binaries())
         assert sol.status == "optimal"
@@ -323,6 +327,28 @@ print(ref.status, ref.fun, solve(m).objective)
         status, ref, ours = _python(code, first).split()
         assert int(status) == 0 and float(ref) == pytest.approx(-8.0, abs=1e-9)
         assert float(ours) == pytest.approx(16.0, abs=1e-9)
+
+
+class TestFeasibilityJumpOff:
+    """Feasibility jump is off because it never steers the search here: on
+    the lone solar-thermal day-ahead of the clear day, HiGHS returns the
+    same incumbent after the same nodes and LP iterations with and without
+    it, so its root work is pure overhead. If a HiGHS release lets it find
+    something the rest of the search does not, this fails and the option
+    needs a new measurement."""
+
+    def test_same_search_with_and_without_it(self, monkeypatch):
+        scenario = single_asset_scenario(load_scenario(SCENARIO_DIR / "clear.json"), "csp")
+        model, _ = assemble_dam(scenario)
+        off = solve(model)
+        options = highs_options
+        monkeypatch.setattr(milp, "highs_options", lambda o: {
+            **options(o), "mip_heuristic_run_feasibility_jump": True})
+        on = solve(model)
+        assert off.status == on.status == "optimal"
+        assert off.nodes > 0 and off.lp_iterations > 0
+        assert (off.nodes, off.lp_iterations) == (on.nodes, on.lp_iterations)
+        assert off.values == on.values
 
 
 def _csc_reference(model: MilpModel):

@@ -239,6 +239,20 @@ class TestEmitAndLoad:
         assert json.loads((tmp_path / "profit.json").read_text())["total"] == \
             report.total_profit
 
+    def test_reused_directory_keeps_no_earlier_table(self, toy, tmp_path):
+        emit_report(build_report(toy, run_vpp(toy)), tmp_path)
+        (tmp_path / "notes.txt").write_text("kept")
+        (tmp_path / "idm_1.csv.bak").write_text("kept")
+        dam_only = build_report(toy, run_vpp(toy, RunConfig(sessions=("dam",))))
+        emit_report(dam_only, tmp_path)
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "dam.csv", "dispatch.csv", "demand.csv", "profit.json", "profiles.json",
+            "verify.json", "notes.txt", "idm_1.csv.bak"}
+        s = _failing_at_dam()
+        emit_report(build_report(s, run_vpp(s)), tmp_path)
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "profit.json", "profiles.json", "verify.json", "notes.txt", "idm_1.csv.bak"}
+
     def test_storage_file_appears_with_a_storage_unit(self, tmp_path):
         from test_stu import _stu_scenario
 
