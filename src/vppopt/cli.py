@@ -30,7 +30,8 @@ from vppopt import dam as dam_mod
 from vppopt.milp import ModelError, SolveOptions, dump_lp
 from vppopt.orchestrator import RunConfig, run, session_keys, sweep_profile_costs
 from vppopt.report import build_report, emit_report, emit_thresholds
-from vppopt.scenario import ScenarioError, ScenarioValidationError, load_scenario
+from vppopt.scenario import (MAX_SESSIONS, ScenarioError, ScenarioValidationError,
+                             load_scenario)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,6 +53,9 @@ def parse_sessions(text: str) -> tuple[str, ...]:
             first, last = int(lo[3:]), int(hi[3:])
             if first > last:
                 raise ValueError(f"bad session range {token!r}: reversed")
+            if last - first >= MAX_SESSIONS:  # checked before a key is built
+                raise ValueError(f"bad session range {token!r}: more than "
+                                 f"{MAX_SESSIONS} sessions")
             out.extend(f"idm{k}" for k in range(first, last + 1))
         elif token:
             out.append(token)

@@ -57,7 +57,6 @@ class LedgerState:
     each session overwrites its window, earlier periods stay settled.
     """
 
-    n_periods: int
     dam_trade: tuple[float, ...]
     idm_trades: dict[int, tuple[float, ...]]
     selected_profiles: dict[str, str]
@@ -123,7 +122,7 @@ def ledger_from_dam(s: Scenario, reg: VariableRegistry, sol: Solution) -> Ledger
         selected[d.id] = chosen[0]
     zero = (0.0,) * s.n_periods
     blank = LedgerState(
-        n_periods=s.n_periods, dam_trade=zero, idm_trades={}, selected_profiles=selected,
+        dam_trade=zero, idm_trades={}, selected_profiles=selected,
         demand_p={d.id: zero for d in s.demands}, dres_p={a.id: zero for a in s.dres},
         dres_u={a.id: zero for a in s.dres}, ndres_p={a.id: zero for a in s.ndres},
         stu_series={a.id: dict.fromkeys(STU_ROLES, zero) for a in s.stu}, objectives={})

@@ -1,28 +1,10 @@
 """MILP container, the HiGHS backend, and a verifier.
 
 A :class:`MilpModel` holds variables, linear constraints, SOS-2 sets and a
-maximization objective. :func:`solve` hands every model to HiGHS through
-the HiGHS binding that scipy bundles (``scipy.optimize._highspy._core``),
-which unlike ``scipy.optimize.milp`` reaches every HiGHS option; see
-:class:`ScipyMilpAdapter`.
-
-The binding is a compiled extension, and this module loads it straight
-from its file in scipy's directory (:func:`_load_highs`). Importing it by
-name would first run the ``scipy.optimize`` package init, which pulls in
-linalg, sparse, special and more, none of which vppopt calls: that was
-most of the start-up time of every ``vppopt`` process. The model is
-lowered to HiGHS's column-wise arrays as lists (:func:`_lower`), so
-importing vppopt loads no numpy, and nothing of scipy but the extension;
-the binding loads numpy itself at the first solve (``HighsLp.col_cost_``).
-
-HiGHS takes no SOS-2 sets, so :func:`solve`
-replaces them by the standard segment-binary reformulation and projects
-the solution back onto the original variables. A :class:`Solution`
-carries HiGHS's search statistics: nodes, simplex iterations and the
-dual bound.
-
-:func:`verify` re-checks any assignment against the model independently of
-the backend, so every run can self-certify feasibility.
+maximization objective. :func:`solve` hands it to HiGHS, which takes no
+SOS-2 sets: they go in as segment binaries. :func:`verify` re-checks any
+assignment against the model independently of the backend, so every run
+can self-certify feasibility.
 """
 
 from __future__ import annotations
@@ -38,7 +20,7 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
 from typing import Mapping, Sequence
@@ -69,7 +51,9 @@ class _BindToPackage:
 
 def _load_highs() -> ModuleType:
     """Load scipy's HiGHS extension from its file, without importing
-    ``scipy`` or ``scipy.optimize``.
+    ``scipy`` or ``scipy.optimize``, whose package init (linalg, sparse,
+    special and more, none of which vppopt calls) was most of each
+    process's start-up.
 
     The module goes into ``sys.modules`` under its own dotted name before
     it runs, so a later ``import scipy.optimize`` (or of the extension by
@@ -174,7 +158,6 @@ class MilpModel:
         self.constraints: list[tuple[dict[int, float], str, float, str]] = []
         self.sos2_sets: list[tuple[tuple[int, ...], str]] = []
         self.obj: dict[int, float] = {}
-        self.obj_constant: float = 0.0
 
     # -- construction -------------------------------------------------
 
@@ -201,9 +184,8 @@ class MilpModel:
     def add_sos2(self, members: Sequence[int], name: str = "") -> None:
         self.sos2_sets.append((tuple(members), name))
 
-    def set_objective(self, coeffs: Mapping[int, float], constant: float = 0.0) -> None:
+    def set_objective(self, coeffs: Mapping[int, float]) -> None:
         self.obj = dict(coeffs)
-        self.obj_constant = float(constant)
 
     def set_bounds(self, var_id: int, lb: float | None = None, ub: float | None = None) -> None:
         if lb is not None:
@@ -358,32 +340,10 @@ def _stdout_to_stderr():
 
 class ScipyMilpAdapter:
     """HiGHS backend, called through the HiGHS binding that scipy bundles
-    (``scipy.optimize._highspy._core``). It takes no SOS-2 sets;
-    :func:`solve` reformulates them first.
-
-    The binding is loaded from its file by :func:`_load_highs`, not
-    imported by name: importing it by name runs the whole
-    ``scipy.optimize`` package init first, which took most of each
-    process's start-up. It is registered in ``sys.modules`` under its own
-    name, so that scipy, when something else imports it, reuses the same
-    module; pybind11 cannot register the binding's types twice.
-
-    The model is lowered once to column-wise lists in one pass over its
-    rows (:func:`_lower`, no numpy; the lists equal
-    ``scipy.sparse.csc_array``'s arrays) and passed whole with
-    ``passModel``, the layout ``scipy.optimize.milp`` builds. The binding
-    is used instead of ``scipy.optimize.milp`` because only the binding
-    reaches every HiGHS option: HiGHS runs with its RINS and RENS sub-MIP
-    heuristics, its feasibility-jump heuristic and its root restarts off
-    (:func:`highs_options`). On the shipped days HiGHS spends most of each
-    run finding the optimum, not proving it: the optimal incumbent arrives
-    at 44-92% of each session's solve. The sub-MIPs and restarts took much
-    of the run time without improving the incumbent. Feasibility jump
-    changes no node or LP-iteration count and no incumbent on these
-    models, since later heuristics always replace the incumbent it finds,
-    so its root work only adds time (about a fifth of the lone
-    solar-thermal unit's day-ahead solve). An option HiGHS rejects raises
-    ``ValueError`` before any solve.
+    rather than ``scipy.optimize.milp``: only the binding reaches every
+    option of :func:`highs_options` (README "Installation" says why each
+    is set). An option HiGHS rejects raises ``ValueError`` before any
+    solve.
 
     Integer variables come back from the backend only to within its
     integrality tolerance; downstream identities (piecewise conversion,
@@ -398,10 +358,11 @@ class ScipyMilpAdapter:
     """
 
     def solve(self, model: MilpModel, options: SolveOptions) -> Solution:
-        if model.sos2_sets:
-            raise ValueError("HiGHS backend cannot take SOS-2 sets directly; use solve()")
+        """Solve ``model``; its SOS-2 sets go in as segment binaries, and the
+        assignment comes back on the model's own columns."""
+        sos_free = reformulate_sos2_as_binary(model) if model.sos2_sets else model
         t0 = time.perf_counter()
-        low = _lower(model)
+        low = _lower(sos_free)
         size = {"n_binaries": sum(low.integer), "n_nonzeros": len(low.value)}
         is_mip = any(low.integer)
         highs, status = self._run(low, low.lower, low.upper, low.integer, options)
@@ -420,9 +381,9 @@ class ScipyMilpAdapter:
             values = self._polish(low, values, options)
         return Solution(
             status="optimal" if status == _h.HighsModelStatus.kOptimal else "feasible",
-            objective=-math.fsum(map(operator.mul, low.cost, values)) + model.obj_constant,
-            values=values, runtime_s=time.perf_counter() - t0, message=message,
-            dual_bound=-float(bound) + model.obj_constant, **stats)
+            objective=-math.fsum(map(operator.mul, low.cost, values)),
+            values=values[:model.n_vars], runtime_s=time.perf_counter() - t0,
+            message=message, dual_bound=-float(bound), **stats)
 
     @staticmethod
     def _run(low: _Lowered, lower: list[float], upper: list[float], integer: list[bool],
@@ -488,32 +449,9 @@ _FAILED = {_h.HighsModelStatus.kInfeasible: "infeasible",
 # ---------------------------------------------------------------------------
 
 def solve(model: MilpModel, options: SolveOptions | None = None) -> Solution:
-    """Solve a model with HiGHS.
-
-    When the model has SOS-2 sets, the segment-binary reformulation is
-    solved instead and the assignment is projected back onto the original
-    variables.
-    """
-    options = options or SolveOptions()
+    """Validate a model and solve it with HiGHS (:class:`ScipyMilpAdapter`)."""
     model.validate()
-
-    if model.n_vars == 0:
-        # nothing to decide; constraints reduce to constant comparisons
-        for r, (_, sense, rhs, name) in enumerate(model.constraints):
-            ok = {"<=": 0 <= rhs, ">=": 0 >= rhs, "==": rhs == 0}[sense]
-            if not ok:
-                return Solution(status="infeasible",
-                                message=f"constant constraint {name or r} fails")
-        return Solution(status="optimal", objective=model.obj_constant,
-                        values=())
-
-    if model.sos2_sets:
-        reformulated = reformulate_sos2_as_binary(model)
-        sol = ScipyMilpAdapter().solve(reformulated, options)
-        if sol.values is not None:
-            sol = replace(sol, values=sol.values[:model.n_vars])
-        return sol
-    return ScipyMilpAdapter().solve(model, options)
+    return ScipyMilpAdapter().solve(model, options or SolveOptions())
 
 
 def reformulate_sos2_as_binary(model: MilpModel) -> MilpModel:
@@ -531,7 +469,7 @@ def reformulate_sos2_as_binary(model: MilpModel) -> MilpModel:
     out = MilpModel(model.name)
     out.kind, out.lb, out.ub = list(model.kind), list(model.lb), list(model.ub)
     out.var_names, out.constraints = list(model.var_names), list(model.constraints)
-    out.obj, out.obj_constant = dict(model.obj), model.obj_constant
+    out.obj = dict(model.obj)
     for members, name in model.sos2_sets:
         label = name or f"sos{len(out.sos2_sets)}"
         for m in members:
@@ -629,8 +567,7 @@ def _coef_str(coef: float, name: str, first: bool) -> str:
 def dump_lp(model: MilpModel, path: str | Path | None = None) -> str:
     """Render the model in LP-format-compatible text (with an SOS section).
 
-    Names are sanitized to the LP character set; the objective constant,
-    which the format cannot express, is recorded as a comment.
+    Names are sanitized to the LP character set.
     """
     taken: set[str] = set()
     vnames = [_sanitize(model.var_name(i), f"x{i}", taken) for i in range(model.n_vars)]
@@ -648,8 +585,6 @@ def dump_lp(model: MilpModel, path: str | Path | None = None) -> str:
     lines = []
     if model.name:
         lines.append(f"\\ {model.name}")
-    if model.obj_constant:
-        lines.append(f"\\ objective constant: {model.obj_constant!r}")
     lines.append("Maximize")
     lines.append(f" obj: {terms(model.obj)}")
     lines.append("Subject To")

@@ -75,10 +75,6 @@ class ProfitBreakdown:
     recomputed: dict[str, float]
 
     @property
-    def dam(self) -> float:
-        return self.per_session.get("dam", 0.0)
-
-    @property
     def total(self) -> float:
         return sum(self.per_session.values())
 
@@ -361,7 +357,7 @@ def _aggregate_ledger(s: Scenario, keys: Sequence[str], parts: Sequence[LedgerSt
     schedules = {name: {aid: v for part in parts for aid, v in getattr(part, name).items()}
                  for name in ("dres_p", "dres_u", "ndres_p", "stu_series")}
     return LedgerState(
-        n_periods=s.n_periods, dam_trade=tuple(dam_trade),
+        dam_trade=tuple(dam_trade),
         idm_trades={k: tuple(series) for k, series in idm_trades.items()},
         selected_profiles={did: p.id for did, p in defaults.items()},
         demand_p={did: p.power for did, p in defaults.items()},

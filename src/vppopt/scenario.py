@@ -27,6 +27,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+MAX_SESSIONS = 7  # intraday sessions a day may hold (rule `too_many_sessions`)
+
 
 class ScenarioError(ValueError):
     """Raised when a scenario file cannot be parsed into the data model."""
@@ -442,6 +444,8 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     for key, sub in _req(fc_doc, "idm", "forecasts", _object, default={}).items():
         where = f"forecasts.idm.{key}"
         k = _convert(key, where, int)
+        if str(k) != key:  # "01" and "+1" would overwrite session 1's forecast
+            raise ScenarioError(f"{where}: write the session number as {str(k)!r}")
         session = next((s for s in calendar.sessions if s.k == k), None)
         window = n_periods - session.first_period + 1 if session else n_periods
         idm_forecasts[k] = _read(ForecastSet, sub, where, window)
@@ -492,9 +496,9 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     if len(s.calendar.dam_prices) != T:
         bad(Diagnostic("calendar", "price_length",
                        f"damPrices has {len(s.calendar.dam_prices)} entries, expected {T}"))
-    if len(s.calendar.sessions) > 7:
-        bad(Diagnostic("calendar", "too_many_sessions",
-                       f"{len(s.calendar.sessions)} intraday sessions exceed the limit of 7"))
+    if len(s.calendar.sessions) > MAX_SESSIONS:
+        bad(Diagnostic("calendar", "too_many_sessions", f"{len(s.calendar.sessions)} intraday "
+                       f"sessions exceed the limit of {MAX_SESSIONS}"))
     prev_tau = None
     for sess in s.calendar.sessions:
         ent = f"idm{sess.k}"
@@ -509,7 +513,8 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
             bad(Diagnostic(ent, "price_length",
                            f"prices span {len(sess.prices)} periods, expected {expected}"))
     if s.calendar.sessions and s.calendar.sessions[0].first_period != 1:
-        bad(Diagnostic("idm1", "first_tau", "the first intraday session must cover the full day (tau=1)"))
+        bad(Diagnostic(f"idm{s.calendar.sessions[0].k}", "first_tau",
+                       "the first intraday session must cover the full day (tau=1)"))
     ks = [sess.k for sess in s.calendar.sessions]
     if len(set(ks)) != len(ks):
         bad(Diagnostic("calendar", "duplicate_id", "duplicate session ids"))

@@ -211,5 +211,4 @@ def eval_pb_oracle(curve: PbCurve, thermal_input: float) -> float:
 def recompute_objective(model: MilpModel, values: np.ndarray) -> float:
     """Objective value implied by an assignment, independent of the solver."""
     x = np.asarray(values, dtype=float)
-    return float(sum(coef * x[v] for v, coef in model.obj.items())
-                 + model.obj_constant)
+    return float(sum(coef * x[v] for v, coef in model.obj.items()))

@@ -22,6 +22,7 @@ from vppopt.cli import (
 )
 from vppopt.idm import LedgerState
 from vppopt.orchestrator import check_demand_contracts
+from vppopt.scenario import MAX_SESSIONS
 
 
 @pytest.fixture
@@ -74,6 +75,11 @@ class TestParseSessions:
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError, match="reversed"):
             parse_sessions("dam,idm3..idm1")
+
+    def test_range_beyond_the_session_limit_rejected(self):
+        assert len(parse_sessions(f"idm1..idm{MAX_SESSIONS}")) == MAX_SESSIONS
+        with pytest.raises(ValueError, match=f"more than {MAX_SESSIONS} sessions"):
+            parse_sessions(f"idm1..idm{MAX_SESSIONS + 1}")
 
     @pytest.mark.parametrize("text", ["", " ", ","])
     def test_empty_list_rejected(self, text):
@@ -233,7 +239,7 @@ class TestRun:
         s = make_scenario(doc)
         default = s.demands[0].default_profile()
         ledger = LedgerState(
-            n_periods=3, dam_trade=(0.0,) * 3, idm_trades={},
+            dam_trade=(0.0,) * 3, idm_trades={},
             selected_profiles={"load": default.id}, demand_p={"load": default.power},
             dres_p={}, dres_u={}, ndres_p={}, stu_series={}, objectives={})
         assert check_demand_contracts(s, ledger) == [

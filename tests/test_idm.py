@@ -31,7 +31,7 @@ def _dam_ledger(s):
 
 
 def _cumulative_trades(ledger):
-    return [ledger.cumulative_trade(t) for t in range(1, ledger.n_periods + 1)]
+    return [ledger.cumulative_trade(t) for t in range(1, len(ledger.dam_trade) + 1)]
 
 
 def _registered(reg, role, entity, t):

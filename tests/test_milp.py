@@ -66,14 +66,6 @@ class TestSolveBasics:
         assert np.isclose(sol.objective, 0.0)
         assert np.isclose(sol.values[z], 0.0)
 
-    def test_objective_constant_carried(self):
-        m = MilpModel()
-        x = m.add_continuous("x", ub=4.0)
-        m.set_objective({x: 2.0}, constant=7.0)
-        sol = solve(m)
-        assert np.isclose(sol.objective, 15.0)
-        assert np.isclose(recompute_objective(m, sol.values), sol.objective)
-
     @pytest.mark.parametrize("with_binary", [False, True], ids=["lp", "mip"])
     def test_empty_domain_is_infeasible(self, with_binary):
         m = MilpModel()
@@ -98,28 +90,24 @@ class TestSolveBasics:
         m.set_objective({x: 1.0})
         assert solve(m).status == "unbounded"
 
-    def test_zero_variable_model(self):
+    def test_scipy_adapter_solves_sos2(self):
+        # f over breakpoints x = 0, 1, 2 is 0, 0, 2; at x = 1 the SOS-2 set
+        # leaves f = 0, where weights of 1/2 on both ends would reach f = 1
         m = MilpModel()
-        m.set_objective({}, constant=3.5)
-        sol = solve(m)
-        assert sol.status == "optimal"
-        assert sol.objective == 3.5
-        assert sol.values == ()
-
-    def test_zero_variable_constant_conflict(self):
-        m = MilpModel()
-        m.add_constraint({}, "<=", -1.0, "impossible")
-        sol = solve(m)
-        assert sol.status == "infeasible"
-        assert "impossible" in sol.message
-
-    def test_scipy_adapter_rejects_raw_sos2(self):
-        m = MilpModel()
-        a = m.add_continuous("a", ub=1.0)
-        b = m.add_continuous("b", ub=1.0)
-        m.add_sos2([a, b], "s")
-        with pytest.raises(ValueError, match="cannot take SOS-2"):
-            ScipyMilpAdapter().solve(m, SolveOptions())
+        w = [m.add_continuous(f"w{i}", ub=1.0) for i in range(3)]
+        x = m.add_continuous("x", ub=2.0)
+        m.add_constraint(dict.fromkeys(w, 1.0), "==", 1.0, "convex")
+        m.add_constraint({w[1]: 1.0, w[2]: 2.0, x: -1.0}, "==", 0.0, "x_def")
+        m.add_constraint({x: 1.0}, "==", 1.0, "at_one")
+        m.add_sos2(w, "curve")
+        m.set_objective({w[2]: 2.0})
+        sol = ScipyMilpAdapter().solve(m, SolveOptions())
+        reference = solve(m)
+        assert (sol.status, sol.objective) == (reference.status, reference.objective)
+        assert sol.objective == pytest.approx(0.0, abs=1e-9)
+        assert sol.values == reference.values
+        assert len(sol.values) == m.n_vars  # projected onto the original columns
+        assert sol.values[w[1]] == pytest.approx(1.0) and verify(m, sol) == []
 
     def test_integers_come_back_exact(self):
         # assignments are polished: integers land exactly on integers and
@@ -198,9 +186,9 @@ class TestHighsBinding:
         lp = MilpModel()
         x = lp.add_continuous("x", ub=4.0)
         lp.add_constraint({x: 1.0}, "<=", 3.0, "cap")
-        lp.set_objective({x: 2.0}, constant=1.0)
+        lp.set_objective({x: 2.0})
         sol = solve(lp)
-        assert (sol.objective, sol.dual_bound, sol.nodes) == (7.0, 7.0, 0)
+        assert (sol.objective, sol.dual_bound, sol.nodes) == (6.0, 6.0, 0)
         assert sol.lp_iterations >= 0
         free = MilpModel()
         free.set_objective({free.add_continuous("x"): 1.0})
@@ -669,12 +657,11 @@ class TestDumpLp:
         w = [m.add_continuous(f"w{i}", ub=1.0) for i in range(2)]
         m.add_constraint({x: 1.0, z: -2.0}, "<=", 0.0, "couple")
         m.add_sos2(w, "curve")
-        m.set_objective({x: 1.5, z: -0.5}, constant=3.0)
+        m.set_objective({x: 1.5, z: -0.5})
         path = tmp_path / "model.lp"
         text = dump_lp(m, path)
         assert path.read_text() == text
         for section in ("Maximize", "Subject To", "Bounds", "Binary", "SOS", "End"):
             assert section in text
         assert "flow_rate" in text          # names sanitized to LP charset
-        assert "objective constant: 3.0" in text
         assert "S2::" in text

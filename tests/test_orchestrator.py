@@ -126,7 +126,7 @@ class TestVppRun:
         assert result.ok
         assert [r.key for r in result.sessions] == ["dam"]
         assert set(result.profits.per_session) == {"dam"}
-        assert abs(result.profits.dam - 853.0) <= 1e-6
+        assert abs(result.profits.per_session["dam"] - 853.0) <= 1e-6
 
     def test_sessions_must_prefix_the_calendar(self, toy):
         assert session_keys(toy) == ["dam", "idm1"]
@@ -267,7 +267,7 @@ class TestRecompute:
         doc = toy_doc()
         doc["dres"][0]["initialCommitment"] = "on"
         result = run_vpp(make_scenario(doc))
-        assert abs(result.profits.dam - 860.0) <= 1e-6
+        assert abs(result.profits.per_session["dam"] - 860.0) <= 1e-6
         assert result.profits.max_recompute_drift() <= 1e-6
 
     def test_history_steps_must_add_one_session(self, toy):

@@ -72,6 +72,15 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="on"):
             make_scenario(doc)
 
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0"])
+    def test_forecast_key_must_be_the_plain_session_number(self, key):
+        # int() reads each as a session number written another way ("1_0"
+        # as 10); "01" next to "1" would silently replace session 1's forecast
+        doc = toy_doc()
+        doc["forecasts"]["idm"][key] = doc["forecasts"]["dam"]
+        with pytest.raises(ScenarioError, match=re.escape(f"forecasts.idm.{key}: ")):
+            make_scenario(doc)
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -142,6 +151,13 @@ class TestCalendarRules:
         doc["calendar"]["sessions"][0]["prices"] = [20.0, 40.0]
         doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [6.0, 5.0]
         assert "first_tau" in rules(make_scenario(doc))
+
+    def test_first_tau_names_the_first_session(self):
+        doc = toy_doc()
+        doc["calendar"]["sessions"] = [{"k": 3, "tau": 2, "prices": [20.0, 40.0]}]
+        doc["forecasts"]["idm"] = {"3": {"ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}}}
+        assert [d.entity for d in validate_scenario(make_scenario(doc))
+                if d.rule == "first_tau"] == ["idm3"]
 
     def test_session_windows_must_not_grow(self):
         doc = toy_doc()
