@@ -36,10 +36,9 @@ def main() -> None:
     print(f"{s.name} day, sessions re-priced at day-ahead information:")
     print()
     print("session   objective as shipped   objective with no news   position moved")
-    for sess_o, sess_m in zip(original.sessions, silent.sessions):
-        if sess_o.key == "dam":
+    for k, (sess_o, sess_m) in enumerate(zip(original.sessions, silent.sessions)):
+        if k == 0:  # the day-ahead stage
             continue
-        k = int(sess_o.key[3:])
         before = silent.ledger_history[k - 1]
         after = silent.ledger_history[k]
         moved = max(abs(after.cumulative_trade(t) - before.cumulative_trade(t))

@@ -14,6 +14,7 @@ read from the ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from vppopt import stu as stu_mod
 from vppopt.dam import (
@@ -149,13 +150,13 @@ def apply_idm(ledger: LedgerState, s: Scenario, k: int, reg: VariableRegistry,
 # ---------------------------------------------------------------------------
 
 def build_idm_trade_constraints(model: MilpModel, reg: VariableRegistry, s: Scenario,
-                                ledger: LedgerState, k: int,
+                                ledger: LedgerState, periods: Sequence[int],
                                 forecast: ForecastSet) -> None:
     """Tie the session adjustment to the physical bus trades and impose the
     published purchase/sale relaxation bounds on the cumulative position."""
-    tau = s.calendar.session(k).first_period
+    tau = periods[0]
     charge = sum(a.charge_max for a in s.stu)
-    for t in range(tau, s.n_periods + 1):
+    for t in periods:
         prior = ledger.cumulative_trade(t)
         bus_sum = {reg.id(TRADE_BUS, b, t): 1.0 for b in s.network.main_grid_buses}
 
@@ -175,14 +176,13 @@ def build_idm_trade_constraints(model: MilpModel, reg: VariableRegistry, s: Scen
 
 
 def build_idm_dres_constraints(model: MilpModel, reg: VariableRegistry, s: Scenario,
-                               ledger: LedgerState, k: int) -> None:
+                               ledger: LedgerState, periods: Sequence[int]) -> None:
     """Re-commitment against the previous session's plan: output windows,
     per-period change carriers, and the dispatch delta definition."""
-    tau = s.calendar.session(k).first_period
     for a in s.dres:
         prev_p = ledger.dres_p[a.id]
         prev_u = ledger.dres_u[a.id]
-        for t in range(tau, s.n_periods + 1):
+        for t in periods:
             p = reg.id(DRES_P, a.id, t)
             u = reg.id(DRES_U, a.id, t)
             v = reg.id(DRES_V, a.id, t)
@@ -201,15 +201,15 @@ def build_idm_dres_constraints(model: MilpModel, reg: VariableRegistry, s: Scena
 
 
 def build_idm_demand_constraints(model: MilpModel, reg: VariableRegistry, s: Scenario,
-                                 ledger: LedgerState, k: int) -> None:
+                                 ledger: LedgerState, periods: Sequence[int]) -> None:
     """Tolerance band around the selected profile, ramp limits stitched to
     settled periods, and the residual minimum-energy requirement."""
-    tau = s.calendar.session(k).first_period
+    tau = periods[0]
     dt = s.dt
     for d in s.demands:
         profile = d.profile(ledger.selected_profiles[d.id])
         settled = ledger.demand_p[d.id]
-        for t in range(tau, s.n_periods + 1):
+        for t in periods:
             ref = profile.power[t - 1]
             model.set_bounds(reg.id(DEM_P, d.id, t),
                              lb=(1.0 - d.tol_lo[t - 1]) * ref,
@@ -229,7 +229,7 @@ def build_idm_demand_constraints(model: MilpModel, reg: VariableRegistry, s: Sce
                 model.add_constraint({p: 1.0}, ">=", fixed - d.ramp_down * dt,
                                      f"dem_rampdn.{d.id}.t{t}")
         consumed = sum(settled[t - 1] for t in range(1, tau)) * dt
-        window_terms = {reg.id(DEM_P, d.id, t): dt for t in range(tau, s.n_periods + 1)}
+        window_terms = {reg.id(DEM_P, d.id, t): dt for t in periods}
         model.add_constraint(window_terms, ">=", d.min_energy - consumed,
                              f"dem_minenergy.{d.id}")
 
@@ -238,18 +238,19 @@ def assemble_idm(s: Scenario, ledger: LedgerState,
                  k: int) -> tuple[MilpModel, VariableRegistry]:
     """Complete model for intraday session k given the ledger so far, under
     the session's own forecast set."""
-    forecast = s.forecast(k)
-    tau = s.calendar.session(k).first_period
+    forecast = s.idm_forecasts[k]  # rule forecast_missing keeps it there
+    session = s.calendar.session(k)
+    tau = session.first_period
     model = MilpModel(f"idm{k}[{s.name}]" if s.name else f"idm{k}")
     reg = VariableRegistry()
     periods = list(range(tau, s.n_periods + 1))
     register_window_variables(model, reg, s, periods, IDM_TRADE, (DRES_DP,))
     build_balance_constraints(model, reg, s, periods)
     build_dc_flow_constraints(model, reg, s, periods)
-    build_idm_trade_constraints(model, reg, s, ledger, k, forecast)
-    build_idm_dres_constraints(model, reg, s, ledger, k)
+    build_idm_trade_constraints(model, reg, s, ledger, periods, forecast)
+    build_idm_dres_constraints(model, reg, s, ledger, periods)
     build_ndres_constraints(model, reg, s, periods, forecast)
-    build_idm_demand_constraints(model, reg, s, ledger, k)
+    build_idm_demand_constraints(model, reg, s, ledger, periods)
     if tau == 1:
         state = {a.id: (a.initial_energy, a.initial_pb_on) for a in s.stu}
     else:
@@ -257,6 +258,6 @@ def assemble_idm(s: Scenario, ledger: LedgerState,
                         bool(ledger.stu_series[a.id][stu_mod.PB_ON][tau - 2]))
                  for a in s.stu}
     build_stu_blocks(model, reg, s, periods, forecast, state)
-    model.set_objective(build_window_objective(s, reg, periods, s.calendar.session(k).prices,
+    model.set_objective(build_window_objective(s, reg, periods, session.prices,
                                                IDM_TRADE, DRES_DP))
     return model, reg

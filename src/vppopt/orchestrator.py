@@ -106,8 +106,8 @@ class RunResult:
 
 def session_keys(s: Scenario, requested: Sequence[str] | None = None) -> list[str]:
     """Resolve the session list; a request must be a prefix of the
-    calendar's order (day-ahead first)."""
-    full = ["dam"] + [f"idm{sess.k}" for sess in s.calendar.sessions]
+    calendar's order: ``"dam"``, then ``"idm<k>"`` for the ``k``-th session."""
+    full = ["dam"] + [f"idm{k}" for k in range(1, len(s.calendar.sessions) + 1)]
     if requested is None:
         return full
     requested = list(requested)
@@ -174,14 +174,19 @@ def recompute_idm_profit(s: Scenario, before: LedgerState, after: LedgerState,
 
 
 def recompute_profits(s: Scenario, history: Sequence[LedgerState]) -> dict[str, float]:
+    """Profit per session of a ledger history: step ``k`` is session ``k``."""
     out = {"dam": recompute_dam_profit(s, history[0])}
-    for before, after in zip(history, history[1:]):
-        added = set(after.idm_trades) - set(before.idm_trades)
-        if len(added) != 1:
-            raise ValueError("ledger history steps must add exactly one session")
-        k = added.pop()
+    for k, (before, after) in enumerate(zip(history, history[1:]), start=1):
         out[f"idm{k}"] = recompute_idm_profit(s, before, after, k)
     return out
+
+
+def _profits(s: Scenario, history: Sequence[LedgerState]) -> ProfitBreakdown:
+    """The last ledger's profits next to their recomputation from the history."""
+    if not history:
+        return ProfitBreakdown({}, {})
+    return ProfitBreakdown(per_session=dict(history[-1].objectives),
+                           recomputed=recompute_profits(s, history))
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +277,18 @@ def run_vpp(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     results: list[SessionResult] = []
     history: list[LedgerState] = []
     failure = None
-    for key in session_keys(s, cfg.sessions):
-        k = None if key == "dam" else int(key[3:])
-        model, reg = (dam_mod.assemble_dam(s) if k is None
+    for k, key in enumerate(session_keys(s, cfg.sessions)):
+        model, reg = (dam_mod.assemble_dam(s) if k == 0
                       else assemble_idm(s, history[-1], k))
         sol, res = _solve_session(model, cfg.options, key)
         results.append(res)
         if sol.values is None:
             failure = key
             break
-        history.append(ledger_from_dam(s, reg, sol) if k is None
+        history.append(ledger_from_dam(s, reg, sol) if k == 0
                        else apply_idm(history[-1], s, k, reg, sol))
-
-    profits = ProfitBreakdown({}, {})
-    if history:
-        profits = ProfitBreakdown(per_session=dict(history[-1].objectives),
-                                  recomputed=recompute_profits(s, history))
-    return RunResult(mode="vpp", sessions=tuple(results),
-                     ledger_history=tuple(history), profits=profits, failure=failure)
+    return RunResult(mode="vpp", sessions=tuple(results), ledger_history=tuple(history),
+                     profits=_profits(s, history), failure=failure)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,7 @@ def _aggregate_ledger(s: Scenario, keys: Sequence[str], parts: Sequence[LedgerSt
     schedules, and every demand on its default profile, bought day-ahead."""
     defaults = {d.id: d.default_profile() for d in s.demands}
     dam_trade = [0.0] * s.n_periods
-    idm_trades = {int(key[3:]): [0.0] * s.n_periods for key in keys[1:]}
+    idm_trades = {k: [0.0] * s.n_periods for k in range(1, len(keys))}
     for part in parts:
         dam_trade = [x + y for x, y in zip(dam_trade, part.dam_trade)]
         idm_trades = {k: [x + y for x, y in zip(series, part.idm_trades[k])]
@@ -375,11 +374,12 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     Each generation asset gets an isolated single-bus run over the same
     calendar and its own forecasts. The runs do not depend on each other
     and go through :func:`_concurrently`, the storage units' (the
-    longest) first. They fold, in portfolio order so that every sum is the
-    sequential one, into one aggregate ledger per session that every
-    asset completed, so profits, their recomputation and the post-hoc
-    checks treat the baseline like a VPP run. The passive demand purchase
-    costs are booked at the day-ahead stage.
+    longest) first. They fold in calendar order, each session's parts in
+    portfolio order so that every sum is the sequential one, into one
+    aggregate ledger per session, so profits, their recomputation and the
+    post-hoc checks treat the baseline like a VPP run; the fold stops, like
+    :func:`run_vpp`, at the first session any asset failed. The passive
+    demand purchase costs are booked at the day-ahead stage.
     """
     cfg = cfg or RunConfig()
     keys = session_keys(s, cfg.sessions)
@@ -387,38 +387,36 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     runs = dict(zip(longest_first, _concurrently(
         [partial(run_vpp, single_asset_scenario(s, aid), cfg) for aid in longest_first])))
     asset_runs = [(a.id, runs[a.id]) for a in s.dres + s.ndres + s.stu]
-    failure = next((run.failure for _, run in asset_runs if not run.ok), None)
-
     demand_profit = {d.id: passive_demand_profit(s, d) for d in s.demands}
-    done = min((len(run.ledger_history) for _, run in asset_runs), default=len(keys))
-    history = [_aggregate_ledger(s, keys[:i + 1],
-                                 [run.ledger_history[i] for _, run in asset_runs],
-                                 sum(demand_profit.values()))
-               for i in range(done)]
-    profits = ProfitBreakdown({}, {})
-    if history:
-        profits = ProfitBreakdown(per_session=dict(history[-1].objectives),
-                                  recomputed=recompute_profits(s, history))
 
+    history: list[LedgerState] = []
     merged_sessions = []
-    for i, key in enumerate(keys):
-        parts = [run.sessions[i] for _, run in asset_runs if len(run.sessions) > i]
-        if not parts and i >= len(history):
-            break  # a session no asset ran still counts if the aggregate covers it
+    failure = None
+    for k, key in enumerate(keys):
+        parts = [run.sessions[k] for _, run in asset_runs]
+        failed = [p for p, (_, run) in zip(parts, asset_runs) if run.failure == key]
+        if not failed:
+            history.append(_aggregate_ledger(s, keys[:k + 1],
+                                             [run.ledger_history[k] for _, run in asset_runs],
+                                             sum(demand_profit.values())))
         merged_sessions.append(SessionResult(
             key=key,
-            status=next((p.status for p in reversed(parts) if p.status != "optimal"),
+            # a failed part's status comes first; it is never "optimal"
+            status=next((p.status for p in failed + parts if p.status != "optimal"),
                         "optimal"),
-            objective=profits.per_session.get(key),
+            objective=None if failed else history[-1].objectives[key],
             violations=tuple(v for p in parts for v in p.violations),
             # the parts' gaps add up to a bound on the aggregate's gap
             abs_gap=None if any(p.abs_gap is None for p in parts)
             else sum((p.abs_gap for p in parts), 0.0),
             **{f.name: sum((getattr(p, f.name) for p in parts), f.default)
                for f in _SUMMED_FIELDS}))
+        if failed:
+            failure = key
+            break
 
     return RunResult(mode="nocoord", sessions=tuple(merged_sessions),
-                     ledger_history=tuple(history), profits=profits,
+                     ledger_history=tuple(history), profits=_profits(s, history),
                      failure=failure, asset_runs=tuple(asset_runs),
                      passive_demand_profit=demand_profit)
 

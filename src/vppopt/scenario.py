@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 MAX_SESSIONS = 7  # intraday sessions a day may hold (rule `too_many_sessions`)
+MAX_PERIODS = 1440  # periods a day may hold: one day of one-minute periods
 
 
 class ScenarioError(ValueError):
@@ -126,14 +127,15 @@ def _texts(value: Any) -> tuple[str, ...]:
     return tuple(_text(v) for v in _array(value))
 
 
-def _series(length: int) -> Callable[[Any], tuple[float, ...]]:
-    """Converter for a scalar (constant series) or a dense list of numbers."""
+def _series(length: int | None) -> Callable[[Any], tuple[float, ...]]:
+    """Converter for a scalar (constant series) or a dense list of numbers;
+    without a ``length``, any list passes and a scalar stays one number."""
     def convert(value: Any) -> tuple[float, ...]:
         if isinstance(value, (list, tuple)):
-            if len(value) != length:
+            if length is not None and len(value) != length:
                 raise ValueError(f"series has length {len(value)}, expected {length}")
             return tuple(_number(v) for v in value)
-        return (_number(value),) * length
+        return (_number(value),) * (1 if length is None else length)
     return convert
 
 
@@ -296,10 +298,10 @@ class MarketCalendar:
     sessions: tuple[IdmSession, ...] = _json("sessions", IdmSession, absent=())
 
     def session(self, k: int) -> IdmSession:
-        for s in self.sessions:
-            if s.k == k:
-                return s
-        raise KeyError(f"no intraday session {k}")
+        """The ``k``-th session in calendar order (rule `session_numbering`)."""
+        if not 1 <= k <= len(self.sessions):
+            raise KeyError(f"no intraday session {k}")
+        return self.sessions[k - 1]
 
 
 @dataclass(frozen=True)
@@ -337,15 +339,7 @@ class Scenario:
         return self.calendar.dt_hours
 
     def asset_ids(self) -> list[str]:
-        out = [a.id for a in self.dres + self.ndres + self.stu + self.demands]
-        return out
-
-    def forecast(self, session: int) -> ForecastSet:
-        """Forecast set for an intraday session."""
-        try:
-            return self.idm_forecasts[session]
-        except KeyError:
-            raise KeyError(f"no forecast set for intraday session {session}") from None
+        return [a.id for a in self.dres + self.ndres + self.stu + self.demands]
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +383,16 @@ def _entries(doc: Any, key: str, where: str = "",
         yield f"{path}[{ident if isinstance(ident, str) else i}]", entry
 
 
-def _read(cls: type, doc: Any, where: str, horizon: int) -> Any:
-    """A ``cls`` read from ``doc`` field by field, in declaration order."""
+def _read(cls: type, doc: Any, where: str, horizon: int, tau: int = 1) -> Any:
+    """A ``cls`` read from ``doc`` field by field, in declaration order, its
+    series over periods ``tau``..``horizon`` (a session's over its own)."""
     values: dict[str, Any] = {}
     for f in fields(cls):
         key, conv, absent = f.metadata["json"]
         item = conv.conv if isinstance(conv, _ById) else conv
-        if item is _series:  # a session window covers t >= tau, anything else the horizon
-            item = _series(horizon - values.get("first_period", 1) + 1)
+        if item is _series:  # tau_range reports a window outside the horizon
+            first = values.get("first_period", tau)
+            item = _series(horizon - first + 1 if 1 <= first <= horizon else None)
         if isinstance(conv, type):
             values[f.name] = tuple(_read(conv, entry, path, horizon)
                                    for path, entry in _entries(doc, key, where, absent))
@@ -432,6 +428,9 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     net_doc = _req(doc, "network", "", _object)
     cal_doc = _req(doc, "calendar", "", _object)
     n_periods = _req(cal_doc, "T", "calendar", _integer)
+    if n_periods > MAX_PERIODS:  # before a series is broadcast over them
+        raise ScenarioError(f"calendar.T: {n_periods} periods exceed the limit of "
+                            f"{MAX_PERIODS}")
     calendar = _read(MarketCalendar, cal_doc, "calendar", n_periods)
     network = _read(Network, net_doc, "network", n_periods)
     assets = {key: tuple(_read(cls, a, where, n_periods) for where, a in _entries(doc, key))
@@ -446,9 +445,9 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
         k = _convert(key, where, int)
         if str(k) != key:  # "01" and "+1" would overwrite session 1's forecast
             raise ScenarioError(f"{where}: write the session number as {str(k)!r}")
-        session = next((s for s in calendar.sessions if s.k == k), None)
-        window = n_periods - session.first_period + 1 if session else n_periods
-        idm_forecasts[k] = _read(ForecastSet, sub, where, window)
+        # by number, since the numbering is validated only after the parse
+        tau = next((s.first_period for s in calendar.sessions if s.k == k), 1)
+        idm_forecasts[k] = _read(ForecastSet, sub, where, n_periods, tau)
 
     return Scenario(network=network, **assets, calendar=calendar, dam_forecast=dam_forecast,
                     idm_forecasts=idm_forecasts, name=_req(doc, "name", "", _text, default=""))
@@ -516,8 +515,9 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
         bad(Diagnostic(f"idm{s.calendar.sessions[0].k}", "first_tau",
                        "the first intraday session must cover the full day (tau=1)"))
     ks = [sess.k for sess in s.calendar.sessions]
-    if len(set(ks)) != len(ks):
-        bad(Diagnostic("calendar", "duplicate_id", "duplicate session ids"))
+    if ks != list(range(1, len(ks) + 1)):
+        bad(Diagnostic("calendar", "session_numbering", f"sessions are numbered {ks} in "
+                       f"calendar order, expected 1..{len(ks)}"))
 
     # --- network ---
     net = s.network

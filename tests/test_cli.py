@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario, toy_doc
-from test_scenario import MALFORMED, MALFORMED_IDS, _set_leaf
+from test_scenario import MALFORMED, MALFORMED_IDS, _set_leaf, _stu_doc
 from vppopt.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -22,7 +22,9 @@ from vppopt.cli import (
 )
 from vppopt.idm import LedgerState
 from vppopt.orchestrator import check_demand_contracts
-from vppopt.scenario import MAX_SESSIONS
+from vppopt.scenario import MAX_PERIODS, MAX_SESSIONS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -36,6 +38,42 @@ def _write(tmp_path, doc, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def _swap_first_session_numbers(doc):
+    sessions, forecasts = doc["calendar"]["sessions"], doc["forecasts"]["idm"]
+    sessions[0]["k"], sessions[1]["k"] = 2, 1
+    forecasts["1"], forecasts["2"] = forecasts["2"], forecasts["1"]
+
+
+def _repeat_first_session_number(doc):
+    doc["calendar"]["sessions"][1]["k"] = 1
+    del doc["forecasts"]["idm"]["2"]
+
+
+def _two_storage_doc() -> dict:
+    """Two storage units that must end the day at least half full. Session
+    1 leaves ``sb`` without sun, so ``sb`` fails there; session 2 leaves
+    both without sun, so ``sa``, first in portfolio order, fails only
+    there."""
+    def unit(uid):
+        return _stu_doc(id=uid, bus="b1", chargeMax_th=30.0, storageCap_th=100.0,
+                        endAlphaLo=0.5, initialEnergy_th=10.0)
+
+    def sun(sa, sb):
+        return {"stuAvail_th": {"sa": sa, "sb": sb}}
+
+    return {
+        "name": "two-storage",
+        "network": {"buses": ["b1"], "mainGridBuses": ["b1"], "tradeCap": {"b1": 100.0}},
+        "dres": [], "ndres": [], "stu": [unit("sa"), unit("sb")], "demands": [],
+        "calendar": {"T": 3, "dtHours": 1.0, "damPrices": [30.0, 20.0, 40.0],
+                     "sessions": [{"k": 1, "tau": 1, "prices": [30.0, 20.0, 40.0]},
+                                  {"k": 2, "tau": 2, "prices": [20.0, 40.0]}]},
+        "forecasts": {"dam": sun([60.0] * 3, [60.0] * 3),
+                      "idm": {"1": sun([60.0] * 3, [0.0] * 3),
+                              "2": sun([0.0] * 2, [0.0] * 2)}},
+    }
 
 
 class TestMainGridBuses:
@@ -109,9 +147,14 @@ class TestValidate:
             5, float("inf")), "finite"),
         (lambda doc: doc["forecasts"]["idm"].__setitem__(
             "9", doc["forecasts"]["dam"]), "forecast_unknown_session"),
+        (_swap_first_session_numbers, "session_numbering"),
+        (_repeat_first_session_number, "session_numbering"),
+        (lambda doc: doc["calendar"].update(T=MAX_PERIODS + 1),
+         f"calendar.T: {MAX_PERIODS + 1} periods exceed the limit of {MAX_PERIODS}"),
     ] + [(lambda doc, leaf=leaf, value=value: _set_leaf(doc, leaf, value), message)
          for leaf, value, message in MALFORMED],
-        ids=["nan-price", "inf-wind", "unknown-session"] + MALFORMED_IDS)
+        ids=["nan-price", "inf-wind", "unknown-session", "swapped-numbers",
+             "repeated-number", "too-many-periods"] + MALFORMED_IDS)
     def test_rejected_before_any_solve(self, tmp_path, capsys, mutate, rule):
         doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
         mutate(doc)
@@ -128,6 +171,28 @@ class TestValidate:
             main(["validate", "--scenario", str(tmp_path / "nope.json")])
         assert err.value.code == EXIT_USAGE
         assert "cannot load scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["calendar"].update(T=10**12, damPrices=30.0),
+         "calendar.T: 1000000000000 periods exceed the limit"),
+        (lambda doc: doc["calendar"]["sessions"][0].update(tau=-10**12, prices=30.0),
+         "tau_range"),
+    ], ids=["T", "tau"])
+    def test_huge_window_exits_2_without_allocating_it(self, tmp_path, edit, message):
+        # a scalar broadcast over 10**12 periods would ask for 8 TB; the
+        # child runs under a 2 GiB address-space cap, so that fails loudly
+        doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
+        edit(doc)
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from vppopt.cli import main\n"
+                "sys.exit(main(['validate', '--scenario', sys.argv[1]]))")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code, str(_write(tmp_path, doc))],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert message in proc.stderr
 
 
 class TestRun:
@@ -256,6 +321,17 @@ class TestRun:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "r")])
         assert code == EXIT_INFEASIBLE
         assert "run stopped at idm1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["vpp", "nocoord"])
+    def test_both_modes_stop_at_the_first_failed_session(self, tmp_path, capsys, mode):
+        out = tmp_path / "r"
+        code = main(["run", "--scenario", str(_write(tmp_path, _two_storage_doc())),
+                     "--mode", mode, "--out", str(out)])
+        assert code == EXIT_INFEASIBLE
+        assert "run stopped at idm1: infeasible" in capsys.readouterr().err
+        assert json.loads((out / "profit.json").read_text())["failure"] == "idm1"
+        sessions = json.loads((out / "verify.json").read_text())["sessions"]
+        assert [sess["key"] for sess in sessions] == ["dam", "idm1"]
 
     def test_infeasible_day_ahead_exits_3(self, tmp_path, capsys):
         doc = toy_doc()
@@ -529,8 +605,7 @@ class TestReportDirectory:
 class TestConsoleScript:
     def test_installed_entry_point(self, toy_file):
         # the child finds vppopt where this suite does, installed or not
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "vppopt.cli", "validate",
                                "--scenario", str(toy_file)],
                               capture_output=True, text=True,

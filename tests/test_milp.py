@@ -45,6 +45,14 @@ def _python(code: str, *args: str) -> str:
     return proc.stdout
 
 
+def _printing_model() -> MilpModel:
+    """An instance on which HiGHS 1.12 prints a MIP debug line to the
+    process's stdout, whatever its output options say."""
+    return assemble_dam(random_stu_scenario(np.random.default_rng(0)))[0]
+
+
+PRINTING_OBJECTIVE = 6145.335451
+
 class TestSolveBasics:
     def test_trivial_lp(self):
         m = MilpModel("tiny")
@@ -194,25 +202,28 @@ class TestHighsBinding:
         free.set_objective({free.add_continuous("x"): 1.0})
         assert solve(free).dual_bound is None  # unbounded
 
+    def test_instance_prints_without_the_redirect(self):
+        # keeps the two tests below honest: were the instance silent, they
+        # would pass with no redirect at all
+        out = _python("import contextlib\nimport numpy as np\nfrom vppopt import milp\n"
+                      "from vppopt.dam import assemble_dam\n"
+                      "from vppopt.synth import random_stu_scenario\n"
+                      "milp._stdout_to_stderr = contextlib.nullcontext\n"
+                      "model, _ = assemble_dam(random_stu_scenario(np.random.default_rng(0)))\n"
+                      "print(milp.solve(model).objective)")
+        *printed, objective = out.splitlines()
+        assert any("HighsMipSolverData" in line for line in printed)
+        assert abs(float(objective) - PRINTING_OBJECTIVE) <= 1e-6 * PRINTING_OBJECTIVE
+
     def test_highs_does_not_write_to_stdout(self, capfd):
-        # instance 6 makes HiGHS 1.12 print a MIP debug line to the
-        # process's stdout whatever its output options say
-        rng = np.random.default_rng(31)
-        for _ in range(6):
-            random_stu_scenario(rng)
-        model, _ = assemble_dam(random_stu_scenario(rng))
-        sol = solve(model)
+        sol = solve(_printing_model())
         assert capfd.readouterr().out == ""
-        assert abs(sol.objective - 9765.315143) <= 1e-6 * 9765.315143
+        assert abs(sol.objective - PRINTING_OBJECTIVE) <= 1e-6 * PRINTING_OBJECTIVE
 
     def test_concurrent_solves_keep_stdout(self, capfd):
         # two threads share the redirect of fd 1; a save/restore pair per
         # solve would interleave and could leave fd 1 on stderr
-        rng = np.random.default_rng(31)
-        for _ in range(6):
-            random_stu_scenario(rng)
-        s = random_stu_scenario(rng)
-        models = [assemble_dam(s)[0] for _ in range(2)]
+        models = [_printing_model() for _ in range(2)]
         before = os.fstat(1)
         open_fds = len(os.listdir("/proc/self/fd"))
         with ThreadPoolExecutor(2) as pool:
@@ -222,7 +233,7 @@ class TestHighsBinding:
         assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
         assert len(os.listdir("/proc/self/fd")) == open_fds
         for sol in solutions:
-            assert abs(sol.objective - 9765.315143) <= 1e-6 * 9765.315143
+            assert abs(sol.objective - PRINTING_OBJECTIVE) <= 1e-6 * PRINTING_OBJECTIVE
 
     def test_redirect_holds_while_threads_overlap(self):
         def identity(fd):

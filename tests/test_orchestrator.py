@@ -19,7 +19,6 @@ from vppopt.orchestrator import (
     check_storage_conservation,
     chosen_profiles,
     passive_demand_profit,
-    recompute_profits,
     run,
     run_no_coordination,
     run_vpp,
@@ -243,6 +242,28 @@ class TestNoCoordination:
             assert abs(ledger.cumulative_trade(t) - sum(
                 r.ledger.cumulative_trade(t) for _, r in result.asset_runs) + 2.0) <= 1e-9
 
+    def test_failed_part_gives_the_merged_status(self, toy, monkeypatch):
+        # the unit (first in portfolio order) fails the day-ahead stage,
+        # the wind farm ends it with an incumbent short of optimality
+        from vppopt import orchestrator
+
+        isolated = orchestrator.run_vpp
+
+        def run_vpp_with_statuses(sub, cfg):
+            result = isolated(sub, cfg)
+            status = "infeasible" if sub.dres else "feasible"
+            first = dataclasses.replace(result.sessions[0], status=status)
+            return dataclasses.replace(
+                result, sessions=(first,), failure="dam" if sub.dres else None,
+                ledger_history=result.ledger_history[:0 if sub.dres else 1])
+
+        monkeypatch.setattr(orchestrator, "run_vpp", run_vpp_with_statuses)
+        result = run_no_coordination(toy)
+        assert result.failure == "dam"
+        assert [(r.key, r.status, r.objective) for r in result.sessions] == \
+            [("dam", "infeasible", None)]
+        assert result.ledger_history == ()
+
     def test_demand_only_portfolio_keeps_its_profits(self):
         doc = toy_doc()
         doc["dres"] = []
@@ -269,12 +290,6 @@ class TestRecompute:
         result = run_vpp(make_scenario(doc))
         assert abs(result.profits.per_session["dam"] - 860.0) <= 1e-6
         assert result.profits.max_recompute_drift() <= 1e-6
-
-    def test_history_steps_must_add_one_session(self, toy):
-        result = run_vpp(toy)
-        ledger = result.ledger_history[0]
-        with pytest.raises(ValueError, match="exactly one session"):
-            recompute_profits(toy, [ledger, ledger])
 
 
 class TestCheckers:

@@ -134,6 +134,12 @@ class TestRoundTrip:
 
 
 class TestCalendarRules:
+    def test_session_k_is_the_kth_in_calendar_order(self, toy):
+        assert toy.calendar.session(1) is toy.calendar.sessions[0]
+        for k in (0, -1, 2):  # never an index from the end
+            with pytest.raises(KeyError, match=f"no intraday session {k}"):
+                toy.calendar.session(k)
+
     def test_too_many_sessions(self):
         doc = toy_doc()
         doc["calendar"]["sessions"] = [
