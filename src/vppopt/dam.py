@@ -253,7 +253,7 @@ def build_stu_blocks(model: MilpModel, reg: VariableRegistry, s: Scenario,
         avail = {t: series[t - tau] for t in periods}
         energy, pb_on = state[a.id]
         stu_mod.build_stu_constraints(model, reg, a, periods, avail, s.dt, energy, pb_on)
-        stu_mod.build_pb_conversion(model, reg, a, periods)
+        stu_mod.build_pb_conversion(model, reg, a, periods, avail)
 
 
 def assemble_dam(s: Scenario) -> tuple[MilpModel, VariableRegistry]:

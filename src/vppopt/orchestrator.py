@@ -485,8 +485,9 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
     threshold keeps ``resolution / 2`` below it, so the challenger is
     still picked over the default at the threshold and dropped one
     resolution above it. Each held solve is verified like a run's session
-    (:func:`_day_ahead`); the held solves of all pairs are independent and
-    go through :func:`_concurrently`.
+    (:func:`_day_ahead`). Each distinct held model is solved once, so a
+    demand's default-held solve serves all of its pairs; the held solves are
+    independent and go through :func:`_concurrently`.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -496,10 +497,14 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
         raise KeyError(f"no non-default profile matches demand={demand_id} "
                        f"profile={profile_id}")
 
-    held = _concurrently([partial(_day_ahead, s, f"{d.id}/{kept.id}")
-                          for d, p in pairs for kept in (p, d.default_profile())])
+    selectors = list(dict.fromkeys(f"{d.id}/{kept.id}" for d, p in pairs
+                                   for kept in (p, d.default_profile())))
+    held = dict(zip(selectors, _concurrently([partial(_day_ahead, s, sel)
+                                              for sel in selectors])))
     out = []
-    for (d, p), (ch, _), (default, _) in zip(pairs, held[::2], held[1::2]):
+    for d, p in pairs:
+        ch, _ = held[f"{d.id}/{p.id}"]
+        default, _ = held[f"{d.id}/{d.default_profile().id}"]
         gain = ch.objective + p.cost - default.objective
         if gain <= 0:
             out.append(ThresholdEntry(d.id, p.id, "never", None, resolution))

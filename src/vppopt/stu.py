@@ -7,7 +7,10 @@ continuous interpolant through the curve's four operating breakpoints
 (minimum load, two interior breaks, full load), encoded with SOS-2
 weights that sum to the commitment: a committed block runs inside its
 operating window, and an off block has all-zero weights, so no input and
-no output. :class:`PbCurve` is the whole curve from the origin.
+no output. In each period the breakpoints are clipped at the most heat
+that can reach the block, the field's availability plus the storage's
+discharge rating, and a block that cannot reach its minimum load then is
+held off. :class:`PbCurve` is the whole curve from the origin.
 
 Builders take an explicit period window plus the storage energy and power
 block status just before it, so the same code serves the day-ahead stage
@@ -158,21 +161,34 @@ def build_stu_constraints(model: MilpModel, reg: VariableRegistry, asset: StuAss
 
 
 def build_pb_conversion(model: MilpModel, reg: VariableRegistry, asset: StuAsset,
-                        periods: Sequence[int]) -> None:
+                        periods: Sequence[int], avail: Mapping[int, float]) -> None:
     """Tie thermal input to electrical output through SOS-2 weights.
 
     The weights sit on the operating breakpoints ``pbMin .. pbMax`` and
     sum to the commitment state. A committed block therefore interpolates
     between two adjacent operating points, which also keeps its input
     within ``[pbMin, pbMax]``; an off block forces input and output to zero.
+
+    The block's input is at most ``avail[t] + dischargeMax`` (field plus
+    discharge, ``stu_pb_input``), so in each period every breakpoint above
+    ``cap = min(pbMax, avail[t] + dischargeMax)`` is moved down to ``cap``
+    with the curve's value there. The curve below ``cap`` is unchanged, so
+    the schedules the model admits stay the same while its LP relaxation
+    can no longer run a part-committed block at an unreachable load. When
+    ``cap < pbMin`` the block cannot run at all, and ``stu_u`` is fixed at 0
+    through its upper bound.
     """
     curve = pb_curve(asset)
-    breakpoints, values = curve.breakpoints[1:], curve.values[1:]
     for t in periods:
         w = [reg.id(f"{WEIGHT}{i}", asset.id, t) for i in range(1, 5)]
         ppb = reg.id(PPB, asset.id, t)
         p = reg.id(POWER, asset.id, t)
         u = reg.id(PB_ON, asset.id, t)
+
+        cap = min(asset.pb_max, avail[t] + asset.discharge_max)
+        if cap < asset.pb_min:
+            model.set_bounds(u, ub=0.0)
+        breakpoints, values = _clipped_operating_points(curve, cap)
 
         coeffs = {wi: b for wi, b in zip(w, breakpoints)}
         coeffs[ppb] = -1.0
@@ -187,3 +203,18 @@ def build_pb_conversion(model: MilpModel, reg: VariableRegistry, asset: StuAsset
         model.add_constraint(coeffs, "==", 0.0, f"stu_conv_sum.{asset.id}.t{t}")
 
         model.add_sos2(w, f"stu_sos2.{asset.id}.t{t}")
+
+
+def _clipped_operating_points(curve: PbCurve, cap: float
+                              ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The curve's operating breakpoints with each one above ``cap`` moved
+    down to ``cap``, and their values on the curve: a breakpoint at or
+    below ``cap`` keeps its own value, one above it takes the value
+    interpolated between the two breakpoints around ``cap``."""
+    b, v = curve.breakpoints, curve.values
+    if cap >= b[-1]:
+        return b[1:], v[1:]
+    i = next(i for i in range(1, len(b)) if b[i] > cap)  # b[i-1] <= cap < b[i]
+    v_cap = v[i - 1] + (cap - b[i - 1]) * (v[i] - v[i - 1]) / (b[i] - b[i - 1])
+    return (tuple(min(x, cap) for x in b[1:]),
+            tuple(y if x <= cap else v_cap for x, y in zip(b[1:], v[1:])))

@@ -1,16 +1,16 @@
 """End-to-end acceptance gates on the shipped study days and randomized
 instances.
 
-Fifteen checks, one test each: clean and fast solves of both shipped
-days, their pinned total profits and day-ahead search counts, agreement of
-the day-ahead optimizer with exhaustive enumeration, conversion-curve
-fidelity and agreement of the two SOS-2 routes, storage bookkeeping,
-demand contracts, the value of coordination, sharp profile-payment
-thresholds, inert no-news sessions, price monotonicity, results that
-concurrent solves leave as sequential ones gave them, clean day-ahead
-runs of both days on a half-hour grid (one case per day), and hourly
-day-ahead optima that stay feasible, at the same profit, on a finer grid
-(six small days).
+Sixteen checks, one test each: clean and fast solves of both shipped
+days, their pinned total profits, day-ahead and whole-run search counts,
+agreement of the day-ahead optimizer with exhaustive enumeration,
+conversion-curve fidelity and agreement of the two SOS-2 routes,
+storage bookkeeping, demand contracts, the value of coordination, sharp
+profile-payment thresholds, inert no-news sessions, price monotonicity,
+results that concurrent solves leave as sequential ones gave them, clean
+day-ahead runs of both days on a half-hour grid (one case per day), and
+hourly day-ahead optima that stay feasible, at the same profit, on a
+finer grid (six small days).
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ SHIPPED_TOTALS = {"clear": {"vpp": 35057.069660, "nocoord": 30473.354660},
                   "cloudy": {"vpp": 7032.207469, "nocoord": 1851.802469}}
 # (B&B nodes, simplex iterations) of each shipped day-ahead solve; they
 # repeat exactly on one HiGHS build
-DAY_AHEAD_COUNTS = {"clear": (3, 935), "cloudy": (5, 2172)}
+DAY_AHEAD_COUNTS = {"clear": (3, 891), "cloudy": (11, 1570)}
+# the same counts summed over every session of each shipped run
+RUN_COUNTS = {"clear": {"vpp": (16, 4701), "nocoord": (10, 2258)},
+              "cloudy": {"vpp": (32, 7260), "nocoord": (28, 4098)}}
 COUNTS_HIGHS_VERSION = "1.12.0"
 
 
@@ -171,6 +174,19 @@ class TestSolveQuality:
             dam = study[name][1].sessions[0]
             assert (dam.nodes, dam.lp_iterations) == (nodes, iterations), name
             assert dam.abs_gap <= 1e-6 * abs(dam.objective), name
+
+    @pytest.mark.skipif(_Highs().version() != COUNTS_HIGHS_VERSION,
+                        reason=f"search counts are pinned for HiGHS {COUNTS_HIGHS_VERSION}")
+    def test_run_search_counts_are_pinned(self, study, baselines):
+        """The day-ahead pin per mode over whole runs: a change that moves
+        only the intraday or the isolated-asset searches shows here."""
+        for name, want in RUN_COUNTS.items():
+            runs = {"vpp": study[name][1], "nocoord": baselines[name]}
+            for mode, (nodes, iterations) in want.items():
+                sessions = runs[mode].sessions
+                got = (sum(x.nodes for x in sessions),
+                       sum(x.lp_iterations for x in sessions))
+                assert got == (nodes, iterations), f"{name}/{mode}"
 
     def test_day_ahead_matches_exhaustive_enumeration(self):
         """Branch-and-bound agrees with brute force over every commitment

@@ -342,6 +342,17 @@ class TestRun:
         assert code == EXIT_INFEASIBLE
         assert "run stopped at dam" in capsys.readouterr().err
 
+    def test_storage_loop_that_cannot_idle_exits_3(self, tmp_path, capsys):
+        # with both loop minimums positive the unit must charge or
+        # discharge in every period; at night it cannot charge, so it
+        # discharges, and the block must run on that heat all night
+        doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
+        doc["stu"][0].update(chargeMin_th=1.0, dischargeMin_th=10.0)
+        code = main(["run", "--scenario", str(_write(tmp_path, doc)),
+                     "--sessions", "dam", "--out", str(tmp_path / "r")])
+        assert code == EXIT_INFEASIBLE
+        assert "run stopped at dam: infeasible" in capsys.readouterr().err
+
     def test_time_limit_without_incumbent_exits_4(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(SCENARIO_DIR / "clear.json"),
                      "--sessions", "dam", "--time-limit", "1e-9",

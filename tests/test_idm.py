@@ -239,27 +239,27 @@ class TestFormulationPin:
     """
 
     DAM_LP_SHA256 = {
-        "clear": "92d871e8ac2158e21c528031168b2354be073b63c4e6db2779b885677e1e0575",
-        "cloudy": "d3639d5ebaf6103aebbe90aae95d9b595d56edb8a29797fa8c14c349592f42f4",
+        "clear": "f17b9f1d84c12d6b2f7a3e41766ad28e586ce027658246d51f58300744ac559c",
+        "cloudy": "07eb79b4c5fdce675ec574eb0862b21113b73e824265a93c412e6c6e401a88ee",
     }
     IDM_LP_SHA256 = {
         "clear": {
-            1: "aee30a819028c564609e33e261e2a35b75c683269e888817c7a6984e8f4948c1",
-            2: "dca832bc49ca052f81cad05a3401e62d9e9f6d7d837166132755f27369e5760b",
-            3: "f0df6ba31186026cd1e4bb727a929d222ef5aff19c37bfa1bcebe17aa6c9f764",
-            4: "910aff9eccd3c0a7babc412de98d4243293b925f0264352f91c28dcac9e8c88e",
-            5: "3cc5ce09c985f45d32578fd7dddde05689e14229b30eca22a87e4c7c8897747b",
-            6: "41b3f065c8a60c793ae2996df30e61a0da090f5eef9b3b6b9af9f56196941deb",
-            7: "27362dcf22dffba7085044d5615e6a2d95c72ed566ec91b3b6de284966ecaca3",
+            1: "48cc5cbe2b176f3730bc06d641e969968a2201e682fe829067fa22d47ab1ae82",
+            2: "49d8f17b408d06b1ef9f39dd73d6380c9666a046f84e14ab790da17fe9e4f45e",
+            3: "992bed6105df7d3e320635c96664b66bb5f5b652da39e99b18cb4233333b7f29",
+            4: "ccb639bce7041988c2729312249d834c62dcb58fdce3e465f9243e2f3bd095f4",
+            5: "557c376db60fb38718763d14c00f7a625c61361e1bb14db2e4841335bc7224b3",
+            6: "9f4b14ca33fafed4d2f685f2e77ab15caed62623209beeb93117cdd47173fdda",
+            7: "f9045224e1f7de7b2a0c274098bcb408e1a134a10eda07e9910102d0ff354bdc",
         },
         "cloudy": {
-            1: "43cade02f1cc0e4197b744bc5f6d6c94003abecd771bd0dd831c410d38ad207b",
-            2: "6df879b020b30a2c9ac1c57ce9fd9da9edafa78eeddb5fbb90cfb2d998e8e14a",
-            3: "01de70fe0b2e74b588b68af44c45d25348273bf52ffcf5971fd09617acac0937",
-            4: "d0e3d83f0ee1df8e90f064869a0b2ecd59fc1da649f0702fe3b9ab7ae8cb670d",
-            5: "8d5b42ff4f66d7007f354696dd0545c4abe61d5bf61ccbe844d6d704d00029c1",
-            6: "0fa9724d5470f5701e19a72959fbbed5b98132a4d7f2dacaf30092cb75fd5fa0",
-            7: "5d9998f214922c7141f9f1dc85ff3bf3049e7a4d08ba43ec15d63b6ebf7a6c2b",
+            1: "2d1a26b6863819acc507bac5bed3240096bfb433f1b28c67da2a2e48f0fd0fc2",
+            2: "35b2236e943c281f65d2150dc84237ada99dcf92a47236e05d43208e49b1e212",
+            3: "42d8d3dda4c099f1e1024b37152cf47639ade0d3b520965788b256a28e65872a",
+            4: "f7b0cfd367a417083199075c9e693beb1cf05dd29824ca5661df67938e9b6a54",
+            5: "7383bc7bbe4680905ed00c83764b1f3ba284d4bb58a15a285c7ed296f11b3dde",
+            6: "ad5359dab1e2da137641063a678abbfdf4b3298d6f29cfc1a35813848dd241be",
+            7: "f52cde85dab9e8b4d8b80f7558dcf7b8ac3832c22132dfc8e875695a4772898a",
         },
     }
     # (n_vars, n_constraints, binaries) per clear-day session

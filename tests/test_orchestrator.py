@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_scenario, toy_doc
+from conftest import SCENARIO_DIR, make_scenario, toy_doc
 from vppopt.orchestrator import (
     RunConfig,
     _concurrently,
@@ -26,6 +26,7 @@ from vppopt.orchestrator import (
     single_asset_scenario,
     sweep_profile_costs,
 )
+from vppopt.scenario import load_scenario
 from vppopt.stu import CHG, DIS, ENERGY
 
 
@@ -431,6 +432,28 @@ class TestSweep:
         for cost, want in ((entry.threshold, "shift"), (entry.threshold + 1.0, "flat")):
             doc["demands"][0]["profiles"][1]["cost"] = cost
             assert chosen_profiles(make_scenario(doc))[0]["load"] == want
+
+    def test_each_distinct_held_model_is_solved_once(self, monkeypatch):
+        """Each of the cloudy day's 3 demands has 2 challengers, so 6 pairs
+        hold 9 distinct selectors: a demand's default-held solve serves both
+        of its pairs. Every break-even stays where 12 solves put it."""
+        from vppopt import orchestrator
+
+        held = []
+
+        def counted(s, selector=None):
+            held.append(selector)
+            return day_ahead(s, selector)
+
+        day_ahead = orchestrator._day_ahead
+        monkeypatch.setattr(orchestrator, "_day_ahead", counted)
+        entries = sweep_profile_costs(load_scenario(SCENARIO_DIR / "cloudy.json"),
+                                      max_cost=1200.0)
+        assert len(held) == len(set(held)) == 9
+        # in the order of the demands and their profiles in cloudy.json
+        pinned = [503.2, 202.45, 905.65, 343.0, 593.05, 140.8]
+        assert [e.status for e in entries] == ["threshold"] * 6
+        assert [e.threshold for e in entries] == pytest.approx(pinned, abs=1e-6)
 
     def test_probe_with_a_violation_is_surfaced(self, toy, monkeypatch):
         from vppopt import orchestrator

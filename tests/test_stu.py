@@ -7,7 +7,7 @@ import pytest
 
 from conftest import SCENARIO_DIR, eval_pb_oracle, make_scenario, series
 from vppopt.dam import assemble_dam
-from vppopt.milp import BINARY, reformulate_sos2_as_binary, solve, verify
+from vppopt.milp import BINARY, CONTINUOUS, reformulate_sos2_as_binary, solve, verify
 from vppopt.scenario import load_scenario
 from vppopt.stu import (
     CHG,
@@ -253,6 +253,59 @@ class TestModelStructure:
         reformulated = reformulate_sos2_as_binary(model)
         binaries = reformulated.kind.count(BINARY)
         assert binaries == 177
+
+
+class TestReachableHeat:
+    """The conversion breakpoints are clipped at the most heat that can
+    reach the block: the field's availability plus the discharge rating."""
+
+    @staticmethod
+    def _row(model, name):
+        return next(coeffs for coeffs, _, _, n in model.constraints if n == name)
+
+    def test_block_held_off_below_its_minimum_load(self):
+        # period 2: 5 from the field plus at most 10 from storage is below
+        # pbMin = 20, so the block cannot run; at a price of 50, a build
+        # that clipped the breakpoints but dropped the bound would run it
+        # at 15 MW_th
+        s = _stu_scenario([5.0, 50.0], [100.0, 5.0], dischargeMax_th=10.0)
+        model, reg, sol = _solved(s)
+        assert model.ub[reg.id(PB_ON, "csp", 1)] == 1.0
+        assert model.ub[reg.id(PB_ON, "csp", 2)] == 0.0
+        x = sol.values
+        for role in (PB_ON, PPB, POWER):
+            assert abs(x[reg.id(role, "csp", 2)]) <= 1e-9, role
+
+    def test_breakpoints_clipped_onto_the_curve(self):
+        # period 1: cap = 25 + 30 = 55 lies between the breaks at 40 and 70;
+        # period 2: cap = 80 + 30 > pbMax, so the full curve stays
+        s = _stu_scenario([10.0, 10.0], [25.0, 80.0], dischargeMax_th=30.0)
+        model, reg = assemble_dam(s)
+        curve = pb_curve(s.stu[0])
+        w = [reg.id(f"stu_w{i}", "csp", 1) for i in range(1, 5)]
+        conv_in = self._row(model, "stu_conv_in.csp.t1")
+        conv_out = self._row(model, "stu_conv_out.csp.t1")
+        clipped = [conv_in[wi] for wi in w]
+        assert clipped == [20.0, 40.0, 55.0, 55.0]
+        for wi, b in zip(w, clipped):
+            assert abs(conv_out[wi] - eval_pb_oracle(curve, b)) <= 1e-9
+        w = [reg.id(f"stu_w{i}", "csp", 2) for i in range(1, 5)]
+        conv_in = self._row(model, "stu_conv_in.csp.t2")
+        conv_out = self._row(model, "stu_conv_out.csp.t2")
+        assert [conv_in[wi] for wi in w] == list(curve.breakpoints[1:])
+        assert [conv_out[wi] for wi in w] == list(curve.values[1:])
+
+    def test_clear_day_ahead_root_gap(self):
+        # with every integrality relaxed and the SOS-2 sets dropped the
+        # clear day-ahead lies 469 EUR above its optimum; it was 1,228 EUR
+        # with the full curve offered in every period
+        model, _ = assemble_dam(load_scenario(SCENARIO_DIR / "clear.json"))
+        model.kind = [CONTINUOUS] * model.n_vars
+        model.sos2_sets = []
+        relaxed = solve(model)
+        assert relaxed.status == "optimal"
+        gap = relaxed.objective - TestOptimaPinned.SHIPPED["clear"]
+        assert 0.0 <= gap <= 600.0
 
 
 class TestOptimaPinned:
