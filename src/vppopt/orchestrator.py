@@ -4,19 +4,22 @@ the no-coordination baseline, and the profile-cost sweep.
 A VPP run solves the day-ahead model, seeds the ledger, then walks the
 calendar's intraday sessions in order, each with its own forecast set.
 Every solved session is independently re-verified. The no-coordination
-baseline gives each asset its own isolated market run (demands stay
-passive on their default profile) and folds the runs into one ledger,
-so the two modes are comparable profit-for-profit and check-for-check.
+baseline gives each asset its own isolated walk of the same sessions
+(demands stay passive on their default profile), advances the walks
+together one session at a time and folds each session into one ledger,
+so the two modes are comparable profit-for-profit and check-for-check;
+it stops, with every asset, at the first session any asset failed.
 The sweep finds, per demand profile, the largest
 payment at which the optimizer still picks it over the default, in
 closed form from two solves of the scenario's own day-ahead model with
 the choice held either way, each verified like a run's session.
 
 MILPs that do not depend on each other run at the same time
-(:func:`_concurrently`): the baseline's isolated asset runs, and the
-sweep's held day-ahead solves. HiGHS releases the GIL while it solves, so
-threads put every core to work. A VPP run stays sequential: each intraday
-session starts from the ledger the previous one left.
+(:func:`_concurrently`): the baseline's isolated asset solves of one
+session, and the sweep's held day-ahead solves. HiGHS releases the GIL
+while it solves, so threads put every core to work. The sessions
+themselves stay sequential: each intraday session starts from the ledger
+the previous one left.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from vppopt import dam as dam_mod
 from vppopt import stu as stu_mod
@@ -91,6 +94,7 @@ class RunResult:
     ledger_history: tuple[LedgerState, ...]
     profits: ProfitBreakdown
     failure: str | None = None  # session key that stopped the run
+    # nocoord: each asset's isolated run, ending at the portfolio's last session
     asset_runs: tuple[tuple[str, "RunResult"], ...] = ()
     passive_demand_profit: dict[str, float] = field(default_factory=dict)
 
@@ -265,30 +269,42 @@ def _solve_session(model: MilpModel, options: SolveOptions,
     return sol, result
 
 
-def run_vpp(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
-    """The configured sessions in order, day-ahead first: each one is
-    assembled from the ledger the previous one left, solved, verified and
-    folded into the ledger.
+# a walked session: its result and the ledger after it, None when it failed
+_Step = tuple[SessionResult, LedgerState | None]
 
-    Stops at the first session that fails to produce an assignment and
-    marks it; completed sessions keep their results.
-    """
-    cfg = cfg or RunConfig()
-    results: list[SessionResult] = []
-    history: list[LedgerState] = []
-    failure = None
+
+def _sessions(s: Scenario, cfg: RunConfig) -> Iterator[_Step]:
+    """Walk the configured sessions in order, day-ahead first: each one is
+    assembled from the ledger the previous one left, solved, verified and
+    folded into the ledger. The walk ends after the first session that
+    produces no assignment."""
+    ledger = None
     for k, key in enumerate(session_keys(s, cfg.sessions)):
         model, reg = (dam_mod.assemble_dam(s) if k == 0
-                      else assemble_idm(s, history[-1], k))
+                      else assemble_idm(s, ledger, k))
         sol, res = _solve_session(model, cfg.options, key)
-        results.append(res)
         if sol.values is None:
-            failure = key
-            break
-        history.append(ledger_from_dam(s, reg, sol) if k == 0
-                       else apply_idm(history[-1], s, k, reg, sol))
-    return RunResult(mode="vpp", sessions=tuple(results), ledger_history=tuple(history),
-                     profits=_profits(s, history), failure=failure)
+            yield res, None
+            return
+        ledger = (ledger_from_dam(s, reg, sol) if k == 0
+                  else apply_idm(ledger, s, k, reg, sol))
+        yield res, ledger
+
+
+def _run_result(s: Scenario, steps: Sequence[_Step], **kwargs) -> RunResult:
+    """The run of a session walk's ``steps``; a failed step is its failure."""
+    history = [ledger for _, ledger in steps if ledger is not None]
+    return RunResult(sessions=tuple(res for res, _ in steps), ledger_history=tuple(history),
+                     profits=_profits(s, history),
+                     failure=next((res.key for res, ledger in steps if ledger is None), None),
+                     **kwargs)
+
+
+def run_vpp(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
+    """The configured sessions in order (:func:`_sessions`). Stops at the
+    first session that fails to produce an assignment and marks it;
+    completed sessions keep their results."""
+    return _run_result(s, list(_sessions(s, cfg or RunConfig())), mode="vpp")
 
 
 # ---------------------------------------------------------------------------
@@ -371,54 +387,56 @@ _SUMMED_FIELDS = tuple(f for f in fields(SessionResult)
 def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     """Every asset bids alone; demands stay passive on the default profile.
 
-    Each generation asset gets an isolated single-bus run over the same
-    calendar and its own forecasts. The runs do not depend on each other
-    and go through :func:`_concurrently`, the storage units' (the
-    longest) first. They fold in calendar order, each session's parts in
-    portfolio order so that every sum is the sequential one, into one
-    aggregate ledger per session, so profits, their recomputation and the
-    post-hoc checks treat the baseline like a VPP run; the fold stops, like
-    :func:`run_vpp`, at the first session any asset failed. The passive
-    demand purchase costs are booked at the day-ahead stage.
+    Each generation asset walks its own session sequence
+    (:func:`_sessions`) on an isolated single-bus scenario over the same
+    calendar and its own forecasts. The walks advance together, one
+    session at a time: each session's asset solves do not depend on each
+    other and go through :func:`_concurrently`, the storage units' (the
+    longest) first, and the next session starts when all of them are
+    done. Each session's parts fold in portfolio order (so every sum is
+    the sequential one) into one aggregate ledger; profits, their
+    recomputation and the post-hoc checks thus treat the baseline like a
+    VPP run. Like :func:`run_vpp`, the run stops at the first session any
+    asset failed, and no asset solves a later one: every asset run ends
+    at the portfolio's last session. The passive demand purchase costs
+    are booked at the day-ahead stage.
     """
     cfg = cfg or RunConfig()
     keys = session_keys(s, cfg.sessions)
+    isolated = {a.id: single_asset_scenario(s, a.id) for a in s.dres + s.ndres + s.stu}
     longest_first = [a.id for a in s.stu + s.dres + s.ndres]
-    runs = dict(zip(longest_first, _concurrently(
-        [partial(run_vpp, single_asset_scenario(s, aid), cfg) for aid in longest_first])))
-    asset_runs = [(a.id, runs[a.id]) for a in s.dres + s.ndres + s.stu]
+    walks = {aid: _sessions(sub, cfg) for aid, sub in isolated.items()}
     demand_profit = {d.id: passive_demand_profit(s, d) for d in s.demands}
-
-    history: list[LedgerState] = []
-    merged_sessions = []
-    failure = None
+    rounds: list[dict[str, _Step]] = []  # each session's asset steps, portfolio order
+    steps: list[_Step] = []
     for k, key in enumerate(keys):
-        parts = [run.sessions[k] for _, run in asset_runs]
-        failed = [p for p, (_, run) in zip(parts, asset_runs) if run.failure == key]
-        if not failed:
-            history.append(_aggregate_ledger(s, keys[:k + 1],
-                                             [run.ledger_history[k] for _, run in asset_runs],
-                                             sum(demand_profit.values())))
-        merged_sessions.append(SessionResult(
+        stepped = dict(zip(longest_first, _concurrently(
+            [partial(next, walks[aid]) for aid in longest_first])))
+        rounds.append({aid: stepped[aid] for aid in isolated})
+        parts = [res for res, _ in rounds[-1].values()]
+        ledgers = [led for _, led in rounds[-1].values()]
+        failed = [p for p, led in zip(parts, ledgers) if led is None]
+        ledger = None if failed else _aggregate_ledger(s, keys[:k + 1], ledgers,
+                                                       sum(demand_profit.values()))
+        steps.append((SessionResult(
             key=key,
             # a failed part's status comes first; it is never "optimal"
             status=next((p.status for p in failed + parts if p.status != "optimal"),
                         "optimal"),
-            objective=None if failed else history[-1].objectives[key],
+            objective=None if failed else ledger.objectives[key],
             violations=tuple(v for p in parts for v in p.violations),
             # the parts' gaps add up to a bound on the aggregate's gap
             abs_gap=None if any(p.abs_gap is None for p in parts)
             else sum((p.abs_gap for p in parts), 0.0),
             **{f.name: sum((getattr(p, f.name) for p in parts), f.default)
-               for f in _SUMMED_FIELDS}))
+               for f in _SUMMED_FIELDS}), ledger))
         if failed:
-            failure = key
             break
 
-    return RunResult(mode="nocoord", sessions=tuple(merged_sessions),
-                     ledger_history=tuple(history), profits=_profits(s, history),
-                     failure=failure, asset_runs=tuple(asset_runs),
-                     passive_demand_profit=demand_profit)
+    return _run_result(s, steps, mode="nocoord", passive_demand_profit=demand_profit,
+                       asset_runs=tuple((aid, _run_result(sub, [r[aid] for r in rounds],
+                                                          mode="vpp"))
+                                        for aid, sub in isolated.items()))
 
 
 def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
@@ -446,13 +464,14 @@ class ThresholdEntry:
 def _day_ahead(s: Scenario, held: str | None = None) -> tuple[Solution, VariableRegistry]:
     """The day-ahead model of ``s``, solved and verified like a run's
     session, with the ``"<demand>/<profile>"`` selector ``held`` fixed at 1
-    when given. Raises ``RuntimeError`` when the solve ends without an
-    assignment or the assignment violates the model."""
+    when given. Raises ``RuntimeError`` when the solve ends short of a
+    proven optimum (an unproven incumbent gives no exact break-even) or
+    the assignment violates the model."""
     model, reg = dam_mod.assemble_dam(s)
     if held is not None:
         model.set_bounds(reg.id(dam_mod.DEM_U, held), lb=1.0)
     sol, result = _solve_session(model, SolveOptions(), "dam")
-    if sol.values is None:
+    if sol.status != "optimal":
         raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
     if result.violations:
         raise RuntimeError(f"day-ahead solve has {len(result.violations)} violations, "

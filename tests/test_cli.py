@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -333,6 +334,29 @@ class TestRun:
         sessions = json.loads((out / "verify.json").read_text())["sessions"]
         assert [sess["key"] for sess in sessions] == ["dam", "idm1"]
 
+    def test_no_asset_solves_past_the_portfolio_stop(self, monkeypatch):
+        # sb fails idm1, so sa stops there too although it could go on
+        from vppopt import orchestrator
+
+        solved = []
+        solve = orchestrator.solve
+
+        def recorded(model, options):
+            solved.append(model.name)
+            return solve(model, options)
+
+        monkeypatch.setattr(orchestrator, "solve", recorded)
+        result = orchestrator.run_no_coordination(make_scenario(_two_storage_doc()))
+        assert result.failure == "idm1"
+        runs = dict(result.asset_runs)
+        assert [r.key for r in runs["sa"].sessions] == ["dam", "idm1"]
+        assert runs["sa"].failure is None
+        assert [r.key for r in runs["sb"].sessions] == ["dam", "idm1"]
+        assert runs["sb"].failure == "idm1"
+        assert sum(len(r.sessions) for r in runs.values()) == 4
+        assert sorted(solved) == ["dam[two-storage:sa]", "dam[two-storage:sb]",
+                                  "idm1[two-storage:sa]", "idm1[two-storage:sb]"]
+
     def test_infeasible_day_ahead_exits_3(self, tmp_path, capsys):
         doc = toy_doc()
         doc["network"]["lines"][0]["flowLimit"] = 1.0
@@ -466,6 +490,21 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "sweep failed: day-ahead solve has 1 violations, the first "
             "constraint bal.b1.t1: residual 5.000e-01\n")
+        assert not (out / "thresholds.csv").exists()
+
+    def test_unproven_held_solve_exits_4(self, toy_file, tmp_path, capsys, monkeypatch):
+        # an incumbent short of optimality gives no exact break-even
+        from vppopt import orchestrator
+
+        solve = orchestrator.solve
+        monkeypatch.setattr(orchestrator, "solve", lambda model, options: dataclasses.replace(
+            solve(model, options), status="feasible", message="Time limit reached"))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--scenario", str(toy_file), "--demand", "load",
+                     "--profile", "shift", "--max", "50", "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err == \
+            "sweep failed: day-ahead solve failed: feasible Time limit reached\n"
         assert not (out / "thresholds.csv").exists()
 
 

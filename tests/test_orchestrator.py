@@ -247,18 +247,18 @@ class TestNoCoordination:
         # the unit (first in portfolio order) fails the day-ahead stage,
         # the wind farm ends it with an incumbent short of optimality
         from vppopt import orchestrator
+        from vppopt.milp import Solution
 
-        isolated = orchestrator.run_vpp
+        solve_session = orchestrator._solve_session
 
-        def run_vpp_with_statuses(sub, cfg):
-            result = isolated(sub, cfg)
-            status = "infeasible" if sub.dres else "feasible"
-            first = dataclasses.replace(result.sessions[0], status=status)
-            return dataclasses.replace(
-                result, sessions=(first,), failure="dam" if sub.dres else None,
-                ledger_history=result.ledger_history[:0 if sub.dres else 1])
+        def solve_with_statuses(model, options, key):
+            sol, result = solve_session(model, options, key)
+            if model.name == "dam[toy:gen]":
+                return Solution(status="infeasible"), dataclasses.replace(
+                    result, status="infeasible", objective=None)
+            return sol, dataclasses.replace(result, status="feasible")
 
-        monkeypatch.setattr(orchestrator, "run_vpp", run_vpp_with_statuses)
+        monkeypatch.setattr(orchestrator, "_solve_session", solve_with_statuses)
         result = run_no_coordination(toy)
         assert result.failure == "dam"
         assert [(r.key, r.status, r.objective) for r in result.sessions] == \
