@@ -205,6 +205,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
              f"{sess.lp_iterations} LP iterations, absGap {gap}, "
              f"{len(sess.violations)} violations)")
     _say(f"total profit: {report.total_profit:.2f}")
+    unproven = [r for r in result.sessions if r.status == "feasible"]
+    if unproven:
+        gaps = [r.abs_gap for r in unproven]
+        worst = "-" if None in gaps else f"{max(gaps):.2g}"
+        _say(f"unproven: {len(unproven)} of {len(result.sessions)} sessions ended "
+             f"feasible, worst absGap {worst}; see verify.json")
     _say(f"report written to {out_dir}")
 
     if result.failure is not None:

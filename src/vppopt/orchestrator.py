@@ -14,10 +14,12 @@ payment at which the optimizer still picks it over the default, in
 closed form from two solves of the scenario's own day-ahead model with
 the choice held either way, each verified like a run's session.
 
-MILPs that do not depend on each other run at the same time
-(:func:`_concurrently`): the baseline's isolated asset solves of one
+MILPs that do not depend on each other run at the same time on a
+:class:`_WorkerPool`: the baseline's isolated asset solves of one
 session, and the sweep's held day-ahead solves. HiGHS releases the GIL
-while it solves, so threads put every core to work. The sessions
+while it solves, so threads put every core to work. The pool's threads
+start once per run or sweep: one pool serves all of a baseline run's
+sessions, and the sweep opens one for its single batch. The sessions
 themselves stay sequential: each intraday session starts from the ledger
 the previous one left.
 """
@@ -197,54 +199,115 @@ def _profits(s: Scenario, history: Sequence[LedgerState]) -> ProfitBreakdown:
 # Independent solves
 # ---------------------------------------------------------------------------
 
-def _concurrently(tasks: Sequence[Callable[[], T]]) -> list[T]:
-    """Run independent tasks on threads; their results, in task order.
+def _pool_size(n_tasks: int) -> int:
+    """Threads besides the caller for ``n_tasks`` independent tasks: one
+    per further core, at least one."""
+    return max(min(os.cpu_count() or 1, n_tasks) - 1, 1)
 
-    The calling thread runs the first task while ``min(os.cpu_count(),
-    len(tasks)) - 1`` threads it starts (at least one) run the next ones;
-    a thread that is done takes the next task nobody has taken. Put the
-    longest task first: the caller works through it while the other
-    threads clear the rest. The outcome is the sequential loop's: the
-    earliest task in order that fails raises its error, no task is taken
-    after a failure, and none is still running when this returns or raises.
+
+class _WorkerPool:
+    """Threads that run independent tasks for the span of a ``with`` block.
+
+    ``_WorkerPool(n)`` has :func:`_pool_size` ``(n)`` threads. They start
+    at the first :meth:`map` of more than one task, serve every later one,
+    and are joined when the block ends, however it ends.
     """
-    if len(tasks) <= 1:
-        return [task() for task in tasks]
-    outcomes: list = [None] * len(tasks)  # (True, result) or (False, error)
-    untaken = iter(range(1, len(tasks)))
-    lock = threading.Lock()
-    stop = threading.Event()
 
-    def run(i: int) -> None:
-        try:
-            outcomes[i] = (True, tasks[i]())
-        except Exception as exc:
-            outcomes[i] = (False, exc)
-            stop.set()
+    def __init__(self, n_tasks: int) -> None:
+        self._size = _pool_size(n_tasks)
+        self._threads: list[threading.Thread] = []
+        self._cond = threading.Condition(threading.Lock())
+        self._work: Callable[[], None] = lambda: None  # the current map's
+        self._round = 0  # maps handed to the threads so far
+        self._pending = 0  # threads still working on the current map
+        self._closed = False
 
-    def take() -> None:
-        while not stop.is_set():
-            with lock:
-                i = next(untaken, None)
-            if i is None:
-                return
-            run(i)
+    def __enter__(self) -> _WorkerPool:
+        return self
 
-    threads = [threading.Thread(target=take)
-               for _ in range(max(min(os.cpu_count() or 1, len(tasks)) - 1, 1))]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-        take()
-    finally:
-        stop.set()
-        for thread in threads:
+    def __exit__(self, *exc_info) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        for thread in self._threads:
             thread.join()
-    for ok, value in filter(None, outcomes):
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
+
+    def _serve(self) -> None:
+        seen = 0
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._round != seen or self._closed)
+                if self._round == seen:
+                    return
+                seen, work = self._round, self._work
+            try:
+                work()
+            finally:
+                with self._cond:
+                    self._pending -= 1
+                    self._cond.notify_all()
+
+    def map(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
+        """Run independent tasks; their results, in task order.
+
+        The calling thread runs the first task while the pool's threads
+        run the next ones; a thread that is done takes the next task
+        nobody has taken. Put the longest task first: the caller works
+        through it while the threads clear the rest. The outcome is the
+        sequential loop's: the earliest task in order that raises, with
+        any exception, raises it here, no task is taken after one raised,
+        and none is still running when this returns or raises.
+        """
+        if len(tasks) <= 1:
+            return [task() for task in tasks]
+        outcomes: list = [None] * len(tasks)  # (True, result) or (False, error)
+        untaken = iter(range(1, len(tasks)))
+        # not the pool's lock: the pool keeps ``take``, and a reference back
+        # would keep the tasks and their results alive until a GC pass
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def run(i: int) -> None:
+            try:
+                outcomes[i] = (True, tasks[i]())
+            except BaseException as exc:
+                outcomes[i] = (False, exc)
+                stop.set()
+
+        def take() -> None:
+            while not stop.is_set():
+                with lock:
+                    i = next(untaken, None)
+                if i is None:
+                    return
+                run(i)
+
+        if not self._threads:
+            self._threads = [threading.Thread(target=self._serve)
+                             for _ in range(self._size)]
+            for thread in self._threads:
+                thread.start()
+        with self._cond:
+            self._work, self._pending = take, len(self._threads)
+            self._round += 1
+            self._cond.notify_all()
+        try:
+            run(0)
+            take()
+        finally:
+            stop.set()
+            with self._cond:
+                self._cond.wait_for(lambda: self._pending == 0)
+        for ok, value in filter(None, outcomes):
+            if not ok:
+                raise value
+        return [value for _, value in outcomes]
+
+
+def _concurrently(tasks: Sequence[Callable[[], T]]) -> list[T]:
+    """:meth:`_WorkerPool.map` on a pool of its own, joined on return."""
+    with _WorkerPool(len(tasks)) as pool:
+        return pool.map(tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +454,15 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     (:func:`_sessions`) on an isolated single-bus scenario over the same
     calendar and its own forecasts. The walks advance together, one
     session at a time: each session's asset solves do not depend on each
-    other and go through :func:`_concurrently`, the storage units' (the
-    longest) first, and the next session starts when all of them are
-    done. Each session's parts fold in portfolio order (so every sum is
-    the sequential one) into one aggregate ledger; profits, their
-    recomputation and the post-hoc checks thus treat the baseline like a
-    VPP run. Like :func:`run_vpp`, the run stops at the first session any
-    asset failed, and no asset solves a later one: every asset run ends
-    at the portfolio's last session. The passive demand purchase costs
-    are booked at the day-ahead stage.
+    other and go through one :class:`_WorkerPool` kept for the whole run,
+    the storage units' (the longest) first, and the next session starts
+    when all of them are done. Each session's parts fold in portfolio
+    order (so every sum is the sequential one) into one aggregate ledger;
+    profits, their recomputation and the post-hoc checks thus treat the
+    baseline like a VPP run. Like :func:`run_vpp`, the run stops at the
+    first session any asset failed, and no asset solves a later one:
+    every asset run ends at the portfolio's last session. The passive
+    demand purchase costs are booked at the day-ahead stage.
     """
     cfg = cfg or RunConfig()
     keys = session_keys(s, cfg.sessions)
@@ -409,29 +472,30 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     demand_profit = {d.id: passive_demand_profit(s, d) for d in s.demands}
     rounds: list[dict[str, _Step]] = []  # each session's asset steps, portfolio order
     steps: list[_Step] = []
-    for k, key in enumerate(keys):
-        stepped = dict(zip(longest_first, _concurrently(
-            [partial(next, walks[aid]) for aid in longest_first])))
-        rounds.append({aid: stepped[aid] for aid in isolated})
-        parts = [res for res, _ in rounds[-1].values()]
-        ledgers = [led for _, led in rounds[-1].values()]
-        failed = [p for p, led in zip(parts, ledgers) if led is None]
-        ledger = None if failed else _aggregate_ledger(s, keys[:k + 1], ledgers,
-                                                       sum(demand_profit.values()))
-        steps.append((SessionResult(
-            key=key,
-            # a failed part's status comes first; it is never "optimal"
-            status=next((p.status for p in failed + parts if p.status != "optimal"),
-                        "optimal"),
-            objective=None if failed else ledger.objectives[key],
-            violations=tuple(v for p in parts for v in p.violations),
-            # the parts' gaps add up to a bound on the aggregate's gap
-            abs_gap=None if any(p.abs_gap is None for p in parts)
-            else sum((p.abs_gap for p in parts), 0.0),
-            **{f.name: sum((getattr(p, f.name) for p in parts), f.default)
-               for f in _SUMMED_FIELDS}), ledger))
-        if failed:
-            break
+    with _WorkerPool(len(longest_first)) as pool:  # one for all sessions
+        for k, key in enumerate(keys):
+            stepped = dict(zip(longest_first, pool.map(
+                [partial(next, walks[aid]) for aid in longest_first])))
+            rounds.append({aid: stepped[aid] for aid in isolated})
+            parts = [res for res, _ in rounds[-1].values()]
+            ledgers = [led for _, led in rounds[-1].values()]
+            failed = [p for p, led in zip(parts, ledgers) if led is None]
+            ledger = None if failed else _aggregate_ledger(s, keys[:k + 1], ledgers,
+                                                           sum(demand_profit.values()))
+            steps.append((SessionResult(
+                key=key,
+                # a failed part's status comes first; it is never "optimal"
+                status=next((p.status for p in failed + parts if p.status != "optimal"),
+                            "optimal"),
+                objective=None if failed else ledger.objectives[key],
+                violations=tuple(v for p in parts for v in p.violations),
+                # the parts' gaps add up to a bound on the aggregate's gap
+                abs_gap=None if any(p.abs_gap is None for p in parts)
+                else sum((p.abs_gap for p in parts), 0.0),
+                **{f.name: sum((getattr(p, f.name) for p in parts), f.default)
+                   for f in _SUMMED_FIELDS}), ledger))
+            if failed:
+                break
 
     return _run_result(s, steps, mode="nocoord", passive_demand_profit=demand_profit,
                        asset_runs=tuple((aid, _run_result(sub, [r[aid] for r in rounds],

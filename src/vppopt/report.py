@@ -4,7 +4,8 @@
 :class:`Report`: per-period traded power for the day-ahead stage and each
 intraday session with the running position, final dispatch, storage and
 consumption series, the selected profiles, the profit decomposition and
-the verifier's sessions, checks and summary. :func:`emit_report` only
+the verifier's sessions, checks and summary, and the sessions that
+ended on an unproven incumbent. :func:`emit_report` only
 writes that file set, and removes the tables an earlier report left in
 the same directory that this one does not hold. CSV files carry 6
 decimals for humans and plotting; JSON carries full double precision for
@@ -115,10 +116,13 @@ def build_report(s: Scenario, result: RunResult) -> Report:
                 | {"violations": [str(v) for v in r.violations]} for r in result.sessions]
     summary = [f"{sess['key']}: {v}" for sess in sessions for v in sess["violations"]]
     summary.extend(f"{name}: {p}" for name, problems in checks.items() for p in problems)
+    # an unproven incumbent is an answer, not a violation: kept out of the summary
+    unproven = [r.key for r in result.sessions if r.status == "feasible"]
     return Report(tables, {
         "profit.json": profit,
         "profiles.json": profiles,
-        "verify.json": {"sessions": sessions, "checks": checks, "summary": summary},
+        "verify.json": {"sessions": sessions, "checks": checks, "summary": summary,
+                        "unproven": unproven},
     })
 
 

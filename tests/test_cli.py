@@ -386,6 +386,36 @@ class TestRun:
         assert captured.out.startswith("dam: time_limit objective=- ")
         assert "run stopped at dam: time_limit" in captured.err
 
+    @pytest.mark.parametrize("mode, gap", [("vpp", "12"), ("nocoord", "25")])
+    def test_unproven_sessions_are_listed_and_the_run_still_succeeds(
+            self, toy_file, tmp_path, capsys, monkeypatch, mode, gap):
+        from vppopt import orchestrator
+
+        solve_session = orchestrator._solve_session
+
+        def unproven_idm1(model, options, key):  # as if the time limit cut it short
+            sol, result = solve_session(model, options, key)
+            if key == "idm1":
+                sol = dataclasses.replace(sol, status="feasible")
+                result = dataclasses.replace(result, status="feasible", abs_gap=12.5)
+            return sol, result
+
+        out = tmp_path / "r"
+        args = ["run", "--scenario", str(toy_file), "--mode", mode, "--out", str(out)]
+        assert main(args) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("unproven") for line in lines)
+        assert json.loads((out / "verify.json").read_text())["unproven"] == []
+
+        monkeypatch.setattr(orchestrator, "_solve_session", unproven_idm1)
+        assert main(args) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("total profit: "))
+        assert lines[at + 1] == (f"unproven: 1 of 2 sessions ended feasible, "
+                                 f"worst absGap {gap}; see verify.json")
+        doc = json.loads((out / "verify.json").read_text())
+        assert (doc["unproven"], doc["summary"]) == (["idm1"], [])
+
     def test_solver_failure_exits_4(self, toy_file, tmp_path, capsys, monkeypatch):
         from vppopt import cli
         from vppopt.orchestrator import ProfitBreakdown, RunResult, SessionResult

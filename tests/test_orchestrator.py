@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import SCENARIO_DIR, make_scenario, toy_doc
 from vppopt.orchestrator import (
     RunConfig,
     _concurrently,
+    _WorkerPool,
     check_aggregate_balance,
     check_demand_contracts,
     check_storage_conservation,
@@ -106,6 +109,78 @@ class TestConcurrently:
         assert len(seen) == len(tasks)
         assert max(seen) <= before + _pool_size(len(tasks))
         assert threading.active_count() == before  # nothing outlives the call
+
+    def test_a_task_that_raises_any_exception_hands_it_to_the_caller(self):
+        def slow():  # keeps the caller busy, so a started thread takes the next task
+            time.sleep(0.2)
+            return 1
+
+        def leave():
+            raise SystemExit(3)
+
+        before = threading.active_count()
+        with pytest.raises(SystemExit) as info:
+            _concurrently([slow, leave])
+        assert info.value.code == 3
+        assert threading.active_count() == before
+
+
+class TestWorkerPool:
+    def test_a_failed_map_leaves_the_pool_serving(self):
+        def slow():
+            time.sleep(0.1)
+            return "slow"
+
+        def leave():
+            raise KeyboardInterrupt
+
+        with _WorkerPool(2) as pool:
+            with pytest.raises(KeyboardInterrupt):
+                pool.map([slow, leave])
+            assert pool.map([slow, lambda: "next"]) == ["slow", "next"]
+
+    def test_threads_are_joined_when_the_block_raises(self):
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            with _WorkerPool(3) as pool:
+                pool.map([lambda: 1, lambda: 2, lambda: 3])
+                raise KeyError("out")
+        assert threading.active_count() == before
+
+    def test_results_are_freed_with_the_pool_without_a_gc_pass(self):
+        class Result:
+            pass
+
+        gc.disable()
+        try:
+            with _WorkerPool(2) as pool:
+                results = pool.map([Result, Result])
+            refs = [weakref.ref(r) for r in results]
+            del pool, results
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_nocoord_run_keeps_its_threads_for_every_session(self, monkeypatch):
+        from vppopt import orchestrator
+
+        s = load_scenario(SCENARIO_DIR / "clear.json")
+        assert len(s.dres + s.ndres + s.stu) == 5
+        solvers = []
+        solve = orchestrator.solve
+
+        def recording_solve(model, options):
+            solvers.append(threading.current_thread())  # not its ident: reused
+            return solve(model, options)
+
+        monkeypatch.setattr(orchestrator, "solve", recording_solve)
+        before = threading.active_count()
+        result = run_no_coordination(s)
+        assert result.ok and len(result.sessions) == 8
+        assert len(solvers) == 40
+        others = set(solvers) - {threading.current_thread()}
+        assert 1 <= len(others) <= _pool_size(5)
+        assert threading.active_count() == before
 
 
 class TestVppRun:

@@ -304,7 +304,7 @@ class TestReportLayout:
 
         assert keys("profit.json") == profit_keys
         assert keys("profiles.json") == profile_keys
-        assert keys("verify.json") == ["sessions", "checks", "summary"]
+        assert keys("verify.json") == ["sessions", "checks", "summary", "unproven"]
 
 
 class TestNocoordReport:
