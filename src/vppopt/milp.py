@@ -119,6 +119,12 @@ class Solution:
     # size of the model HiGHS received, after the SOS-2 reformulation
     n_binaries: int = 0
     n_nonzeros: int = 0  # constraint coefficients
+    # the integer columns of that model by name, SOS-2 segment binaries
+    # included: a start for the next model (None without an assignment)
+    integers: Mapping[str, float] | None = None
+    # objective of the start completed by one LP; None without a start or
+    # when the start did not fit the model
+    start_objective: float | None = None
 
     def __post_init__(self):
         has_assignment = self.values is not None
@@ -259,6 +265,8 @@ def highs_options(options: SolveOptions) -> dict[str, object]:
         "mip_heuristic_run_rens": False,
         "mip_heuristic_run_feasibility_jump": False,
         "mip_allow_restart": False,
+        # HiGHS's default; off for a solve given a start (ScipyMilpAdapter)
+        "mip_heuristic_run_root_reduced_cost": True,
     }
 
 
@@ -355,9 +363,21 @@ class ScipyMilpAdapter:
     can make HiGHS return another optimal vertex of the LP, and the
     thermal storage has alternate optima, so the next intraday session and
     the run's total profit would move.
+
+    A MIP may be given a start: an integer assignment by column name, such
+    as the previous intraday session's :attr:`Solution.integers`. The
+    start is used only when it names every integer column with an integer
+    value inside the column's bounds, and the LP over the other columns
+    with those fixed (the polish LP) is optimal. HiGHS then gets that LP's
+    vector as its incumbent and runs without its root reduced-cost
+    sub-MIP, which would only search for one. Otherwise the MIP is solved
+    as without a start. Either way the answer is the polished optimum.
+    :attr:`Solution.start_objective` is that LP's objective; an LP given a
+    start has no integers to keep and is its own start LP.
     """
 
-    def solve(self, model: MilpModel, options: SolveOptions) -> Solution:
+    def solve(self, model: MilpModel, options: SolveOptions,
+              start: Mapping[str, float] | None = None) -> Solution:
         """Solve ``model``; its SOS-2 sets go in as segment binaries, and the
         assignment comes back on the model's own columns."""
         sos_free = reformulate_sos2_as_binary(model) if model.sos2_sets else model
@@ -365,7 +385,10 @@ class ScipyMilpAdapter:
         low = _lower(sos_free)
         size = {"n_binaries": sum(low.integer), "n_nonzeros": len(low.value)}
         is_mip = any(low.integer)
-        highs, status = self._run(low, low.lower, low.upper, low.integer, options)
+        names = [sos_free.var_name(j) for j in range(len(low.cost))] if is_mip else []
+        kept = (self._complete(low, names, start, options)
+                if is_mip and start is not None else None)
+        highs, status = self._run(low, low.lower, low.upper, low.integer, options, kept)
         info = highs.getInfo()
         stats = {"nodes": max(int(info.mip_node_count), 0) if is_mip else 0,
                  "lp_iterations": max(int(info.simplex_iteration_count), 0), **size}
@@ -379,22 +402,32 @@ class ScipyMilpAdapter:
         bound = info.mip_dual_bound if is_mip else info.objective_function_value
         if is_mip:
             values = self._polish(low, values, options)
+        objective = _objective(low, values)
+        if kept is not None:
+            start_objective = _objective(low, kept)
+        else:
+            start_objective = objective if start is not None and not is_mip else None
         return Solution(
             status="optimal" if status == _h.HighsModelStatus.kOptimal else "feasible",
-            objective=-math.fsum(map(operator.mul, low.cost, values)),
-            values=values[:model.n_vars], runtime_s=time.perf_counter() - t0,
-            message=message, dual_bound=-float(bound), **stats)
+            objective=objective, values=values[:model.n_vars],
+            runtime_s=time.perf_counter() - t0, message=message, dual_bound=-float(bound),
+            integers={name: values[j] for j, name in enumerate(names) if low.integer[j]},
+            start_objective=start_objective, **stats)
 
     @staticmethod
     def _run(low: _Lowered, lower: list[float], upper: list[float], integer: list[bool],
-             options: SolveOptions):
+             options: SolveOptions, incumbent: tuple[float, ...] | None = None):
         """Run a fresh HiGHS instance over the lowered model with these
-        column bounds and integer columns. Returns the instance and its
-        model status, ``kSolveError`` when the run fails. Raises
+        column bounds and integer columns, from ``incumbent`` when given
+        (with the root reduced-cost sub-MIP off). Returns the instance and
+        its model status, ``kSolveError`` when the run fails. Raises
         :class:`ModelError` when HiGHS does not take the model, for
         instance a coefficient beyond its ``large_matrix_value`` (1e15)."""
         highs = _h._Highs()
-        for name, value in highs_options(options).items():
+        settings = highs_options(options)
+        if incumbent is not None:
+            settings["mip_heuristic_run_root_reduced_cost"] = False
+        for name, value in settings.items():
             if highs.setOptionValue(name, value) != _h.HighsStatus.kOk:
                 raise ValueError(f"HiGHS rejected option {name}={value!r}")
         lp = _h.HighsLp()
@@ -410,10 +443,26 @@ class ScipyMilpAdapter:
         if highs.passModel(lp) == _h.HighsStatus.kError:
             largest = max(map(abs, low.value), default=0.0)
             raise ModelError(f"HiGHS refused the model (largest |coefficient| {largest:g})")
+        if incumbent is not None:
+            given = _h.HighsSolution()
+            given.col_value, given.value_valid = list(incumbent), True
+            highs.setSolution(given)
         with _stdout_to_stderr():
             if highs.run() == _h.HighsStatus.kError:
                 return highs, _h.HighsModelStatus.kSolveError
         return highs, highs.getModelStatus()
+
+    @classmethod
+    def _refit(cls, low: _Lowered, fixed: dict[int, float],
+               options: SolveOptions) -> tuple[float, ...] | None:
+        """The optimum of the LP over the columns outside ``fixed``, those
+        held at their values, on a fresh instance; None unless optimal."""
+        lower = [fixed.get(j, lb) for j, lb in enumerate(low.lower)]
+        upper = [fixed.get(j, ub) for j, ub in enumerate(low.upper)]
+        highs, status = cls._run(low, lower, upper, [False] * len(lower), options)
+        if status != _h.HighsModelStatus.kOptimal:
+            return None
+        return tuple(fixed.get(j, v) for j, v in enumerate(highs.getSolution().col_value))
 
     @classmethod
     def _polish(cls, low: _Lowered, x: tuple[float, ...],
@@ -426,12 +475,30 @@ class ScipyMilpAdapter:
         """
         snapped = {j: min(max(round(x[j], 0), low.lower[j]), low.upper[j])  # half to even
                    for j, is_int in enumerate(low.integer) if is_int}
-        lower = [snapped.get(j, lb) for j, lb in enumerate(low.lower)]
-        upper = [snapped.get(j, ub) for j, ub in enumerate(low.upper)]
-        highs, status = cls._run(low, lower, upper, [False] * len(lower), options)
-        if status != _h.HighsModelStatus.kOptimal:
-            return x
-        return tuple(snapped.get(j, v) for j, v in enumerate(highs.getSolution().col_value))
+        refit = cls._refit(low, snapped, options)
+        return x if refit is None else refit
+
+    @classmethod
+    def _complete(cls, low: _Lowered, names: list[str], start: Mapping[str, float],
+                  options: SolveOptions) -> tuple[float, ...] | None:
+        """The start's integers with the rest refit: a full incumbent, or
+        None when the start misses an integer column, gives one a value
+        that is not an integer inside its bounds, or admits no optimal
+        refit (the plan no longer fits the model)."""
+        fixed = {}
+        for j, is_int in enumerate(low.integer):
+            if is_int:
+                value = start.get(names[j])
+                if value is None or value != round(value, 0) or not (
+                        low.lower[j] <= value <= low.upper[j]):
+                    return None
+                fixed[j] = value
+        return cls._refit(low, fixed, options)
+
+
+def _objective(low: _Lowered, x: Sequence[float]) -> float:
+    """The maximization objective of a vector over the lowered columns."""
+    return -math.fsum(map(operator.mul, low.cost, x))
 
 
 _INTEGER = _h.HighsVarType.kInteger
@@ -448,10 +515,12 @@ _FAILED = {_h.HighsModelStatus.kInfeasible: "infeasible",
 # Solving, reformulation, verification
 # ---------------------------------------------------------------------------
 
-def solve(model: MilpModel, options: SolveOptions | None = None) -> Solution:
-    """Validate a model and solve it with HiGHS (:class:`ScipyMilpAdapter`)."""
+def solve(model: MilpModel, options: SolveOptions | None = None,
+          start: Mapping[str, float] | None = None) -> Solution:
+    """Validate a model and solve it with HiGHS (:class:`ScipyMilpAdapter`),
+    from ``start`` when given."""
     model.validate()
-    return ScipyMilpAdapter().solve(model, options or SolveOptions())
+    return ScipyMilpAdapter().solve(model, options or SolveOptions(), start)
 
 
 def reformulate_sos2_as_binary(model: MilpModel) -> MilpModel:

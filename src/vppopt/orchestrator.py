@@ -21,7 +21,7 @@ while it solves, so threads put every core to work. The pool's threads
 start once per run or sweep: one pool serves all of a baseline run's
 sessions, and the sweep opens one for its single batch. The sessions
 themselves stay sequential: each intraday session starts from the ledger
-the previous one left.
+the previous one left, and its solve from the previous solve's plan.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from vppopt import dam as dam_mod
 from vppopt import stu as stu_mod
@@ -54,7 +54,8 @@ class SessionResult:
     """One solved session. The fields, in this order and in camelCase,
     are the session record of ``verify.json``; a no-coordination run sums
     its assets' values of every field after ``violations`` but
-    ``abs_gap``, starting from the field's default."""
+    ``abs_gap`` and ``start_objective``, starting from the field's
+    default."""
 
     key: str  # "dam" or "idm<k>"
     status: str
@@ -69,6 +70,9 @@ class SessionResult:
     nodes: int = 0  # branch-and-bound nodes
     lp_iterations: int = 0  # simplex iterations of the MILP solve
     abs_gap: float | None = None  # |objective - dual bound|, EUR
+    # value of keeping the previous session's commitments, EUR; None
+    # without a start or when they no longer fit (Solution.start_objective)
+    start_objective: float | None = None
 
 
 @dataclass(frozen=True)
@@ -314,9 +318,9 @@ def _concurrently(tasks: Sequence[Callable[[], T]]) -> list[T]:
 # VPP pipeline
 # ---------------------------------------------------------------------------
 
-def _solve_session(model: MilpModel, options: SolveOptions,
-                   key: str) -> tuple[Solution, SessionResult]:
-    sol = solve(model, options)
+def _solve_session(model: MilpModel, options: SolveOptions, key: str,
+                   start: Mapping[str, float] | None) -> tuple[Solution, SessionResult]:
+    sol = solve(model, options, start)
     violations: tuple[Violation, ...] = ()
     if sol.values is not None:
         violations = tuple(verify(model, sol))
@@ -328,7 +332,7 @@ def _solve_session(model: MilpModel, options: SolveOptions,
                            n_vars=model.n_vars, n_constraints=model.n_constraints,
                            n_binaries=sol.n_binaries, n_nonzeros=sol.n_nonzeros,
                            nodes=sol.nodes, lp_iterations=sol.lp_iterations,
-                           abs_gap=abs_gap)
+                           abs_gap=abs_gap, start_objective=sol.start_objective)
     return sol, result
 
 
@@ -340,17 +344,22 @@ def _sessions(s: Scenario, cfg: RunConfig) -> Iterator[_Step]:
     """Walk the configured sessions in order, day-ahead first: each one is
     assembled from the ledger the previous one left, solved, verified and
     folded into the ledger. The walk ends after the first session that
-    produces no assignment."""
-    ledger = None
+    produces no assignment.
+
+    An intraday session corrects the plan the previous one left, so its
+    solve starts from that solve's integer assignment
+    (:attr:`Solution.integers`); the day-ahead solve has no start."""
+    ledger, start = None, None
     for k, key in enumerate(session_keys(s, cfg.sessions)):
         model, reg = (dam_mod.assemble_dam(s) if k == 0
                       else assemble_idm(s, ledger, k))
-        sol, res = _solve_session(model, cfg.options, key)
+        sol, res = _solve_session(model, cfg.options, key, start)
         if sol.values is None:
             yield res, None
             return
         ledger = (ledger_from_dam(s, reg, sol) if k == 0
                   else apply_idm(ledger, s, k, reg, sol))
+        start = sol.integers
         yield res, ledger
 
 
@@ -444,7 +453,7 @@ def _aggregate_ledger(s: Scenario, keys: Sequence[str], parts: Sequence[LedgerSt
 
 _SUMMED_FIELDS = tuple(f for f in fields(SessionResult)
                        if f.name not in ("key", "status", "objective", "violations",
-                                         "abs_gap"))
+                                         "abs_gap", "start_objective"))
 
 
 def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
@@ -492,6 +501,10 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
                 # the parts' gaps add up to a bound on the aggregate's gap
                 abs_gap=None if any(p.abs_gap is None for p in parts)
                 else sum((p.abs_gap for p in parts), 0.0),
+                # no asset solve, no start
+                start_objective=None if not parts or any(
+                    p.start_objective is None for p in parts)
+                else sum((p.start_objective for p in parts), 0.0),
                 **{f.name: sum((getattr(p, f.name) for p in parts), f.default)
                    for f in _SUMMED_FIELDS}), ledger))
             if failed:
@@ -534,7 +547,7 @@ def _day_ahead(s: Scenario, held: str | None = None) -> tuple[Solution, Variable
     model, reg = dam_mod.assemble_dam(s)
     if held is not None:
         model.set_bounds(reg.id(dam_mod.DEM_U, held), lb=1.0)
-    sol, result = _solve_session(model, SolveOptions(), "dam")
+    sol, result = _solve_session(model, SolveOptions(), "dam", None)
     if sol.status != "optimal":
         raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
     if result.violations:

@@ -1,16 +1,17 @@
 """End-to-end acceptance gates on the shipped study days and randomized
 instances.
 
-Sixteen checks, one test each: clean and fast solves of both shipped
+Eighteen checks, one test each: clean and fast solves of both shipped
 days, their pinned total profits, day-ahead and whole-run search counts,
-agreement of the day-ahead optimizer with exhaustive enumeration,
-conversion-curve fidelity and agreement of the two SOS-2 routes,
-storage bookkeeping, demand contracts, the value of coordination, sharp
-profile-payment thresholds, inert no-news sessions, price monotonicity,
-results that concurrent solves leave as sequential ones gave them, clean
-day-ahead runs of both days on a half-hour grid (one case per day), and
-hourly day-ahead optima that stay feasible, at the same profit, on a
-finer grid (six small days).
+intraday solves that start from the plan they correct and refuse one
+that no longer fits, agreement of the day-ahead optimizer with
+exhaustive enumeration, conversion-curve fidelity and agreement of the
+two SOS-2 routes, storage bookkeeping, demand contracts, the value of
+coordination, sharp profile-payment thresholds, inert no-news
+sessions, price monotonicity, results that concurrent solves leave as
+sequential ones gave them, clean day-ahead runs of both days on a
+half-hour grid (one case per day), and hourly day-ahead optima that stay
+feasible, at the same profit, on a finer grid (six small days).
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ SHIPPED_TOTALS = {"clear": {"vpp": 35057.069660, "nocoord": 30473.354660},
 # repeat exactly on one HiGHS build
 DAY_AHEAD_COUNTS = {"clear": (3, 891), "cloudy": (11, 1570)}
 # the same counts summed over every session of each shipped run
-RUN_COUNTS = {"clear": {"vpp": (16, 4701), "nocoord": (10, 2258)},
-              "cloudy": {"vpp": (32, 7260), "nocoord": (28, 4098)}}
+RUN_COUNTS = {"clear": {"vpp": (42, 4832), "nocoord": (18, 2174)},
+              "cloudy": {"vpp": (42, 5498), "nocoord": (28, 3363)}}
 COUNTS_HIGHS_VERSION = "1.12.0"
 
 
@@ -187,6 +188,33 @@ class TestSolveQuality:
                 got = (sum(x.nodes for x in sessions),
                        sum(x.lp_iterations for x in sessions))
                 assert got == (nodes, iterations), f"{name}/{mode}"
+
+    @pytest.mark.skipif(_Highs().version() != COUNTS_HIGHS_VERSION,
+                        reason=f"search counts are pinned for HiGHS {COUNTS_HIGHS_VERSION}")
+    def test_plans_that_no_longer_fit_give_no_start(self, study):
+        """On the cloudy day the plans of idm2 and idm3 do not fit the
+        forecasts of the next session: fixing their commitments leaves no
+        feasible LP. Those two solves get no start and search as a solve
+        without one does."""
+        sessions = {x.key: x for x in study["cloudy"][1].sessions}
+        for key, counts in (("idm3", (1, 596)), ("idm4", (3, 640))):
+            assert sessions[key].start_objective is None, key
+            assert (sessions[key].nodes, sessions[key].lp_iterations) == counts, key
+
+    def test_started_sessions_reach_at_least_their_start(self, study, baselines):
+        """Each intraday session starts from the plan it corrects, and its
+        optimum is never worth less than keeping that plan. The day-ahead
+        has no start; on the clear day every coordinated intraday session
+        starts."""
+        for name in ("clear", "cloudy"):
+            for mode, result in (("vpp", study[name][1]), ("nocoord", baselines[name])):
+                assert result.sessions[0].start_objective is None, f"{name}/{mode}"
+                for x in result.sessions[1:]:
+                    if x.start_objective is not None:
+                        slack = 1e-6 * max(1.0, abs(x.objective))
+                        assert x.objective >= x.start_objective - slack, f"{name}/{mode}/{x.key}"
+        clear = study["clear"][1].sessions
+        assert [x.start_objective is not None for x in clear] == [False] + [True] * 7
 
     def test_day_ahead_matches_exhaustive_enumeration(self):
         """Branch-and-bound agrees with brute force over every commitment

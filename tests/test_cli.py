@@ -341,9 +341,9 @@ class TestRun:
         solved = []
         solve = orchestrator.solve
 
-        def recorded(model, options):
+        def recorded(model, options, start):
             solved.append(model.name)
-            return solve(model, options)
+            return solve(model, options, start)
 
         monkeypatch.setattr(orchestrator, "solve", recorded)
         result = orchestrator.run_no_coordination(make_scenario(_two_storage_doc()))
@@ -393,8 +393,8 @@ class TestRun:
 
         solve_session = orchestrator._solve_session
 
-        def unproven_idm1(model, options, key):  # as if the time limit cut it short
-            sol, result = solve_session(model, options, key)
+        def unproven_idm1(model, options, key, start):  # as if the time limit cut it short
+            sol, result = solve_session(model, options, key, start)
             if key == "idm1":
                 sol = dataclasses.replace(sol, status="feasible")
                 result = dataclasses.replace(result, status="feasible", abs_gap=12.5)
@@ -527,8 +527,9 @@ class TestSweep:
         from vppopt import orchestrator
 
         solve = orchestrator.solve
-        monkeypatch.setattr(orchestrator, "solve", lambda model, options: dataclasses.replace(
-            solve(model, options), status="feasible", message="Time limit reached"))
+        monkeypatch.setattr(
+            orchestrator, "solve", lambda model, options, start: dataclasses.replace(
+                solve(model, options, start), status="feasible", message="Time limit reached"))
         out = tmp_path / "sweep"
         code = main(["sweep", "--scenario", str(toy_file), "--demand", "load",
                      "--profile", "shift", "--max", "50", "--out", str(out)])

@@ -172,7 +172,10 @@ class TestHighsBinding:
         from scipy.optimize._highspy._core import HighsStatus, _Highs
 
         highs = _Highs()
-        for name, value in highs_options(SolveOptions(gap_tol=1e-4, time_limit=5)).items():
+        options = highs_options(SolveOptions(gap_tol=1e-4, time_limit=5))
+        # HiGHS's default, which a solve given a start turns off
+        assert options["mip_heuristic_run_root_reduced_cost"] is True
+        for name, value in [*options.items(), ("mip_heuristic_run_root_reduced_cost", False)]:
             assert highs.setOptionValue(name, value) == HighsStatus.kOk, name
             assert highs.getOptionValue(name) == (HighsStatus.kOk, value), name
 
@@ -348,6 +351,67 @@ class TestFeasibilityJumpOff:
         assert off.nodes > 0 and off.lp_iterations > 0
         assert (off.nodes, off.lp_iterations) == (on.nodes, on.lp_iterations)
         assert off.values == on.values
+
+
+class TestStart:
+    """A start is used only when it names every integer column of the
+    model HiGHS receives with an integer value inside the column's bounds.
+    Any other start solves as no start does: the same search, the same
+    answer. A used start changes only the search path."""
+
+    @pytest.fixture(scope="class")
+    def csp(self):
+        """The lone solar-thermal day-ahead of the clear day, solved cold."""
+        scenario = single_asset_scenario(load_scenario(SCENARIO_DIR / "clear.json"), "csp")
+        model, _ = assemble_dam(scenario)
+        return model, solve(model)
+
+    def test_the_assignment_names_every_integer_column(self, csp):
+        model, cold = csp
+        assert cold.start_objective is None
+        sos_free = reformulate_sos2_as_binary(model)
+        assert set(cold.integers) == {sos_free.var_name(j) for j, kind
+                                      in enumerate(sos_free.kind) if kind == "binary"}
+        assert any(name.endswith("_seg0") for name in cold.integers)
+        assert set(cold.integers.values()) == {0.0, 1.0}
+
+    def test_a_feasible_start_reaches_the_same_optimum(self, csp):
+        model, cold = csp
+        warm = solve(model, start=cold.integers)
+        assert warm.status == "optimal" and verify(model, warm) == []
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        # the optimum's own plan: the start LP is its polish LP
+        assert warm.start_objective == pytest.approx(cold.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("spoil", ["outside_bounds", "missing", "fractional"])
+    def test_a_refused_start_solves_as_without_one(self, csp, spoil):
+        model, cold = csp
+        start = dict(cold.integers)
+        name = next(iter(start))
+        if spoil == "missing":
+            del start[name]
+        else:
+            start[name] = 2.0 if spoil == "outside_bounds" else 0.5
+        refused = solve(model, start=start)
+        assert refused.start_objective is None
+        assert (refused.nodes, refused.lp_iterations) == (cold.nodes, cold.lp_iterations)
+        assert refused.values == cold.values
+
+    def test_a_plan_that_does_not_fit_is_refused(self):
+        m = MilpModel()
+        x, y = m.add_continuous("x", ub=1.0), m.add_binary("y")
+        m.add_constraint({x: 1.0, y: -1.0}, ">=", 0.5, "needs_y_off")
+        m.set_objective({x: 1.0, y: 1.0})
+        sol = solve(m, start={"y": 1.0})
+        assert (sol.status, sol.objective, sol.start_objective) == ("optimal", 1.0, None)
+
+    def test_an_lp_is_its_own_start(self):
+        m = MilpModel()
+        x = m.add_continuous("x", ub=4.0)
+        m.set_objective({x: 2.0})
+        assert solve(m).start_objective is None
+        sol = solve(m, start={})
+        assert (sol.objective, sol.start_objective, sol.integers) == (8.0, 8.0, {})
 
 
 def _csc_reference(model: MilpModel):

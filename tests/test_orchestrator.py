@@ -169,9 +169,9 @@ class TestWorkerPool:
         solvers = []
         solve = orchestrator.solve
 
-        def recording_solve(model, options):
+        def recording_solve(model, options, start):
             solvers.append(threading.current_thread())  # not its ident: reused
-            return solve(model, options)
+            return solve(model, options, start)
 
         monkeypatch.setattr(orchestrator, "solve", recording_solve)
         before = threading.active_count()
@@ -326,8 +326,8 @@ class TestNoCoordination:
 
         solve_session = orchestrator._solve_session
 
-        def solve_with_statuses(model, options, key):
-            sol, result = solve_session(model, options, key)
+        def solve_with_statuses(model, options, key, start):
+            sol, result = solve_session(model, options, key, start)
             if model.name == "dam[toy:gen]":
                 return Solution(status="infeasible"), dataclasses.replace(
                     result, status="infeasible", objective=None)

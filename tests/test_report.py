@@ -215,7 +215,7 @@ class TestEmitAndLoad:
         for sess in sessions:
             assert list(sess) == ["key", "status", "objective", "violations", "runtimeS",
                                   "nVars", "nConstraints", "nBinaries", "nNonzeros",
-                                  "nodes", "lpIterations", "absGap"]
+                                  "nodes", "lpIterations", "absGap", "startObjective"]
             assert type(sess["runtimeS"]) is float and type(sess["absGap"]) is float
             for count in ("nVars", "nConstraints", "nBinaries", "nNonzeros", "nodes",
                           "lpIterations"):
