@@ -33,13 +33,13 @@ def main() -> None:
     print()
     print("session  window   objective   moved MWh  largest single correction")
     history = result.ledger_history
-    sessions = {f"idm{k.k}": k for k in s.calendar.sessions}
+    taus = {f"idm{k}": idm.first_period for k, idm in enumerate(s.calendar.sessions, start=1)}
     for i, sess in enumerate(result.sessions):
         if sess.key == "dam":
             print(f"dam       1..{s.n_periods} {sess.objective:11,.2f}"
                   f"          -  opening position")
             continue
-        tau = sessions[sess.key].first_period
+        tau = taus[sess.key]
         before, after = history[i - 1], history[i]
         deltas = [after.cumulative_trade(t) - before.cumulative_trade(t)
                   for t in range(1, s.n_periods + 1)]

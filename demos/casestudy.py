@@ -163,7 +163,7 @@ def _session_forecasts(cloudy: bool) -> dict:
         stu_dam = list(STU_FIELD_CLEAR)
     out = {"dam": {"ndresAvail": {"wind": list(WIND_DAM), "pv": pv_dam},
                    "stuAvail_th": {"csp": stu_dam}},
-           "idm": {}}
+           "idm": []}
     for k, tau in enumerate(SESSION_TAUS, start=1):
         wind = list(WIND_DAM)
         pv = list(pv_dam)
@@ -180,10 +180,10 @@ def _session_forecasts(cloudy: bool) -> dict:
             tweak = 0.8 if k % 2 else -0.6
             for t in range(tau, T + 1):
                 wind[t - 1] = round(wind[t - 1] + tweak, 4)
-        out["idm"][str(k)] = {
+        out["idm"].append({
             "ndresAvail": {"wind": wind[tau - 1:], "pv": pv[tau - 1:]},
             "stuAvail_th": {"csp": stu[tau - 1:]},
-        }
+        })
     return out
 
 
@@ -204,8 +204,7 @@ def _scenario_doc(cloudy: bool) -> dict:
             "tolLo": 0.10, "tolHi": 0.10,
             "rampDown": ramp, "rampUp": ramp,
         })
-    sessions = [{"k": k, "tau": tau,
-                 "prices": _session_prices(prices, k, tau, cloudy)}
+    sessions = [{"tau": tau, "prices": _session_prices(prices, k, tau, cloudy)}
                 for k, tau in enumerate(SESSION_TAUS, start=1)]
     return {
         "name": "cloudy" if cloudy else "clear",
@@ -262,15 +261,13 @@ def equal_information_variant(s: Scenario, zero_tolerance: bool = True) -> Scena
     sessions = tuple(
         replace(sess, prices=tuple(cal.dam_prices[sess.first_period - 1:]))
         for sess in cal.sessions)
-    idm_forecasts = {}
-    for sess in cal.sessions:
-        tau = sess.first_period
-        idm_forecasts[sess.k] = replace(
-            s.dam_forecast,
-            ndres_avail={aid: series[tau - 1:]
-                         for aid, series in s.dam_forecast.ndres_avail.items()},
-            stu_avail={aid: series[tau - 1:]
-                       for aid, series in s.dam_forecast.stu_avail.items()})
+    idm_forecasts = tuple(
+        replace(s.dam_forecast,
+                ndres_avail={aid: series[sess.first_period - 1:]
+                             for aid, series in s.dam_forecast.ndres_avail.items()},
+                stu_avail={aid: series[sess.first_period - 1:]
+                           for aid, series in s.dam_forecast.stu_avail.items()})
+        for sess in cal.sessions)
     demands = s.demands
     if zero_tolerance:
         demands = tuple(

@@ -48,9 +48,12 @@ def parse_sessions(text: str) -> tuple[str, ...]:
         token = token.strip()
         if ".." in token:
             lo, hi = token.split("..", 1)
-            if not (lo.startswith("idm") and hi.startswith("idm")):
-                raise ValueError(f"bad session range {token!r}")
-            first, last = int(lo[3:]), int(hi[3:])
+            try:
+                if not (lo.startswith("idm") and hi.startswith("idm")):
+                    raise ValueError
+                first, last = int(lo[3:]), int(hi[3:])
+            except ValueError:
+                raise ValueError(f"bad session range {token!r}") from None
             if first > last:
                 raise ValueError(f"bad session range {token!r}: reversed")
             if last - first >= MAX_SESSIONS:  # checked before a key is built

@@ -238,8 +238,8 @@ def assemble_idm(s: Scenario, ledger: LedgerState,
                  k: int) -> tuple[MilpModel, VariableRegistry]:
     """Complete model for intraday session k given the ledger so far, under
     the session's own forecast set."""
-    forecast = s.idm_forecasts[k]  # rule forecast_missing keeps it there
     session = s.calendar.session(k)
+    forecast = s.idm_forecasts[k - 1]  # rule forecast_count keeps it there
     tau = session.first_period
     model = MilpModel(f"idm{k}[{s.name}]" if s.name else f"idm{k}")
     reg = VariableRegistry()

@@ -413,7 +413,7 @@ def single_asset_scenario(s: Scenario, asset_id: str) -> Scenario:
         stu=tuple(a for a in s.stu if a.id == asset_id),
         demands=(),
         dam_forecast=filter_forecast(s.dam_forecast),
-        idm_forecasts={k: filter_forecast(fc) for k, fc in s.idm_forecasts.items()},
+        idm_forecasts=tuple(map(filter_forecast, s.idm_forecasts)),
     )
 
 

@@ -29,6 +29,8 @@ from typing import Any, Callable, Iterator, Mapping
 
 MAX_SESSIONS = 7  # intraday sessions a day may hold (rule `too_many_sessions`)
 MAX_PERIODS = 1440  # periods a day may hold: one day of one-minute periods
+OLD_LAYOUT = ("old scenario layout: session k is the k-th in calendar.sessions, so drop "
+              "each session's 'k' and write forecasts.idm as a list in session order")
 
 
 class ScenarioError(ValueError):
@@ -285,7 +287,8 @@ class DemandAsset:
 
 @dataclass(frozen=True)
 class IdmSession:
-    k: int = _json("k", _integer)
+    """An intraday session; the ``k``-th listed is session ``k``."""
+
     first_period: int = _json("tau", _integer)  # tau: first delivery period covered
     prices: tuple[float, ...] = _json("prices", _series)  # EUR/MWh for t = tau .. T
 
@@ -298,7 +301,7 @@ class MarketCalendar:
     sessions: tuple[IdmSession, ...] = _json("sessions", IdmSession, absent=())
 
     def session(self, k: int) -> IdmSession:
-        """The ``k``-th session in calendar order (rule `session_numbering`)."""
+        """The ``k``-th session in calendar order."""
         if not 1 <= k <= len(self.sessions):
             raise KeyError(f"no intraday session {k}")
         return self.sessions[k - 1]
@@ -327,7 +330,7 @@ class Scenario:
     demands: tuple[DemandAsset, ...]
     calendar: MarketCalendar
     dam_forecast: ForecastSet
-    idm_forecasts: Mapping[int, ForecastSet]
+    idm_forecasts: tuple[ForecastSet, ...]  # one per session, in calendar order
     name: str = ""
 
     @property
@@ -437,17 +440,15 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
               for key, cls in _ASSETS.items()}
 
     fc_doc = _req(doc, "forecasts", "", _object)
+    sessions = cal_doc.get("sessions", ())  # a list of objects, once the calendar is read
+    if isinstance(fc_doc.get("idm"), Mapping) or any("k" in sess for sess in sessions):
+        raise ScenarioError(OLD_LAYOUT)
     dam_forecast = _read(ForecastSet, _req(fc_doc, "dam", "forecasts", _object),
                          "forecasts.dam", n_periods)
-    idm_forecasts = {}
-    for key, sub in _req(fc_doc, "idm", "forecasts", _object, default={}).items():
-        where = f"forecasts.idm.{key}"
-        k = _convert(key, where, int)
-        if str(k) != key:  # "01" and "+1" would overwrite session 1's forecast
-            raise ScenarioError(f"{where}: write the session number as {str(k)!r}")
-        # by number, since the numbering is validated only after the parse
-        tau = next((s.first_period for s in calendar.sessions if s.k == k), 1)
-        idm_forecasts[k] = _read(ForecastSet, sub, where, n_periods, tau)
+    # a set past the last session has no window (tau 0); rule forecast_count reports it
+    taus = (sess.first_period for sess in calendar.sessions)
+    idm_forecasts = tuple(_read(ForecastSet, sub, where, n_periods, next(taus, 0))
+                          for where, sub in _entries(fc_doc, "idm", "forecasts"))
 
     return Scenario(network=network, **assets, calendar=calendar, dam_forecast=dam_forecast,
                     idm_forecasts=idm_forecasts, name=_req(doc, "name", "", _text, default=""))
@@ -463,7 +464,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "calendar": _write(s.calendar),
         "forecasts": {
             "dam": _write(s.dam_forecast),
-            "idm": {str(k): _write(f) for k, f in sorted(s.idm_forecasts.items())},
+            "idm": [_write(f) for f in s.idm_forecasts],
         },
     }
 
@@ -499,8 +500,8 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
         bad(Diagnostic("calendar", "too_many_sessions", f"{len(s.calendar.sessions)} intraday "
                        f"sessions exceed the limit of {MAX_SESSIONS}"))
     prev_tau = None
-    for sess in s.calendar.sessions:
-        ent = f"idm{sess.k}"
+    for k, sess in enumerate(s.calendar.sessions, start=1):
+        ent = f"idm{k}"
         if sess.first_period < 1 or sess.first_period > T:
             bad(Diagnostic(ent, "tau_range", f"tau={sess.first_period} outside 1..{T}"))
             continue
@@ -512,12 +513,8 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
             bad(Diagnostic(ent, "price_length",
                            f"prices span {len(sess.prices)} periods, expected {expected}"))
     if s.calendar.sessions and s.calendar.sessions[0].first_period != 1:
-        bad(Diagnostic(f"idm{s.calendar.sessions[0].k}", "first_tau",
+        bad(Diagnostic("idm1", "first_tau",
                        "the first intraday session must cover the full day (tau=1)"))
-    ks = [sess.k for sess in s.calendar.sessions]
-    if ks != list(range(1, len(ks) + 1)):
-        bad(Diagnostic("calendar", "session_numbering", f"sessions are numbered {ks} in "
-                       f"calendar order, expected 1..{len(ks)}"))
 
     # --- network ---
     net = s.network
@@ -652,21 +649,17 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
             bad(Diagnostic(a.id, "ramp_negative", "ramp limits must be >= 0"))
 
     # --- forecasts ---
-    sessions = {None: (s.dam_forecast, 1)}
-    for sess in s.calendar.sessions:
-        fcset = s.idm_forecasts.get(sess.k)
-        if fcset is None:
-            bad(Diagnostic(f"idm{sess.k}", "forecast_missing", "no forecast set for this session"))
-            continue
+    if len(s.idm_forecasts) != len(s.calendar.sessions):
+        bad(Diagnostic("forecasts", "forecast_count",
+                       f"forecasts.idm holds {len(s.idm_forecasts)} forecast sets for "
+                       f"{len(s.calendar.sessions)} intraday sessions"))
+    sessions = {"dam": (s.dam_forecast, 1)}
+    for k, (sess, fcset) in enumerate(zip(s.calendar.sessions, s.idm_forecasts), start=1):
         if 1 <= sess.first_period <= T:  # tau_range reports the others
-            sessions[sess.k] = (fcset, sess.first_period)
-    for k in sorted(set(s.idm_forecasts) - {sess.k for sess in s.calendar.sessions}):
-        bad(Diagnostic(f"idm{k}", "forecast_unknown_session",
-                       "forecast set given for a session the calendar does not have"))
+            sessions[f"idm{k}"] = (fcset, sess.first_period)
     ndres_ids = {a.id for a in s.ndres}
     stu_ids = {a.id for a in s.stu}
-    for key, (fcset, tau) in sessions.items():
-        label = "dam" if key is None else f"idm{key}"
+    for label, (fcset, tau) in sessions.items():
         window = T - tau + 1
         for group, known in (("ndresAvail", ndres_ids), ("stuAvail_th", stu_ids)):
             series_map = fcset.ndres_avail if group == "ndresAvail" else fcset.stu_avail

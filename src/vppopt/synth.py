@@ -87,13 +87,13 @@ def random_seller_scenario(rng: np.random.Generator, n_periods: int = 6) -> Scen
             "T": T, "dtHours": 1.0,
             "damPrices": _distinct_prices(rng, T),
             "sessions": [
-                {"k": 1, "tau": 1, "prices": _distinct_prices(rng, T)},
+                {"tau": 1, "prices": _distinct_prices(rng, T)},
             ],
         },
         "forecasts": {
             "dam": {"ndresAvail": {"wind": avail.tolist()}, "stuAvail_th": {}},
-            "idm": {"1": {"ndresAvail": {"wind": np.round(avail * 0.95, 2).tolist()},
-                          "stuAvail_th": {}}},
+            "idm": [{"ndresAvail": {"wind": np.round(avail * 0.95, 2).tolist()},
+                     "stuAvail_th": {}}],
         },
     }
     return _checked(doc)
@@ -141,7 +141,7 @@ def random_stu_scenario(rng: np.random.Generator, n_periods: int = 5) -> Scenari
                      "damPrices": _distinct_prices(rng, T, lo=5.0, hi=95.0),
                      "sessions": []},
         "forecasts": {"dam": {"ndresAvail": {}, "stuAvail_th": {"unit": avail.tolist()}},
-                      "idm": {}},
+                      "idm": []},
     }
     return _checked(doc)
 

@@ -63,14 +63,14 @@ TOY_DOC = {
         "T": 3, "dtHours": 1.0,
         "damPrices": [30.0, 20.0, 40.0],
         "sessions": [
-            {"k": 1, "tau": 1, "prices": [30.0, 20.0, 40.0]},
+            {"tau": 1, "prices": [30.0, 20.0, 40.0]},
         ],
     },
     "forecasts": {
         "dam": {"ndresAvail": {"wind": [4.0, 6.0, 5.0]}, "stuAvail_th": {}},
-        "idm": {
-            "1": {"ndresAvail": {"wind": [4.0, 6.0, 5.0]}, "stuAvail_th": {}},
-        },
+        "idm": [
+            {"ndresAvail": {"wind": [4.0, 6.0, 5.0]}, "stuAvail_th": {}},
+        ],
     },
 }
 

@@ -118,7 +118,7 @@ def _tiny_doc(prices: tuple[float, ...], initial: str) -> dict:
             "rampDown": 10.0, "rampUp": 10.0}],
         "calendar": {"T": 3, "dtHours": 1.0, "damPrices": list(prices),
                      "sessions": []},
-        "forecasts": {"dam": {"ndresAvail": {}, "stuAvail_th": {}}, "idm": {}},
+        "forecasts": {"dam": {"ndresAvail": {}, "stuAvail_th": {}}, "idm": []},
     }
 
 

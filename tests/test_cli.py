@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from vppopt.cli import (
 )
 from vppopt.idm import LedgerState
 from vppopt.orchestrator import check_demand_contracts
-from vppopt.scenario import MAX_PERIODS, MAX_SESSIONS
+from vppopt.scenario import MAX_PERIODS, MAX_SESSIONS, OLD_LAYOUT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,17 +40,6 @@ def _write(tmp_path, doc, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
-
-
-def _swap_first_session_numbers(doc):
-    sessions, forecasts = doc["calendar"]["sessions"], doc["forecasts"]["idm"]
-    sessions[0]["k"], sessions[1]["k"] = 2, 1
-    forecasts["1"], forecasts["2"] = forecasts["2"], forecasts["1"]
-
-
-def _repeat_first_session_number(doc):
-    doc["calendar"]["sessions"][1]["k"] = 1
-    del doc["forecasts"]["idm"]["2"]
 
 
 def _two_storage_doc() -> dict:
@@ -69,11 +59,10 @@ def _two_storage_doc() -> dict:
         "network": {"buses": ["b1"], "mainGridBuses": ["b1"], "tradeCap": {"b1": 100.0}},
         "dres": [], "ndres": [], "stu": [unit("sa"), unit("sb")], "demands": [],
         "calendar": {"T": 3, "dtHours": 1.0, "damPrices": [30.0, 20.0, 40.0],
-                     "sessions": [{"k": 1, "tau": 1, "prices": [30.0, 20.0, 40.0]},
-                                  {"k": 2, "tau": 2, "prices": [20.0, 40.0]}]},
+                     "sessions": [{"tau": 1, "prices": [30.0, 20.0, 40.0]},
+                                  {"tau": 2, "prices": [20.0, 40.0]}]},
         "forecasts": {"dam": sun([60.0] * 3, [60.0] * 3),
-                      "idm": {"1": sun([60.0] * 3, [0.0] * 3),
-                              "2": sun([0.0] * 2, [0.0] * 2)}},
+                      "idm": [sun([60.0] * 3, [0.0] * 3), sun([0.0] * 2, [0.0] * 2)]},
     }
 
 
@@ -111,6 +100,11 @@ class TestParseSessions:
         with pytest.raises(ValueError, match="bad session range"):
             parse_sessions("dam..idm2")
 
+    @pytest.mark.parametrize("token", ["idm1..idm", "idm1..idmx", "idm..idm2"])
+    def test_range_bound_that_is_not_a_number_is_named(self, token):
+        with pytest.raises(ValueError, match=re.escape(f"bad session range {token!r}")):
+            parse_sessions(f"dam,{token}")
+
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError, match="reversed"):
             parse_sessions("dam,idm3..idm1")
@@ -146,16 +140,16 @@ class TestValidate:
         (lambda doc: doc["calendar"]["damPrices"].__setitem__(3, float("nan")), "finite"),
         (lambda doc: doc["forecasts"]["dam"]["ndresAvail"]["wind"].__setitem__(
             5, float("inf")), "finite"),
-        (lambda doc: doc["forecasts"]["idm"].__setitem__(
-            "9", doc["forecasts"]["dam"]), "forecast_unknown_session"),
-        (_swap_first_session_numbers, "session_numbering"),
-        (_repeat_first_session_number, "session_numbering"),
+        (lambda doc: doc["forecasts"]["idm"].append(doc["forecasts"]["dam"]), "forecast_count"),
+        (lambda doc: doc["calendar"]["sessions"][0].update(k=1), OLD_LAYOUT),
+        (lambda doc: doc["forecasts"].update(idm=dict(enumerate(doc["forecasts"]["idm"], 1))),
+         OLD_LAYOUT),
         (lambda doc: doc["calendar"].update(T=MAX_PERIODS + 1),
          f"calendar.T: {MAX_PERIODS + 1} periods exceed the limit of {MAX_PERIODS}"),
     ] + [(lambda doc, leaf=leaf, value=value: _set_leaf(doc, leaf, value), message)
          for leaf, value, message in MALFORMED],
-        ids=["nan-price", "inf-wind", "unknown-session", "swapped-numbers",
-             "repeated-number", "too-many-periods"] + MALFORMED_IDS)
+        ids=["nan-price", "inf-wind", "unknown-session", "old-layout-k",
+             "old-layout-idm-object", "too-many-periods"] + MALFORMED_IDS)
     def test_rejected_before_any_solve(self, tmp_path, capsys, mutate, rule):
         doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
         mutate(doc)
@@ -275,9 +269,9 @@ class TestRun:
         """A session prefix writes the files of the sessions that ran, in
         both modes."""
         doc = toy_doc()
-        doc["calendar"]["sessions"].append({"k": 2, "tau": 2, "prices": [25.0, 35.0]})
-        doc["forecasts"]["idm"]["2"] = {"ndresAvail": {"wind": [6.0, 5.0]},
-                                        "stuAvail_th": {}}
+        doc["calendar"]["sessions"].append({"tau": 2, "prices": [25.0, 35.0]})
+        doc["forecasts"]["idm"].append({"ndresAvail": {"wind": [6.0, 5.0]},
+                                        "stuAvail_th": {}})
         path = _write(tmp_path, doc)
         written = {}
         for mode in ("vpp", "nocoord"):
@@ -317,7 +311,7 @@ class TestRun:
         doc["dres"][0]["pMin"] = 3.0
         doc["demands"][0]["tolLo"] = 0.0
         doc["demands"][0]["tolHi"] = 0.0
-        doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [0.0, 0.0, 0.0]
+        doc["forecasts"]["idm"][0]["ndresAvail"]["wind"] = [0.0, 0.0, 0.0]
         path = _write(tmp_path, doc)
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "r")])
         assert code == EXIT_INFEASIBLE
@@ -455,7 +449,7 @@ class TestRun:
     def test_demand_only_nocoord_run_lists_every_session(self, tmp_path, capsys):
         doc = toy_doc()
         doc["dres"], doc["ndres"] = [], []
-        for forecast in (doc["forecasts"]["dam"], *doc["forecasts"]["idm"].values()):
+        for forecast in (doc["forecasts"]["dam"], *doc["forecasts"]["idm"]):
             forecast["ndresAvail"] = {}
         out = tmp_path / "r"
         code = main(["run", "--scenario", str(_write(tmp_path, doc)), "--mode", "nocoord",

@@ -114,7 +114,7 @@ class TestBruteForceEnumeration:
             "calendar": {"T": 3, "dtHours": 1.0,
                          "damPrices": [30.0, 5.0, 45.0], "sessions": []},
             "forecasts": {"dam": {"ndresAvail": {}, "stuAvail_th": {}},
-                          "idm": {}},
+                          "idm": []},
         }
 
     def test_solver_meets_the_enumeration(self):
@@ -256,7 +256,7 @@ class TestDegenerateScenarios:
         doc["ndres"] = []
         doc["demands"] = []
         doc["forecasts"] = {"dam": {"ndresAvail": {}, "stuAvail_th": {}},
-                            "idm": {"1": {"ndresAvail": {}, "stuAvail_th": {}}}}
+                            "idm": [{"ndresAvail": {}, "stuAvail_th": {}}]}
         _, reg, sol = _solved(make_scenario(doc))
         assert abs(sol.objective) <= 1e-9
         assert np.allclose(series(reg, sol.values, TRADE_DAM, "vpp", T3), 0.0,

@@ -85,7 +85,7 @@ class TestSessionAdjustments:
         doc = toy_doc()
         doc["demands"][0]["tolLo"] = 0.0
         doc["demands"][0]["tolHi"] = 0.0
-        doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [4.0, 1.0, 5.0]
+        doc["forecasts"]["idm"][0]["ndresAvail"]["wind"] = [4.0, 1.0, 5.0]
         s = make_scenario(doc)
         ledger = _dam_ledger(s)
         _, reg, sol = _solved_session(s, ledger, 1)
@@ -107,7 +107,7 @@ class TestSessionAdjustments:
         doc["dres"][0]["pMin"] = 3.0
         doc["demands"][0]["tolLo"] = 0.0
         doc["demands"][0]["tolHi"] = 0.0
-        doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [0.0, 0.0, 0.0]
+        doc["forecasts"]["idm"][0]["ndresAvail"]["wind"] = [0.0, 0.0, 0.0]
         s = make_scenario(doc)
         ledger = _dam_ledger(s)
         model, _ = assemble_idm(s, ledger, 1)
@@ -118,9 +118,9 @@ class TestRecedingWindow:
     def _two_session_scenario(self):
         doc = toy_doc()
         doc["calendar"]["sessions"].append(
-            {"k": 2, "tau": 2, "prices": [20.0, 40.0]})
-        doc["forecasts"]["idm"]["2"] = {
-            "ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}}
+            {"tau": 2, "prices": [20.0, 40.0]})
+        doc["forecasts"]["idm"].append({
+            "ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}})
         return make_scenario(doc)
 
     def test_settled_periods_have_no_variables(self):
@@ -197,9 +197,9 @@ class TestLedger:
     def test_sessions_never_touch_settled_periods(self):
         doc = toy_doc()
         doc["calendar"]["sessions"].append(
-            {"k": 2, "tau": 2, "prices": [20.0, 40.0]})
-        doc["forecasts"]["idm"]["2"] = {
-            "ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}}
+            {"tau": 2, "prices": [20.0, 40.0]})
+        doc["forecasts"]["idm"].append({
+            "ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}})
         s = make_scenario(doc)
         ledger = _dam_ledger(s)
         _, reg, sol = _solved_session(s, ledger, 2)
@@ -296,17 +296,17 @@ class TestFormulationPin:
         s = self._shipped(name)
         ledger = self._default_ledger(s)
         digests = {}
-        for sess in s.calendar.sessions:
-            model, _ = assemble_idm(s, ledger, sess.k)
-            digests[sess.k] = hashlib.sha256(dump_lp(model).encode()).hexdigest()
+        for k in range(1, len(s.calendar.sessions) + 1):
+            model, _ = assemble_idm(s, ledger, k)
+            digests[k] = hashlib.sha256(dump_lp(model).encode()).hexdigest()
         assert digests == self.IDM_LP_SHA256[name]
 
     def test_clear_session_sizes(self):
         s = self._shipped("clear")
         ledger = self._default_ledger(s)
         sizes = {}
-        for sess in s.calendar.sessions:
-            model, _ = assemble_idm(s, ledger, sess.k)
+        for k in range(1, len(s.calendar.sessions) + 1):
+            model, _ = assemble_idm(s, ledger, k)
             binaries = model.kind.count(BINARY)
-            sizes[sess.k] = (model.n_vars, model.n_constraints, binaries)
+            sizes[k] = (model.n_vars, model.n_constraints, binaries)
         assert sizes == self.CLEAR_SESSION_SIZES

@@ -31,6 +31,7 @@ from vppopt.orchestrator import (
 )
 from vppopt.scenario import load_scenario
 from vppopt.stu import CHG, DIS, ENERGY
+from vppopt.synth import random_seller_scenario, random_stu_scenario
 
 
 def _priced_doc(prices=(40.0, 20.0, 30.0)):
@@ -228,7 +229,7 @@ class TestVppRun:
         doc["dres"][0]["pMin"] = 3.0
         doc["demands"][0]["tolLo"] = 0.0
         doc["demands"][0]["tolHi"] = 0.0
-        doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [0.0, 0.0, 0.0]
+        doc["forecasts"]["idm"][0]["ndresAvail"]["wind"] = [0.0, 0.0, 0.0]
         result = run_vpp(make_scenario(doc))
         assert not result.ok
         assert result.failure == "idm1"
@@ -254,7 +255,7 @@ class TestSingleAsset:
         assert [a.id for a in sub.ndres] == ["wind"]
         assert sub.demands == ()
         assert set(sub.dam_forecast.ndres_avail) == {"wind"}
-        assert set(sub.idm_forecasts[1].ndres_avail) == {"wind"}
+        assert set(sub.idm_forecasts[0].ndres_avail) == {"wind"}
 
     def test_only_generation_assets_can_be_isolated(self, toy):
         with pytest.raises(KeyError, match="not a generation asset"):
@@ -345,7 +346,7 @@ class TestNoCoordination:
         doc["dres"] = []
         doc["ndres"] = []
         doc["forecasts"]["dam"]["ndresAvail"] = {}
-        doc["forecasts"]["idm"]["1"]["ndresAvail"] = {}
+        doc["forecasts"]["idm"][0]["ndresAvail"] = {}
         s = make_scenario(doc)
         result = run_no_coordination(s)
         assert result.ok and result.asset_runs == ()
@@ -366,6 +367,31 @@ class TestRecompute:
         result = run_vpp(make_scenario(doc))
         assert abs(result.profits.per_session["dam"] - 860.0) <= 1e-6
         assert result.profits.max_recompute_drift() <= 1e-6
+
+
+class TestRandomPortfolios:
+    def test_synth_portfolios_run_clean_in_both_modes(self):
+        # stdout is not checked: one of these HiGHS solves logs a debug line
+        problems = []
+        for seed in range(20):
+            for draw in (random_seller_scenario, random_stu_scenario):
+                s = draw(np.random.default_rng(seed))
+                for mode in ("vpp", "nocoord"):
+                    result = run(s, RunConfig(mode=mode))
+                    where = f"{draw.__name__}({seed}) {mode}"
+                    if not result.ok:
+                        problems.append(f"{where}: stopped at {result.failure}")
+                        continue
+                    problems += [f"{where} {sess.key}: {sess.violations[:3]}"
+                                 for sess in result.sessions if sess.violations]
+                    drift = result.profits.max_recompute_drift()
+                    if drift > 1e-6:
+                        problems.append(f"{where}: recomputed profit drift {drift:.3e}")
+                    for check in (check_demand_contracts, check_aggregate_balance,
+                                  check_storage_conservation):
+                        problems += [f"{where} {check.__name__}: {finding}"
+                                     for finding in check(s, result.ledger)]
+        assert problems == []
 
 
 class TestCheckers:
@@ -494,7 +520,7 @@ class TestSweep:
         which makes the challenger worth 4.5 more than with the third
         profile dropped (a threshold of 27.5)."""
         doc = _priced_doc((40.0, 20.0, 5.0))
-        for fc in (doc["forecasts"]["dam"], doc["forecasts"]["idm"]["1"]):
+        for fc in (doc["forecasts"]["dam"], doc["forecasts"]["idm"][0]):
             fc["ndresAvail"]["wind"] = [4.0, 6.0, 0.0]
         doc["demands"][0]["profiles"].append(
             {"id": "light", "power": [2.0, 2.0, 0.5], "cost": 0.0})

@@ -205,7 +205,7 @@ class TestEmitAndLoad:
         doc = toy_doc()
         if not generation:
             doc["dres"], doc["ndres"] = [], []
-            for forecast in (doc["forecasts"]["dam"], *doc["forecasts"]["idm"].values()):
+            for forecast in (doc["forecasts"]["dam"], *doc["forecasts"]["idm"]):
                 forecast["ndresAvail"] = {}
         s = make_scenario(doc)
         result = run_vpp(s) if mode == "vpp" else run_no_coordination(s)

@@ -72,15 +72,6 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="on"):
             make_scenario(doc)
 
-    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0"])
-    def test_forecast_key_must_be_the_plain_session_number(self, key):
-        # int() reads each as a session number written another way ("1_0"
-        # as 10); "01" next to "1" would silently replace session 1's forecast
-        doc = toy_doc()
-        doc["forecasts"]["idm"][key] = doc["forecasts"]["dam"]
-        with pytest.raises(ScenarioError, match=re.escape(f"forecasts.idm.{key}: ")):
-            make_scenario(doc)
-
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -143,40 +134,39 @@ class TestCalendarRules:
     def test_too_many_sessions(self):
         doc = toy_doc()
         doc["calendar"]["sessions"] = [
-            {"k": k, "tau": 1, "prices": [1.0, 2.0, 3.0]} for k in range(1, 9)
+            {"tau": 1, "prices": [1.0, 2.0, 3.0]} for k in range(1, 9)
         ]
-        doc["forecasts"]["idm"] = {
-            str(k): {"ndresAvail": {"wind": [4.0, 6.0, 5.0]}, "stuAvail_th": {}}
-            for k in range(1, 9)
-        }
+        doc["forecasts"]["idm"] = [
+            {"ndresAvail": {"wind": [4.0, 6.0, 5.0]}, "stuAvail_th": {}} for _ in range(8)
+        ]
         assert "too_many_sessions" in rules(make_scenario(doc))
 
     def test_first_session_must_cover_full_horizon(self):
         doc = toy_doc()
         doc["calendar"]["sessions"][0]["tau"] = 2
         doc["calendar"]["sessions"][0]["prices"] = [20.0, 40.0]
-        doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [6.0, 5.0]
+        doc["forecasts"]["idm"][0]["ndresAvail"]["wind"] = [6.0, 5.0]
         assert "first_tau" in rules(make_scenario(doc))
 
     def test_first_tau_names_the_first_session(self):
         doc = toy_doc()
-        doc["calendar"]["sessions"] = [{"k": 3, "tau": 2, "prices": [20.0, 40.0]}]
-        doc["forecasts"]["idm"] = {"3": {"ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}}}
+        doc["calendar"]["sessions"] = [{"tau": 2, "prices": [20.0, 40.0]}]
+        doc["forecasts"]["idm"] = [{"ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}}]
         assert [d.entity for d in validate_scenario(make_scenario(doc))
-                if d.rule == "first_tau"] == ["idm3"]
+                if d.rule == "first_tau"] == ["idm1"]
 
     def test_session_windows_must_not_grow(self):
         doc = toy_doc()
         doc["calendar"]["sessions"] = [
-            {"k": 1, "tau": 1, "prices": [30.0, 20.0, 40.0]},
-            {"k": 2, "tau": 3, "prices": [40.0]},
-            {"k": 3, "tau": 2, "prices": [20.0, 40.0]},
+            {"tau": 1, "prices": [30.0, 20.0, 40.0]},
+            {"tau": 3, "prices": [40.0]},
+            {"tau": 2, "prices": [20.0, 40.0]},
         ]
-        doc["forecasts"]["idm"] = {
-            "1": {"ndresAvail": {"wind": [4.0, 6.0, 5.0]}, "stuAvail_th": {}},
-            "2": {"ndresAvail": {"wind": [5.0]}, "stuAvail_th": {}},
-            "3": {"ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}},
-        }
+        doc["forecasts"]["idm"] = [
+            {"ndresAvail": {"wind": [4.0, 6.0, 5.0]}, "stuAvail_th": {}},
+            {"ndresAvail": {"wind": [5.0]}, "stuAvail_th": {}},
+            {"ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}},
+        ]
         assert "tau_order" in rules(make_scenario(doc))
 
     def test_session_price_window_length(self):
@@ -230,7 +220,7 @@ class TestNetworkRules:
         doc = toy_doc()
         doc["ndres"][0]["id"] = "gen"
         doc["forecasts"]["dam"]["ndresAvail"] = {"gen": [4.0, 6.0, 5.0]}
-        doc["forecasts"]["idm"]["1"]["ndresAvail"] = {"gen": [4.0, 6.0, 5.0]}
+        doc["forecasts"]["idm"][0]["ndresAvail"] = {"gen": [4.0, 6.0, 5.0]}
         assert "duplicate_id" in rules(make_scenario(doc))
 
 
@@ -249,7 +239,7 @@ class TestAssetRules:
         doc = toy_doc()
         doc["stu"] = [_stu_doc(pbBreak1_th=90.0, eta3=0.2)]
         doc["forecasts"]["dam"]["stuAvail_th"] = {"csp": [50.0, 50.0, 50.0]}
-        doc["forecasts"]["idm"]["1"]["stuAvail_th"] = {"csp": [50.0, 50.0, 50.0]}
+        doc["forecasts"]["idm"][0]["stuAvail_th"] = {"csp": [50.0, 50.0, 50.0]}
         found = rules(make_scenario(doc))
         assert {"breakpoint_order", "eta_order"} <= found
 
@@ -257,7 +247,7 @@ class TestAssetRules:
         doc = toy_doc()
         doc["stu"] = [_stu_doc(endAlphaLo=0.9, endAlphaHi=0.2, initialEnergy_th=500.0)]
         doc["forecasts"]["dam"]["stuAvail_th"] = {"csp": [50.0, 50.0, 50.0]}
-        doc["forecasts"]["idm"]["1"]["stuAvail_th"] = {"csp": [50.0, 50.0, 50.0]}
+        doc["forecasts"]["idm"][0]["stuAvail_th"] = {"csp": [50.0, 50.0, 50.0]}
         found = rules(make_scenario(doc))
         assert {"alpha_window", "initial_energy"} <= found
 
@@ -323,8 +313,11 @@ class TestAssetRules:
 class TestForecastRules:
     def test_missing_session_forecast(self):
         doc = toy_doc()
-        doc["forecasts"]["idm"] = {}
-        assert "forecast_missing" in rules(make_scenario(doc))
+        doc["forecasts"]["idm"] = []
+        diags = validate_scenario(make_scenario(doc))
+        assert [(d.entity, d.rule, d.message) for d in diags] == [
+            ("forecasts", "forecast_count",
+             "forecasts.idm holds 0 forecast sets for 1 intraday sessions")]
 
     def test_missing_asset_series(self):
         doc = toy_doc()
@@ -343,19 +336,19 @@ class TestForecastRules:
 
         s = make_scenario(toy_doc())
         short = dataclasses.replace(
-            s.idm_forecasts[1], ndres_avail={"wind": (6.0, 5.0)})
-        s = dataclasses.replace(s, idm_forecasts={1: short})
+            s.idm_forecasts[0], ndres_avail={"wind": (6.0, 5.0)})
+        s = dataclasses.replace(s, idm_forecasts=(short,))
         assert "forecast_window" in rules(s)
 
     def test_negative_availability(self):
         doc = toy_doc()
-        doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [4.0, -1.0, 5.0]
+        doc["forecasts"]["idm"][0]["ndresAvail"]["wind"] = [4.0, -1.0, 5.0]
         assert "forecast_negative" in rules(make_scenario(doc))
 
     def test_availability_below_technical_minimum(self):
         doc = toy_doc()
         doc["ndres"][0]["pMin"] = [0.0, 2.0, 0.0]
-        doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [4.0, 1.0, 5.0]
+        doc["forecasts"]["idm"][0]["ndresAvail"]["wind"] = [4.0, 1.0, 5.0]
         assert "availability_below_min" in rules(make_scenario(doc))
 
 
@@ -376,10 +369,24 @@ class TestNumberAndSessionRules:
             [("forecasts.dam.ndresAvail.wind[5]", "finite")]
 
     def test_forecast_for_an_unknown_session(self):
+        # one set past the last session, of any window: the count names it
         doc = clear_doc()
-        doc["forecasts"]["idm"]["9"] = doc["forecasts"]["dam"]
+        doc["forecasts"]["idm"].append(doc["forecasts"]["idm"][-1])
         diags = validate_scenario(scenario_from_dict(doc))
-        assert [(d.entity, d.rule) for d in diags] == [("idm9", "forecast_unknown_session")]
+        assert [(d.entity, d.rule, d.message) for d in diags] == [
+            ("forecasts", "forecast_count",
+             "forecasts.idm holds 8 forecast sets for 7 intraday sessions")]
+
+    def test_intraday_forecasts_are_named_by_position(self):
+        doc = clear_doc()
+        doc["forecasts"]["idm"][2]["ndresAvail"]["wind"][5] = float("nan")
+        diags = validate_scenario(scenario_from_dict(doc))
+        assert [(d.entity, d.rule) for d in diags] == \
+            [("forecasts.idm[2].ndresAvail.wind[5]", "finite")]
+        doc["forecasts"]["idm"][1] = 7.0
+        with pytest.raises(ScenarioError,
+                           match=re.escape("forecasts.idm[1]: expected an object, got a number")):
+            scenario_from_dict(doc)
 
     def test_non_finite_parameters_are_named_by_asset(self):
         doc = toy_doc()
@@ -447,13 +454,13 @@ class TestMalformedDocuments:
         doc = toy_doc()
         window = 3 - tau + 1
         doc["calendar"]["sessions"][0].update(tau=tau, prices=[30.0] * window)
-        doc["forecasts"]["idm"]["1"]["ndresAvail"]["wind"] = [4.0] * window
+        doc["forecasts"]["idm"][0]["ndresAvail"]["wind"] = [4.0] * window
         assert "tau_range" in rules(make_scenario(doc))
 
     def test_empty_horizon_is_a_diagnostic(self):
         doc = toy_doc()
         doc["calendar"].update(T=0, damPrices=[], sessions=[])
-        doc["forecasts"] = {"dam": {"ndresAvail": {"wind": []}}, "idm": {}}
+        doc["forecasts"] = {"dam": {"ndresAvail": {"wind": []}}, "idm": []}
         for profile in doc["demands"][0]["profiles"]:
             profile["power"] = []
         assert "period_count" in rules(make_scenario(doc))

@@ -53,7 +53,7 @@ def _stu_scenario(prices, avail, **overrides):
                      "damPrices": list(prices), "sessions": []},
         "forecasts": {"dam": {"ndresAvail": {},
                               "stuAvail_th": {"csp": list(avail)}},
-                      "idm": {}},
+                      "idm": []},
     }
     return make_scenario(doc)
 
