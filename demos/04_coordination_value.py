@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from vppopt.orchestrator import RunConfig, run
+from vppopt.orchestrator import RunConfig, run, run_vpp, single_asset_scenario
 from vppopt.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -32,8 +32,9 @@ def main() -> None:
               f"{uplift:14,.2f} {rel:9.1%}")
 
         print("        isolated breakdown:")
-        for asset_id, sub in solo.asset_runs:
-            print(f"          {asset_id:<12} {sub.profits.total:12,.2f}")
+        for a in s.dres + s.ndres + s.stu:
+            alone = run_vpp(single_asset_scenario(s, a.id)).profits.total
+            print(f"          {a.id:<12} {alone:12,.2f}")
         for demand_id, profit in solo.passive_demand_profit.items():
             print(f"          {demand_id:<12} {profit:12,.2f}  (passive purchase)")
         print()

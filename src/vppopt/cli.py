@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--gap", type=_non_negative, default=1e-6, help="relative MIP gap")
     p_run.add_argument("--time-limit", type=_positive, default=60.0, help="seconds per solve")
     p_run.add_argument("--dump-model", default=None,
-                       help="write the day-ahead model in LP format to this path")
+                       help="write the coordinated day-ahead model in LP format to this path")
 
     p_sweep = sub.add_parser("sweep", help="find a profile's cost threshold")
     p_sweep.add_argument("--scenario", required=True)

@@ -100,8 +100,6 @@ class RunResult:
     ledger_history: tuple[LedgerState, ...]
     profits: ProfitBreakdown
     failure: str | None = None  # session key that stopped the run
-    # nocoord: each asset's isolated run, ending at the portfolio's last session
-    asset_runs: tuple[tuple[str, "RunResult"], ...] = ()
     passive_demand_profit: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -308,12 +306,6 @@ class _WorkerPool:
         return [value for _, value in outcomes]
 
 
-def _concurrently(tasks: Sequence[Callable[[], T]]) -> list[T]:
-    """:meth:`_WorkerPool.map` on a pool of its own, joined on return."""
-    with _WorkerPool(len(tasks)) as pool:
-        return pool.map(tasks)
-
-
 # ---------------------------------------------------------------------------
 # VPP pipeline
 # ---------------------------------------------------------------------------
@@ -469,25 +461,22 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     order (so every sum is the sequential one) into one aggregate ledger;
     profits, their recomputation and the post-hoc checks thus treat the
     baseline like a VPP run. Like :func:`run_vpp`, the run stops at the
-    first session any asset failed, and no asset solves a later one:
-    every asset run ends at the portfolio's last session. The passive
-    demand purchase costs are booked at the day-ahead stage.
+    first session any asset failed, and no asset walk goes past it. The
+    passive demand purchase costs are booked at the day-ahead stage.
     """
     cfg = cfg or RunConfig()
     keys = session_keys(s, cfg.sessions)
-    isolated = {a.id: single_asset_scenario(s, a.id) for a in s.dres + s.ndres + s.stu}
+    portfolio = [a.id for a in s.dres + s.ndres + s.stu]
     longest_first = [a.id for a in s.stu + s.dres + s.ndres]
-    walks = {aid: _sessions(sub, cfg) for aid, sub in isolated.items()}
+    walks = {aid: _sessions(single_asset_scenario(s, aid), cfg) for aid in longest_first}
     demand_profit = {d.id: passive_demand_profit(s, d) for d in s.demands}
-    rounds: list[dict[str, _Step]] = []  # each session's asset steps, portfolio order
     steps: list[_Step] = []
     with _WorkerPool(len(longest_first)) as pool:  # one for all sessions
         for k, key in enumerate(keys):
             stepped = dict(zip(longest_first, pool.map(
                 [partial(next, walks[aid]) for aid in longest_first])))
-            rounds.append({aid: stepped[aid] for aid in isolated})
-            parts = [res for res, _ in rounds[-1].values()]
-            ledgers = [led for _, led in rounds[-1].values()]
+            parts = [stepped[aid][0] for aid in portfolio]
+            ledgers = [stepped[aid][1] for aid in portfolio]
             failed = [p for p, led in zip(parts, ledgers) if led is None]
             ledger = None if failed else _aggregate_ledger(s, keys[:k + 1], ledgers,
                                                            sum(demand_profit.values()))
@@ -510,10 +499,7 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
             if failed:
                 break
 
-    return _run_result(s, steps, mode="nocoord", passive_demand_profit=demand_profit,
-                       asset_runs=tuple((aid, _run_result(sub, [r[aid] for r in rounds],
-                                                          mode="vpp"))
-                                        for aid, sub in isolated.items()))
+    return _run_result(s, steps, mode="nocoord", passive_demand_profit=demand_profit)
 
 
 def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
@@ -583,7 +569,7 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
     resolution above it. Each held solve is verified like a run's session
     (:func:`_day_ahead`). Each distinct held model is solved once, so a
     demand's default-held solve serves all of its pairs; the held solves are
-    independent and go through :func:`_concurrently`.
+    independent and go through one :class:`_WorkerPool`.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -595,8 +581,9 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
 
     selectors = list(dict.fromkeys(f"{d.id}/{kept.id}" for d, p in pairs
                                    for kept in (p, d.default_profile())))
-    held = dict(zip(selectors, _concurrently([partial(_day_ahead, s, sel)
-                                              for sel in selectors])))
+    with _WorkerPool(len(selectors)) as pool:
+        held = dict(zip(selectors, pool.map([partial(_day_ahead, s, sel)
+                                             for sel in selectors])))
     out = []
     for d, p in pairs:
         ch, _ = held[f"{d.id}/{p.id}"]

@@ -44,7 +44,6 @@ from vppopt.orchestrator import (
     chosen_profiles,
     run,
     run_vpp,
-    single_asset_scenario,
     sweep_profile_costs,
 )
 from vppopt.report import build_report
@@ -372,16 +371,22 @@ class TestEconomics:
 class TestConcurrentSolves:
     """Solving independent MILPs at the same time changes no result."""
 
-    def test_isolated_asset_runs_equal_sequential_ones(self, study, baselines):
+    def test_nocoord_run_equals_its_sequential_run(self, study, baselines, monkeypatch):
+        """The threaded baseline: sessions, ledger history and profits,
+        everything but the solve times, as one thread solving the assets
+        in turn gets them."""
+        from vppopt import orchestrator
+
+        def untimed(result):
+            return dataclasses.replace(result, sessions=tuple(
+                dataclasses.replace(r, runtime_s=0.0) for r in result.sessions))
+
+        monkeypatch.setattr(orchestrator._WorkerPool, "map",
+                            lambda self, tasks: [task() for task in tasks])
         for name in ("clear", "cloudy"):
-            s = study[name][0]
-            asset_runs = baselines[name].asset_runs
-            assert [aid for aid, _ in asset_runs] == [a.id for a in s.dres + s.ndres + s.stu]
-            for aid, got in asset_runs:
-                want = run_vpp(single_asset_scenario(s, aid))
-                assert [r.objective for r in got.sessions] == \
-                    [r.objective for r in want.sessions], f"{name}/{aid}"
-                assert got.ledger_history == want.ledger_history, f"{name}/{aid}"
+            sequential = run(study[name][0], RunConfig(mode="nocoord"))
+            assert sequential.ok and len(sequential.sessions) == 8, name
+            assert untimed(sequential) == untimed(baselines[name]), name
 
     def test_clear_day_thresholds_are_pinned(self, thresholds):
         # in the order of the demands and their profiles in clear.json

@@ -15,7 +15,6 @@ import pytest
 from conftest import SCENARIO_DIR, make_scenario, toy_doc
 from vppopt.orchestrator import (
     RunConfig,
-    _concurrently,
     _WorkerPool,
     check_aggregate_balance,
     check_demand_contracts,
@@ -43,8 +42,14 @@ def _priced_doc(prices=(40.0, 20.0, 30.0)):
 
 
 def _pool_size(n_tasks: int) -> int:
-    """Threads besides the caller that ``_concurrently`` may start."""
+    """Threads besides the caller that a ``_WorkerPool(n_tasks)`` may start."""
     return max(min(os.cpu_count() or 1, n_tasks) - 1, 1)
+
+
+def _pool_map(tasks):
+    """:meth:`_WorkerPool.map` on a pool of its own, joined on return."""
+    with _WorkerPool(len(tasks)) as pool:
+        return pool.map(tasks)
 
 
 class TestConcurrently:
@@ -54,7 +59,7 @@ class TestConcurrently:
             return i, threading.get_ident()
 
         pauses = [0.05, 0.15, 0.0, 0.1, 0.02]
-        results = _concurrently([lambda i=i, p=p: task(i, p) for i, p in enumerate(pauses)])
+        results = _pool_map([lambda i=i, p=p: task(i, p) for i, p in enumerate(pauses)])
         assert [i for i, _ in results] == list(range(len(pauses)))
         assert results[0][1] == threading.get_ident()  # the caller runs the first
 
@@ -64,7 +69,7 @@ class TestConcurrently:
             raise RuntimeError(message)
 
         with pytest.raises(RuntimeError, match="^earliest$"):
-            _concurrently([lambda: fail("earliest", 0.2), lambda: fail("later", 0.0)])
+            _pool_map([lambda: fail("earliest", 0.2), lambda: fail("later", 0.0)])
 
     def test_tasks_not_started_do_not_run_after_an_error(self):
         ran, running = [], []
@@ -82,20 +87,20 @@ class TestConcurrently:
         holds = [hold] * _pool_size(os.cpu_count() or 1)
         queued = [lambda i=i: ran.append(i) for i in range(3)]
         with pytest.raises(RuntimeError, match="stop"):
-            _concurrently([fail, *holds, *queued])
+            _pool_map([fail, *holds, *queued])
         assert running == []  # the call waited for the tasks it had started
         time.sleep(0.1)
         assert ran == []
 
     def test_a_single_task_runs_on_the_calling_thread(self):
         before = threading.active_count()
-        (ident, count), = _concurrently([lambda: (threading.get_ident(),
-                                                  threading.active_count())])
+        (ident, count), = _pool_map([lambda: (threading.get_ident(),
+                                              threading.active_count())])
         assert ident == threading.get_ident()
         assert count == before
 
     def test_no_tasks(self):
-        assert _concurrently([]) == []
+        assert _pool_map([]) == []
 
     def test_threads_stay_within_the_cores(self):
         before = threading.active_count()
@@ -106,7 +111,7 @@ class TestConcurrently:
             time.sleep(0.05)
 
         tasks = [task] * 5
-        _concurrently(tasks)
+        _pool_map(tasks)
         assert len(seen) == len(tasks)
         assert max(seen) <= before + _pool_size(len(tasks))
         assert threading.active_count() == before  # nothing outlives the call
@@ -121,7 +126,7 @@ class TestConcurrently:
 
         before = threading.active_count()
         with pytest.raises(SystemExit) as info:
-            _concurrently([slow, leave])
+            _pool_map([slow, leave])
         assert info.value.code == 3
         assert threading.active_count() == before
 
@@ -181,6 +186,26 @@ class TestWorkerPool:
         assert len(solvers) == 40
         others = set(solvers) - {threading.current_thread()}
         assert 1 <= len(others) <= _pool_size(5)
+        assert threading.active_count() == before
+
+    def test_sweep_runs_its_held_solves_on_the_pool(self, monkeypatch):
+        from vppopt import orchestrator
+
+        s = load_scenario(SCENARIO_DIR / "clear.json")
+        solvers = []
+        solve = orchestrator.solve
+
+        def recording_solve(model, options, start):
+            solvers.append(threading.current_thread())
+            return solve(model, options, start)
+
+        monkeypatch.setattr(orchestrator, "solve", recording_solve)
+        before = threading.active_count()
+        entries = sweep_profile_costs(s)
+        assert len(entries) == 6
+        assert len(solvers) == 9  # one per distinct held model
+        others = set(solvers) - {threading.current_thread()}
+        assert 1 <= len(others) <= _pool_size(9)
         assert threading.active_count() == before
 
 
@@ -274,16 +299,26 @@ class TestSingleAsset:
         assert abs(vpp.profits.total - solo.profits.total) <= 1e-9
 
 
+def _isolated_runs(s):
+    """Each generation asset's run on its own, in portfolio order: the
+    walks a no-coordination run folds."""
+    return [run_vpp(single_asset_scenario(s, a.id)) for a in s.dres + s.ndres + s.stu]
+
+
 class TestNoCoordination:
     def test_aggregate_is_the_sum_of_isolated_runs(self, toy):
         result = run_no_coordination(toy)
         assert result.ok
         assert result.mode == "nocoord"
-        assert [aid for aid, _ in result.asset_runs] == ["gen", "wind"]
         assert result.passive_demand_profit == {"load": -180.0}
-        expected_dam = sum(r.profits.per_session["dam"]
-                           for _, r in result.asset_runs) - 180.0
-        assert abs(result.profits.per_session["dam"] - expected_dam) <= 1e-9
+        alone = _isolated_runs(toy)
+        assert [r.ok for r in alone] == [True, True]
+        assert list(result.profits.per_session) == ["dam", "idm1"]
+        for key, profit in result.profits.per_session.items():
+            expected = sum(r.profits.per_session[key] for r in alone)
+            if key == "dam":
+                expected -= 180.0
+            assert abs(profit - expected) <= 1e-9, key
         # the unit earns 593 alone, wind 440, the passive load pays 180
         assert abs(result.profits.per_session["dam"] - 853.0) <= 1e-6
 
@@ -298,9 +333,10 @@ class TestNoCoordination:
         dam = result.sessions[0]
         assert dam.key == "dam"
         assert dam.status == "optimal"
-        assert dam.n_vars == sum(r.sessions[0].n_vars for _, r in result.asset_runs)
+        alone = _isolated_runs(toy)
+        assert dam.n_vars == sum(r.sessions[0].n_vars for r in alone)
         for size in ("n_binaries", "n_nonzeros"):
-            parts = [getattr(r.sessions[0], size) for _, r in result.asset_runs]
+            parts = [getattr(r.sessions[0], size) for r in alone]
             assert getattr(dam, size) == sum(parts) > 0, size
         assert abs(dam.objective - result.profits.per_session["dam"]) <= 1e-9
 
@@ -315,9 +351,10 @@ class TestNoCoordination:
         assert ledger.selected_profiles == {"load": "flat"}
         assert ledger.demand_p == {"load": (2.0, 2.0, 2.0)}
         assert set(ledger.dres_p) == {"gen"} and set(ledger.ndres_p) == {"wind"}
+        alone = _isolated_runs(toy)
         for t in range(1, 4):
             assert abs(ledger.cumulative_trade(t) - sum(
-                r.ledger.cumulative_trade(t) for _, r in result.asset_runs) + 2.0) <= 1e-9
+                r.ledger.cumulative_trade(t) for r in alone) + 2.0) <= 1e-9
 
     def test_failed_part_gives_the_merged_status(self, toy, monkeypatch):
         # the unit (first in portfolio order) fails the day-ahead stage,
@@ -341,15 +378,19 @@ class TestNoCoordination:
             [("dam", "infeasible", None)]
         assert result.ledger_history == ()
 
-    def test_demand_only_portfolio_keeps_its_profits(self):
+    def test_demand_only_portfolio_keeps_its_profits(self, monkeypatch):
+        from vppopt import orchestrator
+
         doc = toy_doc()
         doc["dres"] = []
         doc["ndres"] = []
         doc["forecasts"]["dam"]["ndresAvail"] = {}
         doc["forecasts"]["idm"][0]["ndresAvail"] = {}
         s = make_scenario(doc)
+        solved = []
+        monkeypatch.setattr(orchestrator, "solve", lambda model, *args: solved.append(model))
         result = run_no_coordination(s)
-        assert result.ok and result.asset_runs == ()
+        assert result.ok and solved == []
         assert result.profits.per_session == {"dam": -180.0, "idm1": 0.0}
         assert result.profits.recomputed == {"dam": -180.0, "idm1": 0.0}
         assert result.ledger.dam_trade == (-2.0, -2.0, -2.0)
