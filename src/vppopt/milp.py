@@ -371,7 +371,9 @@ class ScipyMilpAdapter:
     with those fixed (the polish LP) is optimal. HiGHS then gets that LP's
     vector as its incumbent and runs without its root reduced-cost
     sub-MIP, which would only search for one. Otherwise the MIP is solved
-    as without a start. Either way the answer is the polished optimum.
+    as without a start. Either way the answer is the polished optimum. A
+    MIP that keeps the start's integers would polish to the start LP's
+    vector, so that vector is the answer and the polish LP is not run.
     :attr:`Solution.start_objective` is that LP's objective; an LP given a
     start has no integers to keep and is its own start LP.
     """
@@ -379,7 +381,11 @@ class ScipyMilpAdapter:
     def solve(self, model: MilpModel, options: SolveOptions,
               start: Mapping[str, float] | None = None) -> Solution:
         """Solve ``model``; its SOS-2 sets go in as segment binaries, and the
-        assignment comes back on the model's own columns."""
+        assignment comes back on the model's own columns.
+
+        HiGHS runs once for an LP and up to three times for a MIP: the
+        start LP when given a start, the MIP, and the polish LP unless the
+        MIP kept the checked start's integers."""
         sos_free = reformulate_sos2_as_binary(model) if model.sos2_sets else model
         t0 = time.perf_counter()
         low = _lower(sos_free)
@@ -401,7 +407,7 @@ class ScipyMilpAdapter:
         values = tuple(highs.getSolution().col_value)
         bound = info.mip_dual_bound if is_mip else info.objective_function_value
         if is_mip:
-            values = self._polish(low, values, options)
+            values = self._polish(low, values, options, kept)
         objective = _objective(low, values)
         if kept is not None:
             start_objective = _objective(low, kept)
@@ -465,16 +471,22 @@ class ScipyMilpAdapter:
         return tuple(fixed.get(j, v) for j, v in enumerate(highs.getSolution().col_value))
 
     @classmethod
-    def _polish(cls, low: _Lowered, x: tuple[float, ...],
-                options: SolveOptions) -> tuple[float, ...]:
+    def _polish(cls, low: _Lowered, x: tuple[float, ...], options: SolveOptions,
+                kept: tuple[float, ...] | None) -> tuple[float, ...]:
         """Fix the integers at their rounded values and refit the rest.
 
+        Returns ``kept``, the completed start, when the rounded integers
+        are exactly its integers: the refit would be the start LP again,
+        on a fresh instance over the same arrays, so the same vector up to
+        the sign of a zero in an integer column.
         Keeps the incumbent when the refit fails, which can only happen
         through backend numerics: the rounded point is feasible whenever
         the incumbent satisfied the integrality tolerance.
         """
         snapped = {j: min(max(round(x[j], 0), low.lower[j]), low.upper[j])  # half to even
                    for j, is_int in enumerate(low.integer) if is_int}
+        if kept is not None and all(kept[j] == v for j, v in snapped.items()):
+            return kept
         refit = cls._refit(low, snapped, options)
         return x if refit is None else refit
 

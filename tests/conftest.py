@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vppopt.milp import MilpModel, Solution, SolveOptions, solve
+from vppopt.milp import MilpModel, ScipyMilpAdapter, Solution, SolveOptions, solve
 from vppopt.registry import VariableRegistry
 from vppopt.scenario import Scenario, scenario_from_dict
 from vppopt.stu import PbCurve
@@ -206,6 +206,20 @@ def eval_pb_oracle(curve: PbCurve, thermal_input: float) -> float:
         raise ValueError(
             f"thermal input {thermal_input} outside [0, {curve.breakpoints[-1]}]")
     return float(np.interp(thermal_input, curve.breakpoints, curve.values))
+
+
+def record_highs_runs(patch: pytest.MonkeyPatch) -> list[bool]:
+    """Patch the backend to record each HiGHS run it makes from now on:
+    True for a MIP run, False for an LP run (the start and polish LPs)."""
+    runs: list[bool] = []  # list.append is atomic, so threaded solves count too
+    run_highs = ScipyMilpAdapter._run
+
+    def recorded(low, lower, upper, integer, *rest):
+        runs.append(any(integer))
+        return run_highs(low, lower, upper, integer, *rest)
+
+    patch.setattr(ScipyMilpAdapter, "_run", staticmethod(recorded))
+    return runs
 
 
 def recompute_objective(model: MilpModel, values: np.ndarray) -> float:

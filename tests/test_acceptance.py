@@ -1,21 +1,23 @@
 """End-to-end acceptance gates on the shipped study days and randomized
 instances.
 
-Eighteen checks, one test each: clean and fast solves of both shipped
+Nineteen checks, one test each: clean and fast solves of both shipped
 days, their pinned total profits, day-ahead and whole-run search counts,
-intraday solves that start from the plan they correct and refuse one
-that no longer fits, agreement of the day-ahead optimizer with
-exhaustive enumeration, conversion-curve fidelity and agreement of the
-two SOS-2 routes, storage bookkeeping, demand contracts, the value of
-coordination, sharp profile-payment thresholds, inert no-news
-sessions, price monotonicity, results that concurrent solves leave as
-sequential ones gave them, clean day-ahead runs of both days on a
-half-hour grid (one case per day), and hourly day-ahead optima that stay
-feasible, at the same profit, on a finer grid (six small days).
+whole-run HiGHS run counts, intraday solves that start from the plan
+they correct and refuse one that no longer fits, agreement of the
+day-ahead optimizer with exhaustive enumeration, conversion-curve
+fidelity and agreement of the two SOS-2 routes, storage bookkeeping,
+demand contracts, the value of coordination, sharp profile-payment
+thresholds, inert no-news sessions, price monotonicity, results that
+concurrent solves leave as sequential ones gave them, clean day-ahead
+runs of both days on a half-hour grid (one case per day), and hourly
+day-ahead optima that stay feasible, at the same profit, on a finer
+grid (six small days).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import re
 import time
@@ -32,6 +34,7 @@ from conftest import (
     eval_pb_oracle,
     make_scenario,
     recompute_objective,
+    record_highs_runs,
     toy_doc,
 )
 from vppopt.dam import DRES_C0, DRES_C1, DRES_V, DRES_W, assemble_dam
@@ -70,27 +73,52 @@ DAY_AHEAD_COUNTS = {"clear": (3, 891), "cloudy": (11, 1570)}
 # the same counts summed over every session of each shipped run
 RUN_COUNTS = {"clear": {"vpp": (42, 4832), "nocoord": (18, 2174)},
               "cloudy": {"vpp": (42, 5498), "nocoord": (28, 3363)}}
+# (MIP runs, LP runs) of HiGHS over each shipped run: a started session
+# whose MIP keeps its plan runs the start LP and the MIP, one that moves
+# off it a polish LP too
+HIGHS_RUNS = {"clear": {"vpp": (8, 8), "nocoord": (24, 40)},
+              "cloudy": {"vpp": (8, 11), "nocoord": (24, 44)}}
 COUNTS_HIGHS_VERSION = "1.12.0"
 
 
+@contextlib.contextmanager
+def _highs_runs(into: dict, key: tuple[str, str]):
+    """Count the HiGHS runs made inside the block, MIP and LP apart, into
+    ``into[key]``."""
+    with pytest.MonkeyPatch.context() as patch:
+        runs = record_highs_runs(patch)
+        yield
+    into[key] = (sum(runs), len(runs) - sum(runs))
+
+
 @pytest.fixture(scope="module")
-def study():
+def highs_runs():
+    """HiGHS runs per (day, mode), counted by ``study`` and ``baselines``."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def study(highs_runs):
     """Both shipped days solved in coordinated mode, with wall times."""
     out = {}
     for name in ("clear", "cloudy"):
         s = load_scenario(SCENARIO_DIR / f"{name}.json")
-        t0 = time.perf_counter()
-        result = run(s, RunConfig(mode="vpp"))
-        out[name] = (s, result, time.perf_counter() - t0)
+        with _highs_runs(highs_runs, (name, "vpp")):
+            t0 = time.perf_counter()
+            result = run(s, RunConfig(mode="vpp"))
+            out[name] = (s, result, time.perf_counter() - t0)
     return out
 
 
 @pytest.fixture(scope="module")
-def baselines():
+def baselines(highs_runs):
     """Both shipped days with every asset bidding alone."""
-    return {name: run(load_scenario(SCENARIO_DIR / f"{name}.json"),
-                      RunConfig(mode="nocoord"))
-            for name in ("clear", "cloudy")}
+    out = {}
+    for name in ("clear", "cloudy"):
+        with _highs_runs(highs_runs, (name, "nocoord")):
+            out[name] = run(load_scenario(SCENARIO_DIR / f"{name}.json"),
+                            RunConfig(mode="nocoord"))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +215,16 @@ class TestSolveQuality:
                 got = (sum(x.nodes for x in sessions),
                        sum(x.lp_iterations for x in sessions))
                 assert got == (nodes, iterations), f"{name}/{mode}"
+
+    @pytest.mark.skipif(_Highs().version() != COUNTS_HIGHS_VERSION,
+                        reason=f"search counts are pinned for HiGHS {COUNTS_HIGHS_VERSION}")
+    def test_highs_run_counts_are_pinned(self, study, baselines, highs_runs):
+        """A started session runs the polish LP only when its MIP moved
+        off the kept plan. On the clear day every coordinated intraday
+        session keeps it: 8 MIPs, 7 start LPs and the day-ahead's polish."""
+        for name, want in HIGHS_RUNS.items():
+            for mode, counts in want.items():
+                assert highs_runs[name, mode] == counts, f"{name}/{mode}"
 
     @pytest.mark.skipif(_Highs().version() != COUNTS_HIGHS_VERSION,
                         reason=f"search counts are pinned for HiGHS {COUNTS_HIGHS_VERSION}")

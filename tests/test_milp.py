@@ -14,7 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, Sos2EnumerationAdapter, recompute_objective
+from conftest import (
+    SCENARIO_DIR,
+    Sos2EnumerationAdapter,
+    recompute_objective,
+    record_highs_runs,
+)
 from vppopt import milp
 from vppopt.dam import assemble_dam
 from vppopt.milp import (
@@ -382,6 +387,43 @@ class TestStart:
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
         # the optimum's own plan: the start LP is its polish LP
         assert warm.start_objective == pytest.approx(cold.objective, rel=1e-9)
+
+    @staticmethod
+    def _spy(monkeypatch) -> tuple[list[bool], list[tuple[float, ...] | None]]:
+        """Record each HiGHS run (True for a MIP) and each completed start."""
+        completed = []
+        complete = ScipyMilpAdapter._complete
+
+        def recorded(*args):
+            completed.append(complete(*args))
+            return completed[-1]
+
+        monkeypatch.setattr(ScipyMilpAdapter, "_complete", staticmethod(recorded))
+        return record_highs_runs(monkeypatch), completed
+
+    def test_a_kept_start_is_the_answer_without_a_polish_lp(self, csp, monkeypatch):
+        """The MIP keeps the start's integers, so the polish LP would
+        repeat the start LP: the completed start is the answer, after the
+        start LP and the MIP only."""
+        model, cold = csp
+        runs, completed = self._spy(monkeypatch)
+        warm = solve(model, start=cold.integers)
+        (kept,) = completed
+        assert runs == [False, True]
+        assert warm.values == kept[:model.n_vars]
+        assert warm.integers == cold.integers
+        assert warm.objective == warm.start_objective
+
+    def test_a_start_the_mip_improves_on_is_polished(self, monkeypatch):
+        m = MilpModel()
+        x, y = m.add_continuous("x", ub=1.0), m.add_binary("y")
+        m.add_constraint({x: 1.0, y: 1.0}, "<=", 2.0, "cap")
+        m.set_objective({x: 1.0, y: 1.0})
+        runs, completed = self._spy(monkeypatch)
+        sol = solve(m, start={"y": 0.0})
+        assert completed == [(1.0, 0.0)]
+        assert runs == [False, True, False]  # start LP, MIP, polish LP
+        assert (sol.objective, sol.start_objective, sol.values) == (2.0, 1.0, (1.0, 1.0))
 
     @pytest.mark.parametrize("spoil", ["outside_bounds", "missing", "fractional"])
     def test_a_refused_start_solves_as_without_one(self, csp, spoil):
