@@ -15,11 +15,11 @@ closed form from two solves of the scenario's own day-ahead model with
 the choice held either way, each verified like a run's session.
 
 MILPs that do not depend on each other run at the same time on a
-:class:`_WorkerPool`: the baseline's isolated asset solves of one
-session, and the sweep's held day-ahead solves. HiGHS releases the GIL
-while it solves, so threads put every core to work. The pool's threads
-start once per run or sweep: one pool serves all of a baseline run's
-sessions, and the sweep opens one for its single batch. The sessions
+:class:`_WorkerPool`, the standard library's thread pool: the baseline's
+isolated asset solves of one session, and the sweep's held day-ahead
+solves. HiGHS releases the GIL while it solves, so threads put every
+core to work. One pool serves all of a baseline run's sessions, and the
+sweep opens one for its single batch; ``vpp`` runs open none. The sessions
 themselves stay sequential: each intraday session starts from the ledger
 the previous one left, and its solve from the previous solve's plan.
 """
@@ -210,44 +210,23 @@ def _pool_size(n_tasks: int) -> int:
 class _WorkerPool:
     """Threads that run independent tasks for the span of a ``with`` block.
 
-    ``_WorkerPool(n)`` has :func:`_pool_size` ``(n)`` threads. They start
-    at the first :meth:`map` of more than one task, serve every later one,
-    and are joined when the block ends, however it ends.
+    ``_WorkerPool(n)`` is a ``ThreadPoolExecutor`` of :func:`_pool_size`
+    ``(n)`` threads, shut down when the block ends, however it ends. It
+    is imported here, not with the module: ``concurrent.futures`` loads
+    ``logging``, which a process that opens no pool need not pay for.
     """
 
     def __init__(self, n_tasks: int) -> None:
+        from concurrent.futures import ThreadPoolExecutor
+
         self._size = _pool_size(n_tasks)
-        self._threads: list[threading.Thread] = []
-        self._cond = threading.Condition(threading.Lock())
-        self._work: Callable[[], None] = lambda: None  # the current map's
-        self._round = 0  # maps handed to the threads so far
-        self._pending = 0  # threads still working on the current map
-        self._closed = False
+        self._executor = ThreadPoolExecutor(self._size)
 
     def __enter__(self) -> _WorkerPool:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        for thread in self._threads:
-            thread.join()
-
-    def _serve(self) -> None:
-        seen = 0
-        while True:
-            with self._cond:
-                self._cond.wait_for(lambda: self._round != seen or self._closed)
-                if self._round == seen:
-                    return
-                seen, work = self._round, self._work
-            try:
-                work()
-            finally:
-                with self._cond:
-                    self._pending -= 1
-                    self._cond.notify_all()
+        self._executor.shutdown()
 
     def map(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
         """Run independent tasks; their results, in task order.
@@ -264,8 +243,6 @@ class _WorkerPool:
             return [task() for task in tasks]
         outcomes: list = [None] * len(tasks)  # (True, result) or (False, error)
         untaken = iter(range(1, len(tasks)))
-        # not the pool's lock: the pool keeps ``take``, and a reference back
-        # would keep the tasks and their results alive until a GC pass
         lock = threading.Lock()
         stop = threading.Event()
 
@@ -284,22 +261,14 @@ class _WorkerPool:
                     return
                 run(i)
 
-        if not self._threads:
-            self._threads = [threading.Thread(target=self._serve)
-                             for _ in range(self._size)]
-            for thread in self._threads:
-                thread.start()
-        with self._cond:
-            self._work, self._pending = take, len(self._threads)
-            self._round += 1
-            self._cond.notify_all()
+        takers = [self._executor.submit(take) for _ in range(self._size)]
         try:
             run(0)
             take()
         finally:
             stop.set()
-            with self._cond:
-                self._cond.wait_for(lambda: self._pending == 0)
+            for taker in takers:
+                taker.result()
         for ok, value in filter(None, outcomes):
             if not ok:
                 raise value

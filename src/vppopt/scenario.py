@@ -359,9 +359,13 @@ def load_scenario(path: str | Path) -> Scenario:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # raised by the decoder, not the file
+        raise ScenarioError(f"{path}: JSON nests too deep to parse") from exc
     scenario = scenario_from_dict(doc)
     if not scenario.name:
         scenario = replace(scenario, name=path.stem)

@@ -167,6 +167,19 @@ class TestValidate:
         assert err.value.code == EXIT_USAGE
         assert "cannot load scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{}",  # a UTF-16 byte-order mark
+        b"[" * 100_000 + b"]" * 100_000,  # deeper than the JSON decoder recurses
+    ], ids=["not_utf8", "too_deep"])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "--scenario", str(path)])
+        assert err.value.code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"cannot load scenario {path}: ")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["calendar"].update(T=10**12, damPrices=30.0),
          "calendar.T: 1000000000000 periods exceed the limit"),
@@ -369,6 +382,23 @@ class TestRun:
                      "--sessions", "dam", "--out", str(tmp_path / "r")])
         assert code == EXIT_INFEASIBLE
         assert "run stopped at dam: infeasible" in capsys.readouterr().err
+
+    def test_purchase_caps_leave_a_load_only_day_ahead_infeasible(self, tmp_path, capsys):
+        # the trade_lo rows cap each period's purchase at the smallest
+        # profile power there: 1 MW in period 1 (shift) and 2 MW in
+        # period 3 (flat), so with nothing to generate neither profile can
+        # be bought; the baseline buys the default outside any model
+        doc = toy_doc()
+        doc["dres"], doc["ndres"] = [], []
+        for forecast in (doc["forecasts"]["dam"], *doc["forecasts"]["idm"]):
+            forecast["ndresAvail"] = {}
+        path = str(_write(tmp_path, doc))
+        assert main(["validate", "--scenario", path]) == 0
+        code = main(["run", "--scenario", path, "--out", str(tmp_path / "vpp")])
+        assert code == EXIT_INFEASIBLE
+        assert "run stopped at dam: infeasible" in capsys.readouterr().err
+        assert main(["run", "--mode", "nocoord", "--scenario", path,
+                     "--out", str(tmp_path / "nocoord")]) == 0
 
     def test_time_limit_without_incumbent_exits_4(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(SCENARIO_DIR / "clear.json"),

@@ -274,10 +274,12 @@ class TestHighsBinding:
         assert len(os.listdir("/proc/self/fd")) == open_fds
 
     def test_import_loads_no_scipy_package(self):
-        # vppopt loads the binding from its file: no scipy.optimize init
+        # vppopt loads the binding from its file: no scipy.optimize init;
+        # the thread pool's package waits for the first pool
         loaded = set(_python("import sys, vppopt.cli\nprint(*sys.modules)").split())
         assert milp._HIGHS_MODULE in loaded
-        assert not loaded & {"scipy.optimize", "scipy.sparse", "scipy.linalg"}
+        assert not loaded & {"scipy.optimize", "scipy.sparse", "scipy.linalg",
+                             "concurrent.futures", "logging"}
 
     def test_start_up_and_validate_load_no_numpy(self):
         code = """
