@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from vppopt.orchestrator import RunConfig, run
+from vppopt.orchestrator import run
 from vppopt.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -24,7 +24,7 @@ def main() -> None:
     args = parser.parse_args()
 
     s = load_scenario(SCENARIO_DIR / f"{args.day}.json")
-    result = run(s, RunConfig(mode="vpp"))
+    result = run(s, "vpp")
     if not result.ok:
         raise SystemExit(f"run stopped at {result.failure}")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vppopt.orchestrator import RunConfig, run
+from vppopt.orchestrator import run
 from vppopt.scenario import load_scenario
 from vppopt.stu import (
     CHG,
@@ -36,7 +36,7 @@ def main() -> None:
     args = parser.parse_args()
 
     s = load_scenario(SCENARIO_DIR / f"{args.day}.json")
-    result = run(s, RunConfig(mode="vpp"))
+    result = run(s, "vpp")
     if not result.ok:
         raise SystemExit(f"run stopped at {result.failure}")
 

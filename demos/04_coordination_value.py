@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from vppopt.orchestrator import RunConfig, run, run_vpp, single_asset_scenario
+from vppopt.orchestrator import run, run_vpp, single_asset_scenario
 from vppopt.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -22,8 +22,8 @@ def main() -> None:
     print("day     coordinated       isolated         uplift   relative")
     for name in ("clear", "cloudy"):
         s = load_scenario(SCENARIO_DIR / f"{name}.json")
-        vpp = run(s, RunConfig(mode="vpp"))
-        solo = run(s, RunConfig(mode="nocoord"))
+        vpp = run(s, "vpp")
+        solo = run(s, "nocoord")
         if not (vpp.ok and solo.ok):
             raise SystemExit(f"{name}: run failed")
         uplift = vpp.profits.total - solo.profits.total

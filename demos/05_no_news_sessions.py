@@ -14,7 +14,7 @@ import argparse
 from pathlib import Path
 
 from casestudy import equal_information_variant
-from vppopt.orchestrator import RunConfig, run
+from vppopt.orchestrator import run
 from vppopt.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -28,8 +28,8 @@ def main() -> None:
     s = load_scenario(SCENARIO_DIR / f"{args.day}.json")
     muted = equal_information_variant(s, zero_tolerance=True)
 
-    original = run(s, RunConfig(mode="vpp"))
-    silent = run(muted, RunConfig(mode="vpp"))
+    original = run(s, "vpp")
+    silent = run(muted, "vpp")
     if not (original.ok and silent.ok):
         raise SystemExit("a run failed")
 

@@ -1,18 +1,20 @@
 """Command-line entry points.
 
 Three subcommands: ``run`` executes a scenario in VPP or no-coordination
-mode and writes the report file set; ``sweep`` finds the largest
-payment at which a demand profile is still selected; ``validate`` checks
-a scenario file and prints its diagnostics.
+mode, through the session ``--sessions`` names or the whole calendar, and
+writes the report file set; ``sweep`` finds the largest payment at which
+a demand profile is still selected; ``validate`` checks a scenario file
+and prints its diagnostics.
 
 Exit codes: 0 success, 2 usage or input errors (a bad scenario file, a
-bad flag value such as ``--step 0``, or an output path that cannot be
-written, caught before the first solve; or a model built from a valid
-scenario that has a non-finite number or that HiGHS refuses), 3 an
-infeasible session, 4 a solver failure (``time_limit`` when the time
-limit ends a solve before any incumbent), a verification violation or
-check finding, or recomputed profits that drift from the solver's by
-more than ``MAX_PROFIT_DRIFT``. A stdout closed by its reader changes no
+bad flag value such as ``--step 0`` or a ``--sessions`` key the day does
+not have, or an output path that cannot be written, caught before the
+first solve; or a model built from a valid scenario that has a
+non-finite number or that HiGHS refuses), 3 an infeasible session, 4 a
+solver failure (``time_limit`` when the time limit ends a solve before
+any incumbent), a verification violation or check finding, or
+recomputed profits that drift from the solver's by more than
+``MAX_PROFIT_DRIFT``. A stdout closed by its reader changes no
 exit code (:func:`_say`).
 """
 
@@ -28,10 +30,9 @@ from pathlib import Path
 
 from vppopt import dam as dam_mod
 from vppopt.milp import ModelError, SolveOptions, dump_lp
-from vppopt.orchestrator import RunConfig, run, session_keys, sweep_profile_costs
+from vppopt.orchestrator import run, sweep_profile_costs, through
 from vppopt.report import build_report, emit_report, emit_thresholds
-from vppopt.scenario import (MAX_SESSIONS, ScenarioError, ScenarioValidationError,
-                             load_scenario)
+from vppopt.scenario import ScenarioError, ScenarioValidationError, load_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,32 +40,6 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
 MAX_PROFIT_DRIFT = 1e-6  # EUR, solver profits against their recomputation
-
-
-def parse_sessions(text: str) -> tuple[str, ...]:
-    """Expand "dam,idm1..idm3" style lists into explicit session keys."""
-    out: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if ".." in token:
-            lo, hi = token.split("..", 1)
-            try:
-                if not (lo.startswith("idm") and hi.startswith("idm")):
-                    raise ValueError
-                first, last = int(lo[3:]), int(hi[3:])
-            except ValueError:
-                raise ValueError(f"bad session range {token!r}") from None
-            if first > last:
-                raise ValueError(f"bad session range {token!r}: reversed")
-            if last - first >= MAX_SESSIONS:  # checked before a key is built
-                raise ValueError(f"bad session range {token!r}: more than "
-                                 f"{MAX_SESSIONS} sessions")
-            out.extend(f"idm{k}" for k in range(first, last + 1))
-        elif token:
-            out.append(token)
-    if not out:
-        raise ValueError("no session given")
-    return tuple(out)
 
 
 def _positive(text: str) -> float:
@@ -91,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="solve a scenario and write report files")
     p_run.add_argument("--scenario", required=True, help="scenario JSON path")
     p_run.add_argument("--mode", choices=("vpp", "nocoord"), default="vpp")
-    p_run.add_argument("--sessions", default=None,
-                       help="prefix of the session order, e.g. dam,idm1..idm3")
+    p_run.add_argument("--sessions", default=None, metavar="KEY",
+                       help="run the sessions up to and including this one, e.g. idm3")
     p_run.add_argument("--out", default=None, help="report directory")
     p_run.add_argument("--gap", type=_non_negative, default=1e-6, help="relative MIP gap")
     p_run.add_argument("--time-limit", type=_positive, default=60.0, help="seconds per solve")
@@ -174,12 +149,12 @@ def _output_dir(path: Path):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
-    try:
-        sessions = None if args.sessions is None else parse_sessions(args.sessions)
-        session_keys(scenario, sessions)  # fail fast on bad prefixes
-    except ValueError as exc:
-        print(f"bad --sessions: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.sessions is not None:
+        try:
+            scenario = through(scenario, args.sessions)
+        except ValueError as exc:
+            print(f"bad --sessions: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     out_dir = args.out or f"{Path(args.scenario).stem}-{args.mode}-report"
     with _output_dir(Path(out_dir)):
@@ -191,10 +166,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 dump_lp(model, args.dump_model)
             _say(f"model written to {args.dump_model}")
 
-        cfg = RunConfig(mode=args.mode, sessions=sessions,
-                        options=SolveOptions(gap_tol=args.gap, time_limit=args.time_limit))
+        options = SolveOptions(gap_tol=args.gap, time_limit=args.time_limit)
         with _building():
-            result = run(scenario, cfg)
+            result = run(scenario, args.mode, options)
 
         report = build_report(scenario, result)
         with _writing():

@@ -3,6 +3,8 @@ the no-coordination baseline, and the profile-cost sweep.
 
 A VPP run solves the day-ahead model, seeds the ledger, then walks the
 calendar's intraday sessions in order, each with its own forecast set.
+A run of the first sessions only is a run of the scenario cut after the
+last of them (:func:`through`).
 Every solved session is independently re-verified. The no-coordination
 baseline gives each asset its own isolated walk of the same sessions
 (demands stay passive on their default profile), advances the walks
@@ -40,13 +42,6 @@ from vppopt.registry import VariableRegistry
 from vppopt.scenario import DemandAsset, ForecastSet, Network, Scenario
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str = "vpp"  # vpp | nocoord
-    sessions: tuple[str, ...] | None = None  # prefix of ("dam", "idm1", ...); None = all
-    options: SolveOptions = field(default_factory=SolveOptions)
 
 
 @dataclass(frozen=True)
@@ -112,17 +107,23 @@ class RunResult:
         return self.ledger_history[-1] if self.ledger_history else None
 
 
-def session_keys(s: Scenario, requested: Sequence[str] | None = None) -> list[str]:
-    """Resolve the session list; a request must be a prefix of the
-    calendar's order: ``"dam"``, then ``"idm<k>"`` for the ``k``-th session."""
-    full = ["dam"] + [f"idm{k}" for k in range(1, len(s.calendar.sessions) + 1)]
-    if requested is None:
-        return full
-    requested = list(requested)
-    if requested != full[:len(requested)] or not requested:
-        raise ValueError(
-            f"sessions {requested} must be a prefix of the calendar order {full}")
-    return requested
+def session_keys(s: Scenario) -> list[str]:
+    """The sessions of ``s`` in calendar order: ``"dam"``, then
+    ``"idm<k>"`` for the ``k``-th intraday session."""
+    return ["dam"] + [f"idm{k}" for k in range(1, len(s.calendar.sessions) + 1)]
+
+
+def through(s: Scenario, key: str) -> Scenario:
+    """``s`` with its calendar cut after session ``key``: a run of it is
+    the run of ``s`` up to and including that session, since no session
+    depends on a later one. Raises ``ValueError`` for a key that is not
+    in :func:`session_keys`."""
+    keys = session_keys(s)
+    if key not in keys:
+        raise ValueError(f"no session {key!r}; the day's sessions are {', '.join(keys)}")
+    n = keys.index(key)
+    return replace(s, calendar=replace(s.calendar, sessions=s.calendar.sessions[:n]),
+                   idm_forecasts=s.idm_forecasts[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +280,7 @@ class _WorkerPool:
 # VPP pipeline
 # ---------------------------------------------------------------------------
 
-def _solve_session(model: MilpModel, options: SolveOptions, key: str,
+def _solve_session(model: MilpModel, options: SolveOptions | None, key: str,
                    start: Mapping[str, float] | None) -> tuple[Solution, SessionResult]:
     sol = solve(model, options, start)
     violations: tuple[Violation, ...] = ()
@@ -301,8 +302,8 @@ def _solve_session(model: MilpModel, options: SolveOptions, key: str,
 _Step = tuple[SessionResult, LedgerState | None]
 
 
-def _sessions(s: Scenario, cfg: RunConfig) -> Iterator[_Step]:
-    """Walk the configured sessions in order, day-ahead first: each one is
+def _sessions(s: Scenario, options: SolveOptions | None) -> Iterator[_Step]:
+    """Walk the scenario's sessions in order, day-ahead first: each one is
     assembled from the ledger the previous one left, solved, verified and
     folded into the ledger. The walk ends after the first session that
     produces no assignment.
@@ -311,10 +312,10 @@ def _sessions(s: Scenario, cfg: RunConfig) -> Iterator[_Step]:
     solve starts from that solve's integer assignment
     (:attr:`Solution.integers`); the day-ahead solve has no start."""
     ledger, start = None, None
-    for k, key in enumerate(session_keys(s, cfg.sessions)):
+    for k, key in enumerate(session_keys(s)):
         model, reg = (dam_mod.assemble_dam(s) if k == 0
                       else assemble_idm(s, ledger, k))
-        sol, res = _solve_session(model, cfg.options, key, start)
+        sol, res = _solve_session(model, options, key, start)
         if sol.values is None:
             yield res, None
             return
@@ -333,11 +334,11 @@ def _run_result(s: Scenario, steps: Sequence[_Step], **kwargs) -> RunResult:
                      **kwargs)
 
 
-def run_vpp(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
-    """The configured sessions in order (:func:`_sessions`). Stops at the
+def run_vpp(s: Scenario, options: SolveOptions | None = None) -> RunResult:
+    """The scenario's sessions in order (:func:`_sessions`). Stops at the
     first session that fails to produce an assignment and marks it;
     completed sessions keep their results."""
-    return _run_result(s, list(_sessions(s, cfg or RunConfig())), mode="vpp")
+    return _run_result(s, list(_sessions(s, options)), mode="vpp")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +418,7 @@ _SUMMED_FIELDS = tuple(f for f in fields(SessionResult)
                                          "abs_gap", "start_objective"))
 
 
-def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
+def run_no_coordination(s: Scenario, options: SolveOptions | None = None) -> RunResult:
     """Every asset bids alone; demands stay passive on the default profile.
 
     Each generation asset walks its own session sequence
@@ -433,11 +434,10 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     first session any asset failed, and no asset walk goes past it. The
     passive demand purchase costs are booked at the day-ahead stage.
     """
-    cfg = cfg or RunConfig()
-    keys = session_keys(s, cfg.sessions)
+    keys = session_keys(s)
     portfolio = [a.id for a in s.dres + s.ndres + s.stu]
     longest_first = [a.id for a in s.stu + s.dres + s.ndres]
-    walks = {aid: _sessions(single_asset_scenario(s, aid), cfg) for aid in longest_first}
+    walks = {aid: _sessions(single_asset_scenario(s, aid), options) for aid in longest_first}
     demand_profit = {d.id: passive_demand_profit(s, d) for d in s.demands}
     steps: list[_Step] = []
     with _WorkerPool(len(longest_first)) as pool:  # one for all sessions
@@ -471,13 +471,14 @@ def run_no_coordination(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
     return _run_result(s, steps, mode="nocoord", passive_demand_profit=demand_profit)
 
 
-def run(s: Scenario, cfg: RunConfig | None = None) -> RunResult:
-    cfg = cfg or RunConfig()
-    if cfg.mode == "vpp":
-        return run_vpp(s, cfg)
-    if cfg.mode == "nocoord":
-        return run_no_coordination(s, cfg)
-    raise ValueError(f"unknown mode {cfg.mode!r}")
+def run(s: Scenario, mode: str = "vpp", options: SolveOptions | None = None) -> RunResult:
+    """Run every session of ``s`` coordinated (``"vpp"``) or with every
+    asset alone (``"nocoord"``)."""
+    if mode == "vpp":
+        return run_vpp(s, options)
+    if mode == "nocoord":
+        return run_no_coordination(s, options)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +503,7 @@ def _day_ahead(s: Scenario, held: str | None = None) -> tuple[Solution, Variable
     model, reg = dam_mod.assemble_dam(s)
     if held is not None:
         model.set_bounds(reg.id(dam_mod.DEM_U, held), lb=1.0)
-    sol, result = _solve_session(model, SolveOptions(), "dam", None)
+    sol, result = _solve_session(model, None, "dam", None)
     if sol.status != "optimal":
         raise RuntimeError(f"day-ahead solve failed: {sol.status} {sol.message}")
     if result.violations:

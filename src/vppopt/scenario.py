@@ -651,6 +651,15 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
             bad(Diagnostic(a.id, "series_length", "tolerance series must span the horizon"))
         if a.ramp_down < 0 or a.ramp_up < 0:
             bad(Diagnostic(a.id, "ramp_negative", "ramp limits must be >= 0"))
+    # the day-ahead model keys each profile choice by "<demand>/<profile>"
+    by_selector: dict[str, list[tuple[str, str]]] = {}
+    for pair in dict.fromkeys((a.id, p.id) for a in s.demands for p in a.profiles):
+        by_selector.setdefault("/".join(pair), []).append(pair)
+    for selector, pairs in by_selector.items():
+        if len(pairs) > 1:
+            bad(Diagnostic(",".join(d for d, _ in pairs), "selector_collision",
+                           " and ".join(f"demand {d!r} profile {p!r}" for d, p in pairs)
+                           + f" share the day-ahead selector {selector!r}"))
 
     # --- forecasts ---
     if len(s.idm_forecasts) != len(s.calendar.sessions):

@@ -18,8 +18,10 @@ import copy
 import itertools
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from vppopt.milp import MilpModel, ScipyMilpAdapter, Solution, SolveOptions, sol
 from vppopt.registry import VariableRegistry
 from vppopt.scenario import Scenario, scenario_from_dict
 from vppopt.stu import PbCurve
+
+A = TypeVar("A")
+T = TypeVar("T")
 
 # the shipped study days, as the CLI and the benchmark read them
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -75,6 +80,14 @@ TOY_DOC = {
 }
 
 TOY_DAM_OBJECTIVE = 853.0
+
+
+def on_two_threads(fn: Callable[[A], T], items: Iterable[A]) -> list[T]:
+    """``fn`` of each item, in item order, computed on two threads: HiGHS
+    releases the GIL while it solves, so both cores work. A plain thread
+    pool, so a test may patch ``_WorkerPool`` and still use it."""
+    with ThreadPoolExecutor(2) as pool:
+        return list(pool.map(fn, items))
 
 
 def toy_doc() -> dict:

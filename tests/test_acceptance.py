@@ -1,18 +1,19 @@
 """End-to-end acceptance gates on the shipped study days and randomized
 instances.
 
-Nineteen checks, one test each: clean and fast solves of both shipped
+Twenty checks, one test each: clean and fast solves of both shipped
 days, their pinned total profits, day-ahead and whole-run search counts,
 whole-run HiGHS run counts, intraday solves that start from the plan
-they correct and refuse one that no longer fits, agreement of the
-day-ahead optimizer with exhaustive enumeration, conversion-curve
-fidelity and agreement of the two SOS-2 routes, storage bookkeeping,
-demand contracts, the value of coordination, sharp profile-payment
-thresholds, inert no-news sessions, price monotonicity, results that
-concurrent solves leave as sequential ones gave them, clean day-ahead
-runs of both days on a half-hour grid (one case per day), and hourly
-day-ahead optima that stay feasible, at the same profit, on a finer
-grid (six small days).
+they correct and refuse one that no longer fits, a day cut after a
+session that runs as the whole day's first sessions (one case per
+mode), agreement of the day-ahead optimizer with exhaustive
+enumeration, conversion-curve fidelity and agreement of the two SOS-2
+routes, storage bookkeeping, demand contracts, the value of
+coordination, sharp profile-payment thresholds, inert no-news sessions,
+price monotonicity, results that concurrent solves leave as sequential
+ones gave them, clean day-ahead runs of both days on a half-hour grid
+(one case per day), and hourly day-ahead optima that stay feasible, at
+the same profit, on a finer grid (six small days).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from conftest import (
     enumerate_dam_optimum,
     eval_pb_oracle,
     make_scenario,
+    on_two_threads,
     recompute_objective,
     record_highs_runs,
     toy_doc,
@@ -40,7 +42,6 @@ from conftest import (
 from vppopt.dam import DRES_C0, DRES_C1, DRES_V, DRES_W, assemble_dam
 from vppopt.milp import Solution, SolveOptions, solve, verify
 from vppopt.orchestrator import (
-    RunConfig,
     check_aggregate_balance,
     check_demand_contracts,
     check_storage_conservation,
@@ -48,6 +49,7 @@ from vppopt.orchestrator import (
     run,
     run_vpp,
     sweep_profile_costs,
+    through,
 )
 from vppopt.report import build_report
 from vppopt.scenario import (
@@ -105,7 +107,7 @@ def study(highs_runs):
         s = load_scenario(SCENARIO_DIR / f"{name}.json")
         with _highs_runs(highs_runs, (name, "vpp")):
             t0 = time.perf_counter()
-            result = run(s, RunConfig(mode="vpp"))
+            result = run(s, "vpp")
             out[name] = (s, result, time.perf_counter() - t0)
     return out
 
@@ -116,8 +118,7 @@ def baselines(highs_runs):
     out = {}
     for name in ("clear", "cloudy"):
         with _highs_runs(highs_runs, (name, "nocoord")):
-            out[name] = run(load_scenario(SCENARIO_DIR / f"{name}.json"),
-                            RunConfig(mode="nocoord"))
+            out[name] = run(load_scenario(SCENARIO_DIR / f"{name}.json"), "nocoord")
     return out
 
 
@@ -167,6 +168,12 @@ def _priced_contest(s, demand_id: str, profile_id: str, cost: float):
                 for p in d.profiles))
         demands.append(d)
     return dataclasses.replace(s, demands=tuple(demands))
+
+
+def _untimed(result):
+    """``result`` with every session's solve time zeroed."""
+    return dataclasses.replace(result, sessions=tuple(
+        dataclasses.replace(r, runtime_s=0.0) for r in result.sessions))
 
 
 class TestSolveQuality:
@@ -253,6 +260,17 @@ class TestSolveQuality:
         clear = study["clear"][1].sessions
         assert [x.start_objective is not None for x in clear] == [False] + [True] * 7
 
+    @pytest.mark.parametrize("mode", ["vpp", "nocoord"])
+    def test_a_cut_calendar_runs_the_first_sessions(self, study, baselines, mode):
+        """The clear day cut after idm2 runs as the first three sessions of
+        the whole day: the same session records but for their solve times,
+        and the same ledgers."""
+        full = _untimed(study["clear"][1] if mode == "vpp" else baselines["clear"])
+        cut = _untimed(run(through(study["clear"][0], "idm2"), mode))
+        assert [r.key for r in cut.sessions] == ["dam", "idm1", "idm2"]
+        assert cut.sessions == full.sessions[:3]
+        assert cut.ledger_history == full.ledger_history[:3]
+
     def test_day_ahead_matches_exhaustive_enumeration(self):
         """Branch-and-bound agrees with brute force over every commitment
         pattern and profile choice to 1e-6."""
@@ -271,10 +289,13 @@ class TestSolveQuality:
         on 100 random curves the reformulation and segment-enumeration
         routes produce the same optimum to 1e-6."""
         rng = np.random.default_rng(20260814)
-        for _ in range(50):
-            s = random_stu_scenario(rng)
+        units = [random_stu_scenario(rng) for _ in range(50)]
+
+        def solve_unit(s):
             model, reg = assemble_dam(s)
-            sol = solve(model)
+            return reg, solve(model)
+
+        for s, (reg, sol) in zip(units, on_two_threads(solve_unit, units)):
             assert sol.status == "optimal"
             curve = pb_curve(s.stu[0])
             for t in range(1, s.n_periods + 1):
@@ -287,10 +308,9 @@ class TestSolveQuality:
 
         rng = np.random.default_rng(7)
         exact = Sos2EnumerationAdapter()
-        for _ in range(100):
-            m = random_piecewise_model(rng)
-            a = solve(m)
-            b = exact.solve(m, SolveOptions())
+        models = [random_piecewise_model(rng) for _ in range(100)]
+        for a, b in on_two_threads(lambda m: (solve(m), exact.solve(m, SolveOptions())),
+                                   models):
             assert a.status == "optimal" and b.status == "optimal"
             assert abs(a.objective - b.objective) <= 1e-6
 
@@ -358,22 +378,25 @@ class TestEconomics:
         for e in entries:
             assert e.status == "threshold", f"{e.demand_id}/{e.profile_id}: {e.status}"
             assert 0.0 < e.threshold < 1200.0
-            for cost, want in ((e.threshold / 2.0, True),
-                               (e.threshold, True),
-                               (e.threshold + 1.0, False)):
-                probe = _priced_contest(s, e.demand_id, e.profile_id, cost)
-                chosen, _ = chosen_profiles(probe)
-                picked = chosen[e.demand_id] == e.profile_id
-                assert picked is want, \
-                    f"{e.demand_id}/{e.profile_id} at {cost:.3f}: picked={picked}"
+        probes = [(e, cost, want) for e in entries
+                  for cost, want in ((e.threshold / 2.0, True),
+                                     (e.threshold, True),
+                                     (e.threshold + 1.0, False))]
+        chosen = on_two_threads(chosen_profiles, [
+            _priced_contest(s, e.demand_id, e.profile_id, cost) for e, cost, _ in probes])
+        for (e, cost, want), (picks, _) in zip(probes, chosen):
+            picked = picks[e.demand_id] == e.profile_id
+            assert picked is want, \
+                f"{e.demand_id}/{e.profile_id} at {cost:.3f}: picked={picked}"
 
     def test_no_news_sessions_change_nothing(self, study):
         """When every session repeats the day-ahead prices and forecasts,
         all intraday adjustments are zero and each session objective is 0
         to 1e-6."""
-        for name in ("clear", "cloudy"):
-            s = equal_information_variant(study[name][0], zero_tolerance=True)
-            result = run(s, RunConfig(mode="vpp"))
+        names = ("clear", "cloudy")
+        days = [equal_information_variant(study[name][0], zero_tolerance=True)
+                for name in names]
+        for name, s, result in zip(names, days, on_two_threads(run, days)):
             assert result.ok, f"{name}: run stopped at {result.failure}"
             for key, value in result.profits.per_session.items():
                 if key != "dam":
@@ -415,16 +438,13 @@ class TestConcurrentSolves:
         in turn gets them."""
         from vppopt import orchestrator
 
-        def untimed(result):
-            return dataclasses.replace(result, sessions=tuple(
-                dataclasses.replace(r, runtime_s=0.0) for r in result.sessions))
-
         monkeypatch.setattr(orchestrator._WorkerPool, "map",
                             lambda self, tasks: [task() for task in tasks])
-        for name in ("clear", "cloudy"):
-            sequential = run(study[name][0], RunConfig(mode="nocoord"))
+        names = ("clear", "cloudy")
+        for name, sequential in zip(names, on_two_threads(
+                lambda s: run(s, "nocoord"), [study[name][0] for name in names])):
             assert sequential.ok and len(sequential.sessions) == 8, name
-            assert untimed(sequential) == untimed(baselines[name]), name
+            assert _untimed(sequential) == _untimed(baselines[name]), name
 
     def test_clear_day_thresholds_are_pinned(self, thresholds):
         # in the order of the demands and their profiles in clear.json
@@ -442,7 +462,7 @@ class TestFinerGrid:
         s = refine(load_scenario(SCENARIO_DIR / f"{name}.json"), 2)
         assert (s.n_periods, s.dt) == (48, 0.5)
         assert validate_scenario(s) == []
-        result = run_vpp(s, RunConfig(sessions=("dam",)))
+        result = run_vpp(through(s, "dam"))
         assert result.ok
         (dam,) = result.sessions
         assert (dam.status, dam.violations) == ("optimal", ())

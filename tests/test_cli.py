@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +19,6 @@ from vppopt.cli import (
     EXIT_SOLVER,
     EXIT_USAGE,
     main,
-    parse_sessions,
 )
 from vppopt.idm import LedgerState
 from vppopt.orchestrator import check_demand_contracts
@@ -89,35 +87,39 @@ class TestMainGridBuses:
 
 
 class TestParseSessions:
-    def test_plain_lists_and_ranges(self):
-        assert parse_sessions("dam") == ("dam",)
-        assert parse_sessions("dam,idm1") == ("dam", "idm1")
-        assert parse_sessions("dam,idm1..idm3") == ("dam", "idm1", "idm2", "idm3")
-        assert parse_sessions("idm2..idm2") == ("idm2",)
-        assert parse_sessions("dam, idm1 ,") == ("dam", "idm1")
+    """``--sessions`` takes one key of the day's sessions; any other value,
+    the old list and range syntax included, exits 2 before any solve."""
 
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError, match="bad session range"):
-            parse_sessions("dam..idm2")
+    @staticmethod
+    def _refused(path, tmp_path, capsys, value) -> str:
+        out = tmp_path / "x"
+        code = main(["run", "--scenario", str(path), "--sessions", value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("bad --sessions: ")
+        return err
+
+    def test_bad_range_rejected(self, toy_file, tmp_path, capsys):
+        self._refused(toy_file, tmp_path, capsys, "dam..idm1")
 
     @pytest.mark.parametrize("token", ["idm1..idm", "idm1..idmx", "idm..idm2"])
-    def test_range_bound_that_is_not_a_number_is_named(self, token):
-        with pytest.raises(ValueError, match=re.escape(f"bad session range {token!r}")):
-            parse_sessions(f"dam,{token}")
+    def test_range_bound_that_is_not_a_number_is_named(self, toy_file, tmp_path, capsys,
+                                                       token):
+        err = self._refused(toy_file, tmp_path, capsys, f"dam,{token}")
+        assert repr(f"dam,{token}") in err
 
-    def test_reversed_range_rejected(self):
-        with pytest.raises(ValueError, match="reversed"):
-            parse_sessions("dam,idm3..idm1")
+    def test_reversed_range_rejected(self, toy_file, tmp_path, capsys):
+        self._refused(toy_file, tmp_path, capsys, "dam,idm3..idm1")
 
-    def test_range_beyond_the_session_limit_rejected(self):
-        assert len(parse_sessions(f"idm1..idm{MAX_SESSIONS}")) == MAX_SESSIONS
-        with pytest.raises(ValueError, match=f"more than {MAX_SESSIONS} sessions"):
-            parse_sessions(f"idm1..idm{MAX_SESSIONS + 1}")
+    def test_range_beyond_the_session_limit_rejected(self, tmp_path, capsys):
+        for value in (f"idm{MAX_SESSIONS + 1}", f"idm1..idm{MAX_SESSIONS + 1}",
+                      f"idm{10 ** 12}"):
+            self._refused(SCENARIO_DIR / "clear.json", tmp_path, capsys, value)
 
     @pytest.mark.parametrize("text", ["", " ", ","])
-    def test_empty_list_rejected(self, text):
-        with pytest.raises(ValueError, match="no session given"):
-            parse_sessions(text)
+    def test_empty_list_rejected(self, toy_file, tmp_path, capsys, text):
+        self._refused(toy_file, tmp_path, capsys, text)
 
 
 class TestValidate:
@@ -159,6 +161,25 @@ class TestValidate:
                 main(argv + ["--scenario", str(path)])
             assert err.value.code == EXIT_USAGE
             assert rule in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_colliding_profile_selectors_exit_2(self, tmp_path, capsys):
+        """Demand ``a`` with profile ``b/c`` and demand ``a/b`` with profile
+        ``c`` would share the day-ahead selector ``a/b/c``."""
+        doc = toy_doc()
+        first, second = doc["demands"][0], toy_doc()["demands"][0]
+        first["id"], first["profiles"][0]["id"] = "a", "b/c"
+        second["id"], second["profiles"][0]["id"] = "a/b", "c"
+        doc["demands"].append(second)
+        path = _write(tmp_path, doc)
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "r")],
+                     ["run", "--mode", "nocoord", "--out", str(tmp_path / "r")]):
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--scenario", str(path)])
+            assert err.value.code == EXIT_USAGE
+            assert capsys.readouterr().err.splitlines()[1:] == [
+                "  [a,a/b] selector_collision: demand 'a' profile 'b/c' and demand 'a/b' "
+                "profile 'c' share the day-ahead selector 'a/b/c'"]
         assert not (tmp_path / "r").exists()
 
     def test_missing_file(self, tmp_path, capsys):
@@ -237,18 +258,23 @@ class TestRun:
         assert code == EXIT_OK
         assert (out / "dam.csv").exists()
         assert not (out / "idm_1.csv").exists()
+        sessions = json.loads((out / "verify.json").read_text())["sessions"]
+        assert [sess["key"] for sess in sessions] == ["dam"]
 
     def test_bad_session_prefix(self, toy_file, tmp_path, capsys):
-        code = main(["run", "--scenario", str(toy_file), "--sessions", "idm1",
+        """A key the day does not have; the message lists the ones it has."""
+        code = main(["run", "--scenario", str(toy_file), "--sessions", "idm2",
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
-        assert "bad --sessions" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "bad --sessions: no session 'idm2'; the day's sessions are dam, idm1\n")
 
     def test_bad_session_range(self, toy_file, tmp_path, capsys):
-        code = main(["run", "--scenario", str(toy_file), "--sessions", "dam..idm1",
+        """The old prefix-list syntax names a list, not a session."""
+        code = main(["run", "--scenario", str(toy_file), "--sessions", "dam,idm1",
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
-        assert "bad session range" in capsys.readouterr().err
+        assert "bad --sessions: no session 'dam,idm1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sessions", ["dam,idm2..idm1", ""])
     def test_reversed_or_empty_sessions_exit_2_before_any_solve(
@@ -290,7 +316,7 @@ class TestRun:
         for mode in ("vpp", "nocoord"):
             out = tmp_path / mode
             code = main(["run", "--scenario", str(path), "--mode", mode,
-                         "--sessions", "dam,idm1", "--out", str(out)])
+                         "--sessions", "idm1", "--out", str(out)])
             assert code == EXIT_OK
             written[mode] = sorted(p.name for p in out.iterdir())
         assert written["nocoord"] == written["vpp"]
@@ -450,7 +476,7 @@ class TestRun:
                                     n_constraints=0),),
             ledger_history=(), profits=ProfitBreakdown({}, {}),
             failure="dam")
-        monkeypatch.setattr(cli, "run", lambda s, cfg: broken)
+        monkeypatch.setattr(cli, "run", lambda s, mode, options: broken)
         code = main(["run", "--scenario", str(toy_file), "--out", str(tmp_path / "r")])
         assert code == EXIT_SOLVER
         assert "run stopped at dam: error" in capsys.readouterr().err
@@ -631,7 +657,7 @@ class TestModelBuildErrors:
         doc["calendar"]["dtHours"] = 2.0
         doc["demands"][0]["rampUp"] = 1.5e308  # times dtHours overflows
         path = _write(tmp_path, doc)
-        line = self._run(path, tmp_path, capsys, ["run", "--sessions", "dam,idm1"])
+        line = self._run(path, tmp_path, capsys, ["run", "--sessions", "idm1"])
         assert "dem_rampup.load" in line and "non-finite rhs inf" in line
 
     def test_infinite_objective_coefficient(self, tmp_path, capsys):

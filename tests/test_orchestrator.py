@@ -14,7 +14,6 @@ import pytest
 
 from conftest import SCENARIO_DIR, make_scenario, toy_doc
 from vppopt.orchestrator import (
-    RunConfig,
     _WorkerPool,
     check_aggregate_balance,
     check_demand_contracts,
@@ -27,6 +26,7 @@ from vppopt.orchestrator import (
     session_keys,
     single_asset_scenario,
     sweep_profile_costs,
+    through,
 )
 from vppopt.scenario import load_scenario
 from vppopt.stu import CHG, DIS, ENERGY
@@ -223,20 +223,21 @@ class TestVppRun:
         assert result.ledger is result.ledger_history[-1]
 
     def test_session_prefix_selects_a_subset(self, toy):
-        result = run_vpp(toy, RunConfig(sessions=("dam",)))
+        result = run_vpp(through(toy, "dam"))
         assert result.ok
         assert [r.key for r in result.sessions] == ["dam"]
         assert set(result.profits.per_session) == {"dam"}
         assert abs(result.profits.per_session["dam"] - 853.0) <= 1e-6
 
-    def test_sessions_must_prefix_the_calendar(self, toy):
+    def test_through_cuts_the_calendar_after_its_key(self, toy):
         assert session_keys(toy) == ["dam", "idm1"]
-        with pytest.raises(ValueError, match="prefix"):
-            session_keys(toy, ["idm1"])
-        with pytest.raises(ValueError, match="prefix"):
-            session_keys(toy, ["dam", "idm2"])
-        with pytest.raises(ValueError, match="prefix"):
-            session_keys(toy, [])
+        assert through(toy, "idm1") == toy
+        dam_only = through(toy, "dam")
+        assert session_keys(dam_only) == ["dam"]
+        assert (dam_only.calendar.sessions, dam_only.idm_forecasts) == ((), ())
+        for key in ("idm2", "", "dam,idm1"):
+            with pytest.raises(ValueError, match="the day's sessions are dam, idm1"):
+                through(toy, key)
 
     def test_failed_day_ahead_stops_the_run(self):
         doc = toy_doc()
@@ -263,10 +264,10 @@ class TestVppRun:
         assert "dam" in result.profits.per_session
 
     def test_mode_dispatch(self, toy):
-        assert run(toy, RunConfig(mode="vpp")).mode == "vpp"
-        assert run(toy, RunConfig(mode="nocoord")).mode == "nocoord"
+        assert run(toy).mode == "vpp"
+        assert run(toy, "nocoord").mode == "nocoord"
         with pytest.raises(ValueError, match="unknown mode"):
-            run(toy, RunConfig(mode="solo"))
+            run(toy, "solo")
 
 
 class TestSingleAsset:
@@ -418,7 +419,7 @@ class TestRandomPortfolios:
             for draw in (random_seller_scenario, random_stu_scenario):
                 s = draw(np.random.default_rng(seed))
                 for mode in ("vpp", "nocoord"):
-                    result = run(s, RunConfig(mode=mode))
+                    result = run(s, mode)
                     where = f"{draw.__name__}({seed}) {mode}"
                     if not result.ok:
                         problems.append(f"{where}: stopped at {result.failure}")

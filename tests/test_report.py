@@ -11,11 +11,11 @@ import pytest
 
 from conftest import SCENARIO_DIR, make_scenario, toy_doc
 from vppopt.orchestrator import (
-    RunConfig,
     ThresholdEntry,
     run_no_coordination,
     run_vpp,
     sweep_profile_costs,
+    through,
 )
 from vppopt.report import (
     NOCOORD_NOTE,
@@ -130,7 +130,7 @@ class TestEmitAndLoad:
         assert not (tmp_path / "storage.csv").exists()
 
     def test_day_ahead_only_run_emits_no_session_files(self, toy, tmp_path):
-        report = build_report(toy, run_vpp(toy, RunConfig(sessions=("dam",))))
+        report = build_report(toy, run_vpp(through(toy, "dam")))
         written = {p.name for p in emit_report(report, tmp_path)}
         assert "dam.csv" in written and "profit.json" in written
         assert not any(name.startswith("idm_") for name in written)
@@ -225,7 +225,7 @@ class TestEmitAndLoad:
     def test_clear_day_ahead_size_is_pinned(self, tmp_path):
         # counted as HiGHS receives the model, after the SOS-2 reformulation
         scenario = load_scenario(SCENARIO_DIR / "clear.json")
-        result = run_vpp(scenario, RunConfig(sessions=("dam",)))
+        result = run_vpp(through(scenario, "dam"))
         emit_report(build_report(scenario, result), tmp_path)
         (dam,) = json.loads((tmp_path / "verify.json").read_text())["sessions"]
         assert (dam["nVars"], dam["nConstraints"]) == (1425, 1397)
@@ -243,7 +243,7 @@ class TestEmitAndLoad:
         emit_report(build_report(toy, run_vpp(toy)), tmp_path)
         (tmp_path / "notes.txt").write_text("kept")
         (tmp_path / "idm_1.csv.bak").write_text("kept")
-        dam_only = build_report(toy, run_vpp(toy, RunConfig(sessions=("dam",))))
+        dam_only = build_report(toy, run_vpp(through(toy, "dam")))
         emit_report(dam_only, tmp_path)
         assert {p.name for p in tmp_path.iterdir()} == {
             "dam.csv", "dispatch.csv", "demand.csv", "profit.json", "profiles.json",
