@@ -2,8 +2,8 @@
 
 Each intraday session re-optimizes delivery periods at or after its first
 covered period tau, taking everything earlier as settled. The
-:class:`LedgerState` carries the accumulated outcome: the day-ahead trade,
-every prior session's trade adjustments, the selected demand profiles and
+:class:`LedgerState` carries the settled position: each session's trade in
+calendar order (the day-ahead first), the selected demand profiles and
 the rolling current schedule of every asset. A session model maximizes
 the value of trade adjustments at session prices minus the cost of
 dispatch changes, subject to the same physical network, asset and demand
@@ -51,27 +51,27 @@ STU_BINARY_ROLES = (stu_mod.UPLUS, stu_mod.PB_ON, stu_mod.PB_START)
 
 @dataclass(frozen=True)
 class LedgerState:
-    """Accumulated market position and current schedules after a session.
+    """Settled market position and current schedules after a session.
 
-    Series span the full horizon; session trade series are zero outside
-    their window. Schedules hold the latest decision for every period:
-    each session overwrites its window, earlier periods stay settled.
+    ``trades`` holds each recorded session's traded power in calendar
+    order: ``trades[0]`` is the day-ahead and ``trades[k]`` intraday
+    session ``k``. Series span the full horizon; session trade series are
+    zero outside their window. Schedules hold the latest decision for
+    every period: each session overwrites its window, earlier periods
+    stay settled.
     """
 
-    dam_trade: tuple[float, ...]
-    idm_trades: dict[int, tuple[float, ...]]
+    trades: tuple[tuple[float, ...], ...]
     selected_profiles: dict[str, str]
     demand_p: dict[str, tuple[float, ...]]
     dres_p: dict[str, tuple[float, ...]]
     dres_u: dict[str, tuple[int, ...]]
     ndres_p: dict[str, tuple[float, ...]]
     stu_series: dict[str, dict[str, tuple[float, ...]]]
-    objectives: dict[str, float]
 
     def cumulative_trade(self, t: int) -> float:
-        """Committed trade at period t across the day-ahead stage and all
-        recorded sessions."""
-        return self.dam_trade[t - 1] + sum(series[t - 1] for series in self.idm_trades.values())
+        """Committed trade at period t across all recorded sessions."""
+        return sum(series[t - 1] for series in self.trades)
 
 
 def _binary(x: float) -> int:
@@ -123,26 +123,24 @@ def ledger_from_dam(s: Scenario, reg: VariableRegistry, sol: Solution) -> Ledger
         selected[d.id] = chosen[0]
     zero = (0.0,) * s.n_periods
     blank = LedgerState(
-        dam_trade=zero, idm_trades={}, selected_profiles=selected,
+        trades=(), selected_profiles=selected,
         demand_p={d.id: zero for d in s.demands}, dres_p={a.id: zero for a in s.dres},
         dres_u={a.id: zero for a in s.dres}, ndres_p={a.id: zero for a in s.ndres},
-        stu_series={a.id: dict.fromkeys(STU_ROLES, zero) for a in s.stu}, objectives={})
+        stu_series={a.id: dict.fromkeys(STU_ROLES, zero) for a in s.stu})
     schedules, trade = _read_window(blank, s, reg, x, 1, TRADE_DAM)
-    return replace(blank, dam_trade=trade, objectives={"dam": float(sol.objective)},
-                   **schedules)
+    return replace(blank, trades=(trade,), **schedules)
 
 
-def apply_idm(ledger: LedgerState, s: Scenario, k: int, reg: VariableRegistry,
+def apply_idm(ledger: LedgerState, s: Scenario, reg: VariableRegistry,
               sol: Solution) -> LedgerState:
-    """Fold a solved session into the ledger: record its trade series and
-    overwrite every schedule on the session window."""
+    """Fold the next session, ``k = len(ledger.trades)``, into the ledger:
+    append its trade series and overwrite every schedule on its window."""
+    k = len(ledger.trades)
     if sol.values is None:
         raise ValueError(f"session {k} solution has status {sol.status!r}, no assignment")
     schedules, trade = _read_window(ledger, s, reg, sol.values,
                                     s.calendar.session(k).first_period, IDM_TRADE)
-    return replace(ledger, idm_trades={**ledger.idm_trades, k: trade},
-                   objectives={**ledger.objectives, f"idm{k}": float(sol.objective)},
-                   **schedules)
+    return replace(ledger, trades=ledger.trades + (trade,), **schedules)
 
 
 # ---------------------------------------------------------------------------

@@ -509,8 +509,9 @@ class ScipyMilpAdapter:
 
 
 def _objective(low: _Lowered, x: Sequence[float]) -> float:
-    """The maximization objective of a vector over the lowered columns."""
-    return -math.fsum(map(operator.mul, low.cost, x))
+    """The maximization objective of a vector over the lowered columns;
+    ``0.0 - `` keeps an optimum of zero from reading ``-0.0``."""
+    return 0.0 - math.fsum(map(operator.mul, low.cost, x))
 
 
 _INTEGER = _h.HighsVarType.kInteger

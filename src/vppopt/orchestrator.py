@@ -80,7 +80,7 @@ class ProfitBreakdown:
 
     @property
     def total(self) -> float:
-        return sum(self.per_session.values())
+        return sum(self.per_session.values(), 0.0)
 
     def max_recompute_drift(self) -> float:
         keys = set(self.per_session) | set(self.recomputed)
@@ -149,7 +149,7 @@ def recompute_dam_profit(s: Scenario, ledger: LedgerState) -> float:
     """Day-ahead profit implied by the ledger's day-ahead stage."""
     dt = s.dt
     revenue = sum(price * trade for price, trade
-                  in zip(s.calendar.dam_prices, ledger.dam_trade)) * dt
+                  in zip(s.calendar.dam_prices, ledger.trades[0])) * dt
     cost = 0.0
     periods = range(1, s.n_periods + 1)
     for a in s.dres:
@@ -168,7 +168,7 @@ def recompute_idm_profit(s: Scenario, before: LedgerState, after: LedgerState,
     sess = s.calendar.session(k)
     tau = sess.first_period
     dt = s.dt
-    trade = after.idm_trades[k]
+    trade = after.trades[k]
     revenue = sum(sess.prices[t - tau] * trade[t - 1] * dt
                   for t in range(tau, s.n_periods + 1))
     cost = 0.0
@@ -188,14 +188,6 @@ def recompute_profits(s: Scenario, history: Sequence[LedgerState]) -> dict[str, 
     for k, (before, after) in enumerate(zip(history, history[1:]), start=1):
         out[f"idm{k}"] = recompute_idm_profit(s, before, after, k)
     return out
-
-
-def _profits(s: Scenario, history: Sequence[LedgerState]) -> ProfitBreakdown:
-    """The last ledger's profits next to their recomputation from the history."""
-    if not history:
-        return ProfitBreakdown({}, {})
-    return ProfitBreakdown(per_session=dict(history[-1].objectives),
-                           recomputed=recompute_profits(s, history))
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +312,21 @@ def _sessions(s: Scenario, options: SolveOptions | None) -> Iterator[_Step]:
             yield res, None
             return
         ledger = (ledger_from_dam(s, reg, sol) if k == 0
-                  else apply_idm(ledger, s, k, reg, sol))
+                  else apply_idm(ledger, s, reg, sol))
         start = sol.integers
         yield res, ledger
 
 
 def _run_result(s: Scenario, steps: Sequence[_Step], **kwargs) -> RunResult:
-    """The run of a session walk's ``steps``; a failed step is its failure."""
+    """The run of a session walk's ``steps``; a failed step is its failure.
+    The profits are the completed sessions' objectives, next to their
+    recomputation from the ledger history."""
     history = [ledger for _, ledger in steps if ledger is not None]
+    profits = ProfitBreakdown(
+        per_session={res.key: res.objective for res, ledger in steps if ledger is not None},
+        recomputed=recompute_profits(s, history) if history else {})
     return RunResult(sessions=tuple(res for res, _ in steps), ledger_history=tuple(history),
-                     profits=_profits(s, history),
+                     profits=profits,
                      failure=next((res.key for res, ledger in steps if ledger is None), None),
                      **kwargs)
 
@@ -387,30 +384,25 @@ def passive_demand_profit(s: Scenario, d: DemandAsset) -> float:
                 in zip(s.calendar.dam_prices, profile.power)) * s.dt
 
 
-def _aggregate_ledger(s: Scenario, keys: Sequence[str], parts: Sequence[LedgerState],
-                      demand_profit: float) -> LedgerState:
-    """The portfolio's ledger after the sessions ``keys``: the isolated
-    assets' trades and objectives summed in asset order, their own
-    schedules, and every demand on its default profile, bought day-ahead."""
+def _aggregate_ledger(s: Scenario, n_sessions: int,
+                      parts: Sequence[LedgerState]) -> LedgerState:
+    """The portfolio's ledger after its first ``n_sessions`` sessions:
+    the isolated assets' trades summed session by session in asset order,
+    their own schedules, and every demand on its default profile, bought
+    day-ahead."""
     defaults = {d.id: d.default_profile() for d in s.demands}
-    dam_trade = [0.0] * s.n_periods
-    idm_trades = {k: [0.0] * s.n_periods for k in range(1, len(keys))}
+    trades = [[0.0] * s.n_periods for _ in range(n_sessions)]
     for part in parts:
-        dam_trade = [x + y for x, y in zip(dam_trade, part.dam_trade)]
-        idm_trades = {k: [x + y for x, y in zip(series, part.idm_trades[k])]
-                      for k, series in idm_trades.items()}
+        trades = [[x + y for x, y in zip(acc, series)]
+                  for acc, series in zip(trades, part.trades)]
     for profile in defaults.values():
-        dam_trade = [x - y for x, y in zip(dam_trade, profile.power)]
-    objectives = {key: float(sum(part.objectives[key] for part in parts)) for key in keys}
-    objectives["dam"] += demand_profit
+        trades[0] = [x - y for x, y in zip(trades[0], profile.power)]
     schedules = {name: {aid: v for part in parts for aid, v in getattr(part, name).items()}
                  for name in ("dres_p", "dres_u", "ndres_p", "stu_series")}
     return LedgerState(
-        dam_trade=tuple(dam_trade),
-        idm_trades={k: tuple(series) for k, series in idm_trades.items()},
+        trades=tuple(map(tuple, trades)),
         selected_profiles={did: p.id for did, p in defaults.items()},
-        demand_p={did: p.power for did, p in defaults.items()},
-        objectives=objectives, **schedules)
+        demand_p={did: p.power for did, p in defaults.items()}, **schedules)
 
 
 _SUMMED_FIELDS = tuple(f for f in fields(SessionResult)
@@ -428,11 +420,12 @@ def run_no_coordination(s: Scenario, options: SolveOptions | None = None) -> Run
     other and go through one :class:`_WorkerPool` kept for the whole run,
     the storage units' (the longest) first, and the next session starts
     when all of them are done. Each session's parts fold in portfolio
-    order (so every sum is the sequential one) into one aggregate ledger;
-    profits, their recomputation and the post-hoc checks thus treat the
-    baseline like a VPP run. Like :func:`run_vpp`, the run stops at the
+    order (so every sum is the sequential one) into one aggregate ledger,
+    and a session's objective is its parts' objectives summed in the same
+    order; profits, their recomputation and the post-hoc checks thus treat
+    the baseline like a VPP run. Like :func:`run_vpp`, the run stops at the
     first session any asset failed, and no asset walk goes past it. The
-    passive demand purchase costs are booked at the day-ahead stage.
+    passive demand purchases are added to the day-ahead objective.
     """
     keys = session_keys(s)
     portfolio = [a.id for a in s.dres + s.ndres + s.stu]
@@ -447,14 +440,18 @@ def run_no_coordination(s: Scenario, options: SolveOptions | None = None) -> Run
             parts = [stepped[aid][0] for aid in portfolio]
             ledgers = [stepped[aid][1] for aid in portfolio]
             failed = [p for p, led in zip(parts, ledgers) if led is None]
-            ledger = None if failed else _aggregate_ledger(s, keys[:k + 1], ledgers,
-                                                           sum(demand_profit.values()))
+            ledger = None if failed else _aggregate_ledger(s, k + 1, ledgers)
+            objective = None
+            if not failed:
+                objective = float(sum(p.objective for p in parts))
+                if k == 0:
+                    objective += sum(demand_profit.values())
             steps.append((SessionResult(
                 key=key,
                 # a failed part's status comes first; it is never "optimal"
                 status=next((p.status for p in failed + parts if p.status != "optimal"),
                             "optimal"),
-                objective=None if failed else ledger.objectives[key],
+                objective=objective,
                 violations=tuple(v for p in parts for v in p.violations),
                 # the parts' gaps add up to a bound on the aggregate's gap
                 abs_gap=None if any(p.abs_gap is None for p in parts)

@@ -69,13 +69,13 @@ def build_report(s: Scenario, result: RunResult) -> Report:
     ledger = result.ledger
     if ledger is not None:
         periods = range(1, s.n_periods + 1)
+        dam_trade, *idm_trades = ledger.trades
         tables["dam.csv"] = (["period", "tradedMW"],
-                             [[t, float(v)] for t, v in zip(periods, ledger.dam_trade)])
+                             [[t, float(v)] for t, v in zip(periods, dam_trade)])
         # committed position after each session: the day-ahead trade plus
         # every session's adjustment up to and including it
-        running = list(ledger.dam_trade)
-        for k in sorted(ledger.idm_trades):
-            trade = ledger.idm_trades[k]
+        running = list(dam_trade)
+        for k, trade in enumerate(idm_trades, start=1):
             running = [c + v for c, v in zip(running, trade)]
             tables[f"idm_{k}.csv"] = (
                 ["period", "tradedMW", "cumulativeMW"],

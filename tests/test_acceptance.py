@@ -200,6 +200,17 @@ class TestSolveQuality:
             for mode in want:
                 assert got[mode] == pytest.approx(want[mode], rel=1e-6), f"{name}/{mode}"
 
+    def test_session_profits_are_the_verified_objectives(self, study, baselines):
+        """``profit.json`` reports each session's objective as
+        ``verify.json`` records it, in both modes: there is one copy of
+        the solver's objectives."""
+        for name in ("clear", "cloudy"):
+            for mode, result in (("vpp", study[name][1]), ("nocoord", baselines[name])):
+                docs = build_report(study[name][0], result).documents
+                assert docs["profit.json"]["sessions"] == {
+                    x["key"]: x["objective"] for x in docs["verify.json"]["sessions"]
+                }, f"{name}/{mode}"
+
     @pytest.mark.skipif(_Highs().version() != COUNTS_HIGHS_VERSION,
                         reason=f"search counts are pinned for HiGHS {COUNTS_HIGHS_VERSION}")
     def test_day_ahead_search_counts_are_pinned(self, study):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -338,11 +339,31 @@ class TestRun:
         s = make_scenario(doc)
         default = s.demands[0].default_profile()
         ledger = LedgerState(
-            dam_trade=(0.0,) * 3, idm_trades={},
+            trades=((0.0,) * 3,),
             selected_profiles={"load": default.id}, demand_p={"load": default.power},
-            dres_p={}, dres_u={}, ndres_p={}, stu_series={}, objectives={})
+            dres_p={}, dres_u={}, ndres_p={}, stu_series={})
         assert check_demand_contracts(s, ledger) == [
             "load: period 2 ramp-up 2.000000 exceeds 1.000000"]
+
+    def test_an_optimum_of_zero_reads_zero(self, tmp_path, capsys):
+        """An islanded toy whose wind must run: nothing to sell and nothing
+        to pay, so every optimum is exactly zero and reads ``0.00`` and
+        ``0.0``, never with a minus sign. Under ``nocoord`` the wind farm
+        alone cannot place its minimum output, and the empty total is a
+        float too."""
+        doc = toy_doc()
+        doc["network"]["tradeCap"] = {"b1": 0.0}
+        doc["ndres"][0]["pMin"] = 1.0
+        path = _write(tmp_path, doc)
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "dam: optimal objective=0.00 " in out and "-0.00" not in out
+        profit = json.loads((tmp_path / "r" / "profit.json").read_text())
+        assert profit["sessions"] == profit["recomputed"] == {"dam": 0.0, "idm1": 0.0}
+        assert all(math.copysign(1.0, v) == 1.0 for v in profit["sessions"].values())
+        assert main(["run", "--scenario", str(path), "--mode", "nocoord",
+                     "--out", str(tmp_path / "solo")]) == EXIT_INFEASIBLE
+        assert '"total": 0.0,' in (tmp_path / "solo" / "profit.json").read_text()
 
     def test_infeasible_session_exits_3(self, tmp_path, capsys):
         doc = toy_doc()

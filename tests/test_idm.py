@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, make_scenario, series, toy_doc
+from conftest import SCENARIO_DIR, TOY_DAM_OBJECTIVE, make_scenario, series, toy_doc
 from vppopt.dam import DEM_P, DEM_U, DRES_P, NDRES_P, assemble_dam
 from vppopt.idm import (
     DRES_DP,
@@ -18,6 +18,7 @@ from vppopt.idm import (
     ledger_from_dam,
 )
 from vppopt.milp import BINARY, Solution, dump_lp, solve, verify
+from vppopt.orchestrator import run_vpp
 from vppopt.scenario import load_scenario
 
 T3 = (1, 2, 3)
@@ -31,7 +32,7 @@ def _dam_ledger(s):
 
 
 def _cumulative_trades(ledger):
-    return [ledger.cumulative_trade(t) for t in range(1, len(ledger.dam_trade) + 1)]
+    return [ledger.cumulative_trade(t) for t in range(1, len(ledger.trades[0]) + 1)]
 
 
 def _registered(reg, role, entity, t):
@@ -92,7 +93,9 @@ class TestSessionAdjustments:
         assert abs(sol.objective - (-100.0)) <= 1e-6
         trades = series(reg, sol.values, IDM_TRADE, "vpp", T3)
         assert np.allclose(trades, [0.0, -5.0, 0.0], atol=1e-6)
-        after = apply_idm(ledger, s, 1, reg, sol)
+        after = apply_idm(ledger, s, reg, sol)
+        assert len(after.trades) == 2
+        assert np.allclose(after.trades[1], [0.0, -5.0, 0.0], atol=1e-6)
         assert np.allclose(_cumulative_trades(after), [12.0, 9.0, 13.0],
                            atol=1e-6)
         wind = series(reg, sol.values, NDRES_P, "wind", T3)
@@ -175,23 +178,23 @@ class TestRecedingWindow:
 class TestLedger:
     def test_seeded_from_day_ahead(self, toy):
         ledger = _dam_ledger(toy)
-        assert np.allclose(ledger.dam_trade, [12.0, 14.0, 13.0], atol=1e-6)
-        assert ledger.idm_trades == {}
+        assert len(ledger.trades) == 1
+        assert np.allclose(ledger.trades[0], [12.0, 14.0, 13.0], atol=1e-6)
         assert ledger.selected_profiles == {"load": "flat"}
         assert ledger.dres_u["gen"] == (1, 1, 1)
-        assert set(ledger.objectives) == {"dam"}
-        assert abs(sum(ledger.objectives.values()) - 853.0) <= 1e-6
+        assert _cumulative_trades(ledger) == list(ledger.trades[0])
 
     def test_objectives_add_up_across_sessions(self, toy):
-        ledger = _dam_ledger(toy)
-        _, reg, sol = _solved_session(toy, ledger, 1)
-        after = apply_idm(ledger, toy, 1, reg, sol)
-        assert set(after.objectives) == {"dam", "idm1"}
-        assert abs(sum(after.objectives.values())
-                   - (ledger.objectives["dam"] + sol.objective)) <= 1e-9
+        result = run_vpp(toy)
+        assert result.profits.per_session == {
+            r.key: r.objective for r in result.sessions}
+        assert abs(result.profits.per_session["dam"] - TOY_DAM_OBJECTIVE) <= 1e-6
+        assert abs(result.profits.total - sum(r.objective for r in result.sessions)) <= 1e-9
+        after = result.ledger
+        assert len(after.trades) == 2
         assert np.allclose(
             _cumulative_trades(after),
-            np.array(after.dam_trade) + np.array(after.idm_trades[1]),
+            np.array(after.trades[0]) + np.array(after.trades[1]),
             atol=1e-12)
 
     def test_sessions_never_touch_settled_periods(self):
@@ -202,9 +205,12 @@ class TestLedger:
             "ndresAvail": {"wind": [6.0, 5.0]}, "stuAvail_th": {}})
         s = make_scenario(doc)
         ledger = _dam_ledger(s)
+        _, reg, sol = _solved_session(s, ledger, 1)
+        ledger = apply_idm(ledger, s, reg, sol)
         _, reg, sol = _solved_session(s, ledger, 2)
-        after = apply_idm(ledger, s, 2, reg, sol)
-        assert after.idm_trades[2][0] == 0.0
+        after = apply_idm(ledger, s, reg, sol)
+        assert len(after.trades) == 3
+        assert after.trades[2][0] == 0.0
         assert after.demand_p["load"][0] == ledger.demand_p["load"][0]
         assert after.dres_p["gen"][0] == ledger.dres_p["gen"][0]
         assert after.ndres_p["wind"][0] == ledger.ndres_p["wind"][0]
@@ -215,7 +221,7 @@ class TestLedger:
             ledger_from_dam(toy, reg, Solution(status="infeasible"))
         ledger = _dam_ledger(toy)
         with pytest.raises(ValueError, match="no assignment"):
-            apply_idm(ledger, toy, 1, reg, Solution(status="infeasible"))
+            apply_idm(ledger, toy, reg, Solution(status="infeasible"))
 
     def test_rejects_ambiguous_profile_selection(self, toy):
         model, reg = assemble_dam(toy)

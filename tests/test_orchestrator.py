@@ -344,9 +344,9 @@ class TestNoCoordination:
     def test_history_is_the_aggregate_ledger_per_session(self, toy):
         result = run_no_coordination(toy)
         assert result.ledger is result.ledger_history[-1]
-        assert [sorted(led.objectives) for led in result.ledger_history] == \
-            [["dam"], ["dam", "idm1"]]
-        assert result.profits.per_session == result.ledger.objectives
+        assert [len(led.trades) for led in result.ledger_history] == [1, 2]
+        assert result.profits.per_session == {
+            r.key: r.objective for r in result.sessions}
         assert result.profits.max_recompute_drift() <= 1e-9
         ledger = result.ledger
         assert ledger.selected_profiles == {"load": "flat"}
@@ -394,8 +394,8 @@ class TestNoCoordination:
         assert result.ok and solved == []
         assert result.profits.per_session == {"dam": -180.0, "idm1": 0.0}
         assert result.profits.recomputed == {"dam": -180.0, "idm1": 0.0}
-        assert result.ledger.dam_trade == (-2.0, -2.0, -2.0)
-        assert result.ledger.idm_trades == {1: (0.0, 0.0, 0.0)}
+        assert result.ledger.trades == ((-2.0, -2.0, -2.0), (0.0, 0.0, 0.0))
+        assert [r.objective for r in result.sessions] == [-180.0, 0.0]
 
     def test_passive_demand_pays_day_ahead_prices(self, toy):
         d = toy.demands[0]

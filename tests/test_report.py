@@ -141,9 +141,9 @@ class TestEmitAndLoad:
         ledger = result.ledger
         dam = load_trade_csv(tmp_path / "dam.csv")
         assert dam["period"] == [1.0, 2.0, 3.0]
-        assert np.allclose(dam["tradedMW"], ledger.dam_trade, atol=5e-7)
+        assert np.allclose(dam["tradedMW"], ledger.trades[0], atol=5e-7)
         idm = load_trade_csv(tmp_path / "idm_1.csv")
-        assert np.allclose(idm["tradedMW"], ledger.idm_trades[1], atol=5e-7)
+        assert np.allclose(idm["tradedMW"], ledger.trades[1], atol=5e-7)
         assert np.allclose(idm["cumulativeMW"],
                            [ledger.cumulative_trade(t) for t in (1, 2, 3)], atol=5e-7)
 
