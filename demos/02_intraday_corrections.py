@@ -29,7 +29,7 @@ def main() -> None:
         raise SystemExit(f"run stopped at {result.failure}")
 
     print(f"{s.name} day: {len(result.sessions)} sessions, "
-          f"total profit {result.profits.total:,.2f} EUR")
+          f"total profit {result.total_profit:,.2f} EUR")
     print()
     print("session  window   objective   moved MWh  largest single correction")
     history = result.ledger_history
@@ -50,10 +50,10 @@ def main() -> None:
 
     print()
     print("profit by session (solver vs recomputed from schedules):")
-    for key, value in result.profits.per_session.items():
-        recomputed = result.profits.recomputed[key]
+    for key, value in result.profits.items():
+        recomputed = result.recomputed_profits[key]
         print(f"  {key:<5} {value:12,.2f}   {recomputed:12,.2f}")
-    print(f"largest bookkeeping drift: {result.profits.max_recompute_drift():.2e} EUR")
+    print(f"largest bookkeeping drift: {result.max_recompute_drift():.2e} EUR")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from vppopt.orchestrator import run, run_vpp, single_asset_scenario
+from vppopt.orchestrator import passive_demand_profit, run, single_asset_scenario
 from vppopt.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -26,17 +26,18 @@ def main() -> None:
         solo = run(s, "nocoord")
         if not (vpp.ok and solo.ok):
             raise SystemExit(f"{name}: run failed")
-        uplift = vpp.profits.total - solo.profits.total
-        rel = uplift / abs(solo.profits.total)
-        print(f"{name:<7} {vpp.profits.total:11,.2f} {solo.profits.total:14,.2f} "
+        uplift = vpp.total_profit - solo.total_profit
+        rel = uplift / abs(solo.total_profit)
+        print(f"{name:<7} {vpp.total_profit:11,.2f} {solo.total_profit:14,.2f} "
               f"{uplift:14,.2f} {rel:9.1%}")
 
         print("        isolated breakdown:")
         for a in s.dres + s.ndres + s.stu:
-            alone = run_vpp(single_asset_scenario(s, a.id)).profits.total
+            alone = run(single_asset_scenario(s, a.id)).total_profit
             print(f"          {a.id:<12} {alone:12,.2f}")
-        for demand_id, profit in solo.passive_demand_profit.items():
-            print(f"          {demand_id:<12} {profit:12,.2f}  (passive purchase)")
+        for d in s.demands:
+            print(f"          {d.id:<12} {passive_demand_profit(s, d):12,.2f}  "
+                  f"(passive purchase)")
         print()
 
 

@@ -5,7 +5,7 @@ the demand for deviating from its default. This demo finds that
 payment for one demand/profile pair on the clear day from two day-ahead
 solves, one with each profile held: below the threshold the optimizer
 books the alternative profile, above it the default wins. Sweep all
-pairs with --all (about fifteen seconds).
+pairs with --all (about two seconds).
 """
 
 from __future__ import annotations

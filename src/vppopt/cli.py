@@ -181,7 +181,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
              f"({sess.runtime_s:.2f}s, {sess.nodes} nodes, "
              f"{sess.lp_iterations} LP iterations, absGap {gap}, "
              f"{len(sess.violations)} violations)")
-    _say(f"total profit: {report.total_profit:.2f}")
+    _say(f"total profit: {result.total_profit:.2f}")
     unproven = [r for r in result.sessions if r.status == "feasible"]
     if unproven:
         gaps = [r.abs_gap for r in unproven]
@@ -190,14 +190,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
              f"feasible, worst absGap {worst}; see verify.json")
     _say(f"report written to {out_dir}")
 
-    if result.failure is not None:
-        failed = next(r for r in result.sessions if r.key == result.failure)
-        print(f"run stopped at {result.failure}: {failed.status}", file=sys.stderr)
+    if not result.ok:
+        failed = result.sessions[-1]
+        print(f"run stopped at {failed.key}: {failed.status}", file=sys.stderr)
         return EXIT_INFEASIBLE if failed.status == "infeasible" else EXIT_SOLVER
     if report.verifier_summary():
         print("verification found violations; see verify.json", file=sys.stderr)
         return EXIT_SOLVER
-    drift = result.profits.max_recompute_drift()
+    drift = result.max_recompute_drift()
     if drift > MAX_PROFIT_DRIFT:
         print(f"recomputed profits drift {drift:.3e} EUR from the solver's "
               f"(limit {MAX_PROFIT_DRIFT:g})", file=sys.stderr)

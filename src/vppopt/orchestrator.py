@@ -1,16 +1,18 @@
 """Experiment pipeline: day-ahead solve, sequential intraday sessions,
 the no-coordination baseline, and the profile-cost sweep.
 
-A VPP run solves the day-ahead model, seeds the ledger, then walks the
-calendar's intraday sessions in order, each with its own forecast set.
-A run of the first sessions only is a run of the scenario cut after the
-last of them (:func:`through`).
+A run (:func:`run`) walks the calendar's sessions in order: the ``vpp``
+mode solves the day-ahead model, seeds the ledger, then solves each
+intraday session with its own forecast set. A run of the first sessions
+only is a run of the scenario cut after the last of them (:func:`through`).
 Every solved session is independently re-verified. The no-coordination
-baseline gives each asset its own isolated walk of the same sessions
-(demands stay passive on their default profile), advances the walks
-together one session at a time and folds each session into one ledger,
-so the two modes are comparable profit-for-profit and check-for-check;
-it stops, with every asset, at the first session any asset failed.
+baseline (``nocoord``) gives each asset its own isolated walk of the
+same sessions (demands stay passive on their default profile), advances
+the walks together one session at a time and folds each session into one
+ledger, so the two modes are comparable profit-for-profit and
+check-for-check; it stops, with every asset, at the first session any
+asset failed. Either way the result is the session walk
+(:class:`RunResult`); its profits, total and failure are read from it.
 The sweep finds, per demand profile, the largest
 payment at which the optimizer still picks it over the default, in
 closed form from two solves of the scenario's own day-ahead model with
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -71,31 +73,23 @@ class SessionResult:
 
 
 @dataclass(frozen=True)
-class ProfitBreakdown:
-    """Solver-reported profits next to an independent recomputation from
-    the settled schedules and prices."""
-
-    per_session: dict[str, float]
-    recomputed: dict[str, float]
-
-    @property
-    def total(self) -> float:
-        return sum(self.per_session.values(), 0.0)
-
-    def max_recompute_drift(self) -> float:
-        keys = set(self.per_session) | set(self.recomputed)
-        return max((abs(self.per_session.get(k, 0.0) - self.recomputed.get(k, 0.0))
-                    for k in keys), default=0.0)
-
-
-@dataclass(frozen=True)
 class RunResult:
+    """A run's session walk: each walked session's result in calendar
+    order, the ledger after each completed one, and the completed
+    sessions' profits recomputed from that ledger history, independently
+    of the solver. Only the last session can have failed, and it has no
+    ledger; every other value of the run is read from these fields."""
+
     mode: str
     sessions: tuple[SessionResult, ...]
     ledger_history: tuple[LedgerState, ...]
-    profits: ProfitBreakdown
-    failure: str | None = None  # session key that stopped the run
-    passive_demand_profit: dict[str, float] = field(default_factory=dict)
+    recomputed_profits: dict[str, float]
+
+    @property
+    def failure(self) -> str | None:
+        """The key of the session that stopped the run, if one did."""
+        n = len(self.ledger_history)
+        return self.sessions[n].key if n < len(self.sessions) else None
 
     @property
     def ok(self) -> bool:
@@ -105,6 +99,21 @@ class RunResult:
     def ledger(self) -> LedgerState | None:
         """The ledger after the last completed session."""
         return self.ledger_history[-1] if self.ledger_history else None
+
+    @property
+    def profits(self) -> dict[str, float]:
+        """Each completed session's verified objective, by key."""
+        return {r.key: r.objective for r in self.sessions[:len(self.ledger_history)]}
+
+    @property
+    def total_profit(self) -> float:
+        return sum(self.profits.values(), 0.0)
+
+    def max_recompute_drift(self) -> float:
+        """The largest gap between a completed session's profit and its
+        recomputation."""
+        return max((abs(v - self.recomputed_profits[k]) for k, v in self.profits.items()),
+                   default=0.0)
 
 
 def session_keys(s: Scenario) -> list[str]:
@@ -317,27 +326,6 @@ def _sessions(s: Scenario, options: SolveOptions | None) -> Iterator[_Step]:
         yield res, ledger
 
 
-def _run_result(s: Scenario, steps: Sequence[_Step], **kwargs) -> RunResult:
-    """The run of a session walk's ``steps``; a failed step is its failure.
-    The profits are the completed sessions' objectives, next to their
-    recomputation from the ledger history."""
-    history = [ledger for _, ledger in steps if ledger is not None]
-    profits = ProfitBreakdown(
-        per_session={res.key: res.objective for res, ledger in steps if ledger is not None},
-        recomputed=recompute_profits(s, history) if history else {})
-    return RunResult(sessions=tuple(res for res, _ in steps), ledger_history=tuple(history),
-                     profits=profits,
-                     failure=next((res.key for res, ledger in steps if ledger is None), None),
-                     **kwargs)
-
-
-def run_vpp(s: Scenario, options: SolveOptions | None = None) -> RunResult:
-    """The scenario's sessions in order (:func:`_sessions`). Stops at the
-    first session that fails to produce an assignment and marks it;
-    completed sessions keep their results."""
-    return _run_result(s, list(_sessions(s, options)), mode="vpp")
-
-
 # ---------------------------------------------------------------------------
 # No-coordination baseline
 # ---------------------------------------------------------------------------
@@ -410,7 +398,7 @@ _SUMMED_FIELDS = tuple(f for f in fields(SessionResult)
                                          "abs_gap", "start_objective"))
 
 
-def run_no_coordination(s: Scenario, options: SolveOptions | None = None) -> RunResult:
+def _no_coordination(s: Scenario, options: SolveOptions | None) -> list[_Step]:
     """Every asset bids alone; demands stay passive on the default profile.
 
     Each generation asset walks its own session sequence
@@ -423,7 +411,7 @@ def run_no_coordination(s: Scenario, options: SolveOptions | None = None) -> Run
     order (so every sum is the sequential one) into one aggregate ledger,
     and a session's objective is its parts' objectives summed in the same
     order; profits, their recomputation and the post-hoc checks thus treat
-    the baseline like a VPP run. Like :func:`run_vpp`, the run stops at the
+    the baseline like a VPP run. Like the VPP walk, the run stops at the
     first session any asset failed, and no asset walk goes past it. The
     passive demand purchases are added to the day-ahead objective.
     """
@@ -431,7 +419,7 @@ def run_no_coordination(s: Scenario, options: SolveOptions | None = None) -> Run
     portfolio = [a.id for a in s.dres + s.ndres + s.stu]
     longest_first = [a.id for a in s.stu + s.dres + s.ndres]
     walks = {aid: _sessions(single_asset_scenario(s, aid), options) for aid in longest_first}
-    demand_profit = {d.id: passive_demand_profit(s, d) for d in s.demands}
+    passive = sum(passive_demand_profit(s, d) for d in s.demands)
     steps: list[_Step] = []
     with _WorkerPool(len(longest_first)) as pool:  # one for all sessions
         for k, key in enumerate(keys):
@@ -445,7 +433,7 @@ def run_no_coordination(s: Scenario, options: SolveOptions | None = None) -> Run
             if not failed:
                 objective = float(sum(p.objective for p in parts))
                 if k == 0:
-                    objective += sum(demand_profit.values())
+                    objective += passive
             steps.append((SessionResult(
                 key=key,
                 # a failed part's status comes first; it is never "optimal"
@@ -464,18 +452,25 @@ def run_no_coordination(s: Scenario, options: SolveOptions | None = None) -> Run
                    for f in _SUMMED_FIELDS}), ledger))
             if failed:
                 break
-
-    return _run_result(s, steps, mode="nocoord", passive_demand_profit=demand_profit)
+    return steps
 
 
 def run(s: Scenario, mode: str = "vpp", options: SolveOptions | None = None) -> RunResult:
-    """Run every session of ``s`` coordinated (``"vpp"``) or with every
-    asset alone (``"nocoord"``)."""
+    """Run every session of ``s`` coordinated (``"vpp"``, :func:`_sessions`)
+    or with every asset alone (``"nocoord"``, :func:`_no_coordination`).
+    The run stops at the first session that fails to produce an assignment;
+    completed sessions keep their results, and their profits are
+    recomputed from the ledger history. Raises ``ValueError`` for an
+    unknown mode."""
     if mode == "vpp":
-        return run_vpp(s, options)
-    if mode == "nocoord":
-        return run_no_coordination(s, options)
-    raise ValueError(f"unknown mode {mode!r}")
+        steps = list(_sessions(s, options))
+    elif mode == "nocoord":
+        steps = _no_coordination(s, options)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    history = tuple(ledger for _, ledger in steps if ledger is not None)
+    return RunResult(mode, tuple(res for res, _ in steps), history,
+                     recompute_profits(s, history) if history else {})
 
 
 # ---------------------------------------------------------------------------

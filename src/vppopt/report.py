@@ -23,7 +23,7 @@ from pathlib import Path
 from vppopt import stu as stu_mod
 from vppopt.orchestrator import (RunResult, SessionResult, ThresholdEntry,
                                  check_aggregate_balance, check_demand_contracts,
-                                 check_storage_conservation)
+                                 check_storage_conservation, passive_demand_profit)
 from vppopt.scenario import Scenario
 
 NOCOORD_NOTE = ("no-coordination baseline: every generation asset bids alone at the "
@@ -39,10 +39,6 @@ class Report:
 
     tables: dict[str, tuple[list[str], list[list]]]
     documents: dict[str, dict]
-
-    @property
-    def total_profit(self) -> float:
-        return self.documents["profit.json"]["total"]
 
     def verifier_summary(self) -> list[str]:
         return self.documents["verify.json"]["summary"]
@@ -104,13 +100,13 @@ def build_report(s: Scenario, result: RunResult) -> Report:
     profit = {
         "scenario": s.name,
         "mode": result.mode,
-        "sessions": dict(result.profits.per_session),
-        "recomputed": dict(result.profits.recomputed),
-        "total": result.profits.total,
+        "sessions": result.profits,
+        "recomputed": dict(result.recomputed_profits),
+        "total": result.total_profit,
         "failure": result.failure,
     }
     if result.mode == "nocoord":
-        profit["passiveDemandProfit"] = dict(result.passive_demand_profit)
+        profit["passiveDemandProfit"] = {d.id: passive_demand_profit(s, d) for d in s.demands}
         profit["note"] = NOCOORD_NOTE
     sessions = [{key: getattr(r, name) for name, key in _RECORD_KEYS.items()}
                 | {"violations": [str(v) for v in r.violations]} for r in result.sessions]

@@ -47,7 +47,6 @@ from vppopt.orchestrator import (
     check_storage_conservation,
     chosen_profiles,
     run,
-    run_vpp,
     sweep_profile_costs,
     through,
 )
@@ -195,8 +194,8 @@ class TestSolveQuality:
         alternate optima, so a backend change can move a total while every
         session still verifies clean."""
         for name, want in SHIPPED_TOTALS.items():
-            got = {"vpp": study[name][1].profits.total,
-                   "nocoord": baselines[name].profits.total}
+            got = {"vpp": study[name][1].total_profit,
+                   "nocoord": baselines[name].total_profit}
             for mode in want:
                 assert got[mode] == pytest.approx(want[mode], rel=1e-6), f"{name}/{mode}"
 
@@ -370,9 +369,9 @@ class TestEconomics:
             assert check_demand_contracts(s, base.ledger) == [], name
             assert check_aggregate_balance(s, base.ledger) == [], name
             assert check_storage_conservation(s, base.ledger) == [], name
-            assert base.profits.max_recompute_drift() <= 1e-6, name
-            vpp = study[name][1].profits.total
-            solo = base.profits.total
+            assert base.max_recompute_drift() <= 1e-6, name
+            vpp = study[name][1].total_profit
+            solo = base.total_profit
             assert vpp >= solo - 1e-6, f"{name}: {vpp} < {solo}"
             gaps[name] = (vpp - solo) / abs(solo)
         assert gaps["cloudy"] > gaps["clear"]
@@ -409,7 +408,7 @@ class TestEconomics:
                 for name in names]
         for name, s, result in zip(names, days, on_two_threads(run, days)):
             assert result.ok, f"{name}: run stopped at {result.failure}"
-            for key, value in result.profits.per_session.items():
+            for key, value in result.profits.items():
                 if key != "dam":
                     assert abs(value) <= 1e-6, f"{name}/{key}: {value}"
             for prev, cur in zip(result.ledger_history, result.ledger_history[1:]):
@@ -473,11 +472,11 @@ class TestFinerGrid:
         s = refine(load_scenario(SCENARIO_DIR / f"{name}.json"), 2)
         assert (s.n_periods, s.dt) == (48, 0.5)
         assert validate_scenario(s) == []
-        result = run_vpp(through(s, "dam"))
+        result = run(through(s, "dam"))
         assert result.ok
         (dam,) = result.sessions
         assert (dam.status, dam.violations) == ("optimal", ())
-        assert result.profits.max_recompute_drift() <= 1e-6
+        assert result.max_recompute_drift() <= 1e-6
         assert build_report(s, result).verifier_summary() == []
 
     # columns that hold an event or its cost: the hour's value goes on the

@@ -401,7 +401,7 @@ class TestRun:
             return sol
 
         monkeypatch.setattr(orchestrator, "solve", recorded)
-        result = orchestrator.run_no_coordination(make_scenario(_two_storage_doc()))
+        result = orchestrator.run(make_scenario(_two_storage_doc()), "nocoord")
         assert result.failure == "idm1"
         assert len(solved) == 4
         # each asset's solves in the order it made them
@@ -488,15 +488,14 @@ class TestRun:
 
     def test_solver_failure_exits_4(self, toy_file, tmp_path, capsys, monkeypatch):
         from vppopt import cli
-        from vppopt.orchestrator import ProfitBreakdown, RunResult, SessionResult
+        from vppopt.orchestrator import RunResult, SessionResult
 
         broken = RunResult(
             mode="vpp",
             sessions=(SessionResult(key="dam", status="error", objective=None,
                                     violations=(), runtime_s=0.0, n_vars=0,
                                     n_constraints=0),),
-            ledger_history=(), profits=ProfitBreakdown({}, {}),
-            failure="dam")
+            ledger_history=(), recomputed_profits={})
         monkeypatch.setattr(cli, "run", lambda s, mode, options: broken)
         code = main(["run", "--scenario", str(toy_file), "--out", str(tmp_path / "r")])
         assert code == EXIT_SOLVER

@@ -18,7 +18,7 @@ from vppopt.idm import (
     ledger_from_dam,
 )
 from vppopt.milp import BINARY, Solution, dump_lp, solve, verify
-from vppopt.orchestrator import run_vpp
+from vppopt.orchestrator import run
 from vppopt.scenario import load_scenario
 
 T3 = (1, 2, 3)
@@ -185,11 +185,11 @@ class TestLedger:
         assert _cumulative_trades(ledger) == list(ledger.trades[0])
 
     def test_objectives_add_up_across_sessions(self, toy):
-        result = run_vpp(toy)
-        assert result.profits.per_session == {
+        result = run(toy)
+        assert result.profits == {
             r.key: r.objective for r in result.sessions}
-        assert abs(result.profits.per_session["dam"] - TOY_DAM_OBJECTIVE) <= 1e-6
-        assert abs(result.profits.total - sum(r.objective for r in result.sessions)) <= 1e-9
+        assert abs(result.profits["dam"] - TOY_DAM_OBJECTIVE) <= 1e-6
+        assert abs(result.total_profit - sum(r.objective for r in result.sessions)) <= 1e-9
         after = result.ledger
         assert len(after.trades) == 2
         assert np.allclose(

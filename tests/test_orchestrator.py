@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario, toy_doc
+from vppopt.idm import LedgerState
 from vppopt.orchestrator import (
+    RunResult,
+    SessionResult,
     _WorkerPool,
     check_aggregate_balance,
     check_demand_contracts,
@@ -21,8 +24,6 @@ from vppopt.orchestrator import (
     chosen_profiles,
     passive_demand_profit,
     run,
-    run_no_coordination,
-    run_vpp,
     session_keys,
     single_asset_scenario,
     sweep_profile_costs,
@@ -181,7 +182,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(orchestrator, "solve", recording_solve)
         before = threading.active_count()
-        result = run_no_coordination(s)
+        result = run(s, "nocoord")
         assert result.ok and len(result.sessions) == 8
         assert len(solvers) == 40
         others = set(solvers) - {threading.current_thread()}
@@ -211,23 +212,23 @@ class TestWorkerPool:
 
 class TestVppRun:
     def test_full_day_on_the_toy(self, toy):
-        result = run_vpp(toy)
+        result = run(toy)
         assert result.ok
         assert [r.key for r in result.sessions] == ["dam", "idm1"]
         assert all(r.status == "optimal" for r in result.sessions)
         assert all(r.violations == () for r in result.sessions)
         # day-ahead 853 plus the 10 of intraday band arbitrage
-        assert abs(result.profits.total - 863.0) <= 1e-6
-        assert result.profits.max_recompute_drift() <= 1e-6
+        assert abs(result.total_profit - 863.0) <= 1e-6
+        assert result.max_recompute_drift() <= 1e-6
         assert len(result.ledger_history) == 2
         assert result.ledger is result.ledger_history[-1]
 
     def test_session_prefix_selects_a_subset(self, toy):
-        result = run_vpp(through(toy, "dam"))
+        result = run(through(toy, "dam"))
         assert result.ok
         assert [r.key for r in result.sessions] == ["dam"]
-        assert set(result.profits.per_session) == {"dam"}
-        assert abs(result.profits.per_session["dam"] - 853.0) <= 1e-6
+        assert set(result.profits) == {"dam"}
+        assert abs(result.profits["dam"] - 853.0) <= 1e-6
 
     def test_through_cuts_the_calendar_after_its_key(self, toy):
         assert session_keys(toy) == ["dam", "idm1"]
@@ -243,11 +244,11 @@ class TestVppRun:
         doc = toy_doc()
         doc["network"]["lines"][0]["flowLimit"] = 1.0
         doc["ndres"][0]["pMin"] = [4.0, 6.0, 5.0]
-        result = run_vpp(make_scenario(doc))
+        result = run(make_scenario(doc))
         assert not result.ok
         assert result.failure == "dam"
         assert result.ledger is None
-        assert result.profits.total == 0.0
+        assert result.total_profit == 0.0
 
     def test_failed_session_is_named_and_prior_work_kept(self):
         doc = toy_doc()
@@ -256,12 +257,29 @@ class TestVppRun:
         doc["demands"][0]["tolLo"] = 0.0
         doc["demands"][0]["tolHi"] = 0.0
         doc["forecasts"]["idm"][0]["ndresAvail"]["wind"] = [0.0, 0.0, 0.0]
-        result = run_vpp(make_scenario(doc))
+        result = run(make_scenario(doc))
         assert not result.ok
         assert result.failure == "idm1"
         assert result.sessions[-1].status == "infeasible"
         assert result.ledger is not None  # the day-ahead stage survived
-        assert "dam" in result.profits.per_session
+        assert "dam" in result.profits
+
+    def test_result_is_read_from_the_session_walk(self):
+        ledger = LedgerState(trades=((1.0,),), selected_profiles={}, demand_p={},
+                             dres_p={}, dres_u={}, ndres_p={}, stu_series={})
+        result = RunResult(
+            mode="vpp",
+            sessions=(SessionResult("dam", "optimal", 12.5, ()),
+                      SessionResult("idm1", "infeasible", None, ())),
+            ledger_history=(ledger,), recomputed_profits={"dam": 12.25})
+        assert result.failure == "idm1"
+        assert not result.ok
+        assert result.ledger is ledger
+        assert result.profits == {"dam": 12.5}
+        assert result.total_profit == 12.5
+        assert result.max_recompute_drift() == 0.25
+        done = dataclasses.replace(result, sessions=result.sessions[:1])
+        assert (done.failure, done.ok) == (None, True)
 
     def test_mode_dispatch(self, toy):
         assert run(toy).mode == "vpp"
@@ -294,43 +312,43 @@ class TestSingleAsset:
         doc["dres"] = []
         doc["demands"] = []
         s = make_scenario(doc)
-        vpp = run_vpp(s)
-        solo = run_no_coordination(s)
+        vpp = run(s)
+        solo = run(s, "nocoord")
         assert vpp.ok and solo.ok
-        assert abs(vpp.profits.total - solo.profits.total) <= 1e-9
+        assert abs(vpp.total_profit - solo.total_profit) <= 1e-9
 
 
 def _isolated_runs(s):
     """Each generation asset's run on its own, in portfolio order: the
     walks a no-coordination run folds."""
-    return [run_vpp(single_asset_scenario(s, a.id)) for a in s.dres + s.ndres + s.stu]
+    return [run(single_asset_scenario(s, a.id)) for a in s.dres + s.ndres + s.stu]
 
 
 class TestNoCoordination:
     def test_aggregate_is_the_sum_of_isolated_runs(self, toy):
-        result = run_no_coordination(toy)
+        result = run(toy, "nocoord")
         assert result.ok
         assert result.mode == "nocoord"
-        assert result.passive_demand_profit == {"load": -180.0}
+        assert [passive_demand_profit(toy, d) for d in toy.demands] == [-180.0]
         alone = _isolated_runs(toy)
         assert [r.ok for r in alone] == [True, True]
-        assert list(result.profits.per_session) == ["dam", "idm1"]
-        for key, profit in result.profits.per_session.items():
-            expected = sum(r.profits.per_session[key] for r in alone)
+        assert list(result.profits) == ["dam", "idm1"]
+        for key, profit in result.profits.items():
+            expected = sum(r.profits[key] for r in alone)
             if key == "dam":
                 expected -= 180.0
             assert abs(profit - expected) <= 1e-9, key
         # the unit earns 593 alone, wind 440, the passive load pays 180
-        assert abs(result.profits.per_session["dam"] - 853.0) <= 1e-6
+        assert abs(result.profits["dam"] - 853.0) <= 1e-6
 
     def test_coordination_is_worth_the_band(self, toy):
-        vpp = run_vpp(toy)
-        solo = run_no_coordination(toy)
-        assert vpp.profits.total >= solo.profits.total - 1e-9
-        assert abs((vpp.profits.total - solo.profits.total) - 10.0) <= 1e-6
+        vpp = run(toy)
+        solo = run(toy, "nocoord")
+        assert vpp.total_profit >= solo.total_profit - 1e-9
+        assert abs((vpp.total_profit - solo.total_profit) - 10.0) <= 1e-6
 
     def test_merged_session_bookkeeping(self, toy):
-        result = run_no_coordination(toy)
+        result = run(toy, "nocoord")
         dam = result.sessions[0]
         assert dam.key == "dam"
         assert dam.status == "optimal"
@@ -339,15 +357,15 @@ class TestNoCoordination:
         for size in ("n_binaries", "n_nonzeros"):
             parts = [getattr(r.sessions[0], size) for r in alone]
             assert getattr(dam, size) == sum(parts) > 0, size
-        assert abs(dam.objective - result.profits.per_session["dam"]) <= 1e-9
+        assert abs(dam.objective - result.profits["dam"]) <= 1e-9
 
     def test_history_is_the_aggregate_ledger_per_session(self, toy):
-        result = run_no_coordination(toy)
+        result = run(toy, "nocoord")
         assert result.ledger is result.ledger_history[-1]
         assert [len(led.trades) for led in result.ledger_history] == [1, 2]
-        assert result.profits.per_session == {
+        assert result.profits == {
             r.key: r.objective for r in result.sessions}
-        assert result.profits.max_recompute_drift() <= 1e-9
+        assert result.max_recompute_drift() <= 1e-9
         ledger = result.ledger
         assert ledger.selected_profiles == {"load": "flat"}
         assert ledger.demand_p == {"load": (2.0, 2.0, 2.0)}
@@ -373,7 +391,7 @@ class TestNoCoordination:
             return sol, dataclasses.replace(result, status="feasible")
 
         monkeypatch.setattr(orchestrator, "_solve_session", solve_with_statuses)
-        result = run_no_coordination(toy)
+        result = run(toy, "nocoord")
         assert result.failure == "dam"
         assert [(r.key, r.status, r.objective) for r in result.sessions] == \
             [("dam", "infeasible", None)]
@@ -390,10 +408,10 @@ class TestNoCoordination:
         s = make_scenario(doc)
         solved = []
         monkeypatch.setattr(orchestrator, "solve", lambda model, *args: solved.append(model))
-        result = run_no_coordination(s)
+        result = run(s, "nocoord")
         assert result.ok and solved == []
-        assert result.profits.per_session == {"dam": -180.0, "idm1": 0.0}
-        assert result.profits.recomputed == {"dam": -180.0, "idm1": 0.0}
+        assert result.profits == {"dam": -180.0, "idm1": 0.0}
+        assert result.recomputed_profits == {"dam": -180.0, "idm1": 0.0}
         assert result.ledger.trades == ((-2.0, -2.0, -2.0), (0.0, 0.0, 0.0))
         assert [r.objective for r in result.sessions] == [-180.0, 0.0]
 
@@ -406,9 +424,9 @@ class TestRecompute:
     def test_initial_commitment_changes_the_startup_booking(self):
         doc = toy_doc()
         doc["dres"][0]["initialCommitment"] = "on"
-        result = run_vpp(make_scenario(doc))
-        assert abs(result.profits.per_session["dam"] - 860.0) <= 1e-6
-        assert result.profits.max_recompute_drift() <= 1e-6
+        result = run(make_scenario(doc))
+        assert abs(result.profits["dam"] - 860.0) <= 1e-6
+        assert result.max_recompute_drift() <= 1e-6
 
 
 class TestRandomPortfolios:
@@ -426,7 +444,7 @@ class TestRandomPortfolios:
                         continue
                     problems += [f"{where} {sess.key}: {sess.violations[:3]}"
                                  for sess in result.sessions if sess.violations]
-                    drift = result.profits.max_recompute_drift()
+                    drift = result.max_recompute_drift()
                     if drift > 1e-6:
                         problems.append(f"{where}: recomputed profit drift {drift:.3e}")
                     for check in (check_demand_contracts, check_aggregate_balance,
@@ -438,13 +456,13 @@ class TestRandomPortfolios:
 
 class TestCheckers:
     def test_clean_run_passes_all_checkers(self, toy):
-        result = run_vpp(toy)
+        result = run(toy)
         assert check_demand_contracts(toy, result.ledger) == []
         assert check_aggregate_balance(toy, result.ledger) == []
         assert check_storage_conservation(toy, result.ledger) == []
 
     def test_band_violation_is_reported(self, toy):
-        ledger = run_vpp(toy).ledger
+        ledger = run(toy).ledger
         bad = dataclasses.replace(
             ledger, demand_p={"load": (2.0, 4.0, 1.5)})  # 4 > 2 * 1.25
         messages = check_demand_contracts(toy, bad)
@@ -455,7 +473,7 @@ class TestCheckers:
         doc["demands"][0]["rampUp"] = 0.4
         doc["demands"][0]["rampDown"] = 0.4
         s = make_scenario(doc)  # its shifted profile breaks profile_ramp
-        ledger = run_vpp(toy).ledger
+        ledger = run(toy).ledger
         bad = dataclasses.replace(
             ledger, demand_p={"load": (1.5, 2.5, 1.5)})  # steps of 1 > 0.4
         messages = check_demand_contracts(s, bad)
@@ -463,14 +481,14 @@ class TestCheckers:
         assert any("ramp-down" in m for m in messages)
 
     def test_energy_floor_violation_is_reported(self, toy):
-        ledger = run_vpp(toy).ledger
+        ledger = run(toy).ledger
         bad = dataclasses.replace(
             ledger, demand_p={"load": (1.5, 1.5, 1.5)})  # 4.5 MWh < 6
         messages = check_demand_contracts(toy, bad)
         assert any("below minimum" in m for m in messages)
 
     def test_imbalance_is_reported(self, toy):
-        ledger = run_vpp(toy).ledger
+        ledger = run(toy).ledger
         bad = dataclasses.replace(
             ledger, ndres_p={"wind": (4.0, 6.0, 4.0)})  # 1 MW vanishes at t3
         messages = check_aggregate_balance(toy, bad)
@@ -481,7 +499,7 @@ class TestCheckers:
         from test_stu import _stu_scenario
 
         s = _stu_scenario([5.0, 50.0], [100.0, 0.0])
-        ledger = run_vpp(s).ledger
+        ledger = run(s).ledger
         assert check_storage_conservation(s, ledger) == []
         series = dict(ledger.stu_series["csp"])
         series[ENERGY] = (100.0, 15.0)  # 15 MWh appear from nowhere
@@ -493,7 +511,7 @@ class TestCheckers:
         from test_stu import _stu_scenario
 
         s = _stu_scenario([5.0, 50.0], [100.0, 0.0], endAlphaLo=0.3)
-        ledger = run_vpp(s).ledger
+        ledger = run(s).ledger
         series = dict(ledger.stu_series["csp"])
         # telescoping consistent, but the final fill undershoots 0.3*200
         series[CHG] = (50.0, 0.0)

@@ -12,8 +12,7 @@ import pytest
 from conftest import SCENARIO_DIR, make_scenario, toy_doc
 from vppopt.orchestrator import (
     ThresholdEntry,
-    run_no_coordination,
-    run_vpp,
+    run,
     sweep_profile_costs,
     through,
 )
@@ -81,7 +80,7 @@ def series_of(report, name: str, ident: str) -> list[float]:
 
 class TestBuildReport:
     def test_series_and_bookkeeping(self, toy):
-        result = run_vpp(toy)
+        result = run(toy)
         report = build_report(toy, result)
         profit = report.documents["profit.json"]
         assert profit["mode"] == "vpp"
@@ -103,17 +102,17 @@ class TestBuildReport:
                    for problems in report.documents["verify.json"]["checks"].values())
 
     def test_profits_carry_both_views(self, toy):
-        result = run_vpp(toy)
+        result = run(toy)
         report = build_report(toy, result)
         profit = report.documents["profit.json"]
         assert abs(profit["sessions"]["dam"] - 853.0) <= 1e-6
-        assert abs(report.total_profit - 863.0) <= 1e-6
+        assert abs(profit["total"] - 863.0) <= 1e-6
         for key, value in profit["sessions"].items():
             assert abs(profit["recomputed"][key] - value) <= 1e-6
 
     def test_failed_run_reports_the_failure(self):
         s = _failing_at_dam()
-        report = build_report(s, run_vpp(s))
+        report = build_report(s, run(s))
         assert report.documents["profit.json"]["failure"] == "dam"
         assert "dam.csv" not in report.tables
         assert report.documents["profit.json"]["sessions"] == {}
@@ -122,7 +121,7 @@ class TestBuildReport:
 
 class TestEmitAndLoad:
     def test_file_set_for_a_full_run(self, toy, tmp_path):
-        report = build_report(toy, run_vpp(toy))
+        report = build_report(toy, run(toy))
         written = {p.name for p in emit_report(report, tmp_path)}
         assert written == {"dam.csv", "idm_1.csv", "dispatch.csv", "demand.csv",
                            "profit.json", "profiles.json", "verify.json"}
@@ -130,13 +129,13 @@ class TestEmitAndLoad:
         assert not (tmp_path / "storage.csv").exists()
 
     def test_day_ahead_only_run_emits_no_session_files(self, toy, tmp_path):
-        report = build_report(toy, run_vpp(through(toy, "dam")))
+        report = build_report(toy, run(through(toy, "dam")))
         written = {p.name for p in emit_report(report, tmp_path)}
         assert "dam.csv" in written and "profit.json" in written
         assert not any(name.startswith("idm_") for name in written)
 
     def test_trade_csv_round_trips_at_six_decimals(self, toy, tmp_path):
-        result = run_vpp(toy)
+        result = run(toy)
         emit_report(build_report(toy, result), tmp_path)
         ledger = result.ledger
         dam = load_trade_csv(tmp_path / "dam.csv")
@@ -148,7 +147,7 @@ class TestEmitAndLoad:
                            [ledger.cumulative_trade(t) for t in (1, 2, 3)], atol=5e-7)
 
     def test_long_csvs_round_trip_per_asset(self, toy, tmp_path):
-        result = run_vpp(toy)
+        result = run(toy)
         emit_report(build_report(toy, result), tmp_path)
         dispatch = load_long_csv(tmp_path / "dispatch.csv")
         assert set(dispatch) == {"gen", "wind"}
@@ -166,7 +165,7 @@ class TestEmitAndLoad:
             b"3,-0.000001\r\n4,0.000000\r\n")
 
     def test_profit_json_carries_full_precision(self, toy, tmp_path):
-        result = run_vpp(toy)
+        result = run(toy)
         report = build_report(toy, result)
         emit_report(report, tmp_path)
         doc = json.loads((tmp_path / "profit.json").read_text())
@@ -174,11 +173,11 @@ class TestEmitAndLoad:
         assert doc["mode"] == "vpp"
         assert doc["failure"] is None
         # identical down to the bit: json stores the exact double
-        assert doc["sessions"]["dam"] == result.profits.per_session["dam"]
-        assert doc["total"] == report.total_profit
+        assert doc["sessions"]["dam"] == result.profits["dam"]
+        assert doc["total"] == report.documents["profit.json"]["total"]
 
     def test_profiles_and_verify_json(self, toy, tmp_path):
-        result = run_vpp(toy)
+        result = run(toy)
         report = build_report(toy, result)
         emit_report(report, tmp_path)
         profiles = json.loads((tmp_path / "profiles.json").read_text())
@@ -208,7 +207,7 @@ class TestEmitAndLoad:
             for forecast in (doc["forecasts"]["dam"], *doc["forecasts"]["idm"]):
                 forecast["ndresAvail"] = {}
         s = make_scenario(doc)
-        result = run_vpp(s) if mode == "vpp" else run_no_coordination(s)
+        result = run(s, mode)
         emit_report(build_report(s, result), tmp_path)
         sessions = json.loads((tmp_path / "verify.json").read_text())["sessions"]
         assert [sess["key"] for sess in sessions] == ["dam", "idm1"]
@@ -225,31 +224,31 @@ class TestEmitAndLoad:
     def test_clear_day_ahead_size_is_pinned(self, tmp_path):
         # counted as HiGHS receives the model, after the SOS-2 reformulation
         scenario = load_scenario(SCENARIO_DIR / "clear.json")
-        result = run_vpp(through(scenario, "dam"))
+        result = run(through(scenario, "dam"))
         emit_report(build_report(scenario, result), tmp_path)
         (dam,) = json.loads((tmp_path / "verify.json").read_text())["sessions"]
         assert (dam["nVars"], dam["nConstraints"]) == (1425, 1397)
         assert (dam["nBinaries"], dam["nNonzeros"]) == (177, 4326)
 
     def test_emission_is_idempotent(self, toy, tmp_path):
-        report = build_report(toy, run_vpp(toy))
+        report = build_report(toy, run(toy))
         first = emit_report(report, tmp_path)
         second = emit_report(report, tmp_path)
         assert first == second
         assert json.loads((tmp_path / "profit.json").read_text())["total"] == \
-            report.total_profit
+            report.documents["profit.json"]["total"]
 
     def test_reused_directory_keeps_no_earlier_table(self, toy, tmp_path):
-        emit_report(build_report(toy, run_vpp(toy)), tmp_path)
+        emit_report(build_report(toy, run(toy)), tmp_path)
         (tmp_path / "notes.txt").write_text("kept")
         (tmp_path / "idm_1.csv.bak").write_text("kept")
-        dam_only = build_report(toy, run_vpp(through(toy, "dam")))
+        dam_only = build_report(toy, run(through(toy, "dam")))
         emit_report(dam_only, tmp_path)
         assert {p.name for p in tmp_path.iterdir()} == {
             "dam.csv", "dispatch.csv", "demand.csv", "profit.json", "profiles.json",
             "verify.json", "notes.txt", "idm_1.csv.bak"}
         s = _failing_at_dam()
-        emit_report(build_report(s, run_vpp(s)), tmp_path)
+        emit_report(build_report(s, run(s)), tmp_path)
         assert {p.name for p in tmp_path.iterdir()} == {
             "profit.json", "profiles.json", "verify.json", "notes.txt", "idm_1.csv.bak"}
 
@@ -257,7 +256,7 @@ class TestEmitAndLoad:
         from test_stu import _stu_scenario
 
         s = _stu_scenario([5.0, 50.0], [100.0, 0.0])
-        report = build_report(s, run_vpp(s))
+        report = build_report(s, run(s))
         written = {p.name for p in emit_report(report, tmp_path)}
         assert "storage.csv" in written
         trace = load_long_csv(tmp_path / "storage.csv")
@@ -287,11 +286,11 @@ class TestReportLayout:
     def test_layout(self, tmp_path, case, paths, profit_keys, profile_keys):
         if case == "vpp-dam-infeasible":
             s = _failing_at_dam()
-            result = run_vpp(s)
+            result = run(s)
             assert result.failure == "dam"
         else:
             s = make_scenario(toy_doc())
-            result = run_vpp(s) if case == "vpp" else run_no_coordination(s)
+            result = run(s, case)
         written = emit_report(build_report(s, result), tmp_path)
         assert written == [tmp_path / name for name in paths]
         for path in written:
@@ -309,7 +308,7 @@ class TestReportLayout:
 
 class TestNocoordReport:
     def test_baseline_report_is_labelled_and_passive(self, toy, tmp_path):
-        report = build_report(toy, run_no_coordination(toy))
+        report = build_report(toy, run(toy, "nocoord"))
         profit = report.documents["profit.json"]
         assert profit["mode"] == "nocoord"
         assert profit["note"] == NOCOORD_NOTE
@@ -323,7 +322,7 @@ class TestNocoordReport:
         assert doc["passiveDemandProfit"] == {"load": -180.0}
 
     def test_baseline_trade_nets_the_passive_load(self, toy):
-        report = build_report(toy, run_no_coordination(toy))
+        report = build_report(toy, run(toy, "nocoord"))
         # isolated unit at 10 MW, wind at availability, 2 MW bought back
         assert np.allclose(column(report, "dam.csv", 1), [12.0, 14.0, 13.0], atol=1e-6)
 
