@@ -18,23 +18,25 @@ payment at which the optimizer still picks it over the default, in
 closed form from two solves of the scenario's own day-ahead model with
 the choice held either way, each verified like a run's session.
 
-MILPs that do not depend on each other run at the same time on a
-:class:`_WorkerPool`, the standard library's thread pool: the baseline's
+MILPs that do not depend on each other run at the same time, one per
+core, on the standard library's ``ThreadPoolExecutor``: the baseline's
 isolated asset solves of one session, and the sweep's held day-ahead
 solves. HiGHS releases the GIL while it solves, so threads put every
-core to work. One pool serves all of a baseline run's sessions, and the
-sweep opens one for its single batch; ``vpp`` runs open none. The sessions
-themselves stay sequential: each intraday session starts from the ledger
-the previous one left, and its solve from the previous solve's plan.
+core to work. A baseline run keeps one pool for all its sessions, and
+the sweep opens one for its single batch; ``vpp`` runs open none. Each
+opens its pool inside the function, not with the module:
+``concurrent.futures`` loads ``logging``, which a process that opens no
+pool need not pay for. The sessions themselves stay sequential: each
+intraday session starts from the ledger the previous one left, and its
+solve from the previous solve's plan.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence
 
 from vppopt import dam as dam_mod
 from vppopt import stu as stu_mod
@@ -42,8 +44,6 @@ from vppopt.idm import LedgerState, apply_idm, assemble_idm, ledger_from_dam
 from vppopt.milp import MilpModel, Solution, SolveOptions, Violation, solve, verify
 from vppopt.registry import VariableRegistry
 from vppopt.scenario import DemandAsset, ForecastSet, Network, Scenario
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -200,84 +200,6 @@ def recompute_profits(s: Scenario, history: Sequence[LedgerState]) -> dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# Independent solves
-# ---------------------------------------------------------------------------
-
-def _pool_size(n_tasks: int) -> int:
-    """Threads besides the caller for ``n_tasks`` independent tasks: one
-    per further core, at least one."""
-    return max(min(os.cpu_count() or 1, n_tasks) - 1, 1)
-
-
-class _WorkerPool:
-    """Threads that run independent tasks for the span of a ``with`` block.
-
-    ``_WorkerPool(n)`` is a ``ThreadPoolExecutor`` of :func:`_pool_size`
-    ``(n)`` threads, shut down when the block ends, however it ends. It
-    is imported here, not with the module: ``concurrent.futures`` loads
-    ``logging``, which a process that opens no pool need not pay for.
-    """
-
-    def __init__(self, n_tasks: int) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._size = _pool_size(n_tasks)
-        self._executor = ThreadPoolExecutor(self._size)
-
-    def __enter__(self) -> _WorkerPool:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._executor.shutdown()
-
-    def map(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
-        """Run independent tasks; their results, in task order.
-
-        The calling thread runs the first task while the pool's threads
-        run the next ones; a thread that is done takes the next task
-        nobody has taken. Put the longest task first: the caller works
-        through it while the threads clear the rest. The outcome is the
-        sequential loop's: the earliest task in order that raises, with
-        any exception, raises it here, no task is taken after one raised,
-        and none is still running when this returns or raises.
-        """
-        if len(tasks) <= 1:
-            return [task() for task in tasks]
-        outcomes: list = [None] * len(tasks)  # (True, result) or (False, error)
-        untaken = iter(range(1, len(tasks)))
-        lock = threading.Lock()
-        stop = threading.Event()
-
-        def run(i: int) -> None:
-            try:
-                outcomes[i] = (True, tasks[i]())
-            except BaseException as exc:
-                outcomes[i] = (False, exc)
-                stop.set()
-
-        def take() -> None:
-            while not stop.is_set():
-                with lock:
-                    i = next(untaken, None)
-                if i is None:
-                    return
-                run(i)
-
-        takers = [self._executor.submit(take) for _ in range(self._size)]
-        try:
-            run(0)
-            take()
-        finally:
-            stop.set()
-            for taker in takers:
-                taker.result()
-        for ok, value in filter(None, outcomes):
-            if not ok:
-                raise value
-        return [value for _, value in outcomes]
-
-
-# ---------------------------------------------------------------------------
 # VPP pipeline
 # ---------------------------------------------------------------------------
 
@@ -404,27 +326,35 @@ def _no_coordination(s: Scenario, options: SolveOptions | None) -> list[_Step]:
     Each generation asset walks its own session sequence
     (:func:`_sessions`) on an isolated single-bus scenario over the same
     calendar and its own forecasts. The walks advance together, one
-    session at a time: each session's asset solves do not depend on each
-    other and go through one :class:`_WorkerPool` kept for the whole run,
-    the storage units' (the longest) first, and the next session starts
-    when all of them are done. Each session's parts fold in portfolio
-    order (so every sum is the sequential one) into one aggregate ledger,
-    and a session's objective is its parts' objectives summed in the same
-    order; profits, their recomputation and the post-hoc checks thus treat
-    the baseline like a VPP run. Like the VPP walk, the run stops at the
-    first session any asset failed, and no asset walk goes past it. The
-    passive demand purchases are added to the day-ahead objective.
+    session at a time: each session's asset steps do not depend on each
+    other. The calling thread takes the first, a solar-thermal unit's
+    (the longest), so its HiGHS working set stays in the main thread's
+    memory arena; one thread pool kept for the whole run takes the others, on
+    one thread per further core, and the next session starts when all of
+    them are done. The earliest step in that order that raises ends the
+    run with its exception, once the session's other steps have
+    finished. Each session's parts fold in portfolio order (so every sum
+    is the sequential one) into one aggregate ledger, and a session's
+    objective is its parts' objectives summed in the same order; profits,
+    their recomputation and the post-hoc checks thus treat the baseline
+    like a VPP run. Like the VPP walk, the run stops at the first session
+    any asset failed, and no asset walk goes past it. The passive demand
+    purchases are added to the day-ahead objective.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     keys = session_keys(s)
     portfolio = [a.id for a in s.dres + s.ndres + s.stu]
     longest_first = [a.id for a in s.stu + s.dres + s.ndres]
     walks = {aid: _sessions(single_asset_scenario(s, aid), options) for aid in longest_first}
     passive = sum(passive_demand_profit(s, d) for d in s.demands)
     steps: list[_Step] = []
-    with _WorkerPool(len(longest_first)) as pool:  # one for all sessions
+    threads = max(min(os.cpu_count() or 1, len(walks)) - 1, 1)  # besides this one
+    with ThreadPoolExecutor(threads) as pool:  # one for all sessions
         for k, key in enumerate(keys):
-            stepped = dict(zip(longest_first, pool.map(
-                [partial(next, walks[aid]) for aid in longest_first])))
+            futures = {aid: pool.submit(next, walks[aid]) for aid in longest_first[1:]}
+            stepped = {aid: next(walks[aid]) for aid in longest_first[:1]}
+            stepped.update((aid, future.result()) for aid, future in futures.items())
             parts = [stepped[aid][0] for aid in portfolio]
             ledgers = [stepped[aid][1] for aid in portfolio]
             failed = [p for p, led in zip(parts, ledgers) if led is None]
@@ -531,8 +461,11 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
     resolution above it. Each held solve is verified like a run's session
     (:func:`_day_ahead`). Each distinct held model is solved once, so a
     demand's default-held solve serves all of its pairs; the held solves are
-    independent and go through one :class:`_WorkerPool`.
+    independent and run on a thread pool, one thread per core, for the
+    span of the call.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     pairs = [(d, p) for d in s.demands if demand_id in (None, d.id)
@@ -543,9 +476,8 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
 
     selectors = list(dict.fromkeys(f"{d.id}/{kept.id}" for d, p in pairs
                                    for kept in (p, d.default_profile())))
-    with _WorkerPool(len(selectors)) as pool:
-        held = dict(zip(selectors, pool.map([partial(_day_ahead, s, sel)
-                                             for sel in selectors])))
+    with ThreadPoolExecutor(max(min(os.cpu_count() or 1, len(selectors)), 1)) as pool:
+        held = dict(zip(selectors, pool.map(partial(_day_ahead, s), selectors)))
     out = []
     for d, p in pairs:
         ch, _ = held[f"{d.id}/{p.id}"]

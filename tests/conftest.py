@@ -84,8 +84,9 @@ TOY_DAM_OBJECTIVE = 853.0
 
 def on_two_threads(fn: Callable[[A], T], items: Iterable[A]) -> list[T]:
     """``fn`` of each item, in item order, computed on two threads: HiGHS
-    releases the GIL while it solves, so both cores work. A plain thread
-    pool, so a test may patch ``_WorkerPool`` and still use it."""
+    releases the GIL while it solves, so both cores work. It holds the
+    pool class from import, so a test may swap out
+    ``concurrent.futures.ThreadPoolExecutor`` and still use it."""
     with ThreadPoolExecutor(2) as pool:
         return list(pool.map(fn, items))
 

@@ -18,6 +18,7 @@ the same profit, on a finer grid (six small days).
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import re
@@ -439,6 +440,25 @@ class TestEconomics:
             assert lifted.objective >= base.objective - 1e-6
 
 
+class _InTurn:
+    """A stand-in for ``ThreadPoolExecutor`` that runs each task on the
+    calling thread as it is submitted."""
+
+    def __init__(self, max_workers: int) -> None:
+        pass
+
+    def __enter__(self) -> _InTurn:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    def submit(self, fn, *args) -> concurrent.futures.Future:
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestConcurrentSolves:
     """Solving independent MILPs at the same time changes no result."""
 
@@ -446,10 +466,7 @@ class TestConcurrentSolves:
         """The threaded baseline: sessions, ledger history and profits,
         everything but the solve times, as one thread solving the assets
         in turn gets them."""
-        from vppopt import orchestrator
-
-        monkeypatch.setattr(orchestrator._WorkerPool, "map",
-                            lambda self, tasks: [task() for task in tasks])
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InTurn)
         names = ("clear", "cloudy")
         for name, sequential in zip(names, on_two_threads(
                 lambda s: run(s, "nocoord"), [study[name][0] for name in names])):

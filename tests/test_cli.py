@@ -558,6 +558,17 @@ class TestSweep:
         assert rows[0] == "demandId,profileId,status,thresholdEUR,resolutionEUR"
         assert rows[1].startswith("load,shift,threshold,")
 
+    def test_readme_sweep_writes_the_pinned_file(self, tmp_path, capsys):
+        # the README's sweep of the clear day, byte for byte
+        out = tmp_path / "clear-sweep"
+        code = main(["sweep", "--scenario", str(SCENARIO_DIR / "clear.json"),
+                     "--demand", "industrial", "--profile", "night_shift", "--max", "1200",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "thresholds.csv").read_bytes() == (
+            b"demandId,profileId,status,thresholdEUR,resolutionEUR\r\n"
+            b"industrial,night_shift,threshold,180.175000,1.000000\r\n")
+
     def test_worthless_profile_reports_never(self, toy_file, tmp_path, capsys):
         code = main(["sweep", "--scenario", str(toy_file), "--demand", "load",
                      "--profile", "shift", "--max", "50",

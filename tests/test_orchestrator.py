@@ -17,7 +17,6 @@ from vppopt.idm import LedgerState
 from vppopt.orchestrator import (
     RunResult,
     SessionResult,
-    _WorkerPool,
     check_aggregate_balance,
     check_demand_contracts,
     check_storage_conservation,
@@ -42,172 +41,184 @@ def _priced_doc(prices=(40.0, 20.0, 30.0)):
     return doc
 
 
-def _pool_size(n_tasks: int) -> int:
-    """Threads besides the caller that a ``_WorkerPool(n_tasks)`` may start."""
-    return max(min(os.cpu_count() or 1, n_tasks) - 1, 1)
+def _pool_threads(n_assets: int) -> int:
+    """Threads besides the caller that a baseline run of ``n_assets``
+    generation assets may start: one per further core, at least one."""
+    return max(min(os.cpu_count() or 1, n_assets) - 1, 1)
 
 
-def _pool_map(tasks):
-    """:meth:`_WorkerPool.map` on a pool of its own, joined on return."""
-    with _WorkerPool(len(tasks)) as pool:
-        return pool.map(tasks)
+def _windy_toy(n_winds: int):
+    """The toy with ``n_winds`` identical wind farms (``wind``, ``wind2``,
+    ...): a baseline run walks ``gen`` first, then the farms in order."""
+    doc = toy_doc()
+    for i in range(2, n_winds + 1):
+        doc["ndres"].append({"id": f"wind{i}", "bus": "b2", "pMin": 0.0})
+        for forecast in [doc["forecasts"]["dam"], *doc["forecasts"]["idm"]]:
+            forecast["ndresAvail"][f"wind{i}"] = list(forecast["ndresAvail"]["wind"])
+    return make_scenario(doc)
+
+
+def _asset(model_name: str) -> str:
+    """The asset of a baseline run's model, named ``<session>[<day>:<asset>]``."""
+    return model_name.rsplit(":", 1)[1].rstrip("]")
+
+
+def _record_solves(monkeypatch, before=lambda model_name: None):
+    """Patch the orchestrator's ``solve`` to note the thread and the model
+    name of each call, then call ``before(model_name)`` and solve; the
+    list of ``(thread, model_name)`` it appends to."""
+    from vppopt import orchestrator
+
+    seen = []
+    solve = orchestrator.solve
+
+    def recording_solve(model, options, start):
+        seen.append((threading.current_thread(), model.name))  # not its ident: reused
+        before(model.name)
+        return solve(model, options, start)
+
+    monkeypatch.setattr(orchestrator, "solve", recording_solve)
+    return seen
+
+
+def _untimed(result):
+    """A run's sessions without their solve times, its ledgers and profits."""
+    return ([dataclasses.replace(r, runtime_s=0.0) for r in result.sessions],
+            result.ledger_history, result.recomputed_profits)
 
 
 class TestConcurrently:
-    def test_results_come_back_in_task_order(self):
-        def task(i, pause):
-            time.sleep(pause)
-            return i, threading.get_ident()
+    """A baseline run steps its assets, and a sweep solves its held models,
+    at the same time; the outcome is the sequential one."""
 
-        pauses = [0.05, 0.15, 0.0, 0.1, 0.02]
-        results = _pool_map([lambda i=i, p=p: task(i, p) for i, p in enumerate(pauses)])
-        assert [i for i, _ in results] == list(range(len(pauses)))
-        assert results[0][1] == threading.get_ident()  # the caller runs the first
+    def test_results_come_back_in_task_order(self, monkeypatch):
+        s = _windy_toy(3)
+        plain = run(s, "nocoord")
+        pauses = {"gen": 0.15, "wind": 0.1, "wind2": 0.05, "wind3": 0.0}
 
-    def test_earliest_failing_task_raises_even_when_a_later_one_fails_first(self):
-        def fail(message, pause):
-            time.sleep(pause)
-            raise RuntimeError(message)
+        def stagger(name):  # the later an asset comes, the sooner its day-ahead is done
+            if name.startswith("dam["):
+                time.sleep(pauses[_asset(name)])
 
+        seen = _record_solves(monkeypatch, stagger)
+        assert _untimed(run(s, "nocoord")) == _untimed(plain)
+        # the caller steps the first asset
+        assert {t for t, name in seen if _asset(name) == "gen"} == {threading.current_thread()}
+
+    def test_earliest_failing_task_raises_even_when_a_later_one_fails_first(
+            self, monkeypatch):
+        def fail(name):
+            if _asset(name) == "gen":
+                time.sleep(0.2)
+                raise RuntimeError("earliest")
+            raise RuntimeError("later")
+
+        _record_solves(monkeypatch, fail)
         with pytest.raises(RuntimeError, match="^earliest$"):
-            _pool_map([lambda: fail("earliest", 0.2), lambda: fail("later", 0.0)])
+            run(_windy_toy(2), "nocoord")
 
-    def test_tasks_not_started_do_not_run_after_an_error(self):
-        ran, running = [], []
+    def test_a_single_task_runs_on_the_calling_thread(self, toy, monkeypatch):
+        before = set(threading.enumerate())
+        alive = []
+        seen = _record_solves(monkeypatch, lambda name: alive.append(set(threading.enumerate())))
+        assert run(single_asset_scenario(toy, "gen"), "nocoord").ok
+        assert {t for t, _ in seen} == {threading.current_thread()}
+        assert alive and all(threads == before for threads in alive)
 
-        def fail():
-            raise RuntimeError("stop")
+    def test_no_tasks(self, monkeypatch):
+        doc = toy_doc()
+        doc["dres"] = []
+        doc["ndres"] = []
+        doc["forecasts"]["dam"]["ndresAvail"] = {}
+        doc["forecasts"]["idm"][0]["ndresAvail"] = {}
+        doc["demands"][0]["profiles"].pop()  # only the default profile is left
+        s = make_scenario(doc)
+        before = set(threading.enumerate())
+        seen = _record_solves(monkeypatch)
+        assert run(s, "nocoord").ok  # no generation asset to walk
+        assert sweep_profile_costs(s) == []  # no profile to contest
+        assert seen == []
+        assert set(threading.enumerate()) == before
 
-        def hold():  # keeps a started thread busy
-            running.append(1)
-            time.sleep(0.3)
-            running.pop()
+    def test_threads_stay_within_the_cores(self, monkeypatch):
+        alive = []
 
-        # one hold per started thread: with the queued tasks there are at
-        # least as many tasks as cores, so the helper starts cores - 1
-        holds = [hold] * _pool_size(os.cpu_count() or 1)
-        queued = [lambda i=i: ran.append(i) for i in range(3)]
-        with pytest.raises(RuntimeError, match="stop"):
-            _pool_map([fail, *holds, *queued])
-        assert running == []  # the call waited for the tasks it had started
-        time.sleep(0.1)
-        assert ran == []
-
-    def test_a_single_task_runs_on_the_calling_thread(self):
-        before = threading.active_count()
-        (ident, count), = _pool_map([lambda: (threading.get_ident(),
-                                              threading.active_count())])
-        assert ident == threading.get_ident()
-        assert count == before
-
-    def test_no_tasks(self):
-        assert _pool_map([]) == []
-
-    def test_threads_stay_within_the_cores(self):
-        before = threading.active_count()
-        seen = []
-
-        def task():
-            seen.append(threading.active_count())
-            time.sleep(0.05)
-
-        tasks = [task] * 5
-        _pool_map(tasks)
-        assert len(seen) == len(tasks)
-        assert max(seen) <= before + _pool_size(len(tasks))
-        assert threading.active_count() == before  # nothing outlives the call
-
-    def test_a_task_that_raises_any_exception_hands_it_to_the_caller(self):
-        def slow():  # keeps the caller busy, so a started thread takes the next task
-            time.sleep(0.2)
-            return 1
-
-        def leave():
-            raise SystemExit(3)
+        def hold(name):  # keeps each step busy, so they overlap
+            alive.append(threading.active_count())
+            time.sleep(0.02)
 
         before = threading.active_count()
+        _record_solves(monkeypatch, hold)
+        assert run(_windy_toy(4), "nocoord").ok
+        assert len(alive) == 10
+        assert max(alive) <= before + _pool_threads(5)
+        assert threading.active_count() == before  # nothing outlives the run
+
+    def test_a_task_that_raises_any_exception_hands_it_to_the_caller(self, monkeypatch):
+        def leave(name):
+            if _asset(name) == "gen":
+                time.sleep(0.2)  # keeps the caller busy while a pool thread raises
+            else:
+                raise SystemExit(3)
+
+        before = set(threading.enumerate())
+        _record_solves(monkeypatch, leave)
         with pytest.raises(SystemExit) as info:
-            _pool_map([slow, leave])
+            run(_windy_toy(2), "nocoord")
         assert info.value.code == 3
-        assert threading.active_count() == before
+        assert set(threading.enumerate()) == before
 
 
 class TestWorkerPool:
-    def test_a_failed_map_leaves_the_pool_serving(self):
-        def slow():
-            time.sleep(0.1)
-            return "slow"
+    """The threads of a baseline run or a sweep live for the span of the call."""
 
-        def leave():
-            raise KeyboardInterrupt
-
-        with _WorkerPool(2) as pool:
-            with pytest.raises(KeyboardInterrupt):
-                pool.map([slow, leave])
-            assert pool.map([slow, lambda: "next"]) == ["slow", "next"]
-
-    def test_threads_are_joined_when_the_block_raises(self):
-        before = threading.active_count()
-        with pytest.raises(KeyError):
-            with _WorkerPool(3) as pool:
-                pool.map([lambda: 1, lambda: 2, lambda: 3])
+    def test_threads_are_joined_when_the_block_raises(self, monkeypatch):
+        def fail(name):  # after a day-ahead served by the pool
+            if name.startswith("idm1[") and _asset(name) == "wind2":
                 raise KeyError("out")
-        assert threading.active_count() == before
 
-    def test_results_are_freed_with_the_pool_without_a_gc_pass(self):
-        class Result:
-            pass
+        before = set(threading.enumerate())
+        seen = _record_solves(monkeypatch, fail)
+        with pytest.raises(KeyError):
+            run(_windy_toy(3), "nocoord")
+        assert len({t for t, _ in seen}) > 1
+        assert set(threading.enumerate()) == before
 
+    def test_results_are_freed_with_the_pool_without_a_gc_pass(self, toy):
         gc.disable()
         try:
-            with _WorkerPool(2) as pool:
-                results = pool.map([Result, Result])
-            refs = [weakref.ref(r) for r in results]
-            del pool, results
-            assert [ref() for ref in refs] == [None, None]
+            result = run(toy, "nocoord")
+            refs = [weakref.ref(r) for r in (result, *result.sessions, *result.ledger_history)]
+            del result
+            assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
 
     def test_nocoord_run_keeps_its_threads_for_every_session(self, monkeypatch):
-        from vppopt import orchestrator
-
         s = load_scenario(SCENARIO_DIR / "clear.json")
         assert len(s.dres + s.ndres + s.stu) == 5
-        solvers = []
-        solve = orchestrator.solve
-
-        def recording_solve(model, options, start):
-            solvers.append(threading.current_thread())  # not its ident: reused
-            return solve(model, options, start)
-
-        monkeypatch.setattr(orchestrator, "solve", recording_solve)
-        before = threading.active_count()
+        before = set(threading.enumerate())
+        solvers = _record_solves(monkeypatch)
         result = run(s, "nocoord")
         assert result.ok and len(result.sessions) == 8
         assert len(solvers) == 40
-        others = set(solvers) - {threading.current_thread()}
-        assert 1 <= len(others) <= _pool_size(5)
-        assert threading.active_count() == before
+        caller = threading.current_thread()
+        # the solar-thermal unit's HiGHS working set stays in the main
+        # thread's memory arena: on a new thread it adds about 4.4 MB
+        assert {t for t, name in solvers if _asset(name) == "csp"} == {caller}
+        others = {t for t, _ in solvers} - {caller}
+        assert 1 <= len(others) <= _pool_threads(5)
+        assert set(threading.enumerate()) == before
 
     def test_sweep_runs_its_held_solves_on_the_pool(self, monkeypatch):
-        from vppopt import orchestrator
-
         s = load_scenario(SCENARIO_DIR / "clear.json")
-        solvers = []
-        solve = orchestrator.solve
-
-        def recording_solve(model, options, start):
-            solvers.append(threading.current_thread())
-            return solve(model, options, start)
-
-        monkeypatch.setattr(orchestrator, "solve", recording_solve)
-        before = threading.active_count()
+        before = set(threading.enumerate())
+        solvers = _record_solves(monkeypatch)
         entries = sweep_profile_costs(s)
         assert len(entries) == 6
         assert len(solvers) == 9  # one per distinct held model
-        others = set(solvers) - {threading.current_thread()}
-        assert 1 <= len(others) <= _pool_size(9)
-        assert threading.active_count() == before
+        assert 1 <= len({t for t, _ in solvers}) <= min(os.cpu_count() or 1, 9)
+        assert set(threading.enumerate()) == before
 
 
 class TestVppRun:

@@ -11,7 +11,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _floor(spec: str) -> tuple[int, ...]:
-    """The lower bound of a ``>=X.Y`` Python version specifier."""
+    """The lower bound of a ``>=X.Y`` version specifier."""
     match = re.search(r">=\s*(\d+(?:\.\d+)*)", spec)
     assert match, f"no lower bound in {spec!r}"
     return tuple(map(int, match.group(1).split(".")))
@@ -22,3 +22,12 @@ def test_python_floor_admits_the_required_scipy():
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     scipy_floor = _floor(importlib.metadata.metadata("scipy")["Requires-Python"])
     assert _floor(project["requires-python"]) >= scipy_floor
+
+
+def test_numpy_floor_admits_the_required_scipy():
+    # the floor admits no numpy that the scipy vppopt needs refuses
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    scipy_numpy = next(r for r in importlib.metadata.requires("scipy")
+                       if re.match(r"numpy\b", r) and ";" not in r)
+    ours = next(r for r in project["dependencies"] if re.match(r"numpy\b", r))
+    assert _floor(ours) >= _floor(scipy_numpy)
