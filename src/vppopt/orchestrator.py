@@ -462,7 +462,9 @@ def sweep_profile_costs(s: Scenario, demand_id: str | None = None,
     (:func:`_day_ahead`). Each distinct held model is solved once, so a
     demand's default-held solve serves all of its pairs; the held solves are
     independent and run on a thread pool, one thread per core, for the
-    span of the call.
+    span of the call. The calling thread only waits: the held solves
+    differ in length, and a fixed share of them on this thread would end
+    later than the pool's threads taking each one as they come free.
     """
     from concurrent.futures import ThreadPoolExecutor
 

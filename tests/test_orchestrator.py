@@ -217,7 +217,10 @@ class TestWorkerPool:
         entries = sweep_profile_costs(s)
         assert len(entries) == 6
         assert len(solvers) == 9  # one per distinct held model
-        assert 1 <= len({t for t, _ in solvers}) <= min(os.cpu_count() or 1, 9)
+        solving = {t for t, _ in solvers}
+        # the calling thread waits while the pool's threads solve
+        assert threading.current_thread() not in solving
+        assert 1 <= len(solving) <= min(os.cpu_count() or 1, 9)
         assert set(threading.enumerate()) == before
 
 
