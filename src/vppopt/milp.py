@@ -28,27 +28,6 @@ from typing import Mapping, Sequence
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
-class _BindToPackage:
-    """Import hook: once ``scipy.optimize._highspy`` is imported, make the
-    extension :func:`_load_highs` loaded its ``_core`` attribute. The
-    import system binds a submodule to its package only when it loads the
-    submodule itself, and it never loads one found in ``sys.modules``."""
-
-    @staticmethod
-    def find_spec(name, path, target=None):
-        spec = None
-        if name == _HIGHS_MODULE.rpartition(".")[0]:
-            spec = importlib.machinery.PathFinder.find_spec(name, path, target)
-        if spec is not None:
-            exec_package = spec.loader.exec_module
-
-            def exec_module(package: ModuleType) -> None:
-                exec_package(package)
-                package._core = sys.modules[_HIGHS_MODULE]
-            spec.loader.exec_module = exec_module
-        return spec
-
-
 def _load_highs() -> ModuleType:
     """Load scipy's HiGHS extension from its file, without importing
     ``scipy`` or ``scipy.optimize``, whose package init (linalg, sparse,
@@ -59,7 +38,6 @@ def _load_highs() -> ModuleType:
     it runs, so a later ``import scipy.optimize`` (or of the extension by
     name) finds it there and reuses this module object: pybind11 registers
     the extension's types once per process and refuses a second load.
-    :class:`_BindToPackage` then makes it the package's attribute too.
     When ``scipy.optimize`` came first, its module is returned as it is.
     """
     if _HIGHS_MODULE in sys.modules:
@@ -80,7 +58,6 @@ def _load_highs() -> ModuleType:
     except BaseException:
         del sys.modules[_HIGHS_MODULE]
         raise
-    sys.meta_path.insert(0, _BindToPackage)
     return module
 
 

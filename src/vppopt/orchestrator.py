@@ -437,9 +437,7 @@ def _day_ahead(s: Scenario, held: str | None = None) -> tuple[Solution, Variable
 def chosen_profiles(s: Scenario) -> tuple[dict[str, str], float]:
     """Solve the day-ahead stage and read the selected profile per demand."""
     sol, reg = _day_ahead(s)
-    return ({d.id: p.id for d in s.demands for p in d.profiles
-             if sol.values[reg.id(dam_mod.DEM_U, f"{d.id}/{p.id}")] > 0.5},
-            float(sol.objective))
+    return ledger_from_dam(s, reg, sol).selected_profiles, float(sol.objective)
 
 
 def sweep_profile_costs(s: Scenario, demand_id: str | None = None,

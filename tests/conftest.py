@@ -105,6 +105,14 @@ def series(reg: VariableRegistry, x, role: str, entity: str, periods) -> tuple[f
     return tuple(x[reg.id(role, entity, t)] for t in periods)
 
 
+def row(model: MilpModel, name: str) -> tuple[dict[int, float], str, float, str]:
+    """The constraint named ``name``: its coefficients, sense, rhs and name."""
+    for r in range(model.n_constraints):
+        if model.constraint_name(r) == name:
+            return model.constraints[r]
+    raise AssertionError(f"no constraint named {name}")
+
+
 @pytest.fixture
 def toy() -> Scenario:
     return make_scenario(toy_doc())

@@ -11,6 +11,7 @@ from conftest import (
     TOY_DAM_OBJECTIVE,
     enumerate_dam_optimum,
     make_scenario,
+    row,
     series,
     toy_doc,
 )
@@ -41,13 +42,6 @@ def _solved(s):
     assert sol.status == "optimal"
     assert verify(model, sol) == []
     return model, reg, sol
-
-
-def _row(model, name):
-    for r in range(model.n_constraints):
-        if model.constraint_name(r) == name:
-            return model.constraints[r]
-    raise AssertionError(f"no constraint named {name}")
 
 
 class TestToyDayAhead:
@@ -145,14 +139,14 @@ class TestTradeBounds:
 
     def test_sale_cap_row(self, toy):
         model, _ = assemble_dam(toy)
-        coeffs, sense, rhs, _ = _row(model, "trade_hi.t1")
+        coeffs, sense, rhs, _ = row(model, "trade_hi.t1")
         assert sense == "<="
         assert rhs == 10.0 + 4.0  # unit rating plus wind availability
 
     def test_purchase_cap_rows_per_profile_position(self, toy):
         model, _ = assemble_dam(toy)
-        _, sense0, rhs0, _ = _row(model, "trade_lo.p0.t3")
-        _, sense1, rhs1, _ = _row(model, "trade_lo.p1.t3")
+        _, sense0, rhs0, _ = row(model, "trade_lo.p0.t3")
+        _, sense1, rhs1, _ = row(model, "trade_lo.p1.t3")
         assert sense0 == sense1 == ">="
         assert rhs0 == -2.0  # flat profile draws 2 MW in period 3
         assert rhs1 == -3.0  # shifted profile draws 3 MW there
@@ -244,7 +238,7 @@ class TestProfileEconomics:
 
     def test_exactly_one_profile_selected(self, toy):
         model, _ = assemble_dam(toy)
-        coeffs, sense, rhs, _ = _row(model, "dem_one.load")
+        coeffs, sense, rhs, _ = row(model, "dem_one.load")
         assert sense == "==" and rhs == 1.0
         assert len(coeffs) == 2
 

@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, TOY_DAM_OBJECTIVE, make_scenario, series, toy_doc
+from conftest import SCENARIO_DIR, TOY_DAM_OBJECTIVE, make_scenario, row, series, toy_doc
 from vppopt.dam import DEM_P, DEM_U, DRES_P, NDRES_P, assemble_dam
 from vppopt.idm import (
     DRES_DP,
@@ -49,13 +49,6 @@ def _solved_session(s, ledger, k):
     assert sol.status == "optimal"
     assert verify(model, sol) == []
     return model, reg, sol
-
-
-def _row(model, name):
-    for r in range(model.n_constraints):
-        if model.constraint_name(r) == name:
-            return model.constraints[r]
-    raise AssertionError(f"no constraint named {name}")
 
 
 class TestSessionAdjustments:
@@ -139,11 +132,11 @@ class TestRecedingWindow:
         s = self._two_session_scenario()
         ledger = _dam_ledger(s)
         model, reg = assemble_idm(s, ledger, 2)
-        coeffs, sense, rhs, _ = _row(model, "dem_rampup.load.t2")
+        coeffs, sense, rhs, _ = row(model, "dem_rampup.load.t2")
         assert coeffs == {reg.id(DEM_P, "load", 2): 1.0}
         assert sense == "<="
         assert rhs == 2.0 + 10.0  # settled draw plus one period of ramp
-        _, sense_dn, rhs_dn, _ = _row(model, "dem_rampdn.load.t2")
+        _, sense_dn, rhs_dn, _ = row(model, "dem_rampdn.load.t2")
         assert sense_dn == ">="
         assert rhs_dn == 2.0 - 10.0
 
@@ -151,7 +144,7 @@ class TestRecedingWindow:
         s = self._two_session_scenario()
         ledger = _dam_ledger(s)
         model, reg = assemble_idm(s, ledger, 2)
-        coeffs, sense, rhs, _ = _row(model, "dem_minenergy.load")
+        coeffs, sense, rhs, _ = row(model, "dem_minenergy.load")
         assert sense == ">="
         assert rhs == 6.0 - 2.0  # 2 MWh already consumed in period 1
         assert set(coeffs) == {reg.id(DEM_P, "load", 2), reg.id(DEM_P, "load", 3)}
@@ -160,7 +153,7 @@ class TestRecedingWindow:
         s = self._two_session_scenario()
         ledger = _dam_ledger(s)
         model, _ = assemble_idm(s, ledger, 2)
-        _, sense, rhs, _ = _row(model, "idm_cum_def.t3")
+        _, sense, rhs, _ = row(model, "idm_cum_def.t3")
         assert sense == "=="
         assert rhs == ledger.cumulative_trade(3)
 
@@ -168,7 +161,7 @@ class TestRecedingWindow:
         s = self._two_session_scenario()
         ledger = _dam_ledger(s)
         model, reg = assemble_idm(s, ledger, 2)
-        coeffs, sense, rhs, _ = _row(model, "dres_delta.gen.t2")
+        coeffs, sense, rhs, _ = row(model, "dres_delta.gen.t2")
         assert sense == "=="
         assert rhs == -ledger.dres_p["gen"][1]
         assert coeffs[reg.id(DRES_DP, "gen", 2)] == 1.0

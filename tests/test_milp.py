@@ -294,16 +294,14 @@ print(loaded, "numpy" in sys.modules)
         out = _python(code, str(SCENARIO_DIR / "clear.json"))
         assert out.splitlines()[-1] == "False False"
 
-    def test_package_exposes_the_binding_loaded_first(self):
-        # the import system binds a submodule to its package only when it
-        # loads the submodule itself; vppopt loaded it already
+    def test_import_adds_no_import_hook(self):
         code = """
-import vppopt.milp
-import scipy.optimize._highspy._core
-assert scipy.optimize._highspy._core is vppopt.milp._h
-print(scipy.optimize._highspy._core.HighsLp.__name__)
+import sys
+before = list(sys.meta_path)
+import vppopt.cli
+print(sys.meta_path == before)
 """
-        assert _python(code).split() == ["HighsLp"]
+        assert _python(code).split() == ["True"]
 
     def test_missing_extension_names_the_directory(self, monkeypatch):
         monkeypatch.delitem(sys.modules, milp._HIGHS_MODULE)
@@ -314,27 +312,35 @@ print(scipy.optimize._highspy._core.HighsLp.__name__)
     @pytest.mark.parametrize("first", ["vppopt", "scipy"])
     def test_scipy_and_vppopt_share_the_binding(self, first):
         code = """
+import importlib
 import sys
 if sys.argv[1] == "scipy":
     import scipy.optimize
 from vppopt.milp import MilpModel, _h, solve
 import numpy as np
 import scipy.optimize
+import scipy.optimize._highspy._core as _named
 from scipy.optimize._highspy import _core
-assert _h is sys.modules["scipy.optimize._highspy._core"] is _core
+from scipy.optimize._highspy._core import HighsLp
+assert _h is sys.modules["scipy.optimize._highspy._core"] is _core is _named
+assert _h is importlib.import_module("scipy.optimize._highspy._core")
+assert HighsLp is _h.HighsLp
 # 0-1 knapsack: take items 0 and 2 (weight 3 of 4) for 8
 ref = scipy.optimize.milp(c=[-5, -4, -3], integrality=[1, 1, 1],
                           bounds=scipy.optimize.Bounds(0, 1),
                           constraints=scipy.optimize.LinearConstraint([[2, 3, 1]], -np.inf, 4))
+# x + 2y with x + y <= 3 and both in [0, 2]: x = 1, y = 2 for 5
+lp = scipy.optimize.linprog(c=[-1, -2], A_ub=[[1, 1]], b_ub=[3], bounds=(0, 2), method="highs")
 m = MilpModel()
 u, v, y = m.add_binary("u"), m.add_binary("v"), m.add_continuous("y", ub=10.0)
 m.add_constraint({y: 1.0, u: -6.0, v: -4.0}, "<=", 0.0, "cap")
 m.add_constraint({u: 1.0, v: 1.0}, "<=", 1.0, "one")
 m.set_objective({y: 3.0, u: -2.0, v: -1.0})
-print(ref.status, ref.fun, solve(m).objective)
+print(ref.status, ref.fun, lp.status, lp.fun, solve(m).objective)
 """
-        status, ref, ours = _python(code, first).split()
+        status, ref, lp_status, lp, ours = _python(code, first).split()
         assert int(status) == 0 and float(ref) == pytest.approx(-8.0, abs=1e-9)
+        assert int(lp_status) == 0 and float(lp) == pytest.approx(-5.0, abs=1e-9)
         assert float(ours) == pytest.approx(16.0, abs=1e-9)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, eval_pb_oracle, make_scenario, series
+from conftest import SCENARIO_DIR, eval_pb_oracle, make_scenario, row, series
 from vppopt.dam import assemble_dam
 from vppopt.milp import BINARY, CONTINUOUS, reformulate_sos2_as_binary, solve, verify
 from vppopt.scenario import load_scenario
@@ -259,10 +259,6 @@ class TestReachableHeat:
     """The conversion breakpoints are clipped at the most heat that can
     reach the block: the field's availability plus the discharge rating."""
 
-    @staticmethod
-    def _row(model, name):
-        return next(coeffs for coeffs, _, _, n in model.constraints if n == name)
-
     def test_block_held_off_below_its_minimum_load(self):
         # period 2: 5 from the field plus at most 10 from storage is below
         # pbMin = 20, so the block cannot run; at a price of 50, a build
@@ -283,15 +279,15 @@ class TestReachableHeat:
         model, reg = assemble_dam(s)
         curve = pb_curve(s.stu[0])
         w = [reg.id(f"stu_w{i}", "csp", 1) for i in range(1, 5)]
-        conv_in = self._row(model, "stu_conv_in.csp.t1")
-        conv_out = self._row(model, "stu_conv_out.csp.t1")
+        conv_in, *_ = row(model, "stu_conv_in.csp.t1")
+        conv_out, *_ = row(model, "stu_conv_out.csp.t1")
         clipped = [conv_in[wi] for wi in w]
         assert clipped == [20.0, 40.0, 55.0, 55.0]
         for wi, b in zip(w, clipped):
             assert abs(conv_out[wi] - eval_pb_oracle(curve, b)) <= 1e-9
         w = [reg.id(f"stu_w{i}", "csp", 2) for i in range(1, 5)]
-        conv_in = self._row(model, "stu_conv_in.csp.t2")
-        conv_out = self._row(model, "stu_conv_out.csp.t2")
+        conv_in, *_ = row(model, "stu_conv_in.csp.t2")
+        conv_out, *_ = row(model, "stu_conv_out.csp.t2")
         assert [conv_in[wi] for wi in w] == list(curve.breakpoints[1:])
         assert [conv_out[wi] for wi in w] == list(curve.values[1:])
 
