@@ -334,25 +334,21 @@ class ScipyMilpAdapter:
     integrality tolerance; downstream identities (piecewise conversion,
     storage telescoping) amplify that noise. Assignments with integers are
     therefore polished: the integers are rounded and fixed through their
-    column bounds, and the continuous variables are refit by one LP solve.
-    The LP runs on a fresh HiGHS instance built from the same lowered
-    arrays. Reusing the MIP instance (changing its integrality and bounds)
-    can make HiGHS return another optimal vertex of the LP, and the
-    thermal storage has alternate optima, so the next intraday session and
-    the run's total profit would move.
+    column bounds, and the continuous variables are refit by one LP solve,
+    on a fresh HiGHS instance built from the same lowered arrays.
 
     A MIP may be given a start: an integer assignment by column name, such
     as the previous intraday session's :attr:`Solution.integers`. The
     start is used only when it names every integer column with an integer
-    value inside the column's bounds, and the LP over the other columns
-    with those fixed (the polish LP) is optimal. HiGHS then gets that LP's
+    value inside the column's bounds and its LP, the other columns refit
+    with those integers fixed, is optimal. HiGHS then gets that LP's
     vector as its incumbent and runs without its root reduced-cost
-    sub-MIP, which would only search for one. Otherwise the MIP is solved
-    as without a start. Either way the answer is the polished optimum. A
-    MIP that keeps the start's integers would polish to the start LP's
-    vector, so that vector is the answer and the polish LP is not run.
-    :attr:`Solution.start_objective` is that LP's objective; an LP given a
-    start has no integers to keep and is its own start LP.
+    sub-MIP, which would only search for one; otherwise the MIP is solved
+    as without a start. The answer is the start LP's vector when the MIP's
+    rounded integers are the start's (no polish LP runs), else the polish
+    LP's, else (the polish LP not optimal) the MIP's own incumbent.
+    :attr:`Solution.start_objective` is the start LP's objective; an LP
+    given a start has no integers to keep and is its own start LP.
     """
 
     def solve(self, model: MilpModel, options: SolveOptions,
@@ -366,11 +362,17 @@ class ScipyMilpAdapter:
         sos_free = reformulate_sos2_as_binary(model) if model.sos2_sets else model
         t0 = time.perf_counter()
         low = _lower(sos_free)
-        size = {"n_binaries": sum(low.integer), "n_nonzeros": len(low.value)}
-        is_mip = any(low.integer)
+        integers = [j for j, is_int in enumerate(low.integer) if is_int]
+        is_mip = bool(integers)
+        size = {"n_binaries": len(integers), "n_nonzeros": len(low.value)}
         names = [sos_free.var_name(j) for j in range(len(low.cost))] if is_mip else []
-        kept = (self._complete(low, names, start, options)
-                if is_mip and start is not None else None)
+        kept = None  # the completed start
+        if is_mip and start is not None:
+            fixed = {j: start.get(names[j]) for j in integers}
+            if all(v is not None and v == round(v, 0) and low.lower[j] <= v <= low.upper[j]
+                   for j, v in fixed.items()):
+                # None when the plan no longer fits the model
+                kept = self._refit(low, fixed, options)
         highs, status = self._run(low, low.lower, low.upper, low.integer, options, kept)
         info = highs.getInfo()
         stats = {"nodes": max(int(info.mip_node_count), 0) if is_mip else 0,
@@ -384,17 +386,30 @@ class ScipyMilpAdapter:
         values = tuple(highs.getSolution().col_value)
         bound = info.mip_dual_bound if is_mip else info.objective_function_value
         if is_mip:
-            values = self._polish(low, values, options, kept)
+            snapped = {j: min(max(round(values[j], 0), low.lower[j]), low.upper[j])  # half to even
+                       for j in integers}
+            if kept is not None and all(kept[j] == v for j, v in snapped.items()):
+                # the polish LP would be the start LP again, on a fresh
+                # instance over the same arrays: the same vector up to the
+                # sign of a zero in an integer column
+                values = kept
+            else:
+                # on a fresh instance: reusing the MIP's can return another
+                # optimal vertex, and the storage's alternate optima would
+                # move the next session and the run's profit
+                refit = self._refit(low, snapped, options)
+                # the refit fails only through backend numerics (the rounded
+                # point is feasible whenever the incumbent met the
+                # integrality tolerance); the incumbent then stands
+                values = values if refit is None else refit
         objective = _objective(low, values)
-        if kept is not None:
-            start_objective = _objective(low, kept)
-        else:
-            start_objective = objective if start is not None and not is_mip else None
+        start_objective = (_objective(low, kept) if kept is not None
+                           else objective if start is not None and not is_mip else None)
         return Solution(
             status="optimal" if status == _h.HighsModelStatus.kOptimal else "feasible",
             objective=objective, values=values[:model.n_vars],
             runtime_s=time.perf_counter() - t0, message=message, dual_bound=-float(bound),
-            integers={name: values[j] for j, name in enumerate(names) if low.integer[j]},
+            integers={names[j]: values[j] for j in integers},
             start_objective=start_objective, **stats)
 
     @staticmethod
@@ -446,43 +461,6 @@ class ScipyMilpAdapter:
         if status != _h.HighsModelStatus.kOptimal:
             return None
         return tuple(fixed.get(j, v) for j, v in enumerate(highs.getSolution().col_value))
-
-    @classmethod
-    def _polish(cls, low: _Lowered, x: tuple[float, ...], options: SolveOptions,
-                kept: tuple[float, ...] | None) -> tuple[float, ...]:
-        """Fix the integers at their rounded values and refit the rest.
-
-        Returns ``kept``, the completed start, when the rounded integers
-        are exactly its integers: the refit would be the start LP again,
-        on a fresh instance over the same arrays, so the same vector up to
-        the sign of a zero in an integer column.
-        Keeps the incumbent when the refit fails, which can only happen
-        through backend numerics: the rounded point is feasible whenever
-        the incumbent satisfied the integrality tolerance.
-        """
-        snapped = {j: min(max(round(x[j], 0), low.lower[j]), low.upper[j])  # half to even
-                   for j, is_int in enumerate(low.integer) if is_int}
-        if kept is not None and all(kept[j] == v for j, v in snapped.items()):
-            return kept
-        refit = cls._refit(low, snapped, options)
-        return x if refit is None else refit
-
-    @classmethod
-    def _complete(cls, low: _Lowered, names: list[str], start: Mapping[str, float],
-                  options: SolveOptions) -> tuple[float, ...] | None:
-        """The start's integers with the rest refit: a full incumbent, or
-        None when the start misses an integer column, gives one a value
-        that is not an integer inside its bounds, or admits no optimal
-        refit (the plan no longer fits the model)."""
-        fixed = {}
-        for j, is_int in enumerate(low.integer):
-            if is_int:
-                value = start.get(names[j])
-                if value is None or value != round(value, 0) or not (
-                        low.lower[j] <= value <= low.upper[j]):
-                    return None
-                fixed[j] = value
-        return cls._refit(low, fixed, options)
 
 
 def _objective(low: _Lowered, x: Sequence[float]) -> float:

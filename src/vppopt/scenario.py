@@ -25,7 +25,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 MAX_SESSIONS = 7  # intraday sessions a day may hold (rule `too_many_sessions`)
 MAX_PERIODS = 1440  # periods a day may hold: one day of one-minute periods
@@ -703,7 +703,44 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
                                    f"{a.p_min[tau - 1 + i]} in period {tau + i} ({label})"))
                     break
 
+    # the storage levels the day-ahead forecast can reach, in closed form
+    flagged = {d.entity for d in out}
+    for a in s.stu:
+        avail = s.dam_forecast.stu_avail.get(a.id)
+        if a.id not in flagged and avail and len(avail) == T and all(map(math.isfinite, (
+                *avail, *a.storage_cap, *a.storage_floor, s.calendar.dt_hours))):
+            message = _storage_unreachable(a, avail, s.calendar.dt_hours)
+            if message:
+                bad(Diagnostic(a.id, "storage_unreachable", message))
+
     return out
+
+
+def _storage_unreachable(a: StuAsset, avail: Sequence[float], dt: float) -> str | None:
+    """Why no schedule keeps the store inside its window, or None.
+
+    From ``initialEnergy_th``, charging at every chance gives the highest
+    reachable level ``hi`` and discharging at full rating the lowest
+    ``lo``; the loop's minimums and its charge/discharge exclusion are
+    left out, so a day this passes can still be infeasible."""
+    hi = lo = a.initial_energy
+    for t, (cap, floor) in enumerate(zip(a.storage_cap, a.storage_floor), start=1):
+        hi = min(cap, hi + a.charge_eff * min(avail[t - 1], a.charge_max) * dt)
+        lo = max(floor, lo - a.discharge_max * dt / a.discharge_eff)
+        if hi < floor:
+            return (f"the store reaches at most {hi:g} MWh_th in period {t}, "
+                    f"below its floor {floor:g}")
+        if lo > cap:
+            return (f"the store holds at least {lo:g} MWh_th in period {t}, "
+                    f"above its cap {cap:g}")
+    end_lo, end_hi = a.end_alpha_lo * a.storage_cap[-1], a.end_alpha_hi * a.storage_cap[-1]
+    if hi < end_lo:
+        return (f"the store reaches at most {hi:g} MWh_th by the last period, below "
+                f"the end window's {end_lo:g} (endAlphaLo x the last cap)")
+    if lo > end_hi:
+        return (f"the store holds at least {lo:g} MWh_th in the last period, above "
+                f"the end window's {end_hi:g} (endAlphaHi x the last cap)")
+    return None
 
 
 def _non_finite(doc: Any, where: str = "") -> Iterator[tuple[str, float]]:

@@ -149,10 +149,17 @@ class TestValidate:
          OLD_LAYOUT),
         (lambda doc: doc["calendar"].update(T=MAX_PERIODS + 1),
          f"calendar.T: {MAX_PERIODS + 1} periods exceed the limit of {MAX_PERIODS}"),
+        # the end window asks for 1.1e8 MWh_th; charging at every chance
+        # from 150, the store reaches 1066.3
+        (lambda doc: doc["stu"][0].update(
+            storageCap_th=[c * 1e6 for c in doc["stu"][0]["storageCap_th"]]),
+         "[csp] storage_unreachable: the store reaches at most 1066.3 MWh_th by the last "
+         "period, below the end window's 1.1e+08 (endAlphaLo x the last cap)"),
     ] + [(lambda doc, leaf=leaf, value=value: _set_leaf(doc, leaf, value), message)
          for leaf, value, message in MALFORMED],
         ids=["nan-price", "inf-wind", "unknown-session", "old-layout-k",
-             "old-layout-idm-object", "too-many-periods"] + MALFORMED_IDS)
+             "old-layout-idm-object", "too-many-periods", "storage-unreachable"]
+        + MALFORMED_IDS)
     def test_rejected_before_any_solve(self, tmp_path, capsys, mutate, rule):
         doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
         mutate(doc)

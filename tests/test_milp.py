@@ -398,40 +398,77 @@ class TestStart:
 
     @staticmethod
     def _spy(monkeypatch) -> tuple[list[bool], list[tuple[float, ...] | None]]:
-        """Record each HiGHS run (True for a MIP) and each completed start."""
-        completed = []
-        complete = ScipyMilpAdapter._complete
+        """Record each HiGHS run (True for a MIP) and each refit's result:
+        the start LP's completed start first when a start is used, then the
+        polish LP's vector when one runs."""
+        refits = []
+        refit = ScipyMilpAdapter._refit
 
         def recorded(*args):
-            completed.append(complete(*args))
-            return completed[-1]
+            refits.append(refit(*args))
+            return refits[-1]
 
-        monkeypatch.setattr(ScipyMilpAdapter, "_complete", staticmethod(recorded))
-        return record_highs_runs(monkeypatch), completed
+        monkeypatch.setattr(ScipyMilpAdapter, "_refit", staticmethod(recorded))
+        return record_highs_runs(monkeypatch), refits
 
     def test_a_kept_start_is_the_answer_without_a_polish_lp(self, csp, monkeypatch):
         """The MIP keeps the start's integers, so the polish LP would
         repeat the start LP: the completed start is the answer, after the
         start LP and the MIP only."""
         model, cold = csp
-        runs, completed = self._spy(monkeypatch)
+        runs, refits = self._spy(monkeypatch)
         warm = solve(model, start=cold.integers)
-        (kept,) = completed
+        (kept,) = refits
         assert runs == [False, True]
         assert warm.values == kept[:model.n_vars]
         assert warm.integers == cold.integers
         assert warm.objective == warm.start_objective
 
-    def test_a_start_the_mip_improves_on_is_polished(self, monkeypatch):
+    @staticmethod
+    def _improvable() -> MilpModel:
+        """max x + y with x <= 1 and y binary: from y = 0 the start LP is
+        worth 1, the MIP moves to y = 1 and 2."""
         m = MilpModel()
         x, y = m.add_continuous("x", ub=1.0), m.add_binary("y")
         m.add_constraint({x: 1.0, y: 1.0}, "<=", 2.0, "cap")
         m.set_objective({x: 1.0, y: 1.0})
-        runs, completed = self._spy(monkeypatch)
+        return m
+
+    def test_a_start_the_mip_improves_on_is_polished(self, monkeypatch):
+        m = self._improvable()
+        runs, refits = self._spy(monkeypatch)
         sol = solve(m, start={"y": 0.0})
-        assert completed == [(1.0, 0.0)]
+        assert refits == [(1.0, 0.0), (1.0, 1.0)]  # the completed start, the polish
         assert runs == [False, True, False]  # start LP, MIP, polish LP
         assert (sol.objective, sol.start_objective, sol.values) == (2.0, 1.0, (1.0, 1.0))
+
+    def test_a_polish_that_is_not_optimal_keeps_the_mip_incumbent(self, monkeypatch):
+        """The polish refit fails only through backend numerics; the answer
+        is then the MIP's own incumbent, under the MIP's status."""
+        m = self._improvable()
+        polished = solve(m, start={"y": 0.0})
+        refits, incumbents = [], []
+        refit, run_highs = ScipyMilpAdapter._refit, ScipyMilpAdapter._run
+
+        def refit_then_fail(*args):
+            refits.append(refit(*args))
+            return refits[-1] if len(refits) == 1 else None  # the polish fails
+
+        def recorded(low, lower, upper, integer, *rest):
+            highs, status = run_highs(low, lower, upper, integer, *rest)
+            if any(integer):
+                incumbents.append(tuple(highs.getSolution().col_value))
+            return highs, status
+
+        monkeypatch.setattr(ScipyMilpAdapter, "_refit", staticmethod(refit_then_fail))
+        monkeypatch.setattr(ScipyMilpAdapter, "_run", staticmethod(recorded))
+        sol = solve(m, start={"y": 0.0})
+        (incumbent,) = incumbents
+        assert len(refits) == 2  # the start LP, then the polish LP
+        assert sol.values == incumbent[:m.n_vars]
+        assert sol.objective == pytest.approx(sum(incumbent))
+        assert sol.status == polished.status == "optimal"
+        assert sol.start_objective == 1.0
 
     @pytest.mark.parametrize("spoil", ["outside_bounds", "missing", "fractional"])
     def test_a_refused_start_solves_as_without_one(self, csp, spoil):

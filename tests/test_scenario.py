@@ -259,6 +259,37 @@ class TestAssetRules:
         csp["electricalMin"] = low
         assert "electrical_bounds" in rules(scenario_from_dict(doc))
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"storageFloor_th": [0.0] * 5 + [500.0] * 19},
+         "the store reaches at most 151.96 MWh_th in period 6, below its floor 500"),
+        ({"dischargeMax_th": 10.0, "storageCap_th": [1100.0] + [10.0] * 23},
+         "the store holds at least 128.947 MWh_th in period 2, above its cap 10"),
+        ({"endAlphaLo": 0.97, "endAlphaHi": 1.0},
+         "the store reaches at most 1066.3 MWh_th by the last period, below the end "
+         "window's 1067 (endAlphaLo x the last cap)"),
+        ({"dischargeMax_th": 1.0, "endAlphaHi": 0.1},
+         "the store holds at least 124.737 MWh_th in the last period, above the end "
+         "window's 110 (endAlphaHi x the last cap)"),
+    ], ids=["floor", "cap", "end-low", "end-high"])
+    def test_storage_unreachable(self, edit, message):
+        """From 150 MWh_th the clear day's field can add at most 916.3
+        (0.98 x its heat, each period capped at chargeMax_th 100), and
+        the loop can draw at most dischargeMax_th / 0.95 per period."""
+        doc = clear_doc()
+        doc["stu"][0].update(edit)
+        assert [(d.entity, d.rule, d.message) for d in validate_scenario(
+            scenario_from_dict(doc))] == [("csp", "storage_unreachable", message)]
+
+    @pytest.mark.parametrize("edit", [
+        {"endAlphaLo": 0.969, "endAlphaHi": 1.0},  # 1065.9, just reachable
+        {"dischargeMax_th": 1.0, "endAlphaHi": 0.114},  # 125.4, just reachable
+        {"storageFloor_th": [0.0] * 5 + [151.96] * 19},
+    ], ids=["end-low", "end-high", "floor"])
+    def test_storage_reachable_at_the_edge(self, edit):
+        doc = clear_doc()
+        doc["stu"][0].update(edit)
+        assert validate_scenario(scenario_from_dict(doc)) == []
+
     def test_demand_needs_exactly_one_default(self):
         doc = toy_doc()
         doc["demands"][0]["profiles"][1]["default"] = True
