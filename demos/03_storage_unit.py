@@ -41,7 +41,8 @@ def main() -> None:
         raise SystemExit(f"run stopped at {result.failure}")
 
     asset = s.stu[0]
-    series = result.ledger.stu_series[asset.id]
+    series = {role: result.ledger.schedules[role, asset.id]
+              for role in (PSF, CHG, DIS, ENERGY, PPB, PB_ON, POWER)}
     curve = pb_curve(asset)
 
     def on_curve(thermal_input: float) -> float:

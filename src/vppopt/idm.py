@@ -44,9 +44,11 @@ from vppopt.scenario import ForecastSet, Scenario
 IDM_TRADE = "idm_trade"  # session trade adjustment [MW], free sign
 DRES_DP = "dres_dp"      # dispatch change vs the previous session [MW]
 
-STU_ROLES = (stu_mod.PSF, stu_mod.CHG, stu_mod.DIS, stu_mod.UPLUS, stu_mod.ENERGY,
-             stu_mod.PPB, stu_mod.PB_ON, stu_mod.PB_START, stu_mod.POWER)
-STU_BINARY_ROLES = (stu_mod.UPLUS, stu_mod.PB_ON, stu_mod.PB_START)
+# the schedule roles the ledger keeps per asset group (a Scenario field)
+SCHEDULE_ROLES = {"demands": (DEM_P,), "dres": (DRES_P, DRES_U), "ndres": (NDRES_P,),
+                  "stu": (stu_mod.PSF, stu_mod.CHG, stu_mod.DIS, stu_mod.ENERGY,
+                          stu_mod.PPB, stu_mod.PB_ON, stu_mod.POWER)}
+INTEGRAL_ROLES = (DRES_U, stu_mod.PB_ON)  # binaries, kept as 0/1
 
 
 @dataclass(frozen=True)
@@ -55,19 +57,17 @@ class LedgerState:
 
     ``trades`` holds each recorded session's traded power in calendar
     order: ``trades[0]`` is the day-ahead and ``trades[k]`` intraday
-    session ``k``. Series span the full horizon; session trade series are
-    zero outside their window. Schedules hold the latest decision for
-    every period: each session overwrites its window, earlier periods
-    stay settled.
+    session ``k``. ``schedules`` is keyed like the registry without the
+    period, ``(role, asset id)`` such as ``(DRES_P, "hydro")``, for each
+    role of :data:`SCHEDULE_ROLES`. Series span the full horizon; trade
+    series are zero outside their session's window, and each schedule
+    holds the latest decision for every period: each session overwrites
+    its window, earlier periods stay settled.
     """
 
     trades: tuple[tuple[float, ...], ...]
     selected_profiles: dict[str, str]
-    demand_p: dict[str, tuple[float, ...]]
-    dres_p: dict[str, tuple[float, ...]]
-    dres_u: dict[str, tuple[int, ...]]
-    ndres_p: dict[str, tuple[float, ...]]
-    stu_series: dict[str, dict[str, tuple[float, ...]]]
+    schedules: dict[tuple[str, str], tuple[float, ...]]
 
     def cumulative_trade(self, t: int) -> float:
         """Committed trade at period t across all recorded sessions."""
@@ -79,34 +79,24 @@ def _binary(x: float) -> int:
 
 
 def _read_window(ledger: LedgerState, s: Scenario, reg: VariableRegistry,
-                 x: tuple[float, ...], first: int, trade_role: str
-                 ) -> tuple[dict, tuple[float, ...]]:
-    """Read a solved session's schedules on periods ``first``..T.
-
-    Returns the ledger's schedule fields with every series overwritten on
-    that window and kept elsewhere, and the session's trade series, zero
-    outside the window.
-    """
+                 x: tuple[float, ...], first: int, trade_role: str) -> LedgerState:
+    """Fold a solved session's assignment on periods ``first``..T into
+    the ledger: every schedule is overwritten on that window and kept
+    elsewhere, and the session's trade series, zero outside the window,
+    is appended."""
     window = range(first, s.n_periods + 1)
 
-    def read(old: tuple, role: str, entity: str, as_int: bool = False) -> tuple:
+    def read(old: tuple, role: str, entity: str) -> tuple:
         new = list(old)
+        as_int = role in INTEGRAL_ROLES
         for t in window:
             v = x[reg.id(role, entity, t)]
             new[t - 1] = _binary(v) if as_int else float(v)
         return tuple(new)
 
-    schedules = dict(
-        demand_p={d.id: read(ledger.demand_p[d.id], DEM_P, d.id) for d in s.demands},
-        dres_p={a.id: read(ledger.dres_p[a.id], DRES_P, a.id) for a in s.dres},
-        dres_u={a.id: read(ledger.dres_u[a.id], DRES_U, a.id, as_int=True)
-                for a in s.dres},
-        ndres_p={a.id: read(ledger.ndres_p[a.id], NDRES_P, a.id) for a in s.ndres},
-        stu_series={a.id: {role: read(ledger.stu_series[a.id][role], role, a.id,
-                                      as_int=role in STU_BINARY_ROLES)
-                           for role in STU_ROLES} for a in s.stu},
-    )
-    return schedules, read((0.0,) * s.n_periods, trade_role, "vpp")
+    trade = read((0.0,) * s.n_periods, trade_role, "vpp")
+    return replace(ledger, trades=ledger.trades + (trade,),
+                   schedules={key: read(old, *key) for key, old in ledger.schedules.items()})
 
 
 def ledger_from_dam(s: Scenario, reg: VariableRegistry, sol: Solution) -> LedgerState:
@@ -121,14 +111,9 @@ def ledger_from_dam(s: Scenario, reg: VariableRegistry, sol: Solution) -> Ledger
         if len(chosen) != 1:
             raise ValueError(f"demand {d.id} selected {len(chosen)} profiles")
         selected[d.id] = chosen[0]
-    zero = (0.0,) * s.n_periods
-    blank = LedgerState(
-        trades=(), selected_profiles=selected,
-        demand_p={d.id: zero for d in s.demands}, dres_p={a.id: zero for a in s.dres},
-        dres_u={a.id: zero for a in s.dres}, ndres_p={a.id: zero for a in s.ndres},
-        stu_series={a.id: dict.fromkeys(STU_ROLES, zero) for a in s.stu})
-    schedules, trade = _read_window(blank, s, reg, x, 1, TRADE_DAM)
-    return replace(blank, trades=(trade,), **schedules)
+    blank = dict.fromkeys(((role, a.id) for group, roles in SCHEDULE_ROLES.items()
+                           for a in getattr(s, group) for role in roles), (0.0,) * s.n_periods)
+    return _read_window(LedgerState((), selected, blank), s, reg, x, 1, TRADE_DAM)
 
 
 def apply_idm(ledger: LedgerState, s: Scenario, reg: VariableRegistry,
@@ -138,9 +123,8 @@ def apply_idm(ledger: LedgerState, s: Scenario, reg: VariableRegistry,
     k = len(ledger.trades)
     if sol.values is None:
         raise ValueError(f"session {k} solution has status {sol.status!r}, no assignment")
-    schedules, trade = _read_window(ledger, s, reg, sol.values,
-                                    s.calendar.session(k).first_period, IDM_TRADE)
-    return replace(ledger, trades=ledger.trades + (trade,), **schedules)
+    return _read_window(ledger, s, reg, sol.values, s.calendar.session(k).first_period,
+                        IDM_TRADE)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +162,8 @@ def build_idm_dres_constraints(model: MilpModel, reg: VariableRegistry, s: Scena
     """Re-commitment against the previous session's plan: output windows,
     per-period change carriers, and the dispatch delta definition."""
     for a in s.dres:
-        prev_p = ledger.dres_p[a.id]
-        prev_u = ledger.dres_u[a.id]
+        prev_p = ledger.schedules[DRES_P, a.id]
+        prev_u = ledger.schedules[DRES_U, a.id]
         for t in periods:
             p = reg.id(DRES_P, a.id, t)
             u = reg.id(DRES_U, a.id, t)
@@ -206,7 +190,7 @@ def build_idm_demand_constraints(model: MilpModel, reg: VariableRegistry, s: Sce
     dt = s.dt
     for d in s.demands:
         profile = d.profile(ledger.selected_profiles[d.id])
-        settled = ledger.demand_p[d.id]
+        settled = ledger.schedules[DEM_P, d.id]
         for t in periods:
             ref = profile.power[t - 1]
             model.set_bounds(reg.id(DEM_P, d.id, t),
@@ -252,8 +236,8 @@ def assemble_idm(s: Scenario, ledger: LedgerState,
     if tau == 1:
         state = {a.id: (a.initial_energy, a.initial_pb_on) for a in s.stu}
     else:
-        state = {a.id: (ledger.stu_series[a.id][stu_mod.ENERGY][tau - 2],
-                        bool(ledger.stu_series[a.id][stu_mod.PB_ON][tau - 2]))
+        state = {a.id: (ledger.schedules[stu_mod.ENERGY, a.id][tau - 2],
+                        bool(ledger.schedules[stu_mod.PB_ON, a.id][tau - 2]))
                  for a in s.stu}
     build_stu_blocks(model, reg, s, periods, forecast, state)
     model.set_objective(build_window_objective(s, reg, periods, session.prices,

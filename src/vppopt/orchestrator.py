@@ -162,8 +162,8 @@ def recompute_dam_profit(s: Scenario, ledger: LedgerState) -> float:
     cost = 0.0
     periods = range(1, s.n_periods + 1)
     for a in s.dres:
-        cost += a.variable_cost * dt * sum(ledger.dres_p[a.id])
-        u = ledger.dres_u[a.id]
+        cost += a.variable_cost * dt * sum(ledger.schedules[dam_mod.DRES_P, a.id])
+        u = ledger.schedules[dam_mod.DRES_U, a.id]
         cost += _commitment_costs(u, (1 if a.initial_on else 0,) + u[:-1],
                                   a.startup_cost, a.shutdown_cost, periods)
     for d in s.demands:
@@ -183,19 +183,21 @@ def recompute_idm_profit(s: Scenario, before: LedgerState, after: LedgerState,
     cost = 0.0
     window = range(tau, s.n_periods + 1)
     for a in s.dres:
+        p, u = (dam_mod.DRES_P, a.id), (dam_mod.DRES_U, a.id)
         for t in window:
-            delta = after.dres_p[a.id][t - 1] - before.dres_p[a.id][t - 1]
+            delta = after.schedules[p][t - 1] - before.schedules[p][t - 1]
             cost += a.variable_cost * delta * dt
-        cost += _commitment_costs(after.dres_u[a.id], before.dres_u[a.id],
+        cost += _commitment_costs(after.schedules[u], before.schedules[u],
                                   a.startup_cost, a.shutdown_cost, window)
     return revenue - cost
 
 
 def recompute_profits(s: Scenario, history: Sequence[LedgerState]) -> dict[str, float]:
     """Profit per session of a ledger history: step ``k`` is session ``k``."""
-    out = {"dam": recompute_dam_profit(s, history[0])}
+    keys = session_keys(s)
+    out = {keys[0]: recompute_dam_profit(s, history[0])}
     for k, (before, after) in enumerate(zip(history, history[1:]), start=1):
-        out[f"idm{k}"] = recompute_idm_profit(s, before, after, k)
+        out[keys[k]] = recompute_idm_profit(s, before, after, k)
     return out
 
 
@@ -307,12 +309,11 @@ def _aggregate_ledger(s: Scenario, n_sessions: int,
                   for acc, series in zip(trades, part.trades)]
     for profile in defaults.values():
         trades[0] = [x - y for x, y in zip(trades[0], profile.power)]
-    schedules = {name: {aid: v for part in parts for aid, v in getattr(part, name).items()}
-                 for name in ("dres_p", "dres_u", "ndres_p", "stu_series")}
-    return LedgerState(
-        trades=tuple(map(tuple, trades)),
-        selected_profiles={did: p.id for did, p in defaults.items()},
-        demand_p={did: p.power for did, p in defaults.items()}, **schedules)
+    schedules = {(dam_mod.DEM_P, did): p.power for did, p in defaults.items()}
+    schedules.update(item for part in parts for item in part.schedules.items())
+    return LedgerState(trades=tuple(map(tuple, trades)),
+                       selected_profiles={did: p.id for did, p in defaults.items()},
+                       schedules=schedules)
 
 
 _SUMMED_FIELDS = tuple(f for f in fields(SessionResult)
@@ -508,7 +509,7 @@ def check_demand_contracts(s: Scenario, ledger: LedgerState) -> list[str]:
     dt = s.dt
     for d in s.demands:
         profile = d.profile(ledger.selected_profiles[d.id])
-        series = ledger.demand_p[d.id]
+        series = ledger.schedules[dam_mod.DEM_P, d.id]
         for t in range(1, s.n_periods + 1):
             ref = profile.power[t - 1]
             lo = (1.0 - d.tol_lo[t - 1]) * ref
@@ -536,10 +537,10 @@ def check_aggregate_balance(s: Scenario, ledger: LedgerState) -> list[str]:
     every period of the final schedules."""
     out = []
     for t in range(1, s.n_periods + 1):
-        gen = sum(ledger.dres_p[a.id][t - 1] for a in s.dres)
-        gen += sum(ledger.ndres_p[a.id][t - 1] for a in s.ndres)
-        gen += sum(ledger.stu_series[a.id][stu_mod.POWER][t - 1] for a in s.stu)
-        load = sum(ledger.demand_p[d.id][t - 1] for d in s.demands)
+        gen = sum(ledger.schedules[dam_mod.DRES_P, a.id][t - 1] for a in s.dres)
+        gen += sum(ledger.schedules[dam_mod.NDRES_P, a.id][t - 1] for a in s.ndres)
+        gen += sum(ledger.schedules[stu_mod.POWER, a.id][t - 1] for a in s.stu)
+        load = sum(ledger.schedules[dam_mod.DEM_P, d.id][t - 1] for d in s.demands)
         residual = gen - load - ledger.cumulative_trade(t)
         if abs(residual) > CHECK_TOL:
             out.append(f"period {t}: generation {gen:.6f} - load {load:.6f} "
@@ -554,10 +555,8 @@ def check_storage_conservation(s: Scenario, ledger: LedgerState) -> list[str]:
     out = []
     dt = s.dt
     for a in s.stu:
-        series = ledger.stu_series[a.id]
-        e = series[stu_mod.ENERGY]
-        chg = series[stu_mod.CHG]
-        dis = series[stu_mod.DIS]
+        e, chg, dis = (ledger.schedules[role, a.id]
+                       for role in (stu_mod.ENERGY, stu_mod.CHG, stu_mod.DIS))
         expected = a.initial_energy + sum(
             a.charge_eff * chg[t] * dt - dis[t] * dt / a.discharge_eff
             for t in range(s.n_periods))

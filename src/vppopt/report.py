@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from vppopt import stu as stu_mod
+from vppopt.dam import DEM_P, DRES_P, NDRES_P
 from vppopt.orchestrator import (RunResult, SessionResult, ThresholdEntry,
                                  check_aggregate_balance, check_demand_contracts,
                                  check_storage_conservation, passive_demand_profit)
@@ -76,14 +77,14 @@ def build_report(s: Scenario, result: RunResult) -> Report:
             tables[f"idm_{k}.csv"] = (
                 ["period", "tradedMW", "cumulativeMW"],
                 [[t, float(v), float(c)] for t, v, c in zip(periods, trade, running)])
-        dispatch = {a.id: ledger.dres_p[a.id] for a in s.dres}
-        dispatch.update((a.id, ledger.ndres_p[a.id]) for a in s.ndres)
-        dispatch.update((a.id, ledger.stu_series[a.id][stu_mod.POWER]) for a in s.stu)
-        storage = {a.id: ledger.stu_series[a.id][stu_mod.ENERGY] for a in s.stu}
+        dispatch = {a.id: ledger.schedules[role, a.id] for group, role in (
+            (s.dres, DRES_P), (s.ndres, NDRES_P), (s.stu, stu_mod.POWER)) for a in group}
+        storage = {a.id: ledger.schedules[stu_mod.ENERGY, a.id] for a in s.stu}
+        demand = {d.id: ledger.schedules[DEM_P, d.id] for d in s.demands}
         for name, id_column, unit, series_map in (
                 ("dispatch.csv", "assetId", "MW", dispatch),
                 ("storage.csv", "stuId", "MWh_th", storage),
-                ("demand.csv", "demandId", "MW", ledger.demand_p)):
+                ("demand.csv", "demandId", "MW", demand)):
             if series_map:
                 tables[name] = (["period", id_column, unit],
                                 [[t, i, float(v)] for i, series in sorted(series_map.items())

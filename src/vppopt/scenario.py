@@ -709,9 +709,11 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
         avail = s.dam_forecast.stu_avail.get(a.id)
         if a.id not in flagged and avail and len(avail) == T and all(map(math.isfinite, (
                 *avail, *a.storage_cap, *a.storage_floor, s.calendar.dt_hours))):
-            message = _storage_unreachable(a, avail, s.calendar.dt_hours)
-            if message:
-                bad(Diagnostic(a.id, "storage_unreachable", message))
+            for rule, check in (("storage_unreachable", _storage_unreachable),
+                                ("storage_forced_discharge", _storage_forced_discharge)):
+                message = check(a, avail, s.calendar.dt_hours)
+                if message:
+                    bad(Diagnostic(a.id, rule, message))
 
     return out
 
@@ -740,6 +742,38 @@ def _storage_unreachable(a: StuAsset, avail: Sequence[float], dt: float) -> str 
     if lo > end_hi:
         return (f"the store holds at least {lo:g} MWh_th in the last period, above "
                 f"the end window's {end_hi:g} (endAlphaHi x the last cap)")
+    return None
+
+
+def _storage_forced_discharge(a: StuAsset, avail: Sequence[float], dt: float) -> str | None:
+    """Why the store cannot carry the block until the field first lets
+    it charge, or None.
+
+    With ``dischargeMin_th > 0`` the loop has no idle mode, so a period
+    whose field gives less than ``chargeMin_th`` must discharge, and that
+    heat can only go to the block, which then runs at ``pbMin_th`` at
+    least. Until the first period that can charge, period ``t`` thus
+    draws at least ``max(dischargeMin_th, pbMin_th - avail_t + loss_t)``,
+    where ``loss_t`` is the startup loss in period 1 when the block
+    starts off; the draw must fit the discharge rating and leave the
+    level above the floor."""
+    if a.discharge_min <= 0:
+        return None
+    level = a.initial_energy
+    loss = 0.0 if a.initial_pb_on else a.startup_loss * a.pb_max
+    for t, (heat, floor) in enumerate(zip(avail, a.storage_floor), start=1):
+        if heat >= a.charge_min:
+            return None
+        need = max(a.discharge_min, a.pb_min - heat + (loss if t == 1 else 0.0))
+        if need > a.discharge_max:
+            return (f"period {t} cannot charge (field {heat:g} < chargeMin_th "
+                    f"{a.charge_min:g}), so the block must run on {need:g} MW_th of "
+                    f"stored heat, above dischargeMax_th {a.discharge_max:g}")
+        level -= need * dt / a.discharge_eff
+        if level < floor:
+            return (f"the field stays below chargeMin_th {a.charge_min:g} through period "
+                    f"{t}, so the block must run on stored heat, which leaves at most "
+                    f"{level:g} MWh_th in period {t}, below its floor {floor:g}")
     return None
 
 

@@ -40,7 +40,8 @@ from conftest import (
     record_highs_runs,
     toy_doc,
 )
-from vppopt.dam import DRES_C0, DRES_C1, DRES_V, DRES_W, assemble_dam
+from vppopt.dam import DEM_P, DRES_C0, DRES_C1, DRES_P, DRES_V, DRES_W, NDRES_P, assemble_dam
+from vppopt.idm import SCHEDULE_ROLES
 from vppopt.milp import Solution, SolveOptions, solve, verify
 from vppopt.orchestrator import (
     check_aggregate_balance,
@@ -58,7 +59,7 @@ from vppopt.scenario import (
     scenario_to_dict,
     validate_scenario,
 )
-from vppopt.stu import CHG, DIS, ENERGY, PB_ON, PB_START, POWER, PPB, pb_curve
+from vppopt.stu import CHG, DIS, ENERGY, PB_ON, PB_START, POWER, PPB, UPLUS, pb_curve
 from vppopt.synth import (
     random_piecewise_model,
     random_seller_scenario,
@@ -333,10 +334,8 @@ class TestFinalSchedules:
         fill lands inside the contracted end window."""
         for name, (s, result, _) in study.items():
             for a in s.stu:
-                series = result.ledger.stu_series[a.id]
-                e = np.asarray(series[ENERGY])
-                chg = np.asarray(series[CHG])
-                dis = np.asarray(series[DIS])
+                e, chg, dis = (np.asarray(result.ledger.schedules[role, a.id])
+                               for role in (ENERGY, CHG, DIS))
                 step = a.charge_eff * chg * s.dt - dis * s.dt / a.discharge_eff
                 prev = np.concatenate([[a.initial_energy], e[:-1]])
                 assert np.max(np.abs(e - prev - step)) <= 1e-6, name
@@ -346,6 +345,19 @@ class TestFinalSchedules:
                     <= a.end_alpha_hi * cap_end + 1e-6, name
             assert check_storage_conservation(s, result.ledger) == []
 
+    def test_both_modes_keep_the_same_schedules(self, study, baselines):
+        """Every ledger of either mode keeps one series per asset and
+        role of its group in SCHEDULE_ROLES, and no other: 3 demands, 2
+        dispatchable and 2 non-dispatchable plants and the solar-thermal
+        unit's 7 roles, with no charging or startup indicator."""
+        for name, (s, result, _) in study.items():
+            expected = {(role, a.id) for group, roles in SCHEDULE_ROLES.items()
+                        for a in getattr(s, group) for role in roles}
+            assert len(expected) == 3 + 2 * 2 + 2 + 7, name
+            assert not {role for role, _ in expected} & {UPLUS, PB_START}, name
+            for ledger in result.ledger_history + baselines[name].ledger_history:
+                assert set(ledger.schedules) == expected, name
+
     def test_demand_contracts_hold(self, study):
         """Settled consumption stays inside each demand's tolerance band,
         ramp limits and energy floor, re-checked from the raw series."""
@@ -353,7 +365,7 @@ class TestFinalSchedules:
             assert check_demand_contracts(s, result.ledger) == [], name
             assert check_aggregate_balance(s, result.ledger) == [], name
             for d in s.demands:
-                energy = sum(result.ledger.demand_p[d.id]) * s.dt
+                energy = sum(result.ledger.schedules[DEM_P, d.id]) * s.dt
                 assert energy >= d.min_energy - 1e-6, f"{name}/{d.id}"
 
 
@@ -416,12 +428,9 @@ class TestEconomics:
                 jump = max(abs(cur.cumulative_trade(t) - prev.cumulative_trade(t))
                            for t in range(1, s.n_periods + 1))
                 assert jump <= 1e-6, name
-                for aid, series in prev.dres_p.items():
-                    assert np.allclose(cur.dres_p[aid], series, atol=1e-6)
-                for aid, series in prev.ndres_p.items():
-                    assert np.allclose(cur.ndres_p[aid], series, atol=1e-6)
-                for did, series in prev.demand_p.items():
-                    assert np.allclose(cur.demand_p[did], series, atol=1e-6)
+                for key, series in prev.schedules.items():
+                    if key[0] in (DRES_P, NDRES_P, DEM_P):
+                        assert np.allclose(cur.schedules[key], series, atol=1e-6)
 
     def test_price_lift_never_lowers_day_ahead_profit(self):
         """Lifting all day-ahead prices by 10 EUR/MWh never lowers the

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario, toy_doc
-from test_scenario import MALFORMED, MALFORMED_IDS, _set_leaf, _stu_doc
+from test_scenario import MALFORMED, MALFORMED_IDS, _set_leaf, _stu_doc, forced_discharge_doc
 from vppopt.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -21,6 +21,7 @@ from vppopt.cli import (
     EXIT_USAGE,
     main,
 )
+from vppopt.dam import DEM_P
 from vppopt.idm import LedgerState
 from vppopt.orchestrator import check_demand_contracts
 from vppopt.scenario import MAX_PERIODS, MAX_SESSIONS, OLD_LAYOUT
@@ -347,8 +348,8 @@ class TestRun:
         default = s.demands[0].default_profile()
         ledger = LedgerState(
             trades=((0.0,) * 3,),
-            selected_profiles={"load": default.id}, demand_p={"load": default.power},
-            dres_p={}, dres_u={}, ndres_p={}, stu_series={})
+            selected_profiles={"load": default.id},
+            schedules={(DEM_P, "load"): default.power})
         assert check_demand_contracts(s, ledger) == [
             "load: period 2 ramp-up 2.000000 exceeds 1.000000"]
 
@@ -426,16 +427,26 @@ class TestRun:
         assert code == EXIT_INFEASIBLE
         assert "run stopped at dam" in capsys.readouterr().err
 
-    def test_storage_loop_that_cannot_idle_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("case, energy", [("night", 150.0), ("startup", 20.0)],
+                             ids=["night", "startup"])
+    def test_storage_loop_that_cannot_idle_exits_2(self, tmp_path, capsys, case, energy):
         # with both loop minimums positive the unit must charge or
-        # discharge in every period; at night it cannot charge, so it
-        # discharges, and the block must run on that heat all night
-        doc = json.loads((SCENARIO_DIR / "clear.json").read_text())
-        doc["stu"][0].update(chargeMin_th=1.0, dischargeMin_th=10.0)
-        code = main(["run", "--scenario", str(_write(tmp_path, doc)),
-                     "--sessions", "dam", "--out", str(tmp_path / "r")])
-        assert code == EXIT_INFEASIBLE
-        assert "run stopped at dam: infeasible" in capsys.readouterr().err
+        # discharge in every period; before the field can charge it, it
+        # discharges, and the block must run on that heat
+        path = str(_write(tmp_path, forced_discharge_doc(case, energy)))
+        for argv in (["validate"], ["run", "--sessions", "dam", "--out", str(tmp_path / "r")]):
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--scenario", path])
+            assert err.value.code == EXIT_USAGE
+            assert "[csp] storage_forced_discharge" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("case, energy", [("night", 158.5), ("startup", 22.0)],
+                             ids=["night", "startup"])
+    def test_storage_loop_at_the_edge_solves(self, tmp_path, case, energy):
+        path = str(_write(tmp_path, forced_discharge_doc(case, energy)))
+        assert main(["run", "--scenario", path, "--sessions", "dam",
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
 
     def test_purchase_caps_leave_a_load_only_day_ahead_infeasible(self, tmp_path, capsys):
         # the trade_lo rows cap each period's purchase at the smallest

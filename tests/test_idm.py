@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, TOY_DAM_OBJECTIVE, make_scenario, row, series, toy_doc
-from vppopt.dam import DEM_P, DEM_U, DRES_P, NDRES_P, assemble_dam
+from vppopt.dam import DEM_P, DEM_U, DRES_P, DRES_U, NDRES_P, assemble_dam
 from vppopt.idm import (
     DRES_DP,
     IDM_TRADE,
@@ -163,7 +163,7 @@ class TestRecedingWindow:
         model, reg = assemble_idm(s, ledger, 2)
         coeffs, sense, rhs, _ = row(model, "dres_delta.gen.t2")
         assert sense == "=="
-        assert rhs == -ledger.dres_p["gen"][1]
+        assert rhs == -ledger.schedules[DRES_P, "gen"][1]
         assert coeffs[reg.id(DRES_DP, "gen", 2)] == 1.0
         assert coeffs[reg.id(DRES_P, "gen", 2)] == -1.0
 
@@ -174,7 +174,7 @@ class TestLedger:
         assert len(ledger.trades) == 1
         assert np.allclose(ledger.trades[0], [12.0, 14.0, 13.0], atol=1e-6)
         assert ledger.selected_profiles == {"load": "flat"}
-        assert ledger.dres_u["gen"] == (1, 1, 1)
+        assert ledger.schedules[DRES_U, "gen"] == (1, 1, 1)
         assert _cumulative_trades(ledger) == list(ledger.trades[0])
 
     def test_objectives_add_up_across_sessions(self, toy):
@@ -204,9 +204,8 @@ class TestLedger:
         after = apply_idm(ledger, s, reg, sol)
         assert len(after.trades) == 3
         assert after.trades[2][0] == 0.0
-        assert after.demand_p["load"][0] == ledger.demand_p["load"][0]
-        assert after.dres_p["gen"][0] == ledger.dres_p["gen"][0]
-        assert after.ndres_p["wind"][0] == ledger.ndres_p["wind"][0]
+        for key in ((DEM_P, "load"), (DRES_P, "gen"), (NDRES_P, "wind")):
+            assert after.schedules[key][0] == ledger.schedules[key][0]
 
     def test_requires_an_assignment(self, toy):
         model, reg = assemble_dam(toy)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario, toy_doc
+from vppopt.dam import DEM_P, DRES_P, NDRES_P
 from vppopt.idm import LedgerState
 from vppopt.orchestrator import (
     RunResult,
@@ -279,8 +280,7 @@ class TestVppRun:
         assert "dam" in result.profits
 
     def test_result_is_read_from_the_session_walk(self):
-        ledger = LedgerState(trades=((1.0,),), selected_profiles={}, demand_p={},
-                             dres_p={}, dres_u={}, ndres_p={}, stu_series={})
+        ledger = LedgerState(trades=((1.0,),), selected_profiles={}, schedules={})
         result = RunResult(
             mode="vpp",
             sessions=(SessionResult("dam", "optimal", 12.5, ()),
@@ -382,8 +382,9 @@ class TestNoCoordination:
         assert result.max_recompute_drift() <= 1e-9
         ledger = result.ledger
         assert ledger.selected_profiles == {"load": "flat"}
-        assert ledger.demand_p == {"load": (2.0, 2.0, 2.0)}
-        assert set(ledger.dres_p) == {"gen"} and set(ledger.ndres_p) == {"wind"}
+        assert ledger.schedules[DEM_P, "load"] == (2.0, 2.0, 2.0)
+        assert {key for key in ledger.schedules if key[0] in (DRES_P, NDRES_P)} == {
+            (DRES_P, "gen"), (NDRES_P, "wind")}
         alone = _isolated_runs(toy)
         for t in range(1, 4):
             assert abs(ledger.cumulative_trade(t) - sum(
@@ -478,7 +479,8 @@ class TestCheckers:
     def test_band_violation_is_reported(self, toy):
         ledger = run(toy).ledger
         bad = dataclasses.replace(
-            ledger, demand_p={"load": (2.0, 4.0, 1.5)})  # 4 > 2 * 1.25
+            ledger, schedules={**ledger.schedules,
+                               (DEM_P, "load"): (2.0, 4.0, 1.5)})  # 4 > 2 * 1.25
         messages = check_demand_contracts(toy, bad)
         assert any("outside band" in m for m in messages)
 
@@ -489,7 +491,8 @@ class TestCheckers:
         s = make_scenario(doc)  # its shifted profile breaks profile_ramp
         ledger = run(toy).ledger
         bad = dataclasses.replace(
-            ledger, demand_p={"load": (1.5, 2.5, 1.5)})  # steps of 1 > 0.4
+            ledger, schedules={**ledger.schedules,
+                               (DEM_P, "load"): (1.5, 2.5, 1.5)})  # steps of 1 > 0.4
         messages = check_demand_contracts(s, bad)
         assert any("ramp-up" in m for m in messages)
         assert any("ramp-down" in m for m in messages)
@@ -497,14 +500,16 @@ class TestCheckers:
     def test_energy_floor_violation_is_reported(self, toy):
         ledger = run(toy).ledger
         bad = dataclasses.replace(
-            ledger, demand_p={"load": (1.5, 1.5, 1.5)})  # 4.5 MWh < 6
+            ledger, schedules={**ledger.schedules,
+                               (DEM_P, "load"): (1.5, 1.5, 1.5)})  # 4.5 MWh < 6
         messages = check_demand_contracts(toy, bad)
         assert any("below minimum" in m for m in messages)
 
     def test_imbalance_is_reported(self, toy):
         ledger = run(toy).ledger
         bad = dataclasses.replace(
-            ledger, ndres_p={"wind": (4.0, 6.0, 4.0)})  # 1 MW vanishes at t3
+            ledger, schedules={**ledger.schedules,
+                               (NDRES_P, "wind"): (4.0, 6.0, 4.0)})  # 1 MW vanishes at t3
         messages = check_aggregate_balance(toy, bad)
         assert len(messages) == 1
         assert "period 3" in messages[0]
@@ -515,9 +520,9 @@ class TestCheckers:
         s = _stu_scenario([5.0, 50.0], [100.0, 0.0])
         ledger = run(s).ledger
         assert check_storage_conservation(s, ledger) == []
-        series = dict(ledger.stu_series["csp"])
-        series[ENERGY] = (100.0, 15.0)  # 15 MWh appear from nowhere
-        bad = dataclasses.replace(ledger, stu_series={"csp": series})
+        series = dict(ledger.schedules)
+        series[ENERGY, "csp"] = (100.0, 15.0)  # 15 MWh appear from nowhere
+        bad = dataclasses.replace(ledger, schedules=series)
         messages = check_storage_conservation(s, bad)
         assert any("telescoped" in m for m in messages)
 
@@ -526,11 +531,11 @@ class TestCheckers:
 
         s = _stu_scenario([5.0, 50.0], [100.0, 0.0], endAlphaLo=0.3)
         ledger = run(s).ledger
-        series = dict(ledger.stu_series["csp"])
+        series = dict(ledger.schedules)
         # telescoping consistent, but the final fill undershoots 0.3*200
-        series[CHG] = (50.0, 0.0)
-        series[ENERGY] = (50.0, 50.0 - series[DIS][1])
-        bad = dataclasses.replace(ledger, stu_series={"csp": series})
+        series[CHG, "csp"] = (50.0, 0.0)
+        series[ENERGY, "csp"] = (50.0, 50.0 - series[DIS, "csp"][1])
+        bad = dataclasses.replace(ledger, schedules=series)
         messages = check_storage_conservation(s, bad)
         assert any("outside window" in m for m in messages)
 

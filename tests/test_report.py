@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario, toy_doc
+from vppopt.dam import DEM_P, NDRES_P
 from vppopt.orchestrator import (
     ThresholdEntry,
     run,
@@ -151,9 +152,9 @@ class TestEmitAndLoad:
         emit_report(build_report(toy, result), tmp_path)
         dispatch = load_long_csv(tmp_path / "dispatch.csv")
         assert set(dispatch) == {"gen", "wind"}
-        assert np.allclose(dispatch["wind"], result.ledger.ndres_p["wind"], atol=5e-7)
+        assert np.allclose(dispatch["wind"], result.ledger.schedules[NDRES_P, "wind"], atol=5e-7)
         demand = load_long_csv(tmp_path / "demand.csv")
-        assert np.allclose(demand["load"], result.ledger.demand_p["load"], atol=5e-7)
+        assert np.allclose(demand["load"], result.ledger.schedules[DEM_P, "load"], atol=5e-7)
 
     def test_negative_zero_reads_as_zero(self, tmp_path):
         # HiGHS returns exact -0.0 for some settled values; a value that

@@ -31,6 +31,23 @@ def clear_doc() -> dict:
     return json.loads((SCENARIO_DIR / "clear.json").read_text())
 
 
+def forced_discharge_doc(case: str, initial_energy: float = 150.0) -> dict:
+    """The clear day whose storage loop cannot idle (both minimums
+    positive), so until the field first gives chargeMin_th the store
+    must carry the block at pbMin_th 25, plus the startup loss
+    0.2 x pbMax_th 125 = 25 in period 1. ``"night"``: chargeMin_th 1, so
+    periods 1-5 draw (50 + 4 x 25) / 0.95 = 157.9 MWh_th. ``"startup"``:
+    chargeMin_th 40 with a field of 30 in period 1 and at least 50 after,
+    so only period 1 draws, (25 - 30 + 25) / 0.95 = 21.05 MWh_th."""
+    doc = clear_doc()
+    doc["stu"][0].update(chargeMin_th=1.0 if case == "night" else 40.0,
+                         dischargeMin_th=10.0, initialEnergy_th=initial_energy)
+    if case == "startup":
+        heat = doc["forecasts"]["dam"]["stuAvail_th"]["csp"]
+        heat[:] = [30.0] + [max(v, 50.0) for v in heat[1:]]
+    return doc
+
+
 class TestLoading:
     def test_toy_parses_and_validates(self):
         s = make_scenario(toy_doc())
@@ -289,6 +306,27 @@ class TestAssetRules:
         doc = clear_doc()
         doc["stu"][0].update(edit)
         assert validate_scenario(scenario_from_dict(doc)) == []
+
+    @pytest.mark.parametrize("case, energy, message", [
+        ("night", 157.0, "the field stays below chargeMin_th 1 through period 5, so the "
+         "block must run on stored heat, which leaves at most -0.894737 MWh_th in "
+         "period 5, below its floor 0"),
+        ("startup", 20.0, "the field stays below chargeMin_th 40 through period 1, so the "
+         "block must run on stored heat, which leaves at most -1.05263 MWh_th in "
+         "period 1, below its floor 0"),
+    ], ids=["night", "startup"])
+    def test_storage_forced_discharge(self, case, energy, message):
+        doc = forced_discharge_doc(case, energy)
+        assert [(d.entity, d.rule, d.message) for d in validate_scenario(
+            scenario_from_dict(doc))] == [("csp", "storage_forced_discharge", message)]
+
+    def test_forced_discharge_above_the_rating(self):
+        doc = forced_discharge_doc("night")
+        doc["stu"][0]["dischargeMax_th"] = 40.0
+        assert [(d.rule, d.message) for d in validate_scenario(scenario_from_dict(doc))] == [
+            ("storage_forced_discharge",
+             "period 1 cannot charge (field 0 < chargeMin_th 1), so the block must run on "
+             "50 MW_th of stored heat, above dischargeMax_th 40")]
 
     def test_demand_needs_exactly_one_default(self):
         doc = toy_doc()
