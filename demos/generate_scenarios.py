@@ -8,11 +8,10 @@ script.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from casestudy import clear_scenario, cloudy_scenario
-from vppopt.scenario import load_scenario, scenario_to_dict
+from vppopt.scenario import load_scenario, save_scenario, scenario_to_dict
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -21,9 +20,9 @@ def main() -> None:
     SCENARIO_DIR.mkdir(parents=True, exist_ok=True)
     for name, builder in (("clear", clear_scenario), ("cloudy", cloudy_scenario)):
         path = SCENARIO_DIR / f"{name}.json"
-        text = json.dumps(scenario_to_dict(builder()), indent=2) + "\n"
-        changed = not path.exists() or path.read_text() != text
-        path.write_text(text)
+        before = path.read_bytes() if path.exists() else None
+        save_scenario(builder(), path)
+        changed = path.read_bytes() != before
         # loading validates; a broken builder fails here, not at use time
         reloaded = load_scenario(path)
         assert scenario_to_dict(reloaded) == scenario_to_dict(builder())

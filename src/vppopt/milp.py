@@ -14,7 +14,6 @@ import importlib.machinery
 import importlib.util
 import itertools
 import math
-import operator
 import os
 import re
 import sys
@@ -247,26 +246,13 @@ def highs_options(options: SolveOptions) -> dict[str, object]:
     }
 
 
-@dataclass(frozen=True)
-class _Lowered:
-    """A model as HiGHS takes it: minimize ``sum(cost[j] * x[j])`` subject to
-    ``row_lower <= A x <= row_upper`` and ``lower <= x <= upper``, with
-    ``A`` column-wise: column ``j`` holds ``value[start[j]:start[j+1]]``
-    in the rows ``index[start[j]:start[j+1]]``, rows ascending (the
-    compressed sparse column layout)."""
-
-    cost: list[float]
-    lower: list[float]
-    upper: list[float]
-    start: list[int]
-    index: list[int]
-    value: list[float]
-    row_lower: list[float]
-    row_upper: list[float]
-    integer: list[bool]  # mask of the binaries
-
-
-def _lower(model: MilpModel) -> _Lowered:
+def _lower(model: MilpModel) -> _h.HighsLp:
+    """The model as HiGHS takes it: minimize ``sum(col_cost_[j] * x[j])``
+    subject to ``row_lower_ <= A x <= row_upper_``, with ``A`` column-wise:
+    column ``j`` holds ``value_[start_[j]:start_[j+1]]`` in the rows
+    ``index_[start_[j]:start_[j+1]]``, rows ascending (the compressed
+    sparse column layout). Each run sets the column bounds and
+    integrality (``ScipyMilpAdapter._run``)."""
     n = model.n_vars
     cost = [0.0] * n
     for v, coef in model.obj.items():
@@ -282,11 +268,16 @@ def _lower(model: MilpModel) -> _Lowered:
             col_values[v].append(coef)
         row_lower.append(-math.inf if sense == "<=" else rhs)
         row_upper.append(math.inf if sense == ">=" else rhs)
-    return _Lowered(cost, list(model.lb), list(model.ub),
-                    [0, *itertools.accumulate(map(len, col_rows))],
-                    list(itertools.chain.from_iterable(col_rows)),
-                    list(itertools.chain.from_iterable(col_values)),
-                    row_lower, row_upper, [kind == BINARY for kind in model.kind])
+    lp = _h.HighsLp()
+    lp.num_col_, lp.num_row_ = n, len(row_lower)
+    lp.col_cost_, lp.row_lower_, lp.row_upper_ = cost, row_lower, row_upper
+    matrix = lp.a_matrix_
+    matrix.format_ = _h.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = n, len(row_lower)
+    matrix.start_ = [0, *itertools.accumulate(map(len, col_rows))]
+    matrix.index_ = list(itertools.chain.from_iterable(col_rows))
+    matrix.value_ = list(itertools.chain.from_iterable(col_values))
+    return lp
 
 
 _redirect_lock = threading.Lock()
@@ -334,8 +325,11 @@ class ScipyMilpAdapter:
     integrality tolerance; downstream identities (piecewise conversion,
     storage telescoping) amplify that noise. Assignments with integers are
     therefore polished: the integers are rounded and fixed through their
-    column bounds, and the continuous variables are refit by one LP solve,
-    on a fresh HiGHS instance built from the same lowered arrays.
+    column bounds, and the continuous variables are refit by one LP solve
+    on a fresh HiGHS instance.
+
+    Each solve lowers its model once, into one ``HighsLp`` (:func:`_lower`);
+    every run passes it with its own column bounds and integrality.
 
     A MIP may be given a start: an integer assignment by column name, such
     as the previous intraday session's :attr:`Solution.integers`. The
@@ -361,19 +355,21 @@ class ScipyMilpAdapter:
         MIP kept the checked start's integers."""
         sos_free = reformulate_sos2_as_binary(model) if model.sos2_sets else model
         t0 = time.perf_counter()
-        low = _lower(sos_free)
-        integers = [j for j, is_int in enumerate(low.integer) if is_int]
+        lp = _lower(sos_free)
+        lower, upper = sos_free.lb, sos_free.ub
+        integer = [kind == BINARY for kind in sos_free.kind]
+        integers = [j for j, is_int in enumerate(integer) if is_int]
         is_mip = bool(integers)
-        size = {"n_binaries": len(integers), "n_nonzeros": len(low.value)}
-        names = [sos_free.var_name(j) for j in range(len(low.cost))] if is_mip else []
+        size = {"n_binaries": len(integers), "n_nonzeros": lp.a_matrix_.start_[-1]}
+        names = [sos_free.var_name(j) for j in range(sos_free.n_vars)] if is_mip else []
         kept = None  # the completed start
         if is_mip and start is not None:
             fixed = {j: start.get(names[j]) for j in integers}
-            if all(v is not None and v == round(v, 0) and low.lower[j] <= v <= low.upper[j]
+            if all(v is not None and v == round(v, 0) and lower[j] <= v <= upper[j]
                    for j, v in fixed.items()):
                 # None when the plan no longer fits the model
-                kept = self._refit(low, fixed, options)
-        highs, status = self._run(low, low.lower, low.upper, low.integer, options, kept)
+                kept = self._refit(lp, sos_free, fixed, options)
+        highs, status = self._run(lp, lower, upper, integer, options, kept)
         info = highs.getInfo()
         stats = {"nodes": max(int(info.mip_node_count), 0) if is_mip else 0,
                  "lp_iterations": max(int(info.simplex_iteration_count), 0), **size}
@@ -386,24 +382,24 @@ class ScipyMilpAdapter:
         values = tuple(highs.getSolution().col_value)
         bound = info.mip_dual_bound if is_mip else info.objective_function_value
         if is_mip:
-            snapped = {j: min(max(round(values[j], 0), low.lower[j]), low.upper[j])  # half to even
+            snapped = {j: min(max(round(values[j], 0), lower[j]), upper[j])  # half to even
                        for j in integers}
             if kept is not None and all(kept[j] == v for j, v in snapped.items()):
                 # the polish LP would be the start LP again, on a fresh
-                # instance over the same arrays: the same vector up to the
+                # instance over the same model: the same vector up to the
                 # sign of a zero in an integer column
                 values = kept
             else:
                 # on a fresh instance: reusing the MIP's can return another
                 # optimal vertex, and the storage's alternate optima would
                 # move the next session and the run's profit
-                refit = self._refit(low, snapped, options)
+                refit = self._refit(lp, sos_free, snapped, options)
                 # the refit fails only through backend numerics (the rounded
                 # point is feasible whenever the incumbent met the
                 # integrality tolerance); the incumbent then stands
                 values = values if refit is None else refit
-        objective = _objective(low, values)
-        start_objective = (_objective(low, kept) if kept is not None
+        objective = _objective(sos_free, values)
+        start_objective = (_objective(sos_free, kept) if kept is not None
                            else objective if start is not None and not is_mip else None)
         return Solution(
             status="optimal" if status == _h.HighsModelStatus.kOptimal else "feasible",
@@ -413,10 +409,10 @@ class ScipyMilpAdapter:
             start_objective=start_objective, **stats)
 
     @staticmethod
-    def _run(low: _Lowered, lower: list[float], upper: list[float], integer: list[bool],
+    def _run(lp: _h.HighsLp, lower: list[float], upper: list[float], integer: list[bool],
              options: SolveOptions, incumbent: tuple[float, ...] | None = None):
-        """Run a fresh HiGHS instance over the lowered model with these
-        column bounds and integer columns, from ``incumbent`` when given
+        """Set these column bounds and integer columns on ``lp`` and run a
+        fresh HiGHS instance over it, from ``incumbent`` when given
         (with the root reduced-cost sub-MIP off). Returns the instance and
         its model status, ``kSolveError`` when the run fails. Raises
         :class:`ModelError` when HiGHS does not take the model, for
@@ -428,18 +424,10 @@ class ScipyMilpAdapter:
         for name, value in settings.items():
             if highs.setOptionValue(name, value) != _h.HighsStatus.kOk:
                 raise ValueError(f"HiGHS rejected option {name}={value!r}")
-        lp = _h.HighsLp()
-        lp.num_col_, lp.num_row_ = len(low.cost), len(low.row_lower)
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = low.cost, lower, upper
-        lp.row_lower_, lp.row_upper_ = low.row_lower, low.row_upper
-        lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = lp.num_col_, lp.num_row_
-        lp.a_matrix_.start_ = low.start
-        lp.a_matrix_.index_ = low.index
-        lp.a_matrix_.value_ = low.value
+        lp.col_lower_, lp.col_upper_ = lower, upper
         lp.integrality_ = [_INTEGER if i else _CONTINUOUS for i in integer]
         if highs.passModel(lp) == _h.HighsStatus.kError:
-            largest = max(map(abs, low.value), default=0.0)
+            largest = max(map(abs, lp.a_matrix_.value_), default=0.0)
             raise ModelError(f"HiGHS refused the model (largest |coefficient| {largest:g})")
         if incumbent is not None:
             given = _h.HighsSolution()
@@ -451,22 +439,23 @@ class ScipyMilpAdapter:
         return highs, highs.getModelStatus()
 
     @classmethod
-    def _refit(cls, low: _Lowered, fixed: dict[int, float],
+    def _refit(cls, lp: _h.HighsLp, model: MilpModel, fixed: dict[int, float],
                options: SolveOptions) -> tuple[float, ...] | None:
-        """The optimum of the LP over the columns outside ``fixed``, those
-        held at their values, on a fresh instance; None unless optimal."""
-        lower = [fixed.get(j, lb) for j, lb in enumerate(low.lower)]
-        upper = [fixed.get(j, ub) for j, ub in enumerate(low.upper)]
-        highs, status = cls._run(low, lower, upper, [False] * len(lower), options)
+        """The optimum of the LP over the model's columns outside ``fixed``,
+        those held at their values, on a fresh instance; None unless
+        optimal."""
+        lower = [fixed.get(j, lb) for j, lb in enumerate(model.lb)]
+        upper = [fixed.get(j, ub) for j, ub in enumerate(model.ub)]
+        highs, status = cls._run(lp, lower, upper, [False] * len(lower), options)
         if status != _h.HighsModelStatus.kOptimal:
             return None
         return tuple(fixed.get(j, v) for j, v in enumerate(highs.getSolution().col_value))
 
 
-def _objective(low: _Lowered, x: Sequence[float]) -> float:
-    """The maximization objective of a vector over the lowered columns;
-    ``0.0 - `` keeps an optimum of zero from reading ``-0.0``."""
-    return 0.0 - math.fsum(map(operator.mul, low.cost, x))
+def _objective(model: MilpModel, x: Sequence[float]) -> float:
+    """The model's objective at ``x``; ``0.0 + `` keeps an optimum of zero
+    from reading ``-0.0``."""
+    return 0.0 + math.fsum(coef * x[v] for v, coef in model.obj.items())
 
 
 _INTEGER = _h.HighsVarType.kInteger
@@ -654,5 +643,5 @@ def dump_lp(model: MilpModel, path: str | Path | None = None) -> str:
     lines.append("End")
     text = "\n".join(lines) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     return text

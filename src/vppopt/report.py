@@ -133,7 +133,7 @@ def _cell(v):
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_cell(v) for v in row] for row in rows)
@@ -157,7 +157,7 @@ def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
     for name, (header, rows) in report.tables.items():
         _write_csv(out / name, header, rows)
     for name, doc in report.documents.items():
-        (out / name).write_text(json.dumps(doc, indent=2) + "\n")
+        (out / name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return [out / name for name in (*report.tables, *report.documents)]
 
 

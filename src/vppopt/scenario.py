@@ -364,6 +364,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ScenarioError(f"{path}: cannot read a JSON number: {exc}") from exc
     except RecursionError as exc:  # raised by the decoder, not the file
         raise ScenarioError(f"{path}: JSON nests too deep to parse") from exc
     scenario = scenario_from_dict(doc)
@@ -376,7 +378,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n",
+                          encoding="utf-8")
 
 
 def _entries(doc: Any, key: str, where: str = "",

@@ -200,7 +200,9 @@ class TestValidate:
     @pytest.mark.parametrize("data", [
         b"\xff\xfe{}",  # a UTF-16 byte-order mark
         b"[" * 100_000 + b"]" * 100_000,  # deeper than the JSON decoder recurses
-    ], ids=["not_utf8", "too_deep"])
+        # an integer past Python's 4,300-digit conversion limit
+        (SCENARIO_DIR / "clear.json").read_bytes().replace(b'"T": 24', b'"T": 1' + b"0" * 5000),
+    ], ids=["not_utf8", "too_deep", "huge_integer"])
     def test_undecodable_file_exits_2(self, tmp_path, capsys, data):
         path = tmp_path / "bad.json"
         path.write_bytes(data)
@@ -791,6 +793,33 @@ class TestConsoleScript:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "ok" in proc.stdout
+
+
+class TestAsciiLocale:
+    """Files are written as UTF-8 whatever the locale: under an ASCII
+    locale, an asset id and a scenario name outside ASCII reach the
+    report tables and the LP dump as UTF-8."""
+
+    def test_run_writes_utf8_files(self, tmp_path):
+        doc = toy_doc()
+        doc["name"], doc["ndres"][0]["id"] = "Tag_ä", "wind_ä"
+        for forecast in (doc["forecasts"]["dam"], *doc["forecasts"]["idm"]):
+            forecast["ndresAvail"] = {"wind_ä": forecast["ndresAvail"]["wind"]}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "vppopt.cli", "run", "--scenario", str(path),
+                               "--out", str(tmp_path / "r"), "--dump-model",
+                               str(tmp_path / "dam.lp")],
+                              capture_output=True, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        files = {p.name: p.read_bytes().decode("utf-8") for p in (tmp_path / "r").iterdir()}
+        assert "1,wind_ä," in files["dispatch.csv"]
+        lp = (tmp_path / "dam.lp").read_bytes().decode("utf-8")
+        assert lp.startswith("\\ dam[Tag_ä]\n")
 
 
 class TestClosedStdout:

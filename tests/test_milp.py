@@ -550,11 +550,11 @@ class TestLowering:
     ], ids=["clear-dam", "cloudy-dam", "edges", "no-rows"])
     def test_arrays_equal_scipy_sparse(self, build):
         model = build()
-        low, ref = milp._lower(model), _csc_reference(model)
-        assert np.array_equal(low.start, ref.indptr)
-        assert np.array_equal(low.index, ref.indices)
-        assert np.array_equal(low.value, ref.data)
-        assert len(low.cost) == model.n_vars and len(low.row_lower) == model.n_constraints
+        lp, ref = milp._lower(model), _csc_reference(model)
+        assert np.array_equal(lp.a_matrix_.start_, ref.indptr)
+        assert np.array_equal(lp.a_matrix_.index_, ref.indices)
+        assert np.array_equal(lp.a_matrix_.value_, ref.data)
+        assert len(lp.col_cost_) == model.n_vars and len(lp.row_lower_) == model.n_constraints
 
     def test_edge_model_solves(self):
         sol = solve(_edge_model())
